@@ -126,20 +126,15 @@ func BenchmarkRunAllWarm(b *testing.B) {
 	}
 }
 
-// benchFig20Warm measures the Fig. 20 buffer sweep with the whole-simulation
-// caches cleared every iteration but the layer-grain families (npusim.layer,
-// scalesim.layer, mapper.tiles) and the estimator caches kept warm — the
-// steady-state cost of re-running a sweep whose per-layer work is shared.
-// The layerGrain flag selects the before/after variant: with the layer-grain
-// cache disabled every iteration re-walks every tile plan.
-func benchFig20Warm(b *testing.B, layerGrain bool) {
-	b.Helper()
-	simcache.SetLayerGrain(layerGrain)
+// BenchmarkFig20BufferSweepWarm measures the Fig. 20 buffer sweep with the
+// whole-simulation caches cleared every iteration but the layer-grain
+// families (npusim.layer, scalesim.layer, mapper.tiles) and the estimator
+// caches kept warm — the steady-state cost of re-running a sweep whose
+// per-layer work is shared. The pre-layer-grain cost of the same pattern
+// is recorded in BENCH_PR10.json.
+func BenchmarkFig20BufferSweepWarm(b *testing.B) {
 	simcache.ClearAll()
-	b.Cleanup(func() {
-		simcache.SetLayerGrain(true)
-		simcache.ClearAll()
-	})
+	b.Cleanup(simcache.ClearAll)
 	if _, err := experiments.Run(context.Background(), "fig20"); err != nil {
 		b.Fatal(err)
 	}
@@ -152,15 +147,6 @@ func benchFig20Warm(b *testing.B, layerGrain bool) {
 		}
 	}
 }
-
-// BenchmarkFig20BufferSweepWarm is the layer-grain-cached sweep re-run:
-// whole-simulation entries evicted, per-layer tile walks served from the
-// layer-grain cache.
-func BenchmarkFig20BufferSweepWarm(b *testing.B) { benchFig20Warm(b, true) }
-
-// BenchmarkFig20BufferSweepWarmNoLayerGrain is the same eviction pattern
-// with layer-grain caching disabled — the pre-PR-10 cost of the sweep.
-func BenchmarkFig20BufferSweepWarmNoLayerGrain(b *testing.B) { benchFig20Warm(b, false) }
 
 // BenchmarkSimulateCold measures one uncached cycle simulation of ResNet-50
 // on SuperNPU (the cache is cleared every iteration).

@@ -18,7 +18,6 @@
 //	GET  /healthz       liveness
 //	GET  /metrics       Prometheus text exposition of every obs instrument
 //	GET  /debug/stats   cache hit/miss, pool occupancy, queue gauges
-//	GET  /debug/vars    raw expvar
 //	GET  /debug/pprof/  live profiling (net/http/pprof: profile, heap, trace, …)
 //
 // The service sheds load with 429 + Retry-After once the work queue is

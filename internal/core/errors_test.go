@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestBoundaryPanicsClassifyAsBadInput(t *testing.T) {
 		}, sfq.ErrUnknownGate},
 	}
 	for _, tc := range cases {
-		err := parallel.ForEach(1, func(i int) error {
+		err := parallel.ForEachContext(context.Background(), 1, func(_ context.Context, i int) error {
 			tc.job()
 			return nil
 		})

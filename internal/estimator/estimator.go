@@ -184,26 +184,16 @@ func estimateNetwork(cfg arch.Config, lib *sfq.Library) UnitEstimate {
 // already canceled aborts before any unit is estimated; a canceled
 // computation is evicted from the cache rather than memoised.
 func Estimate(ctx context.Context, cfg arch.Config) (*Result, error) {
-	mEstimates.Inc()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return cache.GetOrCompute(simcache.ConfigKey(cfg), func() (*Result, error) {
-		defer obs.Time(mColdSeconds)()
-		return estimate(ctx, cfg)
-	})
+	return EstimateFaulted(ctx, cfg, nil)
 }
 
 // EstimateFaulted is Estimate at a fault-perturbed operating point: the
 // whole three-layer derivation reruns against the faulted cell library, so
 // margin erosion and Ic spread propagate into every unit's frequency, power
 // and energy exactly as a nominal shift would. Results are memoised by
-// (configuration, fault key); a disabled model shares Estimate's cache
-// entries.
+// (configuration, fault key); a nil or disabled model keys to the empty
+// string and gets the nominal library, which makes it Estimate.
 func EstimateFaulted(ctx context.Context, cfg arch.Config, fm *faultinject.Model) (*Result, error) {
-	if !fm.Enabled() {
-		return Estimate(ctx, cfg)
-	}
 	mEstimates.Inc()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -212,11 +202,6 @@ func EstimateFaulted(ctx context.Context, cfg arch.Config, fm *faultinject.Model
 		defer obs.Time(mColdSeconds)()
 		return estimateWithLib(ctx, cfg, sfq.NewLibraryFaulted(sfq.AIST10(), cfg.Tech, fm))
 	})
-}
-
-// estimate is the uncached three-layer estimation at the nominal library.
-func estimate(ctx context.Context, cfg arch.Config) (*Result, error) {
-	return estimateWithLib(ctx, cfg, sfq.NewLibrary(sfq.AIST10(), cfg.Tech))
 }
 
 // estimateWithLib runs the three-layer estimation against an explicit cell

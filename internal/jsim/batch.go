@@ -23,7 +23,7 @@ type BatchJob struct {
 }
 
 // RunBatch integrates independent chains across the parallel pool with one
-// reused Solver per worker. The error contract is parallel.Map's: the error
+// reused Solver per worker. The error contract is the pool's: the error
 // of the lowest failing job, with fail-fast scheduling after it.
 // Cancellation of ctx stops both the pool's claiming of new jobs and, via
 // each solver's watch, the transients already in flight.

@@ -56,7 +56,7 @@ func stepCount(T, dt float64) int {
 // grown on demand and kept across runs, so repeated transients over chains
 // of the same (or smaller) size allocate nothing. A Solver is not safe for
 // concurrent use; give each worker its own (see RunBatch and
-// parallel.MapLocal).
+// parallel.ForEachLocalContext).
 type Solver struct {
 	// Struct-of-arrays per-node constants, hoisted once per run.
 	bias  []float64 // DC bias current

@@ -135,7 +135,7 @@ func funcValueOf(info *types.Info, e ast.Expr) *types.Func {
 }
 
 // isPoolEntry reports whether f is an exported fan-out entry point of the
-// worker pool (Map, MapContext, MapLocal*, ForEach*...).
+// worker pool (MapContext, MapLocalContext, ForEach*Context).
 func isPoolEntry(f *types.Func) bool {
 	if f == nil || f.Pkg() == nil || f.Pkg().Path() != parallelPkgPath {
 		return false

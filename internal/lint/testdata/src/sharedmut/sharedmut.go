@@ -9,6 +9,7 @@
 package sweep
 
 import (
+	"context"
 	"sync"
 
 	"supernpu/internal/lint/testdata/src/smhelper"
@@ -18,7 +19,7 @@ import (
 // CaptureSum races every worker on one captured accumulator.
 func CaptureSum(n int) (float64, error) {
 	sum := 0.0
-	err := parallel.ForEach(n, func(i int) error {
+	err := parallel.ForEachContext(context.Background(), n, func(_ context.Context, i int) error {
 		sum += float64(i) // want "writes the variable sum"
 		return nil
 	})
@@ -28,7 +29,7 @@ func CaptureSum(n int) (float64, error) {
 // CaptureMap races every worker on one captured map header.
 func CaptureMap(keys []string) (map[string]bool, error) {
 	seen := map[string]bool{}
-	err := parallel.ForEach(len(keys), func(i int) error {
+	err := parallel.ForEachContext(context.Background(), len(keys), func(_ context.Context, i int) error {
 		seen[keys[i]] = true // want "an entry of the map seen"
 		return nil
 	})
@@ -38,7 +39,7 @@ func CaptureMap(keys []string) (map[string]bool, error) {
 // CaptureAppend races every worker on the captured slice header.
 func CaptureAppend(n int) ([]int, error) {
 	var out []int
-	err := parallel.ForEach(n, func(i int) error {
+	err := parallel.ForEachContext(context.Background(), n, func(_ context.Context, i int) error {
 		out = append(out, i) // want "writes the variable out"
 		return nil
 	})
@@ -47,7 +48,7 @@ func CaptureAppend(n int) ([]int, error) {
 
 // ChainMut hides the shared write two calls down in another package.
 func ChainMut(n int) error {
-	return parallel.ForEach(n, func(i int) error {
+	return parallel.ForEachContext(context.Background(), n, func(_ context.Context, i int) error {
 		smhelper.Record(i) // want "mutates shared state"
 		return nil
 	})
@@ -56,14 +57,14 @@ func ChainMut(n int) error {
 // NamedMut hands the pool a named callback whose call graph writes a
 // package-level variable.
 func NamedMut(n int) ([]int, error) {
-	return parallel.Map(n, smhelper.Tally) // want "mutates shared state"
+	return parallel.MapContext(context.Background(), n, smhelper.Tally) // want "mutates shared state"
 }
 
 // GoodIndexed is the pool's order-preserving idiom: each worker owns its
 // index, so the captured slice is written without overlap.
 func GoodIndexed(n int) ([]int, error) {
 	out := make([]int, n)
-	err := parallel.ForEach(n, func(i int) error {
+	err := parallel.ForEachContext(context.Background(), n, func(_ context.Context, i int) error {
 		out[i] = i * i
 		return nil
 	})
@@ -74,7 +75,7 @@ func GoodIndexed(n int) ([]int, error) {
 func GoodLocked(n int) (int, error) {
 	var mu sync.Mutex
 	total := 0
-	err := parallel.ForEach(n, func(i int) error {
+	err := parallel.ForEachContext(context.Background(), n, func(_ context.Context, i int) error {
 		mu.Lock()
 		total += i
 		mu.Unlock()
@@ -85,7 +86,7 @@ func GoodLocked(n int) (int, error) {
 
 // GoodLocal keeps all mutation on callback-local state.
 func GoodLocal(n int) ([]float64, error) {
-	return parallel.Map(n, func(i int) (float64, error) {
+	return parallel.MapContext(context.Background(), n, func(_ context.Context, i int) (float64, error) {
 		x := float64(i)
 		x *= x
 		return x, nil
@@ -94,5 +95,5 @@ func GoodLocal(n int) ([]float64, error) {
 
 // GoodNamed hands the pool a pure named callback.
 func GoodNamed(n int) ([]int, error) {
-	return parallel.Map(n, smhelper.Scale)
+	return parallel.MapContext(context.Background(), n, smhelper.Scale)
 }

@@ -3,6 +3,8 @@
 // package-level accumulator, two hops down (Record → note → hits).
 package smhelper
 
+import "context"
+
 var hits int
 
 // Record accumulates one observation into the package-level tally.
@@ -16,12 +18,12 @@ func note(i int) {
 
 // Tally records and echoes its index — the named-callback shape handed
 // straight to the pool.
-func Tally(i int) (int, error) {
+func Tally(_ context.Context, i int) (int, error) {
 	note(i)
 	return i, nil
 }
 
 // Scale is the compliant shape: pure arithmetic.
-func Scale(i int) (int, error) {
+func Scale(_ context.Context, i int) (int, error) {
 	return i * 2, nil
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"supernpu/internal/arch"
 	"supernpu/internal/simcache"
 	"supernpu/internal/workload"
 )
@@ -16,7 +17,6 @@ func TestTilesMemoisedAndNameIndependent(t *testing.T) {
 	l := workload.Layer{Name: "conv", Kind: workload.Conv,
 		H: 14, W: 14, C: 256, R: 3, S: 3, M: 512, Stride: 1, Pad: 1}
 
-	simcache.SetLayerGrain(true)
 	simcache.ClearAll()
 	t.Cleanup(simcache.ClearAll)
 
@@ -39,13 +39,24 @@ func TestTilesMemoisedAndNameIndependent(t *testing.T) {
 	if reflect.DeepEqual(a, d) {
 		t.Error("register-count change did not alter the tile plan key/result")
 	}
+}
 
-	// The cached plan matches the uncached enumeration exactly.
-	simcache.SetLayerGrain(false)
-	raw := Tiles(l, 128, 64, 2)
-	simcache.SetLayerGrain(true)
-	if !reflect.DeepEqual(a, raw) {
-		t.Errorf("cached plan differs from uncached enumeration:\n got %+v\nwant %+v", a, raw)
+// TestTilesMatchEnumeration checks the tile cache against the enumeration
+// it memoises, over every SFQ design's array geometry and every layer of
+// every network.
+func TestTilesMatchEnumeration(t *testing.T) {
+	simcache.ClearAll()
+	t.Cleanup(simcache.ClearAll)
+	for _, cfg := range arch.Designs() {
+		for _, net := range workload.All() {
+			for _, l := range net.ComputeLayers() {
+				got := Tiles(l, cfg.ArrayHeight, cfg.ArrayWidth, cfg.Registers)
+				want := enumerate(l, cfg.ArrayHeight, cfg.ArrayWidth, cfg.Registers)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s/%s: cached plan differs from the enumeration", cfg.Name, net.Name, l.Name)
+				}
+			}
+		}
 	}
 }
 

@@ -48,15 +48,11 @@ type Tile struct {
 // separately onto R·S rows and a single column — the structural
 // underutilisation the paper observes on MobileNet.
 //
-// Results are memoised by (layer shape, height, width, registers) while
-// layer-grain caching is enabled; the returned slice is then shared
-// between callers, who must not modify it.
+// Results are memoised by (layer shape, height, width, registers); the
+// returned slice is shared between callers, who must not modify it.
 func Tiles(l workload.Layer, height, width, registers int) []Tile {
 	if l.Kind == workload.Pool {
 		return nil
-	}
-	if !simcache.LayerGrainEnabled() {
-		return enumerate(l, height, width, registers)
 	}
 	tiles, _ := tileCache.GetOrCompute(simcache.TilesKey(l.Shape(), height, width, registers),
 		func() ([]Tile, error) { return enumerate(l, height, width, registers), nil })

@@ -2,19 +2,20 @@ package npusim
 
 // Tests for the layer-grain memoization beneath the whole-simulation
 // cache: the multiplicity property (a shape repeated k times costs one
-// unique simulation and reports k×-scaled totals), byte-identity of the
-// report with the cache on and off, and the faulted path bypassing the
-// cache entirely so per-site fault draws stay untouched.
+// unique simulation and reports k×-scaled totals), equality of every
+// cached layer with the direct tile walk, and the faulted path bypassing
+// the cache entirely.
 
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"supernpu/internal/arch"
+	"supernpu/internal/estimator"
 	"supernpu/internal/faultinject"
+	"supernpu/internal/parallel"
 	"supernpu/internal/simcache"
 	"supernpu/internal/workload"
 )
@@ -36,23 +37,28 @@ func TestLayerDedupMultiplicity(t *testing.T) {
 	net := repeatedNet(k)
 	cfg := arch.SuperNPU()
 
-	simcache.SetLayerGrain(true)
-	simcache.ClearAll()
-	t.Cleanup(simcache.ClearAll)
+	t.Cleanup(func() {
+		parallel.SetWorkers(0)
+		simcache.ClearAll()
+	})
 
-	rep, err := Simulate(context.Background(), cfg, net, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// One unique layer simulation: the dedup warm pass misses once, then
-	// every per-site lookup hits.
-	hits, misses := layerCache.Counters()
-	if misses != 1 {
-		t.Errorf("unique layer simulations executed = %d, want 1", misses)
-	}
-	if hits != k {
-		t.Errorf("layer cache hits = %d, want %d (one per site)", hits, k)
+	// One unique layer simulation: the first site's lookup misses and every
+	// later site's lookup hits, whatever the worker count.
+	var rep *Report
+	for _, w := range []int{1, 4} {
+		parallel.SetWorkers(w)
+		simcache.ClearAll()
+		var err error
+		if rep, err = Simulate(context.Background(), cfg, net, 1); err != nil {
+			t.Fatal(err)
+		}
+		hits, misses := layerCache.Counters()
+		if misses != 1 {
+			t.Errorf("workers=%d: unique layer simulations executed = %d, want 1", w, misses)
+		}
+		if hits != k-1 {
+			t.Errorf("workers=%d: layer cache hits = %d, want %d (one per later site)", w, hits, k-1)
+		}
 	}
 
 	// Totals scale by multiplicity; input delivery differs between the
@@ -82,30 +88,41 @@ func TestLayerDedupMultiplicity(t *testing.T) {
 	}
 }
 
-func TestLayerGrainOffByteIdentical(t *testing.T) {
-	net := repeatedNet(4)
-	cfg := arch.SuperNPU()
-	t.Cleanup(func() {
-		simcache.SetLayerGrain(true)
-		simcache.ClearAll()
-	})
-
-	simcache.SetLayerGrain(true)
+// TestLayerCacheMatchesDirectWalk checks the layer tier against the walk
+// it memoises: for every SFQ design, network and compute layer at batches
+// 1 and 3, the stats served through the cache — first-site misses and
+// repeated-shape hits alike — equal simulateLayer's direct walk.
+func TestLayerCacheMatchesDirectWalk(t *testing.T) {
 	simcache.ClearAll()
-	on, err := Simulate(context.Background(), cfg, net, 0)
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(simcache.ClearAll)
+	ctx := context.Background()
+	for _, cfg := range arch.Designs() {
+		est, err := estimator.Estimate(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj := simcache.NPULayerProj(cfg, cyclesPerByte(est.Frequency, cfg.MemoryBandwidth))
+		for _, net := range workload.All() {
+			for _, l := range net.ComputeLayers() {
+				for _, batch := range []int{1, 3} {
+					got, err := simulateLayerCached(ctx, proj, l, batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := simulateLayer(ctx, proj, l, batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("%s/%s/%s b%d: cached stats differ from the direct walk:\n got %+v\nwant %+v",
+							cfg.Name, net.Name, l.Name, batch, got, want)
+					}
+				}
+			}
+		}
 	}
-
-	simcache.SetLayerGrain(false)
-	simcache.ClearAll()
-	off, err := Simulate(context.Background(), cfg, net, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(on, off) {
-		t.Errorf("report differs with layer-grain caching on vs off:\n on %+v\noff %+v", on, off)
+	if _, misses := layerCache.Counters(); misses == 0 {
+		t.Fatal("no lookup went through the layer cache")
 	}
 }
 
@@ -114,7 +131,6 @@ func TestFaultedPathBypassesLayerCache(t *testing.T) {
 	cfg := arch.SuperNPU()
 	fm := &faultinject.Model{Seed: 42, PulseDrop: 1e-6, BitFlip: 1e-8}
 
-	simcache.SetLayerGrain(true)
 	simcache.ClearAll()
 	t.Cleanup(simcache.ClearAll)
 

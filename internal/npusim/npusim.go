@@ -48,8 +48,8 @@ var cache = simcache.New[*Report]()
 // in the tile counts and applied per caller (applyUnitCosts), so sweep
 // points that vary only buffer division or non-fit-flipping capacity
 // share one walk, as do repeated shapes within one network. Nominal runs
-// only — the faulted path keeps its per-layer site-keyed draws (see
-// simulate).
+// only: faulted runs walk directly, because their operating point keys
+// walks no other run reuses (see simulate).
 var layerCache = simcache.New[layerCore]()
 
 func init() {
@@ -388,12 +388,8 @@ func simulateLayer(ctx context.Context, p simcache.LayerProj, l workload.Layer, 
 // cache. The cached core is computed from a name-free rehydration of the
 // layer's shape, so every layer of that shape — in this network, any
 // other network, or any sweep point whose core projection matches —
-// shares it. With layer-grain caching disabled it degrades to the direct
-// tile walk.
+// shares it.
 func simulateLayerCached(ctx context.Context, p simcache.LayerProj, l workload.Layer, batch int) (LayerStats, error) {
-	if !simcache.LayerGrainEnabled() {
-		return simulateLayer(ctx, p, l, batch)
-	}
 	if l.Kind == workload.Pool {
 		return LayerStats{Layer: l}, nil
 	}
@@ -420,23 +416,7 @@ func simulateLayerCached(ctx context.Context, p simcache.LayerProj, l workload.L
 // Cancellation of ctx aborts the per-layer fan-out and the per-tile mapping
 // loop; a canceled computation is evicted from the cache, not memoised.
 func Simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch int) (*Report, error) {
-	if batch < 0 {
-		return nil, fmt.Errorf("npusim: batch %d must be non-negative (0 selects MaxBatch)", batch)
-	}
-	return cache.GetOrCompute(simcache.SimKey(cfg, net, batch), func() (*Report, error) {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		if err := net.Validate(); err != nil {
-			return nil, err
-		}
-		if batch == 0 {
-			// Re-enter through the cache so the batch-0 entry and the
-			// resolved-batch entry share one computed report.
-			return Simulate(ctx, cfg, net, MaxBatch(cfg, net))
-		}
-		return simulate(ctx, cfg, net, batch, nil)
-	})
+	return SimulateFaulted(ctx, cfg, net, batch, nil)
 }
 
 // SimulateFaulted is Simulate under a fault model: the estimator reruns at
@@ -445,14 +425,10 @@ func Simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch 
 // flips feed the accuracy proxy, and with probability SimFail the whole
 // simulation aborts with a *faultinject.FaultError — the hook the serving
 // pipeline's degraded path exercises. Results are memoised by (config,
-// network, batch, fault key); a disabled model shares Simulate's cache.
-// As with Simulate, a batch of 0 selects MaxBatch automatically and
-// negative batches are rejected. Every fault draw is site-keyed, so the
+// network, batch, fault key); a nil or disabled model keys to the empty
+// string, which makes it Simulate. Every fault draw is site-keyed, so the
 // report is byte-identical across runs and worker counts.
 func SimulateFaulted(ctx context.Context, cfg arch.Config, net workload.Network, batch int, fm *faultinject.Model) (*Report, error) {
-	if !fm.Enabled() {
-		return Simulate(ctx, cfg, net, batch)
-	}
 	if batch < 0 {
 		return nil, fmt.Errorf("npusim: batch %d must be non-negative (0 selects MaxBatch)", batch)
 	}
@@ -464,10 +440,9 @@ func SimulateFaulted(ctx context.Context, cfg arch.Config, net workload.Network,
 			return nil, err
 		}
 		if batch == 0 {
+			// Re-enter through the cache so the batch-0 entry and the
+			// resolved-batch entry share one computed report.
 			return SimulateFaulted(ctx, cfg, net, MaxBatch(cfg, net), fm)
-		}
-		if site := simSite(cfg, net, batch); fm.FailsSimulation(site) {
-			return nil, &faultinject.FaultError{Site: site}
 		}
 		return simulate(ctx, cfg, net, batch, fm)
 	})
@@ -483,15 +458,21 @@ func simSite(cfg arch.Config, net workload.Network, batch int) string {
 // LayerStats fan out across workers; the report accumulates them in layer
 // order afterwards, keeping the totals bit-identical to a serial run.
 //
-// Nominal runs dedup repeated shapes before the fan-out: one warm pass
-// simulates each unique (projection, shape, batch) once through the
-// layer-grain cache, then every site's lookup hits and the LayerStats are
-// replicated by multiplicity. A non-nil enabled fault model disables the
-// dedup — its pulse-drop retries and bit flips are drawn per layer *site*
-// (keyed by the layer's name), so two same-shaped layers legitimately
-// differ — and every draw is keyed by the layer's own site, so the
-// fan-out order cannot perturb the result.
+// Nominal runs serve each site through the layer-grain cache, so repeated
+// shapes dedup there: the first site of a shape misses and every later
+// one hits, waiting on the entry if it is still being computed. Faulted
+// runs walk each site directly. Their pulse-drop retries and bit flips are
+// drawn after the walk, keyed by the layer's own site, so the walk does
+// not depend on the fault model and the fan-out order cannot perturb the
+// result. The bypass is a memory choice: a fault model that erodes margins
+// or spreads Ic moves the operating point, and with it the DRAM rate in
+// the layer key, so its cached walks would be entries no other run reuses
+// (DESIGN.md §15 has the measurement).
 func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch int, fm *faultinject.Model) (*Report, error) {
+	site := simSite(cfg, net, batch)
+	if fm.FailsSimulation(site) {
+		return nil, &faultinject.FaultError{Site: site}
+	}
 	est, err := estimator.EstimateFaulted(ctx, cfg, fm)
 	if err != nil {
 		return nil, err
@@ -524,29 +505,7 @@ func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch 
 	}
 	if !fm.Enabled() {
 		layerSites.Add(int64(len(jobs)))
-		if simcache.LayerGrainEnabled() {
-			// Shape dedup: warm one layer-grain entry per unique shape so
-			// the per-site fan-out below replicates cache hits instead of
-			// re-walking identical tile plans.
-			seen := make(map[workload.Shape]bool, len(jobs))
-			var shapes []workload.Shape
-			for _, j := range jobs {
-				if s := j.l.Shape(); !seen[s] {
-					seen[s] = true
-					shapes = append(shapes, s)
-				}
-			}
-			if len(shapes) < len(jobs) {
-				if _, err := parallel.MapContext(ctx, len(shapes), func(ctx context.Context, k int) (struct{}, error) {
-					_, err := simulateLayerCached(ctx, proj, shapes[k].Layer(""), batch)
-					return struct{}{}, err
-				}); err != nil {
-					return nil, err
-				}
-			}
-		}
 	}
-	site := simSite(cfg, net, batch)
 	outs, err := parallel.MapContext(ctx, len(jobs), func(ctx context.Context, k int) (layerOut, error) {
 		j := jobs[k]
 		var st LayerStats

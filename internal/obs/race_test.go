@@ -1,12 +1,13 @@
 // Race/concurrency coverage for the registry: instruments hammered from
-// parallel.Map workers (the exact pool the evaluation pipeline fans out
-// through) with concurrent scrapes in flight, then exact final counts
-// asserted. Run under -race this proves the atomic instrument paths and
+// parallel.ForEachContext workers (the exact pool the evaluation pipeline
+// fans out through) with concurrent scrapes in flight, then exact final
+// counts asserted. Run under -race this proves the atomic instrument paths and
 // the snapshot-under-lock scrape are data-race free; the external test
 // package avoids an import cycle with internal/parallel.
 package obs_test
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -25,7 +26,7 @@ func TestInstrumentsUnderParallelHammer(t *testing.T) {
 	h := r.Histogram("hammer_seconds", "hammered histogram", obs.DurationEdges)
 
 	const tasks, perTask = 64, 500
-	err := parallel.ForEach(tasks, func(i int) error {
+	err := parallel.ForEachContext(context.Background(), tasks, func(_ context.Context, i int) error {
 		for j := 0; j < perTask; j++ {
 			c.Inc()
 			g.Inc()

@@ -1,5 +1,7 @@
 // Package parallel is the repository's bounded worker pool: order-preserving
-// Map/ForEach over index ranges, built on the standard library only.
+// MapContext/ForEachContext over index ranges, plus MapLocalContext/
+// ForEachLocalContext with per-worker scratch, built on the standard
+// library only.
 //
 // Every hot loop of the evaluation pipeline (figure regeneration, design-
 // space sweeps, per-layer simulation, JSIM transients) fans out through this
@@ -17,8 +19,8 @@
 //   - scheduling fails fast: after the first error or panic, workers stop
 //     claiming new indices, so a failed 10 000-point sweep does not run its
 //     remaining points to completion first; and
-//   - MapContext/ForEachContext observe context cancellation between jobs,
-//     which lets a checkpointed sweep stop cleanly on SIGINT/SIGTERM.
+//   - every entry point observes context cancellation between jobs, which
+//     lets a checkpointed sweep stop cleanly on SIGINT/SIGTERM.
 package parallel
 
 import (
@@ -56,9 +58,9 @@ func init() {
 // workers holds the configured worker count; 0 means runtime.NumCPU().
 var workers atomic.Int64
 
-// SetWorkers sets the maximum number of concurrent workers used by Map and
-// ForEach. n <= 0 resets to runtime.NumCPU(). n == 1 forces fully serial,
-// in-order execution.
+// SetWorkers sets the maximum number of concurrent workers used by the
+// pool's entry points. n <= 0 resets to runtime.NumCPU(). n == 1 forces
+// fully serial, in-order execution.
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -107,26 +109,20 @@ func call[L, T any](ctx context.Context, fn func(ctx context.Context, local L, i
 	return fn(ctx, local, i)
 }
 
-// Map evaluates fn for every index in [0, n) using at most Workers()
-// goroutines and returns the results in index order. If any call fails, Map
-// returns the error of the lowest failing index and a nil slice. Scheduling
-// is fail-fast: indices not yet claimed when the first error (or panic)
-// occurs are never run; indices claimed before it always run to completion,
-// which is what keeps the lowest-failing-index contract exact — indices are
-// claimed in increasing order, so everything below the first failure has
-// already been claimed.
-func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapContext(context.Background(), n, func(_ context.Context, i int) (T, error) {
-		return fn(i)
-	})
-}
-
-// MapContext is Map with context-aware scheduling: between jobs, workers
-// observe ctx and stop claiming new indices once it is cancelled. When the
-// run is cut short by cancellation (and no job failed first), MapContext
-// returns ctx's error lifted into the guard taxonomy, so callers at any
-// distance classify it with errors.Is(err, guard.ErrCanceled) (or
-// guard.ErrDeadlineExceeded).
+// MapContext evaluates fn for every index in [0, n) using at most
+// Workers() goroutines and returns the results in index order. If any call
+// fails, MapContext returns the error of the lowest failing index and a nil
+// slice. Scheduling is fail-fast: indices not yet claimed when the first
+// error (or panic) occurs are never run; indices claimed before it always
+// run to completion, which is what keeps the lowest-failing-index contract
+// exact — indices are claimed in increasing order, so everything below the
+// first failure has already been claimed.
+//
+// Between jobs, workers observe ctx and stop claiming new indices once it
+// is cancelled. When the run is cut short by cancellation (and no job
+// failed first), MapContext returns ctx's error lifted into the guard
+// taxonomy, so callers at any distance classify it with
+// errors.Is(err, guard.ErrCanceled) (or guard.ErrDeadlineExceeded).
 func MapContext[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	return MapLocalContext(ctx, n, func() struct{} { return struct{}{} },
 		func(ctx context.Context, _ struct{}, i int) (T, error) {
@@ -134,28 +130,7 @@ func MapContext[T any](ctx context.Context, n int, fn func(ctx context.Context, 
 		})
 }
 
-// MapLocal is Map with per-worker local state: newLocal runs once per worker
-// and its value is handed to every fn call that worker executes. It is the
-// hook for reusing expensive scratch (a jsim.Solver, a decode buffer) across
-// the jobs of one worker without sharing it between workers — fn may mutate
-// its local freely and must not stash it anywhere another goroutine reads.
-// newLocal must not panic; a panic inside fn is recovered as usual.
-func MapLocal[L, T any](n int, newLocal func() L, fn func(local L, i int) (T, error)) ([]T, error) {
-	return MapLocalContext(context.Background(), n, newLocal,
-		func(_ context.Context, local L, i int) (T, error) {
-			return fn(local, i)
-		})
-}
-
-// ForEachLocal is ForEach with per-worker local state (see MapLocal).
-func ForEachLocal[L any](n int, newLocal func() L, fn func(local L, i int) error) error {
-	_, err := MapLocal(n, newLocal, func(local L, i int) (struct{}, error) {
-		return struct{}{}, fn(local, i)
-	})
-	return err
-}
-
-// ForEachLocalContext is ForEachLocal with context-aware scheduling (see
+// ForEachLocalContext is ForEachContext with per-worker local state (see
 // MapLocalContext).
 func ForEachLocalContext[L any](ctx context.Context, n int, newLocal func() L, fn func(ctx context.Context, local L, i int) error) error {
 	_, err := MapLocalContext(ctx, n, newLocal, func(ctx context.Context, local L, i int) (struct{}, error) {
@@ -164,11 +139,15 @@ func ForEachLocalContext[L any](ctx context.Context, n int, newLocal func() L, f
 	return err
 }
 
-// MapLocalContext is the full-featured engine under Map, MapContext and
-// MapLocal: context-aware scheduling, per-worker local state, fail-fast
-// claiming and the lowest-failing-index error contract. Locals are created
-// lazily, one per worker goroutine actually started (the serial path creates
-// exactly one).
+// MapLocalContext is MapContext with per-worker local state: newLocal runs
+// once per worker and its value is handed to every fn call that worker
+// executes. It is the hook for reusing expensive scratch (a jsim.Solver, a
+// decode buffer) across the jobs of one worker without sharing it between
+// workers — fn may mutate its local freely and must not stash it anywhere
+// another goroutine reads. newLocal must not panic; a panic inside fn is
+// recovered as usual. Locals are created lazily, one per worker goroutine
+// actually started (the serial path creates exactly one). It is the engine
+// under the other three entry points.
 func MapLocalContext[L, T any](ctx context.Context, n int, newLocal func() L, fn func(ctx context.Context, local L, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -243,18 +222,9 @@ func MapLocalContext[L, T any](ctx context.Context, n int, newLocal func() L, fn
 	return out, nil
 }
 
-// ForEach evaluates fn for every index in [0, n) using at most Workers()
-// goroutines and returns the error of the lowest failing index, if any.
-// Like Map, it recovers job panics and stops scheduling after the first
-// failure.
-func ForEach(n int, fn func(i int) error) error {
-	_, err := Map(n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// ForEachContext is ForEach with context-aware scheduling.
+// ForEachContext is MapContext for jobs without a result: it returns the
+// error of the lowest failing index, if any, with the same panic recovery,
+// fail-fast scheduling and cancellation.
 func ForEachContext(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	_, err := MapContext(ctx, n, func(ctx context.Context, i int) (struct{}, error) {
 		return struct{}{}, fn(ctx, i)

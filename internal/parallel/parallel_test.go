@@ -17,7 +17,7 @@ import (
 func TestMapPreservesOrder(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		SetWorkers(w)
-		out, err := Map(100, func(i int) (int, error) { return i * i, nil })
+		out, err := MapContext(context.Background(), 100, func(_ context.Context, i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -37,7 +37,7 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 	errA := errors.New("a")
 	for _, w := range []int{1, 4} {
 		SetWorkers(w)
-		_, err := Map(50, func(i int) (int, error) {
+		_, err := MapContext(context.Background(), 50, func(_ context.Context, i int) (int, error) {
 			switch i {
 			case 7:
 				return 0, errA
@@ -54,7 +54,7 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(0, func(i int) (int, error) { return 0, errors.New("never") })
+	out, err := MapContext(context.Background(), 0, func(_ context.Context, i int) (int, error) { return 0, errors.New("never") })
 	if err != nil || out != nil {
 		t.Fatalf("got (%v, %v), want (nil, nil)", out, err)
 	}
@@ -67,7 +67,7 @@ func TestMapBoundsConcurrency(t *testing.T) {
 
 	var inFlight, peak atomic.Int64
 	var mu sync.Mutex
-	_, err := Map(64, func(i int) (struct{}, error) {
+	_, err := MapContext(context.Background(), 64, func(_ context.Context, i int) (struct{}, error) {
 		n := inFlight.Add(1)
 		mu.Lock()
 		if n > peak.Load() {
@@ -90,7 +90,7 @@ func TestForEachVisitsEveryIndex(t *testing.T) {
 	SetWorkers(4)
 	defer SetWorkers(0)
 	var seen [37]atomic.Int64
-	if err := ForEach(len(seen), func(i int) error {
+	if err := ForEachContext(context.Background(), len(seen), func(_ context.Context, i int) error {
 		seen[i].Add(1)
 		return nil
 	}); err != nil {
@@ -107,7 +107,7 @@ func TestForEachError(t *testing.T) {
 	SetWorkers(2)
 	defer SetWorkers(0)
 	want := fmt.Errorf("boom")
-	if err := ForEach(10, func(i int) error {
+	if err := ForEachContext(context.Background(), 10, func(_ context.Context, i int) error {
 		if i == 3 {
 			return want
 		}
@@ -139,7 +139,7 @@ func TestMapRecoversPanickingJob(t *testing.T) {
 	// goroutine). It must now surface as a *PanicError.
 	for _, w := range []int{1, 4} {
 		SetWorkers(w)
-		_, err := Map(20, func(i int) (int, error) {
+		_, err := MapContext(context.Background(), 20, func(_ context.Context, i int) (int, error) {
 			if i == 5 {
 				panic("sfq meltdown")
 			}
@@ -169,7 +169,7 @@ func TestPanicErrorUnwrapsErrorValues(t *testing.T) {
 	sentinel := errors.New("typed sentinel")
 	SetWorkers(2)
 	defer SetWorkers(0)
-	_, err := Map(4, func(i int) (int, error) {
+	_, err := MapContext(context.Background(), 4, func(_ context.Context, i int) (int, error) {
 		if i == 2 {
 			panic(sentinel)
 		}
@@ -189,7 +189,7 @@ func TestMapFailsFast(t *testing.T) {
 	defer SetWorkers(0)
 	var executed atomic.Int64
 	boom := errors.New("boom")
-	_, err := Map(n, func(i int) (int, error) {
+	_, err := MapContext(context.Background(), n, func(_ context.Context, i int) (int, error) {
 		executed.Add(1)
 		if i == 0 {
 			return 0, boom
@@ -263,10 +263,10 @@ func TestMapLocalOneLocalPerWorker(t *testing.T) {
 	defer SetWorkers(0)
 	var built atomic.Int64
 	type local struct{ uses int }
-	out, err := MapLocal(200, func() *local {
+	out, err := MapLocalContext(context.Background(), 200, func() *local {
 		built.Add(1)
 		return &local{}
-	}, func(l *local, i int) (int, error) {
+	}, func(_ context.Context, l *local, i int) (int, error) {
 		l.uses++ // races across workers would trip -race if locals were shared
 		return i * 3, nil
 	})
@@ -287,10 +287,10 @@ func TestMapLocalSerialSingleLocal(t *testing.T) {
 	SetWorkers(1)
 	defer SetWorkers(0)
 	var built atomic.Int64
-	if _, err := MapLocal(50, func() int {
+	if _, err := MapLocalContext(context.Background(), 50, func() int {
 		built.Add(1)
 		return 0
-	}, func(l int, i int) (int, error) {
+	}, func(_ context.Context, l int, i int) (int, error) {
 		return i, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -304,8 +304,8 @@ func TestMapLocalReturnsLowestIndexError(t *testing.T) {
 	errA := errors.New("a")
 	for _, w := range []int{1, 4} {
 		SetWorkers(w)
-		_, err := MapLocal(50, func() struct{} { return struct{}{} },
-			func(l struct{}, i int) (int, error) {
+		_, err := MapLocalContext(context.Background(), 50, func() struct{} { return struct{}{} },
+			func(_ context.Context, l struct{}, i int) (int, error) {
 				switch i {
 				case 9:
 					return 0, errA
@@ -325,9 +325,9 @@ func TestForEachLocalVisitsEveryIndex(t *testing.T) {
 	SetWorkers(4)
 	defer SetWorkers(0)
 	var seen [41]atomic.Int64
-	if err := ForEachLocal(len(seen), func() []byte {
+	if err := ForEachLocalContext(context.Background(), len(seen), func() []byte {
 		return make([]byte, 8) // scratch each worker reuses
-	}, func(buf []byte, i int) error {
+	}, func(_ context.Context, buf []byte, i int) error {
 		buf[0] = byte(i)
 		seen[i].Add(1)
 		return nil
@@ -356,8 +356,8 @@ func TestMapLocalContextCancel(t *testing.T) {
 func TestMapLocalRecoversPanickingJob(t *testing.T) {
 	SetWorkers(4)
 	defer SetWorkers(0)
-	_, err := MapLocal(20, func() struct{} { return struct{}{} },
-		func(l struct{}, i int) (int, error) {
+	_, err := MapLocalContext(context.Background(), 20, func() struct{} { return struct{}{} },
+		func(_ context.Context, l struct{}, i int) (int, error) {
 			if i == 5 {
 				panic("local meltdown")
 			}
@@ -436,17 +436,17 @@ func TestForEachLocalContextVisitsEveryIndex(t *testing.T) {
 	}
 }
 
-// The pool promises complete shutdown: after Map returns — success, error,
-// or cancellation — no worker goroutine survives.
+// The pool promises complete shutdown: after MapContext returns — success,
+// error, or cancellation — no worker goroutine survives.
 func TestPoolShutdownLeavesNoGoroutines(t *testing.T) {
 	leaktest.Check(t)
 	SetWorkers(8)
 	defer SetWorkers(0)
 
-	if _, err := Map(64, func(i int) (int, error) { return i, nil }); err != nil {
+	if _, err := MapContext(context.Background(), 64, func(_ context.Context, i int) (int, error) { return i, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Map(64, func(i int) (int, error) {
+	if _, err := MapContext(context.Background(), 64, func(_ context.Context, i int) (int, error) {
 		if i == 3 {
 			return 0, errors.New("boom")
 		}

@@ -2,12 +2,11 @@ package scalesim
 
 // Layer-grain memoization tests for the CMOS reference simulator: the
 // serial mapping loop dedups repeated shapes through the scalesim.layer
-// cache, and the report is byte-identical with the cache on and off.
+// cache, and every cached layer equals the direct tile walk.
 
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"supernpu/internal/simcache"
@@ -27,7 +26,6 @@ func TestLayerDedupWithinNetwork(t *testing.T) {
 	const k = 5
 	net := repeatedNet(k)
 
-	simcache.SetLayerGrain(true)
 	simcache.ClearAll()
 	t.Cleanup(simcache.ClearAll)
 
@@ -47,28 +45,29 @@ func TestLayerDedupWithinNetwork(t *testing.T) {
 	}
 }
 
-func TestLayerGrainOffByteIdentical(t *testing.T) {
-	net := repeatedNet(3)
-	t.Cleanup(func() {
-		simcache.SetLayerGrain(true)
-		simcache.ClearAll()
-	})
-
-	simcache.SetLayerGrain(true)
+// TestLayerCacheMatchesDirectWalk checks the layer tier against the walk
+// it memoises: for the TPU, every network and compute layer at batches 1
+// and 3, the charges served through the cache equal simulateLayer's.
+func TestLayerCacheMatchesDirectWalk(t *testing.T) {
 	simcache.ClearAll()
-	on, err := Simulate(context.Background(), TPU(), net, 0)
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(simcache.ClearAll)
+	cfg := TPU()
+	proj := simcache.ScaleProj{
+		ArrayHeight: cfg.ArrayHeight, ArrayWidth: cfg.ArrayWidth,
+		BufferBytes: cfg.BufferBytes, CyclesPerByte: cfg.Frequency / cfg.Bandwidth,
 	}
-
-	simcache.SetLayerGrain(false)
-	simcache.ClearAll()
-	off, err := Simulate(context.Background(), TPU(), net, 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, net := range workload.All() {
+		for _, l := range net.ComputeLayers() {
+			for _, batch := range []int{1, 3} {
+				got := simulateLayerCached(proj, l.Shape(), batch)
+				if want := simulateLayer(proj, l.Shape(), batch); got != want {
+					t.Fatalf("%s/%s b%d: cached charges %+v differ from the direct walk %+v",
+						net.Name, l.Name, batch, got, want)
+				}
+			}
+		}
 	}
-
-	if !reflect.DeepEqual(on, off) {
-		t.Errorf("report differs with layer-grain caching on vs off:\n on %+v\noff %+v", on, off)
+	if _, misses := layerCache.Counters(); misses == 0 {
+		t.Fatal("no lookup went through the layer cache")
 	}
 }

@@ -169,11 +169,8 @@ func simulateLayer(p simcache.ScaleProj, s workload.Shape, batch int) layerCost 
 }
 
 // simulateLayerCached serves one layer's charges through the layer-grain
-// cache, or directly when layer-grain caching is disabled.
+// cache.
 func simulateLayerCached(p simcache.ScaleProj, s workload.Shape, batch int) layerCost {
-	if !simcache.LayerGrainEnabled() {
-		return simulateLayer(p, s, batch)
-	}
 	c, _ := layerCache.GetOrCompute(simcache.ScaleLayerKey(p, s, batch),
 		func() (layerCost, error) { return simulateLayer(p, s, batch), nil })
 	return c

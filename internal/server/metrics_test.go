@@ -165,7 +165,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// The legacy expvar mirrors must keep working alongside /metrics.
+	// The JSON snapshot keeps working alongside /metrics.
 	status, body := get(t, ts.URL+"/debug/stats")
 	if status != http.StatusOK || !strings.Contains(string(body), `"requests"`) {
 		t.Fatalf("debug/stats after metrics = %d %s", status, body)

@@ -3,7 +3,6 @@
 package server
 
 import (
-	"expvar"
 	"fmt"
 	"net/http"
 	"runtime/debug"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"supernpu/internal/obs"
-	"supernpu/internal/simcache"
 )
 
 // metrics is the service's instrument surface, backed by the obs registry
@@ -62,23 +60,6 @@ func classifyEndpoint(path string) string {
 		return "debug"
 	}
 	return "other"
-}
-
-// init keeps the service's historical expvar names alive as read-through
-// mirrors of the obs instruments (dashboards scrape /debug/vars), and
-// mirrors the simulation caches' in-flight gauge: the number of distinct
-// (uncoalesced) simulations running right now.
-func init() {
-	mirror := func(name string, read func() int64) {
-		expvar.Publish(name, expvar.Func(func() any { return read() }))
-	}
-	mirror("supernpu.server.requests", globalMetrics.requests.Value)
-	mirror("supernpu.server.running", globalMetrics.running.Value)
-	mirror("supernpu.server.queued", globalMetrics.queued.Value)
-	mirror("supernpu.server.rejected", globalMetrics.rejected.Value)
-	mirror("supernpu.server.panics", globalMetrics.panics.Value)
-	mirror("supernpu.server.degraded", globalMetrics.degraded.Value)
-	mirror("supernpu.sims.inflight", simcache.TotalInFlight)
 }
 
 // limit is the backpressure gate: at most MaxConcurrent requests hold a work

@@ -16,8 +16,8 @@
 //     (http.TimeoutHandler), and the whole service drains in-flight requests
 //     on SIGINT/SIGTERM via http.Server.Shutdown;
 //   - load and cache instruments live in the internal/obs registry, served
-//     in Prometheus text format on GET /metrics (with legacy expvar mirrors
-//     on /debug/vars and a JSON snapshot on /debug/stats).
+//     in Prometheus text format on GET /metrics; GET /debug/stats adds a
+//     JSON snapshot with the configured limits and fault model.
 //
 // Responses are byte-identical to serial, direct calls into the facade: the
 // models are deterministic pure functions, results are assembled in request
@@ -27,7 +27,6 @@ package server
 import (
 	"context"
 	"errors"
-	"expvar"
 	"log"
 	"net"
 	"net/http"
@@ -102,7 +101,7 @@ type Server struct {
 	// sem holds one token per concurrently running work request; queued
 	// tracks requests waiting for a token (see limit in middleware.go).
 	// queued is per-server so the backpressure bound is exact even with
-	// several servers in one process; the expvar gauges are global.
+	// several servers in one process; the obs gauges are global.
 	sem     chan struct{}
 	queued  atomic.Int64
 	metrics *metrics
@@ -146,7 +145,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/stats", s.handleStats)
-	s.mux.Handle("GET /debug/vars", expvar.Handler())
 	// Live profiling endpoints (net/http/pprof) on the always-on side of the
 	// mux, so a saturated service can still be profiled: perf work should
 	// start from a profile, not a guess.

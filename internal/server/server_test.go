@@ -136,6 +136,8 @@ func TestEvaluateValidation(t *testing.T) {
 		{"bad layer kind", `{"design":"TPU","network":{"name":"x","layers":[{"name":"l","kind":"bogus"}]}}`, 400, "unknown layer kind"},
 		{"huge dims", `{"design":"TPU","network":{"name":"x","layers":[{"name":"l","kind":"conv","h":99999,"w":1,"c":1,"r":1,"s":1,"m":1}]}}`, 400, "out of"},
 		{"invalid shape", `{"design":"SuperNPU","network":{"name":"x","layers":[{"name":"l","kind":"conv","h":2,"w":2,"c":1,"r":5,"s":5,"m":1}]}}`, 400, "empty output"},
+		{"pool only", `{"design":"SuperNPU","batch":1,"network":{"name":"p","layers":[{"name":"p","kind":"pool","h":8,"w":8,"c":4,"r":2,"stride":2}]}}`, 400, "no compute layer"},
+		{"pool only on TPU", `{"design":"TPU","batch":1,"network":{"name":"p","layers":[{"name":"p","kind":"pool","h":8,"w":8,"c":4,"r":2,"stride":2}]}}`, 400, "no compute layer"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -236,17 +238,16 @@ func TestListingsAndStats(t *testing.T) {
 		t.Fatalf("degenerate stats: %+v", stats)
 	}
 
-	status, body = get(t, ts.URL+"/debug/vars")
-	if status != http.StatusOK || !strings.Contains(string(body), "supernpu.server.requests") {
-		t.Fatalf("expvar = %d", status)
-	}
-
 	// Unknown routes and wrong methods are 404/405.
 	if status, _ := get(t, ts.URL+"/v1/evaluate"); status != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/evaluate = %d, want 405", status)
 	}
 	if status, _ := get(t, ts.URL+"/nope"); status != http.StatusNotFound {
 		t.Fatalf("GET /nope = %d, want 404", status)
+	}
+	// /metrics serves every instrument; there is no expvar mirror.
+	if status, _ := get(t, ts.URL+"/debug/vars"); status != http.StatusNotFound {
+		t.Fatalf("GET /debug/vars = %d, want 404", status)
 	}
 }
 

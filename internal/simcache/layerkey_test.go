@@ -132,21 +132,6 @@ func TestNPULayerProjTracksConfigProjection(t *testing.T) {
 	}
 }
 
-// TestLayerGrainToggle pins the default-on toggle.
-func TestLayerGrainToggle(t *testing.T) {
-	if !LayerGrainEnabled() {
-		t.Error("layer-grain caching should default to enabled")
-	}
-	SetLayerGrain(false)
-	if LayerGrainEnabled() {
-		t.Error("SetLayerGrain(false) did not take effect")
-	}
-	SetLayerGrain(true)
-	if !LayerGrainEnabled() {
-		t.Error("SetLayerGrain(true) did not take effect")
-	}
-}
-
 // TestClearByName pins the single-family clear used by warm benchmarks.
 func TestClearByName(t *testing.T) {
 	c := New[int]()

@@ -17,6 +17,7 @@
 package simcache
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -277,22 +278,6 @@ func TilesKey(s workload.Shape, height, width, registers int) string {
 	return b.String()
 }
 
-// layerGrain gates the layer-grain families (npusim.layer, scalesim.layer,
-// mapper.tiles) and npusim's within-network shape dedup. On by default;
-// the differential tests and the before/after benchmarks turn it off to
-// prove byte-identity and to measure the win.
-var layerGrain atomic.Bool
-
-func init() { layerGrain.Store(true) }
-
-// SetLayerGrain toggles layer-grain memoisation process-wide. Results are
-// byte-identical either way (TestLayerGrainByteIdentity); off disables the
-// reuse, not the model.
-func SetLayerGrain(on bool) { layerGrain.Store(on) }
-
-// LayerGrainEnabled reports whether layer-grain memoisation is on.
-func LayerGrainEnabled() bool { return layerGrain.Load() }
-
 // entry is one memoised computation; once guarantees the compute function
 // runs at most once per key even under concurrent first access.
 type entry[V any] struct {
@@ -322,6 +307,10 @@ func New[V any]() *Cache[V] {
 	}
 }
 
+// errPanicked is what callers coalesced onto a panicking computation
+// receive; the panic itself propagates to the caller that ran it.
+var errPanicked = errors.New("simcache: computation panicked")
+
 // GetOrCompute returns the cached value for key, computing and storing it on
 // first access. Concurrent callers of the same key share one computation;
 // deterministic errors are memoised like values. Transient errors
@@ -329,7 +318,10 @@ func New[V any]() *Cache[V] {
 // describe the attempt, not the inputs, so the entry is evicted instead —
 // a canceled request must not poison the key for every later caller.
 // Callers coalesced onto an evicted computation still receive its transient
-// error for this attempt; their retry starts a fresh computation.
+// error for this attempt; their retry starts a fresh computation. A panic in
+// compute is treated the same way: it reaches the caller that ran it, the
+// entry is evicted, and coalesced callers receive errPanicked, which in
+// turn is not memoised by any cache whose computation returns it.
 func (c *Cache[V]) GetOrCompute(key string, compute func() (V, error)) (V, error) {
 	c.mu.Lock()
 	e, ok := c.m[key]
@@ -344,14 +336,17 @@ func (c *Cache[V]) GetOrCompute(key string, compute func() (V, error)) (V, error
 	e.once.Do(func() {
 		c.inflight.Add(1)
 		defer c.inflight.Add(-1)
-		e.val, e.err = compute()
-		if guard.IsTransient(e.err) {
-			c.mu.Lock()
-			if c.m[key] == e {
-				delete(c.m, key)
+		e.err = errPanicked // kept only if compute panics
+		defer func() {
+			if errors.Is(e.err, errPanicked) || guard.IsTransient(e.err) {
+				c.mu.Lock()
+				if c.m[key] == e {
+					delete(c.m, key)
+				}
+				c.mu.Unlock()
 			}
-			c.mu.Unlock()
-		}
+		}()
+		e.val, e.err = compute()
 	})
 	return e.val, e.err
 }

@@ -3,6 +3,7 @@ package simcache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -231,6 +232,64 @@ func TestTransientErrorsAreNotMemoised(t *testing.T) {
 	v, err = c.GetOrCompute("k", func() (int, error) { calls++; return -1, nil })
 	if err != nil || v != 42 || calls != 2 {
 		t.Fatalf("after retry: v=%d calls=%d err=%v", v, calls, err)
+	}
+}
+
+// A panicking computation must not poison its key: the panic reaches the
+// caller that ran it, the entry is evicted, callers coalesced onto it get
+// an error rather than a zero value, and a retry recomputes.
+func TestPanickingComputeIsNotMemoised(t *testing.T) {
+	c := New[*int]()
+	waiter := make(chan error, 1)
+	func() {
+		defer func() {
+			if r := recover(); r != "meltdown" {
+				t.Errorf("recovered %v, want the compute's own panic", r)
+			}
+		}()
+		_, _ = c.GetOrCompute("k", func() (*int, error) {
+			go func() {
+				v, err := c.GetOrCompute("k", func() (*int, error) {
+					return nil, errors.New("coalesced caller ran its own computation")
+				})
+				if v != nil {
+					err = fmt.Errorf("coalesced caller got value %v", v)
+				}
+				waiter <- err
+			}()
+			// Panic only once the second caller holds the entry.
+			for h, _ := c.Counters(); h == 0; h, _ = c.Counters() {
+				runtime.Gosched()
+			}
+			panic("meltdown")
+		})
+	}()
+	if err := <-waiter; !errors.Is(err, errPanicked) {
+		t.Errorf("coalesced caller got %v, want errPanicked", err)
+	}
+	if n := c.Len(); n != 0 {
+		t.Fatalf("panicked computation left %d entries in the cache", n)
+	}
+	if c.InFlight() != 0 {
+		t.Errorf("in-flight gauge = %d after the panic, want 0", c.InFlight())
+	}
+
+	want := 42
+	v, err := c.GetOrCompute("k", func() (*int, error) { return &want, nil })
+	if err != nil || v == nil || *v != 42 {
+		t.Fatalf("retry = %v, %v; want a fresh computation", v, err)
+	}
+
+	// A cache whose computation passes a coalesced caller's error on does
+	// not memoise it either.
+	outer := New[int]()
+	if _, err := outer.GetOrCompute("k", func() (int, error) {
+		return 0, fmt.Errorf("layer: %w", errPanicked)
+	}); !errors.Is(err, errPanicked) {
+		t.Fatalf("outer err = %v", err)
+	}
+	if n := outer.Len(); n != 0 {
+		t.Errorf("outer cache memoised a coalesced panic (%d entries)", n)
 	}
 }
 

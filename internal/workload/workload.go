@@ -173,7 +173,8 @@ type Network struct {
 
 // Validate checks every layer's shape and the network's dataflow
 // consistency: each layer's input spatial extent must be producible by an
-// earlier layer (or be the network entry). Channel counts are not chained
+// earlier layer (or be the network entry), and at least one layer must
+// compute — the simulators drain the last compute layer's output. Channel counts are not chained
 // strictly because branching topologies (Inception modules, RPN heads)
 // concatenate several branch outputs.
 func (n Network) Validate() error {
@@ -183,6 +184,7 @@ func (n Network) Validate() error {
 	producible := map[[2]int]bool{
 		{n.Layers[0].H, n.Layers[0].W}: true,
 	}
+	compute := false
 	for i, l := range n.Layers {
 		if err := l.Validate(); err != nil {
 			return err
@@ -192,6 +194,10 @@ func (n Network) Validate() error {
 				n.Name, l.Name, l.H, l.W)
 		}
 		producible[[2]int{l.OutH(), l.OutW()}] = true
+		compute = compute || l.ComputeLayer()
+	}
+	if !compute {
+		return fmt.Errorf("workload: network %q has no compute layer", n.Name)
 	}
 	return nil
 }

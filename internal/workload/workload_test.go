@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +110,10 @@ func TestLayerValidation(t *testing.T) {
 	}}
 	if broken.Validate() == nil {
 		t.Error("unproducible activation extents must not validate")
+	}
+	poolOnly := Network{Name: "p", Layers: []Layer{pool("p", 8, 8, 4, 2, 2, 0)}}
+	if err := poolOnly.Validate(); err == nil || !strings.Contains(err.Error(), "no compute layer") {
+		t.Errorf("pool-only network: Validate = %v, want a no-compute-layer error", err)
 	}
 }
 

@@ -3,11 +3,14 @@ package supernpu
 // Differential layer-grain test: the tentpole contract of the layer-grain
 // memoization (PR 10) is that shape-keyed reuse NEVER changes a modeled
 // number — it only skips recomputation. This test enforces it end-to-end
-// by regenerating the full exhibit report with layer-grain caching on,
-// off, and on again at one worker, demanding byte-identical output each
-// time (and identical to the committed golden snapshot). The static side
-// of the key contract is the supernpu-lint cachekey rule; the dynamic
-// dedup accounting for Figs. 20–22 lives in TestLayerGrainSweepReduction.
+// by regenerating the full exhibit report cold, then again with only the
+// whole-simulation caches cleared (every simulation reruns against a warm
+// layer tier), then cold at one worker, demanding byte-identical output
+// each time (and identical to the committed golden snapshot). The
+// per-layer side — every cached walk equals the direct one — is pinned in
+// the npusim, scalesim and mapper packages; the static side of the key
+// contract is the supernpu-lint cachekey rule; the dynamic dedup
+// accounting for Figs. 20–22 lives in TestLayerGrainSweepReduction.
 
 import (
 	"context"
@@ -24,14 +27,12 @@ func TestLayerGrainByteIdentity(t *testing.T) {
 		t.Skip("regenerates the full report three times")
 	}
 	t.Cleanup(func() {
-		simcache.SetLayerGrain(true)
 		simcache.ClearAll()
 		SetParallelism(0)
 	})
 
 	run := func() string {
 		t.Helper()
-		simcache.ClearAll()
 		out, err := RunAllExperiments(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -39,28 +40,28 @@ func TestLayerGrainByteIdentity(t *testing.T) {
 		return out
 	}
 
-	simcache.SetLayerGrain(true)
-	on := run()
+	simcache.ClearAll()
+	cold := run()
 
-	simcache.SetLayerGrain(false)
-	off := run()
-	if on != off {
-		t.Fatalf("report differs with layer-grain caching on vs off (%d vs %d bytes): reuse leaked into modeled numbers", len(on), len(off))
+	simcache.Clear("npusim")
+	simcache.Clear("scalesim")
+	if warm := run(); warm != cold {
+		t.Fatalf("report differs with the layer tier warm vs cold (%d vs %d bytes): reuse leaked into modeled numbers", len(warm), len(cold))
 	}
 
-	simcache.SetLayerGrain(true)
+	simcache.ClearAll()
 	SetParallelism(1)
 	serial := run()
 	SetParallelism(0)
-	if serial != on {
-		t.Fatal("report differs across worker counts with layer-grain caching on")
+	if serial != cold {
+		t.Fatal("report differs across worker counts")
 	}
 
 	want, err := os.ReadFile(filepath.Join("testdata", "golden", "full_report.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on != string(want) {
+	if cold != string(want) {
 		t.Error("report with layer-grain caching drifted from testdata/golden/full_report.golden")
 	}
 }
@@ -84,12 +85,8 @@ func TestLayerGrainSweepReduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates three sweeps cold")
 	}
-	t.Cleanup(func() {
-		simcache.SetLayerGrain(true)
-		simcache.ClearAll()
-	})
+	t.Cleanup(simcache.ClearAll)
 
-	simcache.SetLayerGrain(true)
 	simcache.ClearAll()
 	sites0 := layerSitesValue()
 	for _, id := range []string{"fig20", "fig21", "fig22"} {
