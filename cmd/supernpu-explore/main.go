@@ -13,7 +13,7 @@
 //	supernpu-explore -sweep margin -fault-seed 42 -checkpoint margin.ck
 //	supernpu-explore -sweep margin -fault-seed 42 -checkpoint margin.ck -resume
 //	supernpu-explore -sweep width -trace-out spans.jsonl
-//	supernpu-explore -sweep margin -deadline 10m -max-retries 3
+//	supernpu-explore -sweep margin -deadline 10m
 //
 // Fault injection (-fault-seed, -ic-spread, -pulse-drop, -bit-flip,
 // -erosion) perturbs every simulation of the sweep deterministically: the
@@ -36,7 +36,6 @@ import (
 
 	"supernpu"
 	"supernpu/internal/guard"
-	"supernpu/internal/jsim"
 	"supernpu/internal/obs"
 	"supernpu/internal/parallel"
 	"supernpu/internal/report"
@@ -60,10 +59,7 @@ func main() {
 	resume := flag.Bool("resume", false, "resume from an existing checkpoint instead of starting fresh")
 	traceOut := flag.String("trace-out", "", "write phase tracing spans (JSONL) to this file")
 	deadline := flag.Duration("deadline", 0, "abort the sweep after this wall-clock budget (0 = none)")
-	maxRetries := flag.Int("max-retries", jsim.MaxDtRetries(), "refined-dt retries per RCSJ transient after a numeric failure")
 	flag.Parse()
-
-	jsim.SetMaxDtRetries(*maxRetries)
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)

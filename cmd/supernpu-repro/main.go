@@ -10,7 +10,6 @@
 //	supernpu-repro -cpuprofile cpu.pprof -memprofile mem.pprof
 //	supernpu-repro -trace-out spans.jsonl   # phase-span trace (JSONL)
 //	supernpu-repro -deadline 5m             # hard wall-clock budget
-//	supernpu-repro -max-retries 0           # disable refined-dt recovery
 package main
 
 import (
@@ -27,7 +26,6 @@ import (
 
 	"supernpu/internal/experiments"
 	"supernpu/internal/guard"
-	"supernpu/internal/jsim"
 	"supernpu/internal/obs"
 	"supernpu/internal/parallel"
 	"supernpu/internal/simcache"
@@ -49,10 +47,8 @@ func run() int {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file after the run")
 	traceOut := flag.String("trace-out", "", "write phase tracing spans (JSONL) to this file")
 	deadline := flag.Duration("deadline", 0, "abort the run after this wall-clock budget (0 = none)")
-	maxRetries := flag.Int("max-retries", jsim.MaxDtRetries(), "refined-dt retries per RCSJ transient after a numeric failure")
 	flag.Parse()
 
-	jsim.SetMaxDtRetries(*maxRetries)
 	// Ctrl-C (or an expired -deadline) cancels the context threaded through
 	// every simulation loop; the run stops within one poll interval and
 	// reports a guard-taxonomy error instead of dying mid-write.

@@ -53,16 +53,21 @@ func Open(path string) (*Store, error) {
 		s.done[r.Key] = r.Value
 		intact += int64(len(line)) + 1
 	}
-	// Drop any torn tail so the next append starts on a clean line
-	// boundary instead of gluing onto the partial record.
-	if st, err := f.Stat(); err == nil && intact > st.Size() {
-		intact = st.Size()
+	// The next append must start on a clean line boundary. A final record
+	// that lost only its newline still loaded, so write the newline back:
+	// an append glued onto it would make both records unparseable on the
+	// next load. Any other torn tail is dropped.
+	st, err := f.Stat()
+	if err == nil && intact > st.Size() {
+		_, err = f.WriteAt([]byte{'\n'}, st.Size())
 	}
-	if err := f.Truncate(intact); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: %w", err)
+	if err == nil {
+		err = f.Truncate(intact)
 	}
-	if _, err := f.Seek(intact, 0); err != nil {
+	if err == nil {
+		_, err = f.Seek(intact, 0)
+	}
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}

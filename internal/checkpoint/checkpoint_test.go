@@ -48,47 +48,68 @@ func TestPutGetAcrossReopen(t *testing.T) {
 }
 
 func TestTornFinalLineIsTolerated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Put("a", point{"A", 1})
-	s.Put("b", point{"B", 2})
-	s.Close()
+	// Simulate a kill mid-write: truncate the last line. A 7-byte cut tears
+	// record b; a 1-byte cut loses only its newline, so b is still whole.
+	for _, tc := range []struct {
+		name  string
+		cut   int
+		keepB bool
+	}{
+		{"mid-record", 7, false},
+		{"newline-only", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ck.jsonl")
+			s, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Put("a", point{"A", 1})
+			s.Put("b", point{"B", 2})
+			s.Close()
 
-	// Simulate a kill mid-write: truncate into the middle of the last line.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw[:len(raw)-tc.cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	var p point
-	if !s2.Get("a", &p) {
-		t.Fatal("intact record a lost after torn tail")
-	}
-	if s2.Get("b", &p) {
-		t.Fatal("torn record b resurrected")
-	}
-	// The store must still accept appends after a torn tail.
-	if err := s2.Put("c", point{"C", 3}); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if !s3.Get("c", &p) || p.Label != "C" {
-		t.Fatal("append after torn tail lost")
+			s2, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var p point
+			if !s2.Get("a", &p) {
+				t.Fatal("intact record a lost after torn tail")
+			}
+			if got := s2.Get("b", &p); got != tc.keepB {
+				t.Fatalf("record b present = %v after a %d-byte cut, want %v", got, tc.cut, tc.keepB)
+			}
+			// The store must still accept appends after a torn tail, and
+			// the append must not damage the records before it.
+			if err := s2.Put("c", point{"C", 3}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s3, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s3.Close()
+			if !s3.Get("a", &p) || p.Label != "A" {
+				t.Fatal("record a lost after append and reopen")
+			}
+			if got := s3.Get("b", &p); got != tc.keepB {
+				t.Fatalf("record b present = %v after reopen, want %v", got, tc.keepB)
+			}
+			if !s3.Get("c", &p) || p.Label != "C" {
+				t.Fatal("append after torn tail lost")
+			}
+		})
 	}
 }
 

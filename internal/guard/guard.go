@@ -1,28 +1,26 @@
 // Package guard is the resilience layer of the simulation core: a typed,
 // errors.Is-able failure taxonomy plus the small deterministic mechanisms
-// the modeling packages use to stay bounded and cancellable — an atomic
-// cancellation flag cheap enough for the RK4 hot loop (Watch), a
-// deterministic step budget (Budget), and a count-based divergence circuit
-// breaker (Breaker).
+// the modeling packages use to stay cancellable — a cancellation poll
+// cheap enough for the RK4 hot loop (Watch) and a count-based divergence
+// circuit breaker (Breaker).
 //
-// Every failure a long-running simulation can hit maps onto one of five
+// Every failure a long-running simulation can hit maps onto one of four
 // sentinels:
 //
 //	ErrCanceled         the caller's context was canceled
 //	ErrDeadlineExceeded the caller's context deadline passed
 //	ErrDiverged         the numeric state left its physical bounds
 //	ErrNonFinite        a NaN or Inf appeared in the state or a result
-//	ErrBudgetExceeded   a deterministic step budget ran out
 //
 // The first two are transient: retrying the same computation with a fresh
 // context can succeed, so caches must never memoise them (simcache evicts
-// them, see IsTransient). The last three are deterministic properties of
+// them, see IsCancellation). The last two are deterministic properties of
 // the inputs and are safe to memoise.
 //
-// Nothing in this package reads the wall clock or draws randomness: budgets
-// are counted in solver steps and the breaker in consecutive failures, so
-// every decision is reproducible byte for byte across runs and worker
-// counts — the repository's core determinism contract.
+// Nothing in this package reads the wall clock or draws randomness: the
+// breaker counts consecutive failures, so every decision is reproducible
+// byte for byte across runs and worker counts — the repository's core
+// determinism contract.
 package guard
 
 import (
@@ -48,9 +46,6 @@ var (
 	// ErrNonFinite marks a NaN or Inf detected in simulation state or in
 	// a derived result.
 	ErrNonFinite = errors.New("guard: non-finite value")
-	// ErrBudgetExceeded marks a computation that ran out of its
-	// deterministic step budget.
-	ErrBudgetExceeded = errors.New("guard: step budget exceeded")
 )
 
 // CtxErr maps ctx.Err() into the taxonomy: nil while the context is live,
@@ -87,17 +82,12 @@ func wrapCtx(err error) error {
 
 // IsCancellation reports whether err belongs to the cancellation class:
 // guard or context cancellation/deadline sentinels anywhere in the chain.
+// Such an error describes this particular attempt rather than the
+// computation's inputs, so it must never be memoised — the same inputs can
+// succeed under a fresh context.
 func IsCancellation(err error) bool {
 	return errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// IsTransient reports whether err describes a failure of this particular
-// attempt rather than of the computation's inputs: cancellations, deadline
-// expiries, and budget exhaustion. Transient errors must never be memoised
-// — the same inputs can succeed under a fresh context or a larger budget.
-func IsTransient(err error) bool {
-	return IsCancellation(err) || errors.Is(err, ErrBudgetExceeded)
 }
 
 // IsNumeric reports whether err describes a numeric simulation failure

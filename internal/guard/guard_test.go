@@ -63,23 +63,19 @@ func TestWrapCancellation(t *testing.T) {
 
 func TestClassification(t *testing.T) {
 	cases := []struct {
-		err                              error
-		cancellation, transient, numeric bool
+		err                   error
+		cancellation, numeric bool
 	}{
-		{fmt.Errorf("x: %w", ErrCanceled), true, true, false},
-		{fmt.Errorf("x: %w", ErrDeadlineExceeded), true, true, false},
-		{fmt.Errorf("x: %w", context.Canceled), true, true, false},
-		{fmt.Errorf("x: %w", ErrBudgetExceeded), false, true, false},
-		{fmt.Errorf("x: %w", ErrDiverged), false, false, true},
-		{fmt.Errorf("x: %w", ErrNonFinite), false, false, true},
-		{errors.New("plain"), false, false, false},
+		{fmt.Errorf("x: %w", ErrCanceled), true, false},
+		{fmt.Errorf("x: %w", ErrDeadlineExceeded), true, false},
+		{fmt.Errorf("x: %w", context.Canceled), true, false},
+		{fmt.Errorf("x: %w", ErrDiverged), false, true},
+		{fmt.Errorf("x: %w", ErrNonFinite), false, true},
+		{errors.New("plain"), false, false},
 	}
 	for _, c := range cases {
 		if got := IsCancellation(c.err); got != c.cancellation {
 			t.Errorf("IsCancellation(%v) = %v, want %v", c.err, got, c.cancellation)
-		}
-		if got := IsTransient(c.err); got != c.transient {
-			t.Errorf("IsTransient(%v) = %v, want %v", c.err, got, c.transient)
 		}
 		if got := IsNumeric(c.err); got != c.numeric {
 			t.Errorf("IsNumeric(%v) = %v, want %v", c.err, got, c.numeric)
@@ -138,39 +134,6 @@ func TestWatchRearm(t *testing.T) {
 	defer w.Disarm()
 	if w.Canceled() {
 		t.Error("re-armed watch still reports the previous context's cancellation")
-	}
-}
-
-func TestBudget(t *testing.T) {
-	b := NewBudget(100)
-	if err := b.Spend(60); err != nil {
-		t.Fatalf("first spend: %v", err)
-	}
-	if err := b.Spend(40); err != nil {
-		t.Fatalf("exact spend to the limit: %v", err)
-	}
-	err := b.Spend(1)
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("over-limit spend = %v, want ErrBudgetExceeded", err)
-	}
-	if got := b.Used(); got != 101 {
-		t.Errorf("Used() = %d, want 101", got)
-	}
-	if got := b.Remaining(); got != 0 {
-		t.Errorf("Remaining() = %d, want 0", got)
-	}
-}
-
-func TestBudgetUnlimited(t *testing.T) {
-	var b *Budget
-	if err := b.Spend(1 << 40); err != nil {
-		t.Errorf("nil budget spend: %v", err)
-	}
-	if got := b.Remaining(); got != -1 {
-		t.Errorf("nil budget Remaining() = %d, want -1", got)
-	}
-	if err := NewBudget(0).Spend(1 << 40); err != nil {
-		t.Errorf("zero budget spend: %v", err)
 	}
 }
 

@@ -1,22 +1,14 @@
 // Guard instruments. Write-only from this package and from the modeling
 // packages that call into it (the obsflow lint rule enforces the
-// direction); counters are always-live atomics so arming a watch or
-// charging a budget never branches on the obs gate.
+// direction); counters are always-live atomics so mapping a cancellation
+// never branches on the obs gate.
 
 package guard
 
 import "supernpu/internal/obs"
 
-var (
-	mCancellations = obs.Default.Counter("supernpu_guard_cancellations_total",
-		"context cancellations and deadline expiries mapped into the guard taxonomy")
-	mRetries = obs.Default.Counter("supernpu_guard_retries_total",
-		"bounded retry attempts taken after a numeric simulation failure")
-)
-
-// CountRetry records one bounded-retry attempt; the jsim refined-dt
-// recovery path calls it on every re-run it takes.
-func CountRetry() { mRetries.Inc() }
+var mCancellations = obs.Default.Counter("supernpu_guard_cancellations_total",
+	"context cancellations and deadline expiries mapped into the guard taxonomy")
 
 // setBreakerState publishes the breaker state for one key as a labeled
 // gauge (0 closed, 1 open).

@@ -78,12 +78,12 @@ type marginProbe struct {
 	fin    FinalState
 	obs    []Observer
 	T, dt  float64
-	// err latches the first non-numeric solver failure (cancellation,
-	// deadline, budget): those describe the attempt, not the operating
-	// point, so "works == false" must not stand in for them — a canceled
-	// bisection otherwise converges on garbage and memoises it. Numeric
-	// failures stay what they always were: evidence the point is outside
-	// the margin.
+	// err latches the first non-numeric solver failure (cancellation or
+	// deadline): those describe the attempt, not the operating point, so
+	// "works == false" must not stand in for them — a canceled bisection
+	// otherwise converges on garbage and memoises it. Numeric failures
+	// stay what they always were: evidence the point is outside the
+	// margin.
 	err error
 }
 

@@ -7,19 +7,6 @@ import (
 	"supernpu/internal/sfq"
 )
 
-// BenchmarkRunDense measures the legacy dense-history API (now a wrapper
-// over the streaming solver + DenseRecorder): a 12-stage JTL transient with
-// the full phase/energy history materialised.
-func BenchmarkRunDense(b *testing.B) {
-	ch := StandardJTL(12)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ch.Run(context.Background(), 120*sfq.Picosecond, 0.02*sfq.Picosecond); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRunStreaming measures the same transient through a reused Solver
 // and streaming observers — the sweep-engine hot path. Steady state is
 // allocation-free (pinned by TestSolverSteadyStateAllocs).

@@ -48,17 +48,14 @@ func extractJTLParams(ctx context.Context) (GateParams, error) {
 	chain := StandardJTL(stages)
 	// Streaming extraction: pulse times, bias energy and final phases are
 	// accumulated in-stream, so the transient never materialises its dense
-	// O(steps·nodes) history. The run goes through the refined-dt recovery
-	// path: a numeric failure re-runs at a halved step (bounded by
-	// MaxDtRetries); the healthy extraction takes the first attempt at the
-	// nominal dt and is byte-identical to a plain run.
+	// O(steps·nodes) history.
 	var (
 		pulse  PulseDetector
 		energy EnergyAccumulator
 		fin    FinalState
 	)
 	s := NewSolver()
-	if _, err := s.RunChainRefined(ctx, chain, 120*sfq.Picosecond, 0.02*sfq.Picosecond, &pulse, &energy, &fin); err != nil {
+	if err := s.RunChain(ctx, chain, 120*sfq.Picosecond, 0.02*sfq.Picosecond, &pulse, &energy, &fin); err != nil {
 		return GateParams{}, err
 	}
 
@@ -220,7 +217,7 @@ func extractSetupTime(ctx context.Context) (float64, error) {
 
 	var fin FinalState
 	relObs := []Observer{&fin}
-	// probeErr latches non-numeric failures (cancellation, budget): they
+	// probeErr latches non-numeric failures (cancellation, deadline): they
 	// describe the attempt, not the cell, so they must abort the bisection
 	// instead of masquerading as "did not release".
 	var probeErr error

@@ -69,101 +69,3 @@ func TestRunChainDeadlineCarriesTaxonomy(t *testing.T) {
 		t.Fatalf("want guard.ErrDeadlineExceeded, got %v", err)
 	}
 }
-
-// The step budget is charged up front: a run whose step count exceeds the
-// remaining budget fails with ErrBudgetExceeded before integrating, and a
-// covered run still succeeds.
-func TestSolverBudget(t *testing.T) {
-	const (
-		T  = 120 * sfq.Picosecond
-		dt = 0.02 * sfq.Picosecond
-	)
-	steps := int64(stepCount(T, dt))
-
-	var s Solver
-	s.SetBudget(guard.NewBudget(steps)) // exactly one run's worth
-	if err := s.RunChain(context.Background(), StandardJTL(4), T, dt); err != nil {
-		t.Fatalf("run within budget: %v", err)
-	}
-	err := s.RunChain(context.Background(), StandardJTL(4), T, dt)
-	if !errors.Is(err, guard.ErrBudgetExceeded) {
-		t.Fatalf("want guard.ErrBudgetExceeded on second run, got %v", err)
-	}
-
-	s.SetBudget(nil)
-	if err := s.RunChain(context.Background(), StandardJTL(4), T, dt); err != nil {
-		t.Fatalf("nil budget must be unlimited: %v", err)
-	}
-}
-
-// RunChainRefined on a healthy chain succeeds on the first attempt at the
-// caller's dt — the non-retry path is a plain RunChain.
-func TestRunChainRefinedHealthyFirstAttempt(t *testing.T) {
-	var s Solver
-	var fin FinalState
-	used, err := s.RunChainRefined(context.Background(), StandardJTL(4),
-		120*sfq.Picosecond, 0.02*sfq.Picosecond, &fin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:allow(floateq) asserting dt was returned unchanged, not a tolerance check
-	if used != 0.02*sfq.Picosecond {
-		t.Fatalf("healthy run must keep the caller's dt, got %g", used)
-	}
-	if fin.Slips(3) != 1 {
-		t.Fatalf("want 1 slip at the output, got %d", fin.Slips(3))
-	}
-}
-
-// divergingJTL returns a chain whose time step grossly under-resolves the
-// plasma oscillation so that RK4 blows up, exercising the recovery path.
-// At dt0 the run diverges; each halving brings it closer to stable.
-func divergingJTL() (*Chain, float64, float64) {
-	ch := StandardJTL(4)
-	return ch, 120 * sfq.Picosecond, 1.6 * sfq.Picosecond
-}
-
-// RunChainRefined halves dt on numeric failure, at most MaxDtRetries times.
-func TestRunChainRefinedRecoversByHalvingDt(t *testing.T) {
-	ch, T, dt0 := divergingJTL()
-	var s Solver
-	if err := s.RunChain(context.Background(), ch, T, dt0); !guard.IsNumeric(err) {
-		t.Skipf("coarse dt unexpectedly stable (err=%v); recovery path not exercisable here", err)
-	}
-	defer SetMaxDtRetries(2)
-
-	SetMaxDtRetries(8)
-	var fin FinalState
-	used, err := s.RunChainRefined(context.Background(), ch, T, dt0, &fin)
-	if err != nil {
-		t.Fatalf("recovery failed: %v", err)
-	}
-	if used >= dt0 {
-		t.Fatalf("recovered run must use a refined dt, got %g (started %g)", used, dt0)
-	}
-	if fin.Slips(3) != 1 {
-		t.Fatalf("recovered run must be physical: want 1 slip, got %d", fin.Slips(3))
-	}
-
-	// With recovery disabled the numeric error surfaces unchanged.
-	SetMaxDtRetries(0)
-	if _, err := s.RunChainRefined(context.Background(), ch, T, dt0); !guard.IsNumeric(err) {
-		t.Fatalf("with retries disabled, want the numeric error, got %v", err)
-	}
-}
-
-// Cancellation must never be retried at a refined dt.
-func TestRunChainRefinedDoesNotRetryCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ch, T, dt0 := divergingJTL()
-	var s Solver
-	used, err := s.RunChainRefined(ctx, ch, T, dt0)
-	if !errors.Is(err, guard.ErrCanceled) {
-		t.Fatalf("want guard.ErrCanceled, got %v", err)
-	}
-	//lint:allow(floateq) asserting dt was returned unchanged, not a tolerance check
-	if used != dt0 {
-		t.Fatalf("canceled run must not refine dt, got %g", used)
-	}
-}

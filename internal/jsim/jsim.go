@@ -21,7 +21,6 @@
 package jsim
 
 import (
-	"context"
 	"math"
 
 	"supernpu/internal/sfq"
@@ -92,87 +91,4 @@ func StandardJTL(n int) *Chain {
 			Node: 0, At: 20e-12, Sigma: 1.2e-12, Amp: 1.8 * ic,
 		}},
 	}
-}
-
-// Result holds the transient solution of a chain simulation.
-type Result struct {
-	Dt     float64     // time step (s)
-	Phases [][]float64 // Phases[step][node]
-	// BiasEnergy is the cumulative energy delivered by all bias sources up
-	// to each step: ∫ Σ I_bias·V dt.
-	BiasEnergy []float64
-}
-
-// Run integrates the chain with classical RK4 over duration T using a fixed
-// step dt and materialises the dense trajectory. dt must resolve the
-// junction plasma period; Run returns an error if dt is not positive or the
-// solution diverges (non-finite phase).
-//
-// Run is the legacy dense API: it records O(steps·nodes) history through a
-// DenseRecorder. Hot paths that only need pulse times, slips or energies
-// should attach streaming observers via RunObserved (or a reused Solver),
-// which allocates O(nodes) total. Cancellation of ctx aborts the transient
-// within one solver poll interval.
-func (c *Chain) Run(ctx context.Context, T, dt float64) (*Result, error) {
-	var rec DenseRecorder
-	var s Solver
-	if err := s.RunChain(ctx, c, T, dt, &rec); err != nil {
-		return nil, err
-	}
-	return rec.Result(), nil
-}
-
-// RunObserved integrates the chain, streaming every sample to the observers
-// instead of materialising a dense history. It uses a fresh Solver; for
-// repeated runs (sweeps, bisections), reuse a Solver directly.
-func (c *Chain) RunObserved(ctx context.Context, T, dt float64, obs ...Observer) error {
-	var s Solver
-	return s.RunChain(ctx, c, T, dt, obs...)
-}
-
-// PulseTimes returns the times at which SFQ pulses pass the given node: the
-// instants the node phase crosses odd multiples of π (the midpoint of each
-// 2π slip, where the voltage pulse peaks).
-func (r *Result) PulseTimes(node int) []float64 {
-	var times []float64
-	next := math.Pi
-	for s := 1; s < len(r.Phases); s++ {
-		for r.Phases[s][node] >= next {
-			// Linear interpolation of the crossing instant.
-			p0, p1 := r.Phases[s-1][node], r.Phases[s][node]
-			frac := 0.0
-			//lint:allow(floateq) exact guard against a zero division, not a tolerance check
-			if p1 != p0 {
-				frac = (next - p0) / (p1 - p0)
-			}
-			times = append(times, (float64(s-1)+frac)*r.Dt)
-			next += 2 * math.Pi
-		}
-	}
-	return times
-}
-
-// FinalPhase returns the last phase of the node. An empty result (no
-// recorded steps) reports 0, the quiescent phase origin, rather than
-// panicking.
-func (r *Result) FinalPhase(node int) float64 {
-	if len(r.Phases) == 0 {
-		return 0
-	}
-	return r.Phases[len(r.Phases)-1][node]
-}
-
-// Slips returns how many complete 2π phase slips the node underwent. An
-// empty result reports 0 slips.
-func (r *Result) Slips(node int) int {
-	return int(math.Floor((r.FinalPhase(node) + math.Pi) / (2 * math.Pi)))
-}
-
-// TotalBiasEnergy is the energy drawn from the bias network over the run.
-// An empty result reports 0.
-func (r *Result) TotalBiasEnergy() float64 {
-	if len(r.BiasEnergy) == 0 {
-		return 0
-	}
-	return r.BiasEnergy[len(r.BiasEnergy)-1]
 }

@@ -2,23 +2,25 @@ package jsim
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
+	"supernpu/internal/guard"
 	"supernpu/internal/sfq"
 )
 
 func TestRunInputValidation(t *testing.T) {
 	c := StandardJTL(4)
-	if _, err := c.Run(context.Background(), 0, 1e-15); err == nil {
-		t.Error("Run must reject non-positive T")
+	var s Solver
+	if err := s.RunChain(context.Background(), c, 0, 1e-15); err == nil {
+		t.Error("RunChain must reject non-positive T")
 	}
-	if _, err := c.Run(context.Background(), 1e-11, 0); err == nil {
-		t.Error("Run must reject non-positive dt")
+	if err := s.RunChain(context.Background(), c, 1e-11, 0); err == nil {
+		t.Error("RunChain must reject non-positive dt")
 	}
-	empty := &Chain{}
-	if _, err := empty.Run(context.Background(), 1e-11, 1e-15); err == nil {
-		t.Error("Run must reject an empty chain")
+	if err := s.RunChain(context.Background(), &Chain{}, 1e-11, 1e-15); err == nil {
+		t.Error("RunChain must reject an empty chain")
 	}
 }
 
@@ -36,18 +38,18 @@ func TestCriticallyDamped(t *testing.T) {
 // later nodes at later times.
 func TestFluxonPropagatesDownJTL(t *testing.T) {
 	const n = 10
-	res, err := StandardJTL(n).Run(context.Background(), 120*sfq.Picosecond, 0.02*sfq.Picosecond)
+	res, err := runDense(StandardJTL(n), 120*sfq.Picosecond, 0.02*sfq.Picosecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if got := res.Slips(i); got != 1 {
+		if got := res.slips(i); got != 1 {
 			t.Errorf("node %d slipped %d times, want exactly 1", i, got)
 		}
 	}
 	prev := -1.0
 	for i := 1; i < n-1; i++ {
-		times := res.PulseTimes(i)
+		times := res.pulseTimes(i)
 		if len(times) != 1 {
 			t.Fatalf("node %d: %d pulses, want 1", i, len(times))
 		}
@@ -64,17 +66,17 @@ func TestNoSpontaneousSwitching(t *testing.T) {
 	// below Ic, so no junction may slip.
 	c := StandardJTL(6)
 	c.Sources = nil
-	res, err := c.Run(context.Background(), 100*sfq.Picosecond, 0.02*sfq.Picosecond)
+	res, err := runDense(c, 100*sfq.Picosecond, 0.02*sfq.Picosecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if res.Slips(i) != 0 {
+		if res.slips(i) != 0 {
 			t.Fatalf("node %d switched with no stimulus", i)
 		}
 	}
 	// Quiescent superconducting circuit draws no bias energy (V = 0).
-	if e := res.TotalBiasEnergy(); math.Abs(e) > 1e-21 {
+	if e := res.totalBiasEnergy(); math.Abs(e) > 1e-21 {
 		t.Fatalf("quiescent bias energy = %g J, want ~0", e)
 	}
 }
@@ -130,11 +132,11 @@ func TestBiasDelayTradeoff(t *testing.T) {
 		for i := range c.Nodes {
 			c.Nodes[i].Bias = bias * c.Nodes[i].JJ.Ic
 		}
-		res, err := c.Run(context.Background(), 140*sfq.Picosecond, 0.02*sfq.Picosecond)
+		res, err := runDense(c, 140*sfq.Picosecond, 0.02*sfq.Picosecond)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := res.PulseTimes(2), res.PulseTimes(7)
+		a, b := res.pulseTimes(2), res.pulseTimes(7)
 		if len(a) == 0 || len(b) == 0 {
 			t.Fatalf("pulse lost at bias %.2f·Ic", bias)
 		}
@@ -147,20 +149,28 @@ func TestBiasDelayTradeoff(t *testing.T) {
 	}
 }
 
+// An absurdly large step must be caught, not silently produce NaNs: at a
+// 5 ps step the 4-stage JTL deterministically leaves the voltage envelope.
+// The failure must carry guard.ErrDiverged — the class the server breaker
+// and the margin probes key on — and count once on the divergence metric.
 func TestDivergenceDetection(t *testing.T) {
-	// An absurdly large step must be caught, not silently produce NaNs.
-	c := StandardJTL(4)
-	if _, err := c.Run(context.Background(), 100*sfq.Picosecond, 5*sfq.Picosecond); err == nil {
-		t.Skip("coarse step happened to stay finite; divergence path not exercised")
+	var s Solver
+	before := mDiverged.Value()
+	err := s.RunChain(context.Background(), StandardJTL(4), 100*sfq.Picosecond, 5*sfq.Picosecond)
+	if !errors.Is(err, guard.ErrDiverged) {
+		t.Fatalf("want guard.ErrDiverged at a 5 ps step, got %v", err)
+	}
+	if d := mDiverged.Value() - before; d != 1 {
+		t.Fatalf("diverged counter moved by %d, want 1", d)
 	}
 }
 
 func TestPulseTimesInterpolation(t *testing.T) {
-	res, err := StandardJTL(6).Run(context.Background(), 100*sfq.Picosecond, 0.02*sfq.Picosecond)
+	res, err := runDense(StandardJTL(6), 100*sfq.Picosecond, 0.02*sfq.Picosecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tm := range res.PulseTimes(3) {
+	for _, tm := range res.pulseTimes(3) {
 		if tm < 0 || tm > 100*sfq.Picosecond {
 			t.Fatalf("pulse time %g out of simulated range", tm)
 		}

@@ -1,0 +1,39 @@
+package jsim
+
+import (
+	"context"
+	"testing"
+
+	"supernpu/internal/sfq"
+)
+
+// Operating margins: the JTL must work over a healthy bias window around
+// the nominal 0.7·Ic — the robustness SFQ cell libraries are quoted with.
+func TestBiasMargins(t *testing.T) {
+	m, err := BiasMargins(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Low >= 0.7 || m.High <= 0.7 {
+		t.Fatalf("margins [%.2f, %.2f] must bracket the nominal 0.7·Ic", m.Low, m.High)
+	}
+	if m.Width() < 0.2 {
+		t.Errorf("margin width = %.2f·Ic, want at least ±10%% around nominal", m.Width())
+	}
+	if m.High > 1.2 || m.Low < 0.0 {
+		t.Errorf("margins [%.2f, %.2f] outside physical range", m.Low, m.High)
+	}
+}
+
+// Setup-time extraction: the storage cell needs the data pulse to settle
+// for a few picoseconds before a clock pulse can read it out — the SetupTime
+// the cell library carries (DFF: 4.5 ps).
+func TestExtractSetupTime(t *testing.T) {
+	ts, err := ExtractSetupTime(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts < 0.1*sfq.Picosecond || ts > 20*sfq.Picosecond {
+		t.Fatalf("extracted setup time = %.2f ps, want a few ps", ts/sfq.Picosecond)
+	}
+}

@@ -1,70 +1,15 @@
 // Streaming observers: the consumers a Solver feeds in-stream. Each one
-// reproduces a post-processing quantity of the legacy dense Result
-// (PulseTimes, TotalBiasEnergy, FinalPhase/Slips) bit-for-bit while holding
-// only O(nodes) state; DenseRecorder reproduces the dense Result itself for
-// tests, debugging and the legacy Run wrappers.
+// computes a quantity of the transient — pulse times, bias energy, final
+// phases and slips — while holding only O(nodes) state, bit for bit equal
+// to post-processing the dense trajectory (the test-only reference in
+// dense_test.go).
 package jsim
 
 import "math"
 
-// DenseRecorder materialises the full trajectory — the one observer whose
-// footprint is O(steps·nodes). It backs the legacy Run API and the
-// differential tests that pin the streaming observers against the dense
-// post-processing.
-type DenseRecorder struct {
-	bias       []float64
-	dt         float64
-	energy     float64
-	phases     [][]float64
-	biasEnergy []float64
-}
-
-// Init implements Observer.
-func (d *DenseRecorder) Init(info RunInfo) {
-	d.bias = info.Bias
-	d.dt = info.Dt
-	d.energy = 0
-	if cap(d.phases) >= info.Steps {
-		d.phases = d.phases[:0]
-	} else {
-		d.phases = make([][]float64, 0, info.Steps)
-	}
-	if cap(d.biasEnergy) >= info.Steps {
-		d.biasEnergy = d.biasEnergy[:0]
-	} else {
-		d.biasEnergy = make([]float64, 0, info.Steps)
-	}
-}
-
-// Observe implements Observer.
-func (d *DenseRecorder) Observe(step int, t float64, phi, v []float64) {
-	// The legacy solver accumulated the bias energy inside step s's update
-	// using the post-update velocities — the v this observer sees at step
-	// s+1. Adding the contribution before recording therefore reproduces the
-	// recorded sequence exactly (step 0 adds only exact zeros: v starts 0).
-	for i, vi := range v {
-		d.energy += d.bias[i] * phi0over2pi * vi * d.dt
-	}
-	snap := make([]float64, len(phi))
-	copy(snap, phi)
-	d.phases = append(d.phases, snap)
-	d.biasEnergy = append(d.biasEnergy, d.energy)
-}
-
-// Result detaches and returns the recorded trajectory as a legacy Result.
-// The recorder is left empty, so reusing it cannot alias a Result already
-// handed out.
-func (d *DenseRecorder) Result() *Result {
-	r := &Result{Dt: d.dt, Phases: d.phases, BiasEnergy: d.biasEnergy}
-	d.phases = nil
-	d.biasEnergy = nil
-	return r
-}
-
-// PulseDetector streams the odd-π crossing detection of Result.PulseTimes:
-// the instants each node's phase crosses π, 3π, 5π, … (the midpoint of each
-// 2π slip, where the voltage pulse peaks), linearly interpolated inside the
-// crossing step with the same formula as the dense post-processing.
+// PulseDetector streams odd-π crossing detection: the instants each node's
+// phase crosses π, 3π, 5π, … (the midpoint of each 2π slip, where the
+// voltage pulse peaks), linearly interpolated inside the crossing step.
 type PulseDetector struct {
 	dt    float64
 	prev  []float64   // phase vector at the previous sample
@@ -117,8 +62,8 @@ func (p *PulseDetector) Observe(step int, t float64, phi, v []float64) {
 // slice aliases detector state: it is valid until the next Init.
 func (p *PulseDetector) Times(node int) []float64 { return p.times[node] }
 
-// EnergyAccumulator streams the cumulative bias energy ∫ Σ I_bias·V dt,
-// reproducing Result.TotalBiasEnergy bit-for-bit in O(1) state.
+// EnergyAccumulator streams the cumulative bias energy ∫ Σ I_bias·V dt in
+// O(1) state.
 type EnergyAccumulator struct {
 	bias   []float64
 	dt     float64
@@ -132,20 +77,19 @@ func (e *EnergyAccumulator) Init(info RunInfo) {
 	e.energy = 0
 }
 
-// Observe implements Observer. See DenseRecorder.Observe for why the
-// contribution of the current velocities lands at this sample.
+// Observe implements Observer. Step s's bias energy uses its post-update
+// velocities, which arrive as the v of sample s+1, so each sample adds the
+// previous step's contribution (sample 0 adds exact zeros: v starts at 0).
 func (e *EnergyAccumulator) Observe(step int, t float64, phi, v []float64) {
 	for i, vi := range v {
 		e.energy += e.bias[i] * phi0over2pi * vi * e.dt
 	}
 }
 
-// Total is the energy drawn from the bias network over the run, equal to
-// the legacy Result.TotalBiasEnergy.
+// Total is the energy drawn from the bias network over the run.
 func (e *EnergyAccumulator) Total() float64 { return e.energy }
 
-// FinalState captures the last sample of the run — the state the legacy
-// Result.FinalPhase and Result.Slips read.
+// FinalState captures the last sample of the run.
 type FinalState struct {
 	lastStep int
 	phi      []float64
@@ -171,11 +115,10 @@ func (f *FinalState) Observe(step int, t float64, phi, v []float64) {
 	}
 }
 
-// Phase returns the node's final phase (legacy Result.FinalPhase).
+// Phase returns the node's final phase.
 func (f *FinalState) Phase(node int) float64 { return f.phi[node] }
 
-// Slips returns how many complete 2π phase slips the node underwent
-// (legacy Result.Slips).
+// Slips returns how many complete 2π phase slips the node underwent.
 func (f *FinalState) Slips(node int) int {
 	return int(math.Floor((f.phi[node] + math.Pi) / (2 * math.Pi)))
 }

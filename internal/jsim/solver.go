@@ -1,10 +1,9 @@
-// The streaming transient solver: a reusable Solver integrates a Chain or
-// Circuit with classical RK4 and hands every step to a set of Observers,
-// allocating O(nodes) scratch in total instead of the O(steps·nodes) dense
-// history the legacy Run API materialises. The floating-point arithmetic is
-// bit-identical to the original solver — same RK4, same operation order,
-// same expressions — so every golden exhibit derived from these transients
-// is unchanged; only the memory behaviour differs.
+// The streaming transient solver: a reusable Solver integrates a Chain with
+// classical RK4 and hands every step to a set of Observers, allocating
+// O(nodes) scratch in total instead of materialising the O(steps·nodes)
+// trajectory. The observers reproduce the dense post-processing of that
+// trajectory bit for bit (TestStreamingObserversBitIdenticalToDense), so
+// every golden exhibit derived from these transients is pinned by them.
 package jsim
 
 import (
@@ -29,10 +28,9 @@ type RunInfo struct {
 
 // Observer consumes solver state in-stream. Init is called once before the
 // first step; Observe is called once per RK4 sample with the state *before*
-// that step's update (step 0 is the initial condition), matching the rows of
-// the legacy dense Result.Phases. The phi and v slices alias solver scratch
-// and are only valid inside the call. If the run returns an error, observer
-// state is undefined and must not be read.
+// that step's update (step 0 is the initial condition). The phi and v
+// slices alias solver scratch and are only valid inside the call. If the
+// run returns an error, observer state is undefined and must not be read.
 type Observer interface {
 	Init(info RunInfo)
 	Observe(step int, t float64, phi, v []float64)
@@ -52,7 +50,7 @@ func stepCount(T, dt float64) int {
 	return int(k) + 1
 }
 
-// Solver integrates junction netlists with reusable scratch: every buffer is
+// Solver integrates junction chains with reusable scratch: every buffer is
 // grown on demand and kept across runs, so repeated transients over chains
 // of the same (or smaller) size allocate nothing. A Solver is not safe for
 // concurrent use; give each worker its own (see RunBatch and
@@ -69,12 +67,7 @@ type Solver struct {
 	// sources driving node i, in their original Sources order.
 	srcPtr []int
 	srcs   []PulseSource
-	cnt    []int // counting-sort scratch (sources and adjacency)
-
-	// CSR adjacency for circuits: links of node i are adjPtr[i]:adjPtr[i+1].
-	adjPtr  []int
-	adjNode []int
-	adjInvL []float64
+	cnt    []int // counting-sort scratch
 
 	// State and RK4 stage scratch.
 	phi, v   []float64
@@ -89,10 +82,6 @@ type Solver struct {
 	// against an uncancellable context is free, which keeps the
 	// zero-allocation steady state intact on that path.
 	watch guard.Watch
-	// budget, when set, bounds the total steps this solver may integrate;
-	// a run whose step count does not fit fails with ErrBudgetExceeded
-	// before integrating. nil means unlimited.
-	budget *guard.Budget
 }
 
 // NewSolver returns an empty Solver; buffers are sized on first use.
@@ -111,18 +100,13 @@ const pollSteps = 256
 // while still technically finite. The solver state carries φ̇ in rad/s
 // (V = Φ0/2π·φ̇), so the comparison happens against divergedPhiDot, the
 // same bound in state units. The check is a read-only comparison and
-// cannot perturb the trajectory of a healthy run.
+// cannot perturb the trajectory of a healthy run. divergedFmt formats the
+// failure, with a trailing %w for the guard sentinel.
 const (
 	divergedVoltage = 1.0
 	divergedPhiDot  = divergedVoltage / phi0over2pi
+	divergedFmt     = "jsim: solution diverged at t=%.3gps node %d: %w"
 )
-
-// SetBudget attaches a deterministic step budget to the solver; every run
-// charges its full step count against it up front and fails with an error
-// wrapping guard.ErrBudgetExceeded once the budget cannot cover a run.
-// A nil budget (the default) is unlimited. The budget may be shared
-// between solvers; charges are atomic.
-func (s *Solver) SetBudget(b *guard.Budget) { s.budget = b }
 
 // growF resizes a float scratch slice to n, reusing capacity when it can.
 func growF(s []float64, n int) []float64 {
@@ -211,41 +195,7 @@ func (s *Solver) indexSources(sources []PulseSource, n int) {
 	}
 }
 
-// indexLinks builds the CSR adjacency with a stable counting sort. Per-node
-// neighbour order matches the legacy append order (both endpoints of each
-// link inserted at the link's position), keeping the coupling-current
-// summation order identical.
-func (s *Solver) indexLinks(links []Link, n int) {
-	s.adjPtr = growI(s.adjPtr, n+1)
-	s.cnt = growI(s.cnt, n)
-	for i := 0; i < n; i++ {
-		s.cnt[i] = 0
-	}
-	for _, lk := range links {
-		s.cnt[lk.A]++
-		s.cnt[lk.B]++
-	}
-	m := 2 * len(links)
-	s.adjNode = growI(s.adjNode, m)
-	s.adjInvL = growF(s.adjInvL, m)
-	s.adjPtr[0] = 0
-	for i := 0; i < n; i++ {
-		s.adjPtr[i+1] = s.adjPtr[i] + s.cnt[i]
-		s.cnt[i] = 0
-	}
-	for _, lk := range links {
-		invL := 1 / lk.L
-		p := s.adjPtr[lk.A] + s.cnt[lk.A]
-		s.adjNode[p], s.adjInvL[p] = lk.B, invL
-		s.cnt[lk.A]++
-		p = s.adjPtr[lk.B] + s.cnt[lk.B]
-		s.adjNode[p], s.adjInvL[p] = lk.A, invL
-		s.cnt[lk.B]++
-	}
-}
-
-// derivChain evaluates the chain's sine-Gordon right-hand side. Every
-// expression and its evaluation order matches the legacy closure exactly.
+// derivChain evaluates the chain's sine-Gordon right-hand side.
 func (s *Solver) derivChain(t float64, phi, v, dphi, dv []float64) {
 	n := len(phi)
 	for i := 0; i < n; i++ {
@@ -266,31 +216,11 @@ func (s *Solver) derivChain(t float64, phi, v, dphi, dv []float64) {
 	}
 }
 
-// derivCircuit is derivChain over the CSR link graph.
-func (s *Solver) derivCircuit(t float64, phi, v, dphi, dv []float64) {
-	n := len(phi)
-	for i := 0; i < n; i++ {
-		cur := s.bias[i]
-		for _, src := range s.srcs[s.srcPtr[i]:s.srcPtr[i+1]] {
-			cur += src.current(t)
-		}
-		for k := s.adjPtr[i]; k < s.adjPtr[i+1]; k++ {
-			cur += phi0over2pi * (phi[s.adjNode[k]] - phi[i]) * s.adjInvL[k]
-		}
-		cur -= s.ic[i] * math.Sin(phi[i])
-		cur -= phi0over2pi * v[i] / s.res[i]
-		dphi[i] = v[i]
-		dv[i] = cur / s.cphi[i]
-	}
-}
-
 // integrate runs the RK4 loop, streaming each pre-update state to the
-// observers. chain selects derivChain vs derivCircuit; errFmt is the
-// divergence message format of the corresponding legacy solver, with a
-// trailing %w for the guard sentinel. Every pollSteps steps the loop polls
-// the solver's cancellation watch — allocation-free on every path, so the
+// observers. Every pollSteps steps the loop polls the solver's
+// cancellation watch — allocation-free on every path, so the
 // zero-allocation steady state holds whether or not a watch is armed.
-func (s *Solver) integrate(steps, n int, dt float64, chain bool, errFmt string, obs []Observer) error {
+func (s *Solver) integrate(steps, n int, dt float64, obs []Observer) error {
 	for step := 0; step < steps; step++ {
 		if step&(pollSteps-1) == 0 && s.watch.Canceled() {
 			return s.watch.Err()
@@ -300,49 +230,33 @@ func (s *Solver) integrate(steps, n int, dt float64, chain bool, errFmt string, 
 			o.Observe(step, t, s.phi, s.v)
 		}
 
-		if chain {
-			s.derivChain(t, s.phi, s.v, s.k1p, s.k1v)
-		} else {
-			s.derivCircuit(t, s.phi, s.v, s.k1p, s.k1v)
-		}
+		s.derivChain(t, s.phi, s.v, s.k1p, s.k1v)
 		for i := 0; i < n; i++ {
 			s.tp[i] = s.phi[i] + 0.5*dt*s.k1p[i]
 			s.tv[i] = s.v[i] + 0.5*dt*s.k1v[i]
 		}
-		if chain {
-			s.derivChain(t+0.5*dt, s.tp, s.tv, s.k2p, s.k2v)
-		} else {
-			s.derivCircuit(t+0.5*dt, s.tp, s.tv, s.k2p, s.k2v)
-		}
+		s.derivChain(t+0.5*dt, s.tp, s.tv, s.k2p, s.k2v)
 		for i := 0; i < n; i++ {
 			s.tp[i] = s.phi[i] + 0.5*dt*s.k2p[i]
 			s.tv[i] = s.v[i] + 0.5*dt*s.k2v[i]
 		}
-		if chain {
-			s.derivChain(t+0.5*dt, s.tp, s.tv, s.k3p, s.k3v)
-		} else {
-			s.derivCircuit(t+0.5*dt, s.tp, s.tv, s.k3p, s.k3v)
-		}
+		s.derivChain(t+0.5*dt, s.tp, s.tv, s.k3p, s.k3v)
 		for i := 0; i < n; i++ {
 			s.tp[i] = s.phi[i] + dt*s.k3p[i]
 			s.tv[i] = s.v[i] + dt*s.k3v[i]
 		}
-		if chain {
-			s.derivChain(t+dt, s.tp, s.tv, s.k4p, s.k4v)
-		} else {
-			s.derivCircuit(t+dt, s.tp, s.tv, s.k4p, s.k4v)
-		}
+		s.derivChain(t+dt, s.tp, s.tv, s.k4p, s.k4v)
 
 		for i := 0; i < n; i++ {
 			s.phi[i] += dt / 6 * (s.k1p[i] + 2*s.k2p[i] + 2*s.k3p[i] + s.k4p[i])
 			s.v[i] += dt / 6 * (s.k1v[i] + 2*s.k2v[i] + 2*s.k3v[i] + s.k4v[i])
 			if math.IsNaN(s.phi[i]) || math.IsInf(s.phi[i], 0) {
 				mDiverged.Inc()
-				return fmt.Errorf(errFmt, t/sfq.Picosecond, i, guard.ErrNonFinite)
+				return fmt.Errorf(divergedFmt, t/sfq.Picosecond, i, guard.ErrNonFinite)
 			}
 			if v := s.v[i]; v > divergedPhiDot || v < -divergedPhiDot {
 				mDiverged.Inc()
-				return fmt.Errorf(errFmt, t/sfq.Picosecond, i, guard.ErrDiverged)
+				return fmt.Errorf(divergedFmt, t/sfq.Picosecond, i, guard.ErrDiverged)
 			}
 		}
 	}
@@ -368,9 +282,6 @@ func (s *Solver) RunChain(ctx context.Context, c *Chain, T, dt float64, obs ...O
 		return errors.New("jsim: empty chain")
 	}
 	steps := stepCount(T, dt)
-	if err := s.budget.Spend(int64(steps)); err != nil {
-		return fmt.Errorf("jsim: chain transient of %d steps: %w", steps, err)
-	}
 	s.watch.Arm(ctx)
 	defer s.watch.Disarm()
 	s.prepNodes(c.Nodes)
@@ -379,37 +290,5 @@ func (s *Solver) RunChain(ctx context.Context, c *Chain, T, dt float64, obs ...O
 	for _, o := range obs {
 		o.Init(info)
 	}
-	return s.integrate(steps, n, dt, true, "jsim: solution diverged at t=%.3gps node %d: %w", obs)
-}
-
-// RunCircuit integrates the link-graph circuit, streaming every sample to
-// the observers (the Circuit counterpart of RunChain, with the same
-// cancellation and budget semantics).
-func (s *Solver) RunCircuit(ctx context.Context, c *Circuit, T, dt float64, obs ...Observer) error {
-	if dt <= 0 || T <= 0 {
-		return errors.New("jsim: T and dt must be positive")
-	}
-	n := len(c.Nodes)
-	if n == 0 {
-		return errors.New("jsim: empty circuit")
-	}
-	for _, lk := range c.Links {
-		if lk.A < 0 || lk.A >= n || lk.B < 0 || lk.B >= n || lk.L <= 0 {
-			return fmt.Errorf("jsim: invalid link %+v", lk)
-		}
-	}
-	steps := stepCount(T, dt)
-	if err := s.budget.Spend(int64(steps)); err != nil {
-		return fmt.Errorf("jsim: circuit transient of %d steps: %w", steps, err)
-	}
-	s.watch.Arm(ctx)
-	defer s.watch.Disarm()
-	s.prepNodes(c.Nodes)
-	s.indexSources(c.Sources, n)
-	s.indexLinks(c.Links, n)
-	info := RunInfo{Nodes: n, Steps: steps, Dt: dt, Bias: s.bias}
-	for _, o := range obs {
-		o.Init(info)
-	}
-	return s.integrate(steps, n, dt, false, "jsim: circuit diverged at t=%.3gps node %d: %w", obs)
+	return s.integrate(steps, n, dt, obs)
 }

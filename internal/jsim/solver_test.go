@@ -24,8 +24,8 @@ func diffChains() map[string]*Chain {
 }
 
 // The tentpole contract: every streaming observer reproduces its dense
-// post-processing counterpart bit-for-bit — phases, pulse times, bias energy
-// and final state — across JTL, storage-loop and fault-injected chains.
+// post-processing counterpart bit-for-bit — pulse times, bias energy and
+// final state — across JTL, storage-loop and fault-injected chains.
 func TestStreamingObserversBitIdenticalToDense(t *testing.T) {
 	const (
 		T  = 120 * sfq.Picosecond
@@ -34,40 +34,23 @@ func TestStreamingObserversBitIdenticalToDense(t *testing.T) {
 	for name, ch := range diffChains() {
 		ch := ch
 		t.Run(name, func(t *testing.T) {
-			dense, err := ch.Run(context.Background(), T, dt)
+			dense, err := runDense(ch, T, dt)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			var (
-				rec    DenseRecorder
+				s      Solver
 				pulse  PulseDetector
 				energy EnergyAccumulator
 				fin    FinalState
 			)
-			if err := ch.RunObserved(context.Background(), T, dt, &rec, &pulse, &energy, &fin); err != nil {
+			if err := s.RunChain(context.Background(), ch, T, dt, &pulse, &energy, &fin); err != nil {
 				t.Fatal(err)
 			}
-			stream := rec.Result()
 
-			// Dense recorder vs legacy dense API.
-			if len(stream.Phases) != len(dense.Phases) {
-				t.Fatalf("step count: stream %d, dense %d", len(stream.Phases), len(dense.Phases))
-			}
-			for s := range dense.Phases {
-				for i := range dense.Phases[s] {
-					if stream.Phases[s][i] != dense.Phases[s][i] {
-						t.Fatalf("phase[%d][%d]: stream %v, dense %v", s, i, stream.Phases[s][i], dense.Phases[s][i])
-					}
-				}
-				if stream.BiasEnergy[s] != dense.BiasEnergy[s] {
-					t.Fatalf("bias energy[%d]: stream %v, dense %v", s, stream.BiasEnergy[s], dense.BiasEnergy[s])
-				}
-			}
-
-			// Streaming observers vs dense post-processing.
 			for node := range ch.Nodes {
-				want := dense.PulseTimes(node)
+				want := dense.pulseTimes(node)
 				got := pulse.Times(node)
 				if len(got) != len(want) {
 					t.Fatalf("node %d: %d streamed pulses, %d dense", node, len(got), len(want))
@@ -77,67 +60,17 @@ func TestStreamingObserversBitIdenticalToDense(t *testing.T) {
 						t.Fatalf("node %d pulse %d: stream %v, dense %v", node, k, got[k], want[k])
 					}
 				}
-				if fin.Phase(node) != dense.FinalPhase(node) {
-					t.Fatalf("node %d final phase: stream %v, dense %v", node, fin.Phase(node), dense.FinalPhase(node))
+				if fin.Phase(node) != dense.finalPhase(node) {
+					t.Fatalf("node %d final phase: stream %v, dense %v", node, fin.Phase(node), dense.finalPhase(node))
 				}
-				if fin.Slips(node) != dense.Slips(node) {
-					t.Fatalf("node %d slips: stream %d, dense %d", node, fin.Slips(node), dense.Slips(node))
+				if fin.Slips(node) != dense.slips(node) {
+					t.Fatalf("node %d slips: stream %d, dense %d", node, fin.Slips(node), dense.slips(node))
 				}
 			}
-			if energy.Total() != dense.TotalBiasEnergy() {
-				t.Fatalf("total bias energy: stream %v, dense %v", energy.Total(), dense.TotalBiasEnergy())
+			if energy.Total() != dense.totalBiasEnergy() {
+				t.Fatalf("total bias energy: stream %v, dense %v", energy.Total(), dense.totalBiasEnergy())
 			}
 		})
-	}
-}
-
-// The circuit (link-graph) solver must satisfy the same contract.
-func TestCircuitStreamingBitIdenticalToDense(t *testing.T) {
-	const (
-		T  = 100 * sfq.Picosecond
-		dt = 0.05 * sfq.Picosecond
-	)
-	ckt := SplitterTree(3)
-	dense, err := ckt.Run(context.Background(), T, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		rec    DenseRecorder
-		pulse  PulseDetector
-		energy EnergyAccumulator
-		fin    FinalState
-	)
-	if err := ckt.RunObserved(context.Background(), T, dt, &rec, &pulse, &energy, &fin); err != nil {
-		t.Fatal(err)
-	}
-	stream := rec.Result()
-	if len(stream.Phases) != len(dense.Phases) {
-		t.Fatalf("step count: stream %d, dense %d", len(stream.Phases), len(dense.Phases))
-	}
-	for s := range dense.Phases {
-		for i := range dense.Phases[s] {
-			if stream.Phases[s][i] != dense.Phases[s][i] {
-				t.Fatalf("phase[%d][%d] differs", s, i)
-			}
-		}
-	}
-	for node := range ckt.Nodes {
-		want, got := dense.PulseTimes(node), pulse.Times(node)
-		if len(got) != len(want) {
-			t.Fatalf("node %d: %d streamed pulses, %d dense", node, len(got), len(want))
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("node %d pulse %d differs", node, k)
-			}
-		}
-		if fin.Slips(node) != dense.Slips(node) {
-			t.Fatalf("node %d slips differ", node)
-		}
-	}
-	if energy.Total() != dense.TotalBiasEnergy() {
-		t.Fatalf("total bias energy: stream %v, dense %v", energy.Total(), dense.TotalBiasEnergy())
 	}
 }
 
@@ -238,23 +171,6 @@ func TestStepCountRegression(t *testing.T) {
 	}
 }
 
-// Empty results must report zero values, not panic (the documented guard).
-func TestEmptyResultGuards(t *testing.T) {
-	r := &Result{Dt: 1e-15}
-	if got := r.FinalPhase(0); got != 0 {
-		t.Errorf("empty FinalPhase = %g, want 0", got)
-	}
-	if got := r.Slips(0); got != 0 {
-		t.Errorf("empty Slips = %d, want 0", got)
-	}
-	if got := r.TotalBiasEnergy(); got != 0 {
-		t.Errorf("empty TotalBiasEnergy = %g, want 0", got)
-	}
-	if got := r.PulseTimes(0); len(got) != 0 {
-		t.Errorf("empty PulseTimes = %v, want none", got)
-	}
-}
-
 // RunBatch must agree with one-at-a-time runs on every job.
 func TestRunBatchMatchesSequential(t *testing.T) {
 	chains := []*Chain{StandardJTL(6), StandardJTL(10), StorageChain(0)}
@@ -272,14 +188,14 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ch := range chains {
-		dense, err := ch.Run(context.Background(), T, dt)
+		dense, err := runDense(ch, T, dt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for node := range ch.Nodes {
-			if fins[i].Phase(node) != dense.FinalPhase(node) {
+			if fins[i].Phase(node) != dense.finalPhase(node) {
 				t.Fatalf("job %d node %d: batch %v, sequential %v",
-					i, node, fins[i].Phase(node), dense.FinalPhase(node))
+					i, node, fins[i].Phase(node), dense.finalPhase(node))
 			}
 		}
 	}
@@ -337,14 +253,14 @@ func TestSolverReuseNoStateLeak(t *testing.T) {
 		if err := s.RunChain(context.Background(), ch, T, dt, &reFin); err != nil {
 			t.Fatal(err)
 		}
-		dense, err := ch.Run(context.Background(), T, dt)
+		dense, err := runDense(ch, T, dt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for node := range ch.Nodes {
-			if reFin.Phase(node) != dense.FinalPhase(node) {
+			if reFin.Phase(node) != dense.finalPhase(node) {
 				t.Fatalf("run %d node %d: reused solver %v, fresh %v",
-					run, node, reFin.Phase(node), dense.FinalPhase(node))
+					run, node, reFin.Phase(node), dense.finalPhase(node))
 			}
 		}
 	}

@@ -28,11 +28,17 @@ func techFor(ersfq bool) sfq.Technology {
 
 // Request body and custom-network bounds: generous multiples of the paper's
 // workloads, tight enough that a validated request cannot allocate
-// pathological amounts of memory or simulate for unbounded time.
+// pathological amounts of memory or simulate for unbounded time. The
+// per-dimension bounds alone still admit a layer whose tile plan does not
+// fit in memory, so a custom network is also capped at 2^28 total weights
+// and 2^44 MACs per input (VGG16: 1.38e8 weights, 1.6e10 MACs); with
+// maxBatch that keeps batch × MACs below 2^60.
 const (
 	maxBodyBytes  = 1 << 20 // 1 MiB of JSON per request
 	maxLayers     = 512     // deepest evaluation CNN is 58 compute layers
 	maxLayerDim   = 1 << 14 // H, W, C, R, S, M per layer
+	maxWeights    = 1 << 28 // total weights of a custom network
+	maxMACs       = 1 << 44 // total MACs of a custom network per input
 	maxBatch      = 1 << 16
 	maxArrayDim   = 1 << 12 // PE array height/width (paper max: 256)
 	maxRegisters  = 1 << 8  // registers per PE (paper max: 8)
@@ -277,6 +283,24 @@ func (n *NetworkSpec) toNetwork() (workload.Network, error) {
 	net := workload.Network{Name: n.Name, Layers: layers}
 	if err := net.Validate(); err != nil {
 		return workload.Network{}, err
+	}
+	// Whole-network totals, checked layer by layer so neither running sum
+	// can wrap. A layer within the weight cap has at most 2^28 weights, so
+	// its MAC count cannot overflow either.
+	var weights, macs int64
+	for i, l := range layers {
+		w := l.WeightBytes()
+		if w > maxWeights-weights {
+			return workload.Network{}, fmt.Errorf("network %q: weights exceed the limit of %d at layer %d",
+				n.Name, maxWeights, i)
+		}
+		weights += w
+		m := l.MACs()
+		if m > maxMACs-macs {
+			return workload.Network{}, fmt.Errorf("network %q: MACs per input exceed the limit of %d at layer %d",
+				n.Name, maxMACs, i)
+		}
+		macs += m
 	}
 	return net, nil
 }

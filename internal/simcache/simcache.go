@@ -314,8 +314,8 @@ var errPanicked = errors.New("simcache: computation panicked")
 // GetOrCompute returns the cached value for key, computing and storing it on
 // first access. Concurrent callers of the same key share one computation;
 // deterministic errors are memoised like values. Transient errors
-// (guard.IsTransient: cancellations, deadline expiries, budget exhaustion)
-// describe the attempt, not the inputs, so the entry is evicted instead —
+// (guard.IsCancellation: cancellations and deadline expiries) describe
+// the attempt, not the inputs, so the entry is evicted instead —
 // a canceled request must not poison the key for every later caller.
 // Callers coalesced onto an evicted computation still receive its transient
 // error for this attempt; their retry starts a fresh computation. A panic in
@@ -338,7 +338,7 @@ func (c *Cache[V]) GetOrCompute(key string, compute func() (V, error)) (V, error
 		defer c.inflight.Add(-1)
 		e.err = errPanicked // kept only if compute panics
 		defer func() {
-			if errors.Is(e.err, errPanicked) || guard.IsTransient(e.err) {
+			if errors.Is(e.err, errPanicked) || guard.IsCancellation(e.err) {
 				c.mu.Lock()
 				if c.m[key] == e {
 					delete(c.m, key)

@@ -206,8 +206,8 @@ func TestRegistrySnapshotAndClearAll(t *testing.T) {
 	}
 }
 
-// Transient failures (cancellations, deadline expiries, budget exhaustion)
-// are properties of the attempt, not the inputs: memoising one would poison
+// Transient failures (cancellations and deadline expiries) are
+// properties of the attempt, not the inputs: memoising one would poison
 // the key for every later caller. The entry is evicted instead, so a retry
 // recomputes and can cache the real result.
 func TestTransientErrorsAreNotMemoised(t *testing.T) {
