@@ -1,7 +1,7 @@
 // Package checkpoint is a crash-tolerant key-value snapshot store for long
 // sweep runs: an append-only JSONL file where each line records one
-// completed unit of work under a content-derived key (a simcache config
-// fingerprint plus the fault-model key). Killing a sweep mid-run loses at
+// completed unit of work under a content-derived text key (simcache's
+// ConfigKey plus the fault model's Key). Killing a sweep mid-run loses at
 // most the in-flight points; reopening the file and re-running the sweep
 // skips every checkpointed point without re-simulating it.
 //

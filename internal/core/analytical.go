@@ -18,8 +18,8 @@ import (
 // The model is the classic two-ceiling roofline: batch latency is the larger
 // of the compute time at the estimator's peak MAC rate and the DRAM time to
 // move the weights once plus every layer's input and output activations per
-// image. It is deterministic (the estimator memoises by configuration
-// fingerprint), so repeated degraded responses are byte-identical.
+// image. It is deterministic (the estimator memoises by configuration),
+// so repeated degraded responses are byte-identical.
 func EvaluateAnalytical(ctx context.Context, d Design, net workload.Network, batch int) (*Evaluation, error) {
 	if d.Platform != SFQ {
 		return nil, fmt.Errorf("core: no analytical fallback for %q (SFQ designs only)", d.Name())

@@ -126,3 +126,26 @@ func TestEfficiencyBridge(t *testing.T) {
 		t.Fatal("Efficiency must carry the evaluation's throughput and power")
 	}
 }
+
+// TestWarmEvaluateAllocatesOnlyItsResult pins the warm evaluation cost:
+// with the simulation cached, Evaluate allocates the Evaluation it returns
+// and nothing else, so the simulator call beneath it allocates nothing on
+// either platform.
+func TestWarmEvaluateAllocatesOnlyItsResult(t *testing.T) {
+	ctx := context.Background()
+	for _, d := range DesignPoints() {
+		for _, net := range workload.All() {
+			if _, err := Evaluate(ctx, d, net, 1); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := Evaluate(ctx, d, net, 1); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 1 {
+				t.Errorf("%s/%s: a warm Evaluate allocates %.1f times, want 1 (its result)", d.Name(), net.Name, allocs)
+			}
+		}
+	}
+}

@@ -22,7 +22,7 @@ type SweepOptions struct {
 	// normalisation references, so speedups compare like with like).
 	Fault *faultinject.Model
 	// Checkpoint, when non-nil, records each completed sweep point under
-	// its content key (config fingerprint + fault key) and skips points
+	// its content key (config text key + fault key) and skips points
 	// already present — the resume path after a killed run.
 	Checkpoint *checkpoint.Store
 }
@@ -37,7 +37,7 @@ type ckSweepPoint struct {
 }
 
 // sweepKey is the checkpoint key of one sweep point: the full configuration
-// fingerprint plus the fault-model key, so a resumed run can only reuse
+// text key plus the fault-model key, so a resumed run can only reuse
 // points computed under identical modeling conditions.
 func sweepKey(cfg arch.Config, fm *faultinject.Model) string {
 	return "sweep:" + simcache.ConfigKey(cfg) + fm.Key()
@@ -71,8 +71,7 @@ type SweepPoint struct {
 
 // baselineThroughputs returns each workload's Baseline batch-1 throughput,
 // the normalisation reference of Figs. 20–22, under the sweep's fault model.
-func baselineThroughputs(ctx context.Context, fm *faultinject.Model) (map[string]float64, error) {
-	nets := workload.All()
+func baselineThroughputs(ctx context.Context, nets []workload.Network, fm *faultinject.Model) (map[string]float64, error) {
 	tputs, err := parallel.MapContext(ctx, len(nets), func(ctx context.Context, i int) (float64, error) {
 		r, err := npusim.SimulateFaulted(ctx, arch.Baseline(), nets[i], 1, fm)
 		if err != nil {
@@ -93,8 +92,8 @@ func baselineThroughputs(ctx context.Context, fm *faultinject.Model) (map[string
 // sweep evaluates one configuration against the Baseline reference. The six
 // workloads simulate concurrently; the geomean consumes their speedups in
 // workload order, so the result is bit-identical to a serial evaluation.
-func sweep(ctx context.Context, cfg arch.Config, base map[string]float64, baseArea float64, fm *faultinject.Model) (SweepPoint, error) {
-	nets := workload.All()
+// nets is shared with the sweep's other points and only read.
+func sweep(ctx context.Context, cfg arch.Config, nets []workload.Network, base map[string]float64, baseArea float64, fm *faultinject.Model) (SweepPoint, error) {
 	type speedups struct{ s1, sm float64 }
 	vals, err := parallel.MapContext(ctx, len(nets), func(ctx context.Context, i int) (speedups, error) {
 		r1, err := npusim.SimulateFaulted(ctx, cfg, nets[i], 1, fm)
@@ -149,7 +148,8 @@ func sweepAllOpts(ctx context.Context, cfgs []arch.Config, o SweepOptions) ([]Sw
 	if len(pending) == 0 {
 		return out, nil
 	}
-	base, err := baselineThroughputs(ctx, o.Fault)
+	nets := workload.All()
+	base, err := baselineThroughputs(ctx, nets, o.Fault)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +159,7 @@ func sweepAllOpts(ctx context.Context, cfgs []arch.Config, o SweepOptions) ([]Sw
 	}
 	err = parallel.ForEachContext(ctx, len(pending), func(ctx context.Context, k int) error {
 		i := pending[k]
-		p, err := sweep(ctx, cfgs[i], base, bArea, o.Fault)
+		p, err := sweep(ctx, cfgs[i], nets, base, bArea, o.Fault)
 		if err != nil {
 			return err
 		}

@@ -23,7 +23,7 @@ import (
 	"supernpu/internal/srmem"
 )
 
-// cache memoises Estimate by configuration fingerprint: the simulator calls
+// cache memoises Estimate by (configuration, fault model): the simulator calls
 // the estimator once per simulation and the sweeps revisit the same handful
 // of designs constantly. Results are shared and must be treated read-only.
 var cache = simcache.New[*Result]()
@@ -198,7 +198,9 @@ func EstimateFaulted(ctx context.Context, cfg arch.Config, fm *faultinject.Model
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return cache.GetOrCompute(simcache.ConfigKey(cfg)+fm.Key(), func() (*Result, error) {
+	var kb [128]byte
+	key := simcache.AppendFaultKey(simcache.AppendConfigKey(kb[:0], cfg), fm)
+	return cache.GetOrCompute(key, func() (*Result, error) {
 		defer obs.Time(mColdSeconds)()
 		return estimateWithLib(ctx, cfg, sfq.NewLibraryFaulted(sfq.AIST10(), cfg.Tech, fm))
 	})

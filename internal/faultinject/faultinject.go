@@ -73,10 +73,12 @@ func (m *Model) Enabled() bool {
 		m.MarginErosion != 0 || m.SimFail != 0
 }
 
-// Key fingerprints the model for memoisation: faulted simulations must
-// never share a cache entry with nominal ones or with other fault settings.
-// A disabled model keys to the empty string, so nominal paths keep their
-// exact pre-fault cache keys.
+// Key renders the model as text for the persisted sweep checkpoints: a
+// resumed sweep may only reuse points computed under identical fault
+// settings. A disabled model renders as the empty string, so nominal
+// checkpoint keys carry no fault suffix. Checkpoints written by earlier
+// builds hold this text, so it must stay byte-stable (TestKeyIsStable).
+// The memo caches key fault models in binary (simcache.AppendFaultKey).
 func (m *Model) Key() string {
 	if !m.Enabled() {
 		return ""

@@ -128,6 +128,26 @@ func TestKeyDistinguishesEveryField(t *testing.T) {
 	}
 }
 
+// TestKeyIsStable pins Key's text to the bytes sweep checkpoints already
+// hold: a checkpoint written by an earlier build must still resume, so
+// this output may never drift.
+func TestKeyIsStable(t *testing.T) {
+	for _, c := range []struct {
+		m    *Model
+		want string
+	}{
+		{nil, ""},
+		{&Model{Seed: 42}, ""},
+		{&Model{Seed: 42, IcSpread: 0.03, PulseDrop: 1e-9, BitFlip: 2.5e-12, MarginErosion: 0.05, SimFail: 0.125},
+			"\x1ffault:42:0.03:1e-09:2.5e-12:0.05:0.125"},
+		{&Model{Seed: -7, PulseDrop: 0.5}, "\x1ffault:-7:0:0.5:0:0:0"},
+	} {
+		if got := c.m.Key(); got != c.want {
+			t.Errorf("Key(%+v) = %q, want %q", c.m, got, c.want)
+		}
+	}
+}
+
 func TestFailsSimulationRespectsRate(t *testing.T) {
 	always := &Model{Seed: 9, SimFail: 1}
 	if !always.FailsSimulation("any") {

@@ -54,7 +54,8 @@ func biasMarginsFaultedCached(ctx context.Context, fm *faultinject.Model, s *Sol
 	if !fm.Enabled() {
 		return BiasMargins(ctx)
 	}
-	v, err := cache.GetOrCompute("bias-margins/10"+fm.Key(), func() (any, error) {
+	var kb [128]byte
+	v, err := cache.GetOrCompute(appendExtractionKey(kb[:0], "bias-margins/10", fm), func() (any, error) {
 		return biasMarginsFaulted(ctx, fm, s)
 	})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"supernpu/internal/faultinject"
 	"supernpu/internal/guard"
 	"supernpu/internal/sfq"
 	"supernpu/internal/simcache"
@@ -16,6 +17,12 @@ import (
 var cache = simcache.New[any]()
 
 func init() { simcache.Register("jsim", cache) }
+
+// appendExtractionKey appends the cache key of one extraction: its name
+// and the fault model its netlist runs under (nil for the nominal one).
+func appendExtractionKey(b []byte, name string, fm *faultinject.Model) []byte {
+	return simcache.AppendFaultKey(simcache.AppendString(b, name), fm)
+}
 
 // GateParams are the gate-level quantities the paper extracts from JSIM runs
 // to feed the estimator (Fig. 10: delay, static power, dynamic energy).
@@ -34,7 +41,8 @@ type GateParams struct {
 // 1.0 µm cell library. The extraction is memoised; only the first call pays
 // for the transient.
 func ExtractJTLParams(ctx context.Context) (GateParams, error) {
-	v, err := cache.GetOrCompute("jtl-params/12", func() (any, error) {
+	var kb [128]byte
+	v, err := cache.GetOrCompute(appendExtractionKey(kb[:0], "jtl-params/12", nil), func() (any, error) {
 		return extractJTLParams(ctx)
 	})
 	if err != nil {
@@ -184,7 +192,8 @@ func DFFDemo(ctx context.Context) error {
 // extraction the gate-level estimation layer performs against JSIM
 // (Section IV-A1). The extraction is memoised.
 func ExtractSetupTime(ctx context.Context) (float64, error) {
-	v, err := cache.GetOrCompute("setup-time", func() (any, error) {
+	var kb [128]byte
+	v, err := cache.GetOrCompute(appendExtractionKey(kb[:0], "setup-time", nil), func() (any, error) {
 		return extractSetupTime(ctx)
 	})
 	if err != nil {

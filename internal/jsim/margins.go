@@ -25,7 +25,8 @@ func (m Margins) Width() float64 { return m.High - m.Low }
 // canceled computation is evicted, not poisoned in); the two bisection
 // arms run concurrently, each transient its own netlist.
 func BiasMargins(ctx context.Context) (Margins, error) {
-	v, err := cache.GetOrCompute("bias-margins/10", func() (any, error) {
+	var kb [128]byte
+	v, err := cache.GetOrCompute(appendExtractionKey(kb[:0], "bias-margins/10", nil), func() (any, error) {
 		return biasMargins(ctx)
 	})
 	if err != nil {

@@ -21,8 +21,9 @@
 //	panicboundary   panics in internal packages outside documented
 //	                invariant helpers
 //	floateq         == / != between computed floating-point operands
-//	cachekey        simcache key builders that skip exported fields of the
-//	                structs they fingerprint
+//	cachekey        memo key builders (simcache's, and append-style ones
+//	                anywhere) that skip exported fields of the structs
+//	                they encode
 //	obsflow         reads of obs instrument or gate state inside the
 //	                modeling packages (observability is write-only there)
 //	ctxflow         context.Background/TODO calls in the modeling packages,

@@ -137,6 +137,7 @@ func TestNakedGoFixture(t *testing.T)        { checkFixture(t, "nakedgo", "naked
 func TestPanicBoundaryFixture(t *testing.T)  { checkFixture(t, "panicboundary", "panicboundary") }
 func TestFloatEqFixture(t *testing.T)        { checkFixture(t, "floateq", "floateq") }
 func TestCacheKeyFixture(t *testing.T)       { checkFixture(t, "cachekey", "cachekey") }
+func TestCacheKeyOwnerFixture(t *testing.T)  { checkFixture(t, "cachekey", "cachekeyowner") }
 func TestObsFlowFixture(t *testing.T)        { checkFixture(t, "obsflow", "obsflow") }
 func TestCtxFlowFixture(t *testing.T)        { checkFixture(t, "ctxflow", "ctxflow") }
 

@@ -1,5 +1,5 @@
 // The cachekey rule: injectivity guard for the memoisation layer. Every
-// simcache key builder hand-serialises its input struct field by field
+// memo key builder hand-serialises its input struct field by field
 // (reflection is off the hot path on purpose), which means adding a field
 // to arch.Config or workload.Layer and forgetting the key builder silently
 // aliases distinct configurations onto one cache entry. The fuzz target
@@ -7,6 +7,11 @@
 // structurally: every exported field of a module-local struct parameter of
 // a key builder must be read in the key derivation, either directly or by
 // passing the struct on to another builder that reads it.
+//
+// A key builder is any function with "Key" in its name in package
+// simcache, plus any append-style one — func xKey(b []byte, ...) []byte —
+// in any package, which is how a cache owner encodes a struct simcache
+// cannot import (scalesim.Config).
 
 package lint
 
@@ -48,9 +53,7 @@ func (fs *fieldSet) union(other fieldSet) {
 }
 
 func (r cacheKeyRule) Check(p *Pass) {
-	if p.Pkg.Name != "simcache" {
-		return
-	}
+	inSimcache := p.Pkg.Name == "simcache"
 	c := &cacheKeyChecker{
 		p:        p,
 		decls:    map[*types.Func]*ast.FuncDecl{},
@@ -70,6 +73,9 @@ func (r cacheKeyRule) Check(p *Pass) {
 		if fd.Body == nil || !strings.Contains(fd.Name.Name, "Key") {
 			return
 		}
+		if !inSimcache && !appendsKey(p.Pkg.Info, fd) {
+			return
+		}
 		for _, field := range fd.Type.Params.List {
 			for _, pname := range field.Names {
 				obj := p.Pkg.Info.Defs[pname]
@@ -84,6 +90,28 @@ func (r cacheKeyRule) Check(p *Pass) {
 			}
 		}
 	})
+}
+
+// appendsKey reports whether fd has the append-style key builder shape:
+// a leading []byte parameter and a single []byte result.
+func appendsKey(info *types.Info, fd *ast.FuncDecl) bool {
+	f, ok := info.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := f.Type().(*types.Signature)
+	return sig.Params().Len() > 0 && sig.Results().Len() == 1 &&
+		isByteSlice(sig.Params().At(0).Type()) && isByteSlice(sig.Results().At(0).Type())
+}
+
+// isByteSlice reports whether t is []byte.
+func isByteSlice(t types.Type) bool {
+	s, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := s.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Byte
 }
 
 // modulePrefix returns the first path component ("supernpu"), used to

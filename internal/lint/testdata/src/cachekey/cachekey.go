@@ -105,3 +105,16 @@ func appendDims(b *strings.Builder, d Dims) {
 	b.WriteString(strconv.Itoa(d.H))
 	b.WriteString(strconv.Itoa(d.W))
 }
+
+// Append-style builders write a binary key into a caller-held buffer; the
+// rule holds them to the same field coverage.
+func appendConfigKey(b []byte, c Config) []byte { // want "never reads c.Height"
+	b = append(b, c.Name...)
+	return strconv.AppendFloat(b, c.Bandwidth, 'g', -1, 64)
+}
+
+func appendFullConfigKey(b []byte, c Config) []byte { // ok: every exported field read
+	b = append(b, c.Name...)
+	b = strconv.AppendInt(b, int64(c.Height), 10)
+	return strconv.AppendFloat(b, c.Bandwidth, 'g', -1, 64)
+}

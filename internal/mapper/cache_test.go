@@ -71,3 +71,22 @@ func TestTilesPoolBypassesCache(t *testing.T) {
 		t.Errorf("pool lookup populated the tile cache with %d entries", n)
 	}
 }
+
+// TestTilesHitAllocatesNothing pins the tile cache's hit cost: the key is
+// built in a stack buffer and the cached plan returned as is.
+func TestTilesHitAllocatesNothing(t *testing.T) {
+	simcache.ClearAll()
+	t.Cleanup(simcache.ClearAll)
+	cfg := arch.SuperNPU()
+	for _, l := range workload.ResNet50().ComputeLayers() {
+		want := Tiles(l, cfg.ArrayHeight, cfg.ArrayWidth, cfg.Registers)
+		allocs := testing.AllocsPerRun(20, func() {
+			if got := Tiles(l, cfg.ArrayHeight, cfg.ArrayWidth, cfg.Registers); &got[0] != &want[0] {
+				t.Fatalf("%s: the hit did not return the cached plan", l.Name)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a Tiles hit allocates %.1f times, want 0", l.Name, allocs)
+		}
+	}
+}

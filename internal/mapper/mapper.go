@@ -54,7 +54,8 @@ func Tiles(l workload.Layer, height, width, registers int) []Tile {
 	if l.Kind == workload.Pool {
 		return nil
 	}
-	tiles, _ := tileCache.GetOrCompute(simcache.TilesKey(l.Shape(), height, width, registers),
+	var kb [128]byte
+	tiles, _ := tileCache.GetOrCompute(simcache.AppendTilesKey(kb[:0], l.Shape(), height, width, registers),
 		func() ([]Tile, error) { return enumerate(l, height, width, registers), nil })
 	return tiles
 }

@@ -34,7 +34,7 @@ import (
 	"supernpu/internal/workload"
 )
 
-// cache memoises Simulate by (config, network, batch) fingerprint. The
+// cache memoises Simulate by (config, network, batch, fault model). The
 // sweeps of Figs. 20–22 and the cross-design tables re-derive the same
 // Baseline/TPU references at every point; with the cache each distinct
 // simulation runs once per process. Reports returned from Simulate are
@@ -84,7 +84,10 @@ func MaxBatch(cfg arch.Config, net workload.Network) int {
 	b := BatchCap
 	ifLane := cfg.IfmapBufBytes / cfg.ArrayHeight
 	outLane := cfg.OutputBufBytes / cfg.ArrayWidth
-	for _, l := range net.ComputeLayers() {
+	for _, l := range net.Layers {
+		if !l.ComputeLayer() {
+			continue
+		}
 		var bIn int
 		if cfg.IfmapChunks == 1 {
 			bIn = ifLane / (l.H * l.W)
@@ -395,7 +398,8 @@ func simulateLayerCached(ctx context.Context, p simcache.LayerProj, l workload.L
 	}
 	shape := l.Shape()
 	cp := coreProj(p, l, batch)
-	core, err := layerCache.GetOrCompute(simcache.LayerKey(cp, shape, batch), func() (layerCore, error) {
+	var kb [128]byte
+	core, err := layerCache.GetOrCompute(simcache.AppendLayerKey(kb[:0], cp, shape, batch), func() (layerCore, error) {
 		return simulateLayerCore(ctx, cp, shape.Layer(""), batch)
 	})
 	if err != nil {
@@ -432,7 +436,9 @@ func SimulateFaulted(ctx context.Context, cfg arch.Config, net workload.Network,
 	if batch < 0 {
 		return nil, fmt.Errorf("npusim: batch %d must be non-negative (0 selects MaxBatch)", batch)
 	}
-	return cache.GetOrCompute(simcache.SimKey(cfg, net, batch)+fm.Key(), func() (*Report, error) {
+	var kb simcache.KeyBuf
+	key := simcache.AppendFaultKey(simcache.AppendSimKey(kb[:0], cfg, net, batch), fm)
+	return cache.GetOrCompute(key, func() (*Report, error) {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
@@ -577,8 +583,14 @@ func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch 
 		faults.Accuracy = math.Max(0, accuracy)
 		rep.Faults = &faults
 	}
-	// Final results drain to DRAM.
-	last := net.ComputeLayers()[len(net.ComputeLayers())-1]
+	// Final results drain to DRAM from the last compute layer (Validate
+	// guarantees there is one).
+	var last workload.Layer
+	for _, l := range net.Layers {
+		if l.ComputeLayer() {
+			last = l
+		}
+	}
 	outBytes := int64(batch) * last.OfmapBytes()
 	rep.PrepCycles += int64(float64(outBytes) * cpb)
 	rep.Trace.DRAMBytes += outBytes

@@ -19,7 +19,7 @@ import (
 	"supernpu/internal/workload"
 )
 
-// cache memoises Simulate by (config, network, batch) fingerprint: the TPU
+// cache memoises Simulate by (config, network, batch): the TPU
 // reference evaluation repeats for every design row of Fig. 23 and
 // Table III. Reports are shared between callers and must be treated as
 // read-only.
@@ -100,7 +100,10 @@ func Simulate(ctx context.Context, cfg Config, net workload.Network, batch int) 
 	if batch < 0 {
 		return nil, fmt.Errorf("scalesim: batch %d must be non-negative (0 selects MaxBatch)", batch)
 	}
-	key := simcache.Fingerprint(cfg, simcache.NetworkKey(net), batch)
+	var kb simcache.KeyBuf
+	key := appendConfigKey(kb[:0], cfg)
+	key = simcache.AppendNetworkKey(key, net)
+	key = simcache.AppendInt(key, int64(batch))
 	return cache.GetOrCompute(key, func() (*Report, error) {
 		if err := net.Validate(); err != nil {
 			return nil, err
@@ -112,6 +115,21 @@ func Simulate(ctx context.Context, cfg Config, net workload.Network, batch int) 
 		}
 		return simulate(ctx, cfg, net, batch)
 	})
+}
+
+// appendConfigKey appends the binary memo key of a CMOS configuration in
+// simcache's encoding. It lives here because simcache cannot import this
+// package; keep it in step with Config (the cachekey lint rule checks that
+// every field is read, and TestConfigKeyDistinguishesEveryField mutates
+// each one).
+func appendConfigKey(b []byte, c Config) []byte {
+	b = simcache.AppendString(b, c.Name)
+	b = simcache.AppendInt(b, int64(c.ArrayHeight))
+	b = simcache.AppendInt(b, int64(c.ArrayWidth))
+	b = simcache.AppendFloat(b, c.Frequency)
+	b = simcache.AppendInt(b, c.BufferBytes)
+	b = simcache.AppendFloat(b, c.Bandwidth)
+	return simcache.AppendFloat(b, c.Power)
 }
 
 // layerCost is one compute layer's cached charge set: the cycle classes
@@ -171,7 +189,8 @@ func simulateLayer(p simcache.ScaleProj, s workload.Shape, batch int) layerCost 
 // simulateLayerCached serves one layer's charges through the layer-grain
 // cache.
 func simulateLayerCached(p simcache.ScaleProj, s workload.Shape, batch int) layerCost {
-	c, _ := layerCache.GetOrCompute(simcache.ScaleLayerKey(p, s, batch),
+	var kb [128]byte
+	c, _ := layerCache.GetOrCompute(simcache.AppendScaleLayerKey(kb[:0], p, s, batch),
 		func() (layerCost, error) { return simulateLayer(p, s, batch), nil })
 	return c
 }

@@ -1,6 +1,6 @@
 // Endpoint handlers of the evaluation service. Each work handler decodes
 // and validates its request (api.go), then calls straight into the core
-// facade — the simulators memoise by content fingerprint, so identical
+// facade — the simulators memoise by content key, so identical
 // concurrent requests coalesce onto a single computation.
 package server
 

@@ -6,7 +6,7 @@
 // estimator queries and design-space sweeps — under production discipline:
 //
 //   - identical in-flight requests coalesce onto one computation through the
-//     simcache singleflight path (sync.Once per fingerprint), so a thundering
+//     simcache singleflight path (sync.Once per content key), so a thundering
 //     herd of duplicate queries costs one simulation;
 //   - concurrency is bounded by a semaphore sized to the internal/parallel
 //     worker count, and waiting requests queue up to a configured depth —

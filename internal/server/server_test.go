@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -410,5 +411,44 @@ func TestGracefulDrain(t *testing.T) {
 	// New connections are refused after shutdown.
 	if _, err := http.Get(url + "/healthz"); err == nil {
 		t.Fatal("server still accepting connections after drain")
+	}
+}
+
+// TestCustomNetworksWithSeparatorNamesDoNotAlias replays a pair of custom
+// networks that once shared a cache entry: the second has only the first
+// one's second layer, under a name that spells out the first layer's
+// fields joined by 0x1f. After the first request, the second must still
+// get its own numbers, the ones it gets from a cold cache.
+func TestCustomNetworksWithSeparatorNamesDoNotAlias(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	t.Cleanup(simcache.ClearAll)
+	const first = `{"design":%q,"batch":1,"network":{"name":"N","layers":[` +
+		`{"name":"x","kind":"conv","h":8,"w":8,"c":4,"r":3,"s":3,"m":8,"stride":1,"pad":1},` +
+		`{"name":"y","kind":"conv","h":8,"w":8,"c":8,"r":3,"s":3,"m":8,"stride":1,"pad":1}]}}`
+	const second = `{"design":%q,"batch":1,"network":{"name":"N\u001fx\u001f0\u001f8\u001f8\u001f4\u001f3\u001f3\u001f8\u001f1\u001f1","layers":[` +
+		`{"name":"y","kind":"conv","h":8,"w":8,"c":8,"r":3,"s":3,"m":8,"stride":1,"pad":1}]}}`
+	evaluate := func(body string) EvaluationResponse {
+		t.Helper()
+		status, b, _ := post(t, ts.URL+"/v1/evaluate", body)
+		if status != http.StatusOK {
+			t.Fatalf("evaluate = %d %s", status, b)
+		}
+		var got EvaluationResponse
+		if err := json.Unmarshal(b, &got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for _, design := range []string{"SuperNPU", "TPU"} {
+		simcache.ClearAll()
+		alone := evaluate(fmt.Sprintf(second, design))
+		if alone.MACs != 36864 {
+			t.Fatalf("%s: second network alone has %d MACs, want 36864", design, alone.MACs)
+		}
+		simcache.ClearAll()
+		evaluate(fmt.Sprintf(first, design))
+		if got := evaluate(fmt.Sprintf(second, design)); got != alone {
+			t.Errorf("%s: second network after the first = %+v, want its own %+v", design, got, alone)
+		}
 	}
 }

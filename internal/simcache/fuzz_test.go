@@ -1,19 +1,24 @@
-// Native Go fuzz target for key injectivity: the memo caches rely on
-// ConfigKey/NetworkKey/SimKey — and the layer-grain LayerKey/ScaleLayerKey/
-// TilesKey — being collision-free: two distinct inputs sharing a
-// fingerprint would silently serve one input's simulation result for the
-// other. The fuzzer derives two of each key's inputs from the input bytes
-// and checks keys are equal exactly when the values are. Seed corpus in
-// testdata/fuzz/; run with
+// Native Go fuzz target for key injectivity: the memo caches rely on the
+// binary keys — AppendConfigKey/AppendNetworkKey/AppendSimKey with the
+// AppendFaultKey tail, and the layer-grain AppendLayerKey/
+// AppendScaleLayerKey/AppendTilesKey — being collision-free: two distinct
+// inputs sharing a key would silently serve one input's simulation result
+// for the other. The checkpoint text key ConfigKey is held to the same
+// standard. The fuzzer derives two of each key's inputs from the input
+// bytes, with names drawn from all 256 byte values, and checks keys are
+// equal exactly when the values are and that each binary key decodes back
+// to its inputs (decode_test.go). Seed corpus in testdata/fuzz/; run with
 //
 //	go test ./internal/simcache -run='^$' -fuzz=FuzzKeyInjectivity -fuzztime=30s
 package simcache
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"supernpu/internal/arch"
+	"supernpu/internal/faultinject"
 	"supernpu/internal/sfq"
 	"supernpu/internal/workload"
 )
@@ -34,14 +39,12 @@ func (f *byteFeed) next() byte {
 	return b
 }
 
-// nameAlphabet excludes the \x1f field separator: the fingerprint contract
-// (documented on Fingerprint) requires that names never contain it.
-const nameAlphabet = "abcXYZ 019_.-"
-
+// name draws n bytes of any value: keys must stay injective whatever bytes
+// a name holds, separators and invalid UTF-8 included.
 func (f *byteFeed) name(n int) string {
 	out := make([]byte, n)
 	for i := range out {
-		out[i] = nameAlphabet[int(f.next())%len(nameAlphabet)]
+		out[i] = f.next()
 	}
 	return string(out)
 }
@@ -102,6 +105,31 @@ func (f *byteFeed) shape() workload.Shape {
 	}
 }
 
+// faultModel derives a nil, disabled or enabled fault model from the feed.
+func (f *byteFeed) faultModel() *faultinject.Model {
+	switch f.next() % 4 {
+	case 0:
+		return nil
+	case 1:
+		return &faultinject.Model{Seed: int64(f.intIn(0, 1<<16)) - 1<<15}
+	}
+	rate := func() float64 { return float64(f.intIn(0, 3)) / 8 }
+	return &faultinject.Model{
+		Seed:     int64(f.intIn(0, 1<<16)) - 1<<15,
+		IcSpread: rate(), PulseDrop: rate(), BitFlip: rate(),
+		MarginErosion: rate(), SimFail: rate(),
+	}
+}
+
+// sameFault reports whether two models must share a key: both inject
+// nothing, or both inject with equal settings.
+func sameFault(a, b *faultinject.Model) bool {
+	if !a.Enabled() || !b.Enabled() {
+		return a.Enabled() == b.Enabled()
+	}
+	return *a == *b
+}
+
 // network derives one workload from the feed.
 func (f *byteFeed) network() workload.Network {
 	layers := make([]workload.Layer, int(f.next())%4)
@@ -132,49 +160,58 @@ func FuzzKeyInjectivity(f *testing.F) {
 		fb := &byteFeed{data: data[half:]}
 
 		ca, cb := fa.config(), fb.config()
-		ka, kb := ConfigKey(ca), ConfigKey(cb)
-		if (ca == cb) != (ka == kb) {
+		if (ca == cb) != bytes.Equal(AppendConfigKey(nil, ca), AppendConfigKey(nil, cb)) {
+			t.Fatalf("AppendConfigKey injectivity violated:\n a=%+v\n b=%+v", ca, cb)
+		}
+		if ka, kb := ConfigKey(ca), ConfigKey(cb); (ca == cb) != (ka == kb) {
 			t.Fatalf("ConfigKey injectivity violated:\n a=%+v -> %q\n b=%+v -> %q", ca, ka, cb, kb)
 		}
 
 		na, nb := fa.network(), fb.network()
-		nka, nkb := NetworkKey(na), NetworkKey(nb)
-		if reflect.DeepEqual(na, nb) != (nka == nkb) {
-			t.Fatalf("NetworkKey injectivity violated:\n a=%+v -> %q\n b=%+v -> %q", na, nka, nb, nkb)
+		nka, nkb := AppendNetworkKey(nil, na), AppendNetworkKey(nil, nb)
+		if reflect.DeepEqual(na, nb) != bytes.Equal(nka, nkb) {
+			t.Fatalf("AppendNetworkKey injectivity violated:\n a=%+v -> %x\n b=%+v -> %x", na, nka, nb, nkb)
 		}
 
-		// SimKey must also separate batch sizes over identical (cfg, net).
+		// The whole-simulation key must also separate batch sizes and
+		// fault models over identical (cfg, net).
 		ba, bb := fa.intIn(0, 64), fb.intIn(0, 64)
-		ska := SimKey(ca, na, ba)
-		skb := SimKey(cb, nb, bb)
-		same := ca == cb && reflect.DeepEqual(na, nb) && ba == bb
-		if same != (ska == skb) {
-			t.Fatalf("SimKey injectivity violated (batch %d vs %d):\n a=%q\n b=%q", ba, bb, ska, skb)
+		ma, mb := fa.faultModel(), fb.faultModel()
+		ska := AppendFaultKey(AppendSimKey(nil, ca, na, ba), ma)
+		skb := AppendFaultKey(AppendSimKey(nil, cb, nb, bb), mb)
+		same := ca == cb && reflect.DeepEqual(na, nb) && ba == bb && sameFault(ma, mb)
+		if same != bytes.Equal(ska, skb) {
+			t.Fatalf("simulation key injectivity violated (batch %d vs %d, faults %+v vs %+v):\n a=%x\n b=%x",
+				ba, bb, ma, mb, ska, skb)
 		}
 
 		// Layer-grain keys: (projection, shape, batch) triples must key
 		// equal exactly when every component is equal.
 		pa, pb := fa.layerCoreProj(), fb.layerCoreProj()
 		sa, sb := fa.shape(), fb.shape()
-		lka := LayerKey(pa, sa, ba)
-		lkb := LayerKey(pb, sb, bb)
-		if same := pa == pb && sa == sb && ba == bb; same != (lka == lkb) {
-			t.Fatalf("LayerKey injectivity violated:\n a=%+v %+v b%d -> %q\n b=%+v %+v b%d -> %q",
+		lka := AppendLayerKey(nil, pa, sa, ba)
+		lkb := AppendLayerKey(nil, pb, sb, bb)
+		if same := pa == pb && sa == sb && ba == bb; same != bytes.Equal(lka, lkb) {
+			t.Fatalf("AppendLayerKey injectivity violated:\n a=%+v %+v b%d -> %x\n b=%+v %+v b%d -> %x",
 				pa, sa, ba, lka, pb, sb, bb, lkb)
 		}
 
 		spa, spb := fa.scaleProj(), fb.scaleProj()
-		slka := ScaleLayerKey(spa, sa, ba)
-		slkb := ScaleLayerKey(spb, sb, bb)
-		if same := spa == spb && sa == sb && ba == bb; same != (slka == slkb) {
-			t.Fatalf("ScaleLayerKey injectivity violated:\n a=%q\n b=%q", slka, slkb)
+		slka := AppendScaleLayerKey(nil, spa, sa, ba)
+		slkb := AppendScaleLayerKey(nil, spb, sb, bb)
+		if same := spa == spb && sa == sb && ba == bb; same != bytes.Equal(slka, slkb) {
+			t.Fatalf("AppendScaleLayerKey injectivity violated:\n a=%x\n b=%x", slka, slkb)
 		}
 
-		tka := TilesKey(sa, pa.ArrayHeight, pa.ArrayWidth, pa.Registers)
-		tkb := TilesKey(sb, pb.ArrayHeight, pb.ArrayWidth, pb.Registers)
+		// Each key must also decode back to exactly its inputs.
+		checkDecodes(t, ca, na, ba, ma, pa, spa, sa)
+		checkDecodes(t, cb, nb, bb, mb, pb, spb, sb)
+
+		tka := AppendTilesKey(nil, sa, pa.ArrayHeight, pa.ArrayWidth, pa.Registers)
+		tkb := AppendTilesKey(nil, sb, pb.ArrayHeight, pb.ArrayWidth, pb.Registers)
 		geomSame := pa.ArrayHeight == pb.ArrayHeight && pa.ArrayWidth == pb.ArrayWidth && pa.Registers == pb.Registers
-		if same := sa == sb && geomSame; same != (tka == tkb) {
-			t.Fatalf("TilesKey injectivity violated:\n a=%q\n b=%q", tka, tkb)
+		if same := sa == sb && geomSame; same != bytes.Equal(tka, tkb) {
+			t.Fatalf("AppendTilesKey injectivity violated:\n a=%x\n b=%x", tka, tkb)
 		}
 	})
 }

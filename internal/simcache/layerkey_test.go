@@ -1,11 +1,12 @@
 package simcache
 
-// Key-injectivity tests for the layer-grain fingerprints: every field of
+// Key-injectivity tests for the layer-grain keys: every field of
 // the projection structs and of workload.Shape must move the key, and the
 // projection builder must capture exactly what the per-layer cycle model
 // reads.
 
 import (
+	"bytes"
 	"testing"
 
 	"supernpu/internal/arch"
@@ -32,15 +33,15 @@ func TestLayerKeyDistinguishesEveryProjField(t *testing.T) {
 		func(p *LayerCoreProj) { p.Fits = !p.Fits },
 	}
 	s := baseShape()
-	ref := LayerKey(baseCoreProj(), s, 4)
+	ref := AppendLayerKey(nil, baseCoreProj(), s, 4)
 	for i, mutate := range mutations {
 		p := baseCoreProj()
 		mutate(&p)
-		if LayerKey(p, s, 4) == ref {
+		if bytes.Equal(AppendLayerKey(nil, p, s, 4), ref) {
 			t.Errorf("projection mutation %d: distinct core projections share a layer key", i)
 		}
 	}
-	if LayerKey(baseCoreProj(), s, 5) == ref {
+	if bytes.Equal(AppendLayerKey(nil, baseCoreProj(), s, 5), ref) {
 		t.Error("distinct batches share a layer key")
 	}
 }
@@ -58,11 +59,11 @@ func TestLayerKeyDistinguishesEveryShapeField(t *testing.T) {
 		func(s *workload.Shape) { s.Pad++ },
 	}
 	p := baseCoreProj()
-	ref := LayerKey(p, baseShape(), 4)
+	ref := AppendLayerKey(nil, p, baseShape(), 4)
 	for i, mutate := range mutations {
 		s := baseShape()
 		mutate(&s)
-		if LayerKey(p, s, 4) == ref {
+		if bytes.Equal(AppendLayerKey(nil, p, s, 4), ref) {
 			t.Errorf("shape mutation %d: distinct shapes share a layer key", i)
 		}
 	}
@@ -77,34 +78,43 @@ func TestScaleLayerKeyDistinguishesEveryField(t *testing.T) {
 		func(p *ScaleProj) { p.CyclesPerByte *= 2 },
 	}
 	s := baseShape()
-	ref := ScaleLayerKey(base, s, 4)
+	ref := AppendScaleLayerKey(nil, base, s, 4)
 	for i, mutate := range mutations {
 		p := base
 		mutate(&p)
-		if ScaleLayerKey(p, s, 4) == ref {
+		if bytes.Equal(AppendScaleLayerKey(nil, p, s, 4), ref) {
 			t.Errorf("mutation %d: distinct CMOS projections share a layer key", i)
 		}
 	}
-	if ScaleLayerKey(base, s, 5) == ref {
+	if bytes.Equal(AppendScaleLayerKey(nil, base, s, 5), ref) {
 		t.Error("distinct batches share a layer key")
 	}
 	other := s
 	other.M++
-	if ScaleLayerKey(base, other, 4) == ref {
+	if bytes.Equal(AppendScaleLayerKey(nil, base, other, 4), ref) {
 		t.Error("distinct shapes share a layer key")
 	}
 }
 
 func TestTilesKeySeparatesShapeAndGeometry(t *testing.T) {
 	s := baseShape()
-	ref := TilesKey(s, 128, 64, 2)
-	if TilesKey(s, 129, 64, 2) == ref || TilesKey(s, 128, 65, 2) == ref || TilesKey(s, 128, 64, 3) == ref {
-		t.Error("distinct array geometries share a tiles key")
+	ref := AppendTilesKey(nil, s, 128, 64, 2)
+	for i, k := range [][]byte{
+		AppendTilesKey(nil, s, 129, 64, 2),
+		AppendTilesKey(nil, s, 128, 65, 2),
+		AppendTilesKey(nil, s, 128, 64, 3),
+	} {
+		if bytes.Equal(k, ref) {
+			t.Errorf("geometry mutation %d: distinct array geometries share a tiles key", i)
+		}
 	}
 	other := s
 	other.R++
-	if TilesKey(other, 128, 64, 2) == ref {
+	if bytes.Equal(AppendTilesKey(nil, other, 128, 64, 2), ref) {
 		t.Error("distinct shapes share a tiles key")
+	}
+	if TilesKey(s, 128, 64, 2) != string(ref) {
+		t.Error("TilesKey differs from AppendTilesKey")
 	}
 }
 
@@ -136,7 +146,7 @@ func TestNPULayerProjTracksConfigProjection(t *testing.T) {
 func TestClearByName(t *testing.T) {
 	c := New[int]()
 	Register("layerkey-test", c)
-	if _, err := c.GetOrCompute("k", func() (int, error) { return 1, nil }); err != nil {
+	if _, err := c.GetOrCompute([]byte("k"), func() (int, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 1 {

@@ -7,18 +7,28 @@
 // constantly — every sweep point of Figs. 20–22 re-simulates the Baseline
 // reference, every Table III row re-evaluates the TPU, and the RCSJ gate
 // extraction behind Fig. 7 is a fixed transient. Each such producer keeps a
-// package-level Cache here, keyed by a full-fidelity fingerprint of its
-// inputs (no lossy hashing, so distinct inputs can never share an entry),
-// and registers it under a name so callers can inspect hit/miss counters or
-// clear everything for cold-start benchmarks.
+// package-level Cache here and registers it under a name so callers can
+// inspect hit/miss counters or clear everything for cold-start benchmarks.
+//
+// A cache keys on a compact binary encoding of its inputs, which the caller
+// appends into a buffer it holds (see KeyBuf). Every field is written in a
+// self-delimiting form — strings as a uvarint length and their bytes, ints
+// as varints, bools as one byte, floats as their eight IEEE 754 bytes — in
+// a fixed order, so a key parses back into exactly one input: distinct
+// inputs can never share an entry, whatever bytes their names hold. There
+// is no hash, so nothing probabilistic is involved. A lookup indexes the
+// map with the caller's bytes directly and a hit allocates nothing; only a
+// miss copies the key into the map.
 //
 // Cached values are shared between callers and across goroutines: treat
 // anything returned through a Cache as immutable.
 package simcache
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,31 +36,130 @@ import (
 	"sync/atomic"
 
 	"supernpu/internal/arch"
+	"supernpu/internal/faultinject"
 	"supernpu/internal/guard"
 	"supernpu/internal/obs"
 	"supernpu/internal/workload"
 )
 
-// sep joins fingerprint parts; an ASCII unit separator never appears in
-// config or layer names, so composite keys cannot collide across parts.
-const sep = "\x1f"
+// --- binary memo keys ---
 
-// Fingerprint renders each part with %+v (full field names and values for
-// structs) and joins them. Two inputs differing in any field render to
-// different fingerprints, which makes key collisions impossible by
-// construction rather than improbable by hashing.
-func Fingerprint(parts ...any) string {
-	var b strings.Builder
-	for i, p := range parts {
-		if i > 0 {
-			b.WriteString(sep)
-		}
-		fmt.Fprintf(&b, "%+v", p)
-	}
-	return b.String()
+// KeyBuf is the buffer a caller appends a network-carrying key into. It
+// holds the whole-simulation key of every one of the paper's six CNNs
+// (GoogLeNet's, the largest, is 1 345 bytes) with room for the fault-model
+// tail, so as a local variable it keeps a cache hit free of allocation; a
+// larger custom network grows its key onto the heap once per lookup.
+type KeyBuf [2048]byte
+
+// AppendString appends s as its uvarint length followed by its bytes.
+func AppendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
-// writeInt appends one integer field to a key under construction.
+// AppendInt appends v as a zig-zag varint.
+func AppendInt(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
+
+// appendBool appends v as one byte.
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// AppendFloat appends the eight bytes of v's IEEE 754 bit pattern, so
+// values that compare equal but differ in bits (0 and −0) key apart.
+func AppendFloat(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+// AppendConfigKey appends the key of an SFQ NPU configuration. Keys sit on
+// the memoised simulation hot path, so the fields are written by hand
+// rather than through reflection; keep this in step with arch.Config (the
+// cachekey lint rule checks that every field is read).
+func AppendConfigKey(b []byte, cfg arch.Config) []byte {
+	b = AppendString(b, cfg.Name)
+	b = AppendInt(b, int64(cfg.ArrayHeight))
+	b = AppendInt(b, int64(cfg.ArrayWidth))
+	b = AppendInt(b, int64(cfg.Registers))
+	b = AppendInt(b, int64(cfg.IfmapBufBytes))
+	b = AppendInt(b, int64(cfg.IfmapChunks))
+	b = AppendInt(b, int64(cfg.OutputBufBytes))
+	b = AppendInt(b, int64(cfg.OutputChunks))
+	b = appendBool(b, cfg.IntegratedOutput)
+	b = AppendInt(b, int64(cfg.PsumBufBytes))
+	b = AppendInt(b, int64(cfg.WeightBufBytes))
+	b = AppendInt(b, int64(cfg.Tech))
+	return AppendFloat(b, cfg.MemoryBandwidth)
+}
+
+// AppendNetworkKey appends the key of a workload, layer count and layer
+// shapes included, so two custom networks sharing a display name still key
+// separately. Keep in step with workload.Layer.
+func AppendNetworkKey(b []byte, net workload.Network) []byte {
+	b = AppendString(b, net.Name)
+	b = AppendInt(b, int64(len(net.Layers)))
+	for _, l := range net.Layers {
+		b = AppendString(b, l.Name)
+		b = AppendInt(b, int64(l.Kind))
+		b = AppendInt(b, int64(l.H))
+		b = AppendInt(b, int64(l.W))
+		b = AppendInt(b, int64(l.C))
+		b = AppendInt(b, int64(l.R))
+		b = AppendInt(b, int64(l.S))
+		b = AppendInt(b, int64(l.M))
+		b = AppendInt(b, int64(l.Stride))
+		b = AppendInt(b, int64(l.Pad))
+	}
+	return b
+}
+
+// NetworkKey returns AppendNetworkKey's key as a string, for callers that
+// keep keys as values; no cache builds it.
+func NetworkKey(net workload.Network) string {
+	var kb KeyBuf
+	return string(AppendNetworkKey(kb[:0], net))
+}
+
+// AppendSimKey appends the key of one (configuration, network, batch)
+// simulation.
+func AppendSimKey(b []byte, cfg arch.Config, net workload.Network, batch int) []byte {
+	b = AppendConfigKey(b, cfg)
+	b = AppendNetworkKey(b, net)
+	return AppendInt(b, int64(batch))
+}
+
+// SimKey returns AppendSimKey's key as a string, for callers that keep
+// keys as values; no cache builds it.
+func SimKey(cfg arch.Config, net workload.Network, batch int) string {
+	var kb KeyBuf
+	return string(AppendSimKey(kb[:0], cfg, net, batch))
+}
+
+// AppendFaultKey appends the key of a fault model: one 0 byte for a nil or
+// disabled model, so such runs share the nominal entry, else a 1 followed
+// by the seed and the five rates. Faulted results must never share an entry
+// with nominal ones or with other fault settings.
+func AppendFaultKey(b []byte, fm *faultinject.Model) []byte {
+	if !fm.Enabled() {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	b = AppendInt(b, fm.Seed)
+	b = AppendFloat(b, fm.IcSpread)
+	b = AppendFloat(b, fm.PulseDrop)
+	b = AppendFloat(b, fm.BitFlip)
+	b = AppendFloat(b, fm.MarginErosion)
+	return AppendFloat(b, fm.SimFail)
+}
+
+// --- text keys for checkpoints ---
+
+// sep joins the parts of a text key.
+const sep = "\x1f"
+
+// writeInt appends one integer field to a text key under construction.
 func writeInt(b *strings.Builder, v int64) {
 	b.WriteString(sep)
 	b.WriteString(strconv.FormatInt(v, 10))
@@ -71,70 +180,43 @@ func writeFloat(b *strings.Builder, v float64) {
 	b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
 }
 
-// appendConfigKey serialises every field of an SFQ NPU configuration. Keys
-// sit on the memoised simulation hot path, so the fields are written by
-// hand rather than through reflection; keep this in step with arch.Config
-// (TestConfigKeyDistinguishesEveryField covers each field).
-func appendConfigKey(b *strings.Builder, cfg arch.Config) {
-	b.WriteString(cfg.Name)
-	writeInt(b, int64(cfg.ArrayHeight))
-	writeInt(b, int64(cfg.ArrayWidth))
-	writeInt(b, int64(cfg.Registers))
-	writeInt(b, int64(cfg.IfmapBufBytes))
-	writeInt(b, int64(cfg.IfmapChunks))
-	writeInt(b, int64(cfg.OutputBufBytes))
-	writeInt(b, int64(cfg.OutputChunks))
-	writeBool(b, cfg.IntegratedOutput)
-	writeInt(b, int64(cfg.PsumBufBytes))
-	writeInt(b, int64(cfg.WeightBufBytes))
-	writeInt(b, int64(cfg.Tech))
-	writeFloat(b, cfg.MemoryBandwidth)
-}
-
-// ConfigKey fingerprints an SFQ NPU configuration.
+// ConfigKey renders an SFQ NPU configuration as text. It is not a memo
+// key: the sweep checkpoints persist it (with faultinject.Model.Key) as
+// the identity of a completed point, so its output must stay byte-stable
+// for a checkpoint written by an earlier build to resume, and must stay
+// valid UTF-8 for JSONL. Keep it in step with arch.Config.
 func ConfigKey(cfg arch.Config) string {
 	var b strings.Builder
 	b.Grow(96)
-	appendConfigKey(&b, cfg)
+	b.WriteString(cfg.Name)
+	writeInt(&b, int64(cfg.ArrayHeight))
+	writeInt(&b, int64(cfg.ArrayWidth))
+	writeInt(&b, int64(cfg.Registers))
+	writeInt(&b, int64(cfg.IfmapBufBytes))
+	writeInt(&b, int64(cfg.IfmapChunks))
+	writeInt(&b, int64(cfg.OutputBufBytes))
+	writeInt(&b, int64(cfg.OutputChunks))
+	writeBool(&b, cfg.IntegratedOutput)
+	writeInt(&b, int64(cfg.PsumBufBytes))
+	writeInt(&b, int64(cfg.WeightBufBytes))
+	writeInt(&b, int64(cfg.Tech))
+	writeFloat(&b, cfg.MemoryBandwidth)
 	return b.String()
 }
 
-// appendNetworkKey serialises a workload, layer shapes included, so two
-// custom networks sharing a display name still key separately. Keep in step
-// with workload.Layer.
-func appendNetworkKey(b *strings.Builder, net workload.Network) {
-	b.WriteString(net.Name)
-	for _, l := range net.Layers {
-		b.WriteString(sep)
-		b.WriteString(l.Name)
-		writeInt(b, int64(l.Kind))
-		writeInt(b, int64(l.H))
-		writeInt(b, int64(l.W))
-		writeInt(b, int64(l.C))
-		writeInt(b, int64(l.R))
-		writeInt(b, int64(l.S))
-		writeInt(b, int64(l.M))
-		writeInt(b, int64(l.Stride))
-		writeInt(b, int64(l.Pad))
+// Fingerprint renders each part with %+v and joins them with 0x1f. No memo
+// cache keys through it: it is reflective, allocates, and lets a part
+// whose text contains 0x1f alias another split of the parts. It remains
+// only as a text identity for the benchmark module's request generator
+// tests, which still call it.
+func Fingerprint(parts ...any) string {
+	var b strings.Builder
+	for i, p := range parts {
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		fmt.Fprintf(&b, "%+v", p)
 	}
-}
-
-// NetworkKey fingerprints a workload.
-func NetworkKey(net workload.Network) string {
-	var b strings.Builder
-	b.Grow(64 + 48*len(net.Layers))
-	appendNetworkKey(&b, net)
-	return b.String()
-}
-
-// SimKey fingerprints one (configuration, network, batch) simulation.
-func SimKey(cfg arch.Config, net workload.Network, batch int) string {
-	var b strings.Builder
-	b.Grow(160 + 48*len(net.Layers))
-	appendConfigKey(&b, cfg)
-	b.WriteString(sep)
-	appendNetworkKey(&b, net)
-	writeInt(&b, int64(batch))
 	return b.String()
 }
 
@@ -199,18 +281,18 @@ type ScaleProj struct {
 	CyclesPerByte           float64
 }
 
-// appendShapeKey serialises every field of a layer shape. Keep in step
-// with workload.Shape.
-func appendShapeKey(b *strings.Builder, s workload.Shape) {
-	writeInt(b, int64(s.Kind))
-	writeInt(b, int64(s.H))
-	writeInt(b, int64(s.W))
-	writeInt(b, int64(s.C))
-	writeInt(b, int64(s.R))
-	writeInt(b, int64(s.S))
-	writeInt(b, int64(s.M))
-	writeInt(b, int64(s.Stride))
-	writeInt(b, int64(s.Pad))
+// appendShapeKey appends every field of a layer shape. Keep in step with
+// workload.Shape.
+func appendShapeKey(b []byte, s workload.Shape) []byte {
+	b = AppendInt(b, int64(s.Kind))
+	b = AppendInt(b, int64(s.H))
+	b = AppendInt(b, int64(s.W))
+	b = AppendInt(b, int64(s.C))
+	b = AppendInt(b, int64(s.R))
+	b = AppendInt(b, int64(s.S))
+	b = AppendInt(b, int64(s.M))
+	b = AppendInt(b, int64(s.Stride))
+	return AppendInt(b, int64(s.Pad))
 }
 
 // LayerCoreProj is the reduced projection that keys npusim's layer-grain
@@ -236,57 +318,56 @@ type LayerCoreProj struct {
 	Fits bool
 }
 
-// LayerKey fingerprints one (core projection, layer shape, batch) tile
-// walk for the npusim.layer cache.
-func LayerKey(p LayerCoreProj, s workload.Shape, batch int) string {
-	var b strings.Builder
-	b.Grow(112)
-	writeInt(&b, int64(p.ArrayHeight))
-	writeInt(&b, int64(p.ArrayWidth))
-	writeInt(&b, int64(p.Registers))
-	writeInt(&b, int64(p.PipelineStages))
-	writeFloat(&b, p.CyclesPerByte)
-	writeBool(&b, p.Fits)
-	appendShapeKey(&b, s)
-	writeInt(&b, int64(batch))
-	return b.String()
+// AppendLayerKey appends the key of one (core projection, layer shape,
+// batch) tile walk for the npusim.layer cache.
+func AppendLayerKey(b []byte, p LayerCoreProj, s workload.Shape, batch int) []byte {
+	b = AppendInt(b, int64(p.ArrayHeight))
+	b = AppendInt(b, int64(p.ArrayWidth))
+	b = AppendInt(b, int64(p.Registers))
+	b = AppendInt(b, int64(p.PipelineStages))
+	b = AppendFloat(b, p.CyclesPerByte)
+	b = appendBool(b, p.Fits)
+	b = appendShapeKey(b, s)
+	return AppendInt(b, int64(batch))
 }
 
-// ScaleLayerKey fingerprints one (CMOS projection, layer shape, batch)
-// layer simulation for the scalesim.layer cache.
-func ScaleLayerKey(p ScaleProj, s workload.Shape, batch int) string {
-	var b strings.Builder
-	b.Grow(112)
-	writeInt(&b, int64(p.ArrayHeight))
-	writeInt(&b, int64(p.ArrayWidth))
-	writeInt(&b, p.BufferBytes)
-	writeFloat(&b, p.CyclesPerByte)
-	appendShapeKey(&b, s)
-	writeInt(&b, int64(batch))
-	return b.String()
+// AppendScaleLayerKey appends the key of one (CMOS projection, layer shape,
+// batch) layer simulation for the scalesim.layer cache.
+func AppendScaleLayerKey(b []byte, p ScaleProj, s workload.Shape, batch int) []byte {
+	b = AppendInt(b, int64(p.ArrayHeight))
+	b = AppendInt(b, int64(p.ArrayWidth))
+	b = AppendInt(b, p.BufferBytes)
+	b = AppendFloat(b, p.CyclesPerByte)
+	b = appendShapeKey(b, s)
+	return AppendInt(b, int64(batch))
 }
 
-// TilesKey fingerprints one tile-plan enumeration: the layer shape plus
-// the array geometry mapper.Tiles reads.
+// AppendTilesKey appends the key of one tile-plan enumeration: the layer
+// shape plus the array geometry mapper.Tiles reads.
+func AppendTilesKey(b []byte, s workload.Shape, height, width, registers int) []byte {
+	b = appendShapeKey(b, s)
+	b = AppendInt(b, int64(height))
+	b = AppendInt(b, int64(width))
+	return AppendInt(b, int64(registers))
+}
+
+// TilesKey returns AppendTilesKey's key as a string, for callers that keep
+// keys as values; no cache builds it.
 func TilesKey(s workload.Shape, height, width, registers int) string {
-	var b strings.Builder
-	b.Grow(96)
-	appendShapeKey(&b, s)
-	writeInt(&b, int64(height))
-	writeInt(&b, int64(width))
-	writeInt(&b, int64(registers))
-	return b.String()
+	return string(AppendTilesKey(nil, s, height, width, registers))
 }
 
 // entry is one memoised computation; once guarantees the compute function
-// runs at most once per key even under concurrent first access.
+// runs at most once per key even under concurrent first access. key is the
+// entry's map key, kept so a failed fill can evict exactly this entry.
 type entry[V any] struct {
 	once sync.Once
+	key  string
 	val  V
 	err  error
 }
 
-// Cache is a thread-safe memo map from fingerprint keys to values.
+// Cache is a thread-safe memo map from binary keys to values.
 // The zero value is not usable; construct with New.
 type Cache[V any] struct {
 	mu       sync.Mutex
@@ -322,33 +403,40 @@ var errPanicked = errors.New("simcache: computation panicked")
 // compute is treated the same way: it reaches the caller that ran it, the
 // entry is evicted, and coalesced callers receive errPanicked, which in
 // turn is not memoised by any cache whose computation returns it.
-func (c *Cache[V]) GetOrCompute(key string, compute func() (V, error)) (V, error) {
+//
+// key is read, never retained: a hit looks it up without copying it, so
+// it allocates nothing, and only a miss copies it into the map.
+func (c *Cache[V]) GetOrCompute(key []byte, compute func() (V, error)) (V, error) {
 	c.mu.Lock()
-	e, ok := c.m[key]
-	if !ok {
-		e = &entry[V]{}
-		c.m[key] = e
-		c.miss.Inc()
-	} else {
+	e, ok := c.m[string(key)]
+	if ok {
 		c.hits.Inc()
+	} else {
+		e = &entry[V]{key: string(key)}
+		c.m[e.key] = e
+		c.miss.Inc()
 	}
 	c.mu.Unlock()
-	e.once.Do(func() {
-		c.inflight.Add(1)
-		defer c.inflight.Add(-1)
-		e.err = errPanicked // kept only if compute panics
-		defer func() {
-			if errors.Is(e.err, errPanicked) || guard.IsCancellation(e.err) {
-				c.mu.Lock()
-				if c.m[key] == e {
-					delete(c.m, key)
-				}
-				c.mu.Unlock()
-			}
-		}()
-		e.val, e.err = compute()
-	})
+	e.once.Do(func() { c.fill(e, compute) })
 	return e.val, e.err
+}
+
+// fill runs compute into e, evicting e if compute panics or returns a
+// transient error.
+func (c *Cache[V]) fill(e *entry[V], compute func() (V, error)) {
+	c.inflight.Add(1)
+	defer c.inflight.Add(-1)
+	e.err = errPanicked // kept only if compute panics
+	defer func() {
+		if errors.Is(e.err, errPanicked) || guard.IsCancellation(e.err) {
+			c.mu.Lock()
+			if c.m[e.key] == e {
+				delete(c.m, e.key)
+			}
+			c.mu.Unlock()
+		}
+	}()
+	e.val, e.err = compute()
 }
 
 // InFlight returns the number of computations currently running in this
@@ -356,23 +444,6 @@ func (c *Cache[V]) GetOrCompute(key string, compute func() (V, error)) (V, error
 // Duplicate concurrent requests coalesce onto one in-flight computation, so
 // this gauge counts distinct work, not waiting callers.
 func (c *Cache[V]) InFlight() int64 { return c.inflight.Load() }
-
-// Get returns the cached value for key, if a completed computation exists.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	c.mu.Lock()
-	e, ok := c.m[key]
-	c.mu.Unlock()
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	e.once.Do(func() {}) // wait for an in-flight computation
-	if e.err != nil {
-		var zero V
-		return zero, false
-	}
-	return e.val, true
-}
 
 // Len returns the number of entries.
 func (c *Cache[V]) Len() int {

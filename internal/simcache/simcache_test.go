@@ -1,14 +1,17 @@
 package simcache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"supernpu/internal/arch"
+	"supernpu/internal/faultinject"
 	"supernpu/internal/guard"
 	"supernpu/internal/workload"
 )
@@ -30,12 +33,43 @@ func TestConfigKeyDistinguishesEveryField(t *testing.T) {
 		func(c *arch.Config) { c.Tech++ },
 		func(c *arch.Config) { c.MemoryBandwidth *= 2 },
 	}
-	ref := ConfigKey(base)
+	ref := AppendConfigKey(nil, base)
+	refText := ConfigKey(base)
 	for i, mutate := range mutations {
 		c := base
 		mutate(&c)
-		if ConfigKey(c) == ref {
+		if bytes.Equal(AppendConfigKey(nil, c), ref) {
 			t.Errorf("mutation %d: distinct configs share a key", i)
+		}
+		if ConfigKey(c) == refText {
+			t.Errorf("mutation %d: distinct configs share a checkpoint key", i)
+		}
+	}
+	zero, negZero := base, base
+	zero.MemoryBandwidth = 0
+	negZero.MemoryBandwidth = math.Copysign(0, -1)
+	if bytes.Equal(AppendConfigKey(nil, zero), AppendConfigKey(nil, negZero)) {
+		t.Error("0 and -0 bandwidths share a key")
+	}
+}
+
+// TestCheckpointKeysAreStable pins ConfigKey's text to the bytes sweep
+// checkpoints already hold: a checkpoint written by an earlier build must
+// still resume, so this output may never drift.
+func TestCheckpointKeysAreStable(t *testing.T) {
+	want := map[string]string{
+		"Baseline":      "Baseline\x1f256\x1f256\x1f1\x1f8388608\x1f1\x1f8388608\x1f1\x1ff\x1f8388608\x1f65536\x1f0\x1f3e+11",
+		"Buffer opt.":   "Buffer opt.\x1f256\x1f256\x1f1\x1f12582912\x1f64\x1f12582912\x1f64\x1ft\x1f0\x1f65536\x1f0\x1f3e+11",
+		"Resource opt.": "Resource opt.\x1f256\x1f64\x1f1\x1f25165824\x1f64\x1f25165824\x1f256\x1ft\x1f0\x1f16384\x1f0\x1f3e+11",
+		"SuperNPU":      "SuperNPU\x1f256\x1f64\x1f8\x1f25165824\x1f64\x1f25165824\x1f256\x1ft\x1f0\x1f131072\x1f0\x1f3e+11",
+	}
+	designs := arch.Designs()
+	if len(designs) != len(want) {
+		t.Fatalf("%d designs, want %d", len(designs), len(want))
+	}
+	for _, cfg := range designs {
+		if got := ConfigKey(cfg); got != want[cfg.Name] {
+			t.Errorf("ConfigKey(%s) = %q, want %q", cfg.Name, got, want[cfg.Name])
 		}
 	}
 }
@@ -47,11 +81,29 @@ func TestNetworkKeyDistinguishesLayersNotJustNames(t *testing.T) {
 	b := a
 	b.Layers = []workload.Layer{a.Layers[0]}
 	b.Layers[0].M = 32
-	if NetworkKey(a) == NetworkKey(b) {
+	if bytes.Equal(AppendNetworkKey(nil, a), AppendNetworkKey(nil, b)) {
 		t.Fatal("networks with the same name but different layers share a key")
 	}
-	if NetworkKey(a) != NetworkKey(workload.Network{Name: a.Name, Layers: a.Layers}) {
+	if !bytes.Equal(AppendNetworkKey(nil, a), AppendNetworkKey(nil, workload.Network{Name: a.Name, Layers: a.Layers})) {
 		t.Fatal("identical networks produce different keys")
+	}
+	if NetworkKey(a) != string(AppendNetworkKey(nil, a)) {
+		t.Fatal("NetworkKey differs from AppendNetworkKey")
+	}
+}
+
+// TestNetworkKeySurvivesSeparatorNames is the aliasing pair the text keys
+// got wrong: the second network's only layer is the first network's second
+// layer, under a name that spells out the first layer's fields joined by
+// 0x1f. Self-delimiting names keep the two apart.
+func TestNetworkKeySurvivesSeparatorNames(t *testing.T) {
+	x := workload.Layer{Name: "x", Kind: workload.Conv, H: 8, W: 8, C: 4, R: 3, S: 3, M: 8, Stride: 1, Pad: 1}
+	y := workload.Layer{Name: "y", Kind: workload.Conv, H: 8, W: 8, C: 8, R: 3, S: 3, M: 8, Stride: 1, Pad: 1}
+	a := workload.Network{Name: "N", Layers: []workload.Layer{x, y}}
+	b := workload.Network{Name: "N\x1fx\x1f0\x1f8\x1f8\x1f4\x1f3\x1f3\x1f8\x1f1\x1f1", Layers: []workload.Layer{y}}
+	cfg := arch.SuperNPU()
+	if bytes.Equal(AppendSimKey(nil, cfg, a, 1), AppendSimKey(nil, cfg, b, 1)) {
+		t.Fatal("two different networks share a simulation key")
 	}
 }
 
@@ -61,13 +113,83 @@ func TestSimKeySeparatesBatchFromShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if SimKey(cfg, net, 1) == SimKey(cfg, net, 2) {
+	if bytes.Equal(AppendSimKey(nil, cfg, net, 1), AppendSimKey(nil, cfg, net, 2)) {
 		t.Fatal("batches 1 and 2 share a key")
 	}
 	other := cfg
 	other.Registers++
-	if SimKey(cfg, net, 1) == SimKey(other, net, 1) {
+	if bytes.Equal(AppendSimKey(nil, cfg, net, 1), AppendSimKey(nil, other, net, 1)) {
 		t.Fatal("distinct configs share a simulation key")
+	}
+	if SimKey(cfg, net, 1) != string(AppendSimKey(nil, cfg, net, 1)) {
+		t.Fatal("SimKey differs from AppendSimKey")
+	}
+}
+
+// TestFaultKeyTagsTheModel pins the fault tail: a nil or disabled model
+// appends the nominal tag alone, so its runs share the nominal entry; any
+// enabled model keys apart from it and from every other setting.
+func TestFaultKeyTagsTheModel(t *testing.T) {
+	nominal := AppendFaultKey(nil, nil)
+	if !bytes.Equal(nominal, []byte{0}) {
+		t.Fatalf("nil model key = %x, want 00", nominal)
+	}
+	if !bytes.Equal(AppendFaultKey(nil, &faultinject.Model{Seed: 9}), nominal) {
+		t.Error("a disabled model does not share the nominal key")
+	}
+	base := faultinject.Model{Seed: 42, IcSpread: 0.03, PulseDrop: 1e-9, BitFlip: 2.5e-12, MarginErosion: 0.05, SimFail: 0.125}
+	ref := AppendFaultKey(nil, &base)
+	if bytes.Equal(ref, nominal) {
+		t.Fatal("an enabled model shares the nominal key")
+	}
+	mutations := []func(*faultinject.Model){
+		func(m *faultinject.Model) { m.Seed++ },
+		func(m *faultinject.Model) { m.IcSpread *= 2 },
+		func(m *faultinject.Model) { m.PulseDrop *= 2 },
+		func(m *faultinject.Model) { m.BitFlip *= 2 },
+		func(m *faultinject.Model) { m.MarginErosion *= 2 },
+		func(m *faultinject.Model) { m.SimFail *= 2 },
+	}
+	for i, mutate := range mutations {
+		m := base
+		mutate(&m)
+		if bytes.Equal(AppendFaultKey(nil, &m), ref) {
+			t.Errorf("mutation %d: distinct fault models share a key", i)
+		}
+	}
+}
+
+// TestKeyBufHoldsEveryCNN pins KeyBuf's size: the whole-simulation key of
+// each of the six CNNs, with a full fault tail, fits without growing.
+func TestKeyBufHoldsEveryCNN(t *testing.T) {
+	fm := &faultinject.Model{Seed: math.MinInt64, IcSpread: 1, PulseDrop: 1, BitFlip: 1, MarginErosion: 1, SimFail: 1}
+	for _, cfg := range arch.Designs() {
+		for _, net := range workload.All() {
+			var kb KeyBuf
+			key := AppendFaultKey(AppendSimKey(kb[:0], cfg, net, math.MaxInt), fm)
+			if len(key) > len(kb) {
+				t.Errorf("%s/%s: key of %d bytes outgrows KeyBuf (%d)", cfg.Name, net.Name, len(key), len(kb))
+			}
+		}
+	}
+}
+
+// TestHitAllocatesNothing pins the lookup contract: a hit indexes the map
+// with the caller's bytes and neither copies them nor builds anything.
+func TestHitAllocatesNothing(t *testing.T) {
+	c := New[int]()
+	var kb KeyBuf
+	key := AppendSimKey(kb[:0], arch.SuperNPU(), workload.ResNet50(), 1)
+	if _, err := c.GetOrCompute(key, func() (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if v, err := c.GetOrCompute(key, func() (int, error) { return 2, nil }); v != 1 || err != nil {
+			t.Fatalf("hit = (%d, %v)", v, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a cache hit allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -75,7 +197,7 @@ func TestGetOrComputeMemoises(t *testing.T) {
 	c := New[int]()
 	calls := 0
 	for i := 0; i < 5; i++ {
-		v, err := c.GetOrCompute("k", func() (int, error) { calls++; return 42, nil })
+		v, err := c.GetOrCompute([]byte("k"), func() (int, error) { calls++; return 42, nil })
 		if err != nil || v != 42 {
 			t.Fatalf("got (%d, %v)", v, err)
 		}
@@ -97,15 +219,15 @@ func TestGetOrComputeMemoisesErrors(t *testing.T) {
 	want := errors.New("deterministic failure")
 	calls := 0
 	for i := 0; i < 3; i++ {
-		if _, err := c.GetOrCompute("bad", func() (int, error) { calls++; return 0, want }); !errors.Is(err, want) {
+		if _, err := c.GetOrCompute([]byte("bad"), func() (int, error) { calls++; return 0, want }); !errors.Is(err, want) {
 			t.Fatalf("got %v, want %v", err, want)
 		}
 	}
 	if calls != 1 {
 		t.Fatalf("compute ran %d times, want 1", calls)
 	}
-	if _, ok := c.Get("bad"); ok {
-		t.Fatal("Get returned ok for an errored entry")
+	if h, m := c.Counters(); h != 2 || m != 1 || c.Len() != 1 {
+		t.Fatalf("counters = (%d hits, %d misses), %d entries; want (2, 1), 1", h, m, c.Len())
 	}
 }
 
@@ -119,7 +241,7 @@ func TestConcurrentGetOrComputeRunsOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			v, err := c.GetOrCompute("shared", func() (int, error) {
+			v, err := c.GetOrCompute([]byte("shared"), func() (int, error) {
 				calls.Add(1)
 				return 7, nil
 			})
@@ -147,7 +269,7 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				key := Fingerprint("key", i)
+				key := AppendInt(nil, int64(i))
 				v, err := c.GetOrCompute(key, func() (int, error) { return i, nil })
 				if err != nil || v != i {
 					t.Errorf("key %d: got (%d, %v)", i, v, err)
@@ -163,8 +285,8 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 
 func TestClearResetsEntriesAndCounters(t *testing.T) {
 	c := New[string]()
-	c.GetOrCompute("a", func() (string, error) { return "x", nil })
-	c.GetOrCompute("a", func() (string, error) { return "x", nil })
+	c.GetOrCompute([]byte("a"), func() (string, error) { return "x", nil })
+	c.GetOrCompute([]byte("a"), func() (string, error) { return "x", nil })
 	c.Clear()
 	if c.Len() != 0 {
 		t.Fatalf("Len after Clear = %d", c.Len())
@@ -172,16 +294,19 @@ func TestClearResetsEntriesAndCounters(t *testing.T) {
 	if h, m := c.Counters(); h != 0 || m != 0 {
 		t.Fatalf("counters after Clear = (%d, %d)", h, m)
 	}
-	if _, ok := c.Get("a"); ok {
+	if v, _ := c.GetOrCompute([]byte("a"), func() (string, error) { return "y", nil }); v != "y" {
 		t.Fatal("entry survived Clear")
+	}
+	if h, m := c.Counters(); h != 0 || m != 1 {
+		t.Fatalf("counters after the post-Clear lookup = (%d, %d), want a miss", h, m)
 	}
 }
 
 func TestRegistrySnapshotAndClearAll(t *testing.T) {
 	c := New[int]()
 	Register("test-cache", c)
-	c.GetOrCompute("k", func() (int, error) { return 1, nil })
-	c.GetOrCompute("k", func() (int, error) { return 1, nil })
+	c.GetOrCompute([]byte("k"), func() (int, error) { return 1, nil })
+	c.GetOrCompute([]byte("k"), func() (int, error) { return 1, nil })
 
 	var found *Stats
 	for _, s := range Snapshot() {
@@ -214,14 +339,14 @@ func TestTransientErrorsAreNotMemoised(t *testing.T) {
 	c := New[int]()
 	calls := 0
 	canceled := fmt.Errorf("sweep: %w", guard.ErrCanceled)
-	_, err := c.GetOrCompute("k", func() (int, error) { calls++; return 0, canceled })
+	_, err := c.GetOrCompute([]byte("k"), func() (int, error) { calls++; return 0, canceled })
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("first attempt err = %v", err)
 	}
 	if got := c.Len(); got != 0 {
 		t.Fatalf("canceled computation left %d entries in the cache", got)
 	}
-	v, err := c.GetOrCompute("k", func() (int, error) { calls++; return 42, nil })
+	v, err := c.GetOrCompute([]byte("k"), func() (int, error) { calls++; return 42, nil })
 	if err != nil || v != 42 {
 		t.Fatalf("retry = %d, %v", v, err)
 	}
@@ -229,7 +354,7 @@ func TestTransientErrorsAreNotMemoised(t *testing.T) {
 		t.Fatalf("compute ran %d times, want 2 (no memoised cancellation)", calls)
 	}
 	// The successful retry is memoised as usual.
-	v, err = c.GetOrCompute("k", func() (int, error) { calls++; return -1, nil })
+	v, err = c.GetOrCompute([]byte("k"), func() (int, error) { calls++; return -1, nil })
 	if err != nil || v != 42 || calls != 2 {
 		t.Fatalf("after retry: v=%d calls=%d err=%v", v, calls, err)
 	}
@@ -247,9 +372,9 @@ func TestPanickingComputeIsNotMemoised(t *testing.T) {
 				t.Errorf("recovered %v, want the compute's own panic", r)
 			}
 		}()
-		_, _ = c.GetOrCompute("k", func() (*int, error) {
+		_, _ = c.GetOrCompute([]byte("k"), func() (*int, error) {
 			go func() {
-				v, err := c.GetOrCompute("k", func() (*int, error) {
+				v, err := c.GetOrCompute([]byte("k"), func() (*int, error) {
 					return nil, errors.New("coalesced caller ran its own computation")
 				})
 				if v != nil {
@@ -275,7 +400,7 @@ func TestPanickingComputeIsNotMemoised(t *testing.T) {
 	}
 
 	want := 42
-	v, err := c.GetOrCompute("k", func() (*int, error) { return &want, nil })
+	v, err := c.GetOrCompute([]byte("k"), func() (*int, error) { return &want, nil })
 	if err != nil || v == nil || *v != 42 {
 		t.Fatalf("retry = %v, %v; want a fresh computation", v, err)
 	}
@@ -283,7 +408,7 @@ func TestPanickingComputeIsNotMemoised(t *testing.T) {
 	// A cache whose computation passes a coalesced caller's error on does
 	// not memoise it either.
 	outer := New[int]()
-	if _, err := outer.GetOrCompute("k", func() (int, error) {
+	if _, err := outer.GetOrCompute([]byte("k"), func() (int, error) {
 		return 0, fmt.Errorf("layer: %w", errPanicked)
 	}); !errors.Is(err, errPanicked) {
 		t.Fatalf("outer err = %v", err)
@@ -300,7 +425,7 @@ func TestNumericErrorsStayMemoised(t *testing.T) {
 	calls := 0
 	diverged := fmt.Errorf("transient: %w", guard.ErrDiverged)
 	for i := 0; i < 3; i++ {
-		_, err := c.GetOrCompute("k", func() (int, error) { calls++; return 0, diverged })
+		_, err := c.GetOrCompute([]byte("k"), func() (int, error) { calls++; return 0, diverged })
 		if !errors.Is(err, guard.ErrDiverged) {
 			t.Fatalf("attempt %d err = %v", i, err)
 		}

@@ -1,6 +1,10 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // The six CNN workloads of the paper's evaluation (Section V/VI). Shapes
 // are the conventional published architectures; AlexNet follows the paper's
@@ -209,22 +213,42 @@ func FasterRCNN() Network {
 	return Network{Name: "FasterRCNN", Layers: layers}
 }
 
-// All returns the paper's six evaluation workloads in Fig. 23 order.
-func All() []Network {
+// templates holds the six evaluation workloads, built on first use rather
+// than at package init so process start-up does not pay for them. Callers
+// only ever see copies.
+var templates = sync.OnceValue(func() []Network {
 	return []Network{
 		AlexNet(), FasterRCNN(), GoogLeNet(), MobileNet(), ResNet50(), VGG16(),
 	}
+})
+
+// clone returns a copy of n whose layer slice the caller owns.
+func (n Network) clone() Network {
+	return Network{Name: n.Name, Layers: slices.Clone(n.Layers)}
 }
 
-// ByName returns the named workload, or an error listing valid names.
+// All returns the paper's six evaluation workloads in Fig. 23 order. The
+// networks are built once; each call returns fresh copies the caller may
+// modify.
+func All() []Network {
+	t := templates()
+	out := make([]Network, len(t))
+	for i, n := range t {
+		out[i] = n.clone()
+	}
+	return out
+}
+
+// ByName returns a copy of the named workload, or an error listing valid
+// names.
 func ByName(name string) (Network, error) {
-	for _, n := range All() {
+	for _, n := range templates() {
 		if n.Name == name {
-			return n, nil
+			return n.clone(), nil
 		}
 	}
 	var names []string
-	for _, n := range All() {
+	for _, n := range templates() {
 		names = append(names, n.Name)
 	}
 	return Network{}, fmt.Errorf("workload: unknown network %q (have %v)", name, names)
