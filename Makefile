@@ -103,12 +103,14 @@ cover:
 			else { printf "%s coverage %s%% (floor %s%%)\n", pkg, pct, floor } }' || exit 1; \
 	done
 
-# Short fuzzing passes over the request decoders and the cache keys.
+# Short fuzzing passes over the request decoders, the cache keys and the
+# closed-form tile classes.
 # Seed corpora are checked in under */testdata/fuzz and always run in
 # `make test`; this target additionally mutates for FUZZTIME per target.
 fuzz:
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeRequests -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/simcache -run='^$$' -fuzz=FuzzKeyInjectivity -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mapper -run='^$$' -fuzz=FuzzTileClasses -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/obs -run='^$$' -fuzz=FuzzPromEscape -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/lint -run='^$$' -fuzz=FuzzSARIFEscape -fuzztime=$(FUZZTIME)
 

@@ -126,12 +126,10 @@ func BenchmarkRunAllWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkFig20BufferSweepWarm measures the Fig. 20 buffer sweep with the
-// whole-simulation caches cleared every iteration but the layer-grain
-// families (npusim.layer, scalesim.layer, mapper.tiles) and the estimator
-// caches kept warm — the steady-state cost of re-running a sweep whose
-// per-layer work is shared. The pre-layer-grain cost of the same pattern
-// is recorded in BENCH_PR10.json.
+// BenchmarkFig20BufferSweepWarm measures a Fig. 20 buffer sweep rerun with
+// the whole-simulation caches cleared every iteration and only the
+// estimator and jsim caches warm, so every sweep simulation runs again.
+// There is no per-layer cache tier: each layer is charged in closed form.
 func BenchmarkFig20BufferSweepWarm(b *testing.B) {
 	simcache.ClearAll()
 	b.Cleanup(simcache.ClearAll)

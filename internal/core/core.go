@@ -82,9 +82,6 @@ func DesignPoints() []Design {
 	return out
 }
 
-// Workloads returns the six evaluation CNNs.
-func Workloads() []workload.Network { return workload.All() }
-
 // DesignByName resolves a design point by display name, case-insensitively.
 // An "ERSFQ-" prefix on an SFQ design name selects the energy-efficient
 // biasing variant of that design (zero static power, doubled switching

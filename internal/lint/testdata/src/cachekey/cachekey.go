@@ -72,7 +72,7 @@ func LayersKey(n Network) string { // want "never reads l.W"
 	return b.String()
 }
 
-// Proj and Dims mirror the layer-grain projection keys: a reduced config
+// Proj and Dims model a projection key: a reduced config
 // projection plus a name-free shape, keyed together with the shape side
 // delegated to a shared append helper.
 type Proj struct {

@@ -1,23 +1,13 @@
 // Package mapper computes the weight mappings of a layer onto a
 // weight-stationary systolic array: the tiling of the layer's (R·S·C)
 // weight positions over the PE rows and of its M filters over the PE
-// columns and register planes. The cycle-based performance simulator and
-// the functional cycle-stepped array consume exactly the same tiles, so the
-// two models are tied to one mapping policy.
+// columns and register planes. One mapping policy serves every model:
+// Tiles enumerates the mappings one by one for the functional
+// cycle-stepped array, and Classes is its closed form, the few classes of
+// identical mappings that the cycle models charge as count × charge.
 package mapper
 
-import (
-	"supernpu/internal/simcache"
-	"supernpu/internal/workload"
-)
-
-// tileCache memoises Tiles by (layer shape, array geometry): the same tile
-// plans are re-derived at every sweep point and batch resolution of
-// Figs. 20–22. Cached slices are shared between callers and must be
-// treated as read-only.
-var tileCache = simcache.New[[]Tile]()
-
-func init() { simcache.Register("mapper.tiles", tileCache) }
+import "supernpu/internal/workload"
 
 // Tile is one weight mapping.
 type Tile struct {
@@ -38,7 +28,8 @@ type Tile struct {
 }
 
 // Tiles enumerates the layer's weight mappings on an array of the given
-// height (rows), width (columns) and registers per PE.
+// height (rows), width (columns) and registers per PE. It builds a fresh
+// slice on every call; the cycle models charge Classes instead.
 //
 // Registers engage only when a tile's filter count exceeds the array width:
 // each engaged register plane trades one streaming pass for a column's
@@ -47,21 +38,10 @@ type Tile struct {
 // Depthwise layers reduce within one channel only, so each channel maps
 // separately onto R·S rows and a single column — the structural
 // underutilisation the paper observes on MobileNet.
-//
-// Results are memoised by (layer shape, height, width, registers); the
-// returned slice is shared between callers, who must not modify it.
 func Tiles(l workload.Layer, height, width, registers int) []Tile {
 	if l.Kind == workload.Pool {
 		return nil
 	}
-	var kb [128]byte
-	tiles, _ := tileCache.GetOrCompute(simcache.AppendTilesKey(kb[:0], l.Shape(), height, width, registers),
-		func() ([]Tile, error) { return enumerate(l, height, width, registers), nil })
-	return tiles
-}
-
-// enumerate is the uncached tile-plan derivation.
-func enumerate(l workload.Layer, height, width, registers int) []Tile {
 	if l.Kind == workload.DepthwiseConv {
 		tiles := make([]Tile, 0, l.C)
 		rows := l.R * l.S
@@ -111,4 +91,72 @@ func enumerate(l workload.Layer, height, width, registers int) []Tile {
 // map of ef positions and the given batch.
 func (t Tile) MACs(batch int, ef int64) int64 {
 	return int64(batch) * ef * int64(t.Rows) * int64(t.Filters)
+}
+
+// Class is Count weight mappings that agree on every field a cycle model
+// charges; they differ only in where they sit (RowOffset, ColBase,
+// Channel).
+type Class struct {
+	Rows, Filters, Cols, Regs int
+	Channels                  int
+	FirstRowTile              bool
+	Count                     int
+}
+
+// Classes is the closed form of Tiles: the layer's mappings grouped into
+// classes of identical tiles, in O(1) and without allocating.
+//
+// The R·S·C rows split into nRow = ⌈R·S·C / height⌉ row blocks and the M
+// filters into blocks of width × registers, so a tile is one of six kinds:
+// the first, a middle (nRow−2 of them) or the last row block, times a
+// full or the last, partial filter block. The first row block is the only
+// first-row class; with one row block it is also the partial one and the
+// middle and last classes are empty. A depthwise layer is one class of C
+// identical tiles. Slot 2·row + filter holds each kind; an empty slot is
+// the zero Class, which charges nothing, and a layer Tiles maps no tile
+// (a pool, or an empty shape) has only empty slots.
+func Classes(l workload.Layer, height, width, registers int) [6]Class {
+	var cs [6]Class
+	switch {
+	case l.Kind == workload.Pool:
+		return cs
+	case l.Kind == workload.DepthwiseConv:
+		if l.C > 0 {
+			cs[0] = Class{Rows: min(l.R*l.S, height), Filters: 1, Cols: 1, Regs: 1,
+				Channels: 1, FirstRowTile: true, Count: l.C}
+		}
+		return cs
+	}
+	rsc := l.R * l.S * l.C
+	if rsc <= 0 || l.M <= 0 {
+		return cs
+	}
+	nRow := (rsc + height - 1) / height
+	perTile := width * registers
+	type block struct{ size, count int }
+	rowBlocks := [3]block{
+		{min(rsc, height), 1},
+		{height, max(nRow-2, 0)},
+		{rsc - (nRow-1)*height, min(nRow-1, 1)},
+	}
+	filterBlocks := [2]block{
+		{perTile, l.M / perTile},
+		{l.M % perTile, min(l.M%perTile, 1)},
+	}
+	for i, r := range rowBlocks {
+		for j, f := range filterBlocks {
+			if r.count == 0 || f.count == 0 {
+				continue
+			}
+			regs := (f.size + width - 1) / width
+			cs[2*i+j] = Class{
+				Rows: r.size, Filters: f.size,
+				Cols: (f.size + regs - 1) / regs, Regs: regs,
+				Channels:     (r.size + l.R*l.S - 1) / (l.R * l.S),
+				FirstRowTile: i == 0,
+				Count:        r.count * f.count,
+			}
+		}
+	}
+	return cs
 }

@@ -30,7 +30,6 @@ import (
 	"supernpu/internal/parallel"
 	"supernpu/internal/sfq"
 	"supernpu/internal/simcache"
-	"supernpu/internal/srmem"
 	"supernpu/internal/workload"
 )
 
@@ -41,28 +40,13 @@ import (
 // shared between callers and must be treated as read-only.
 var cache = simcache.New[*Report]()
 
-// layerCache memoises the core tile walk of simulateLayer beneath the
-// whole-simulation cache, keyed by (core projection, layer shape, batch).
-// The cached core excludes the per-mapping shift-register unit costs —
-// ifmap recirculation and psum inter-buffer movement — which are linear
-// in the tile counts and applied per caller (applyUnitCosts), so sweep
-// points that vary only buffer division or non-fit-flipping capacity
-// share one walk, as do repeated shapes within one network. Nominal runs
-// only: faulted runs walk directly, because their operating point keys
-// walks no other run reuses (see simulate).
-var layerCache = simcache.New[layerCore]()
+func init() { simcache.Register("npusim", cache) }
 
-func init() {
-	simcache.Register("npusim", cache)
-	simcache.Register("npusim.layer", layerCache)
-}
-
-// layerSites counts the compute-layer sites accumulated by nominal
-// (fault-free) simulations — each site is one per-layer simulation that
-// would run without the layer-grain cache. Divided by the npusim.layer
-// cache's miss count it yields the measured dedup factor (EXPERIMENTS.md).
+// layerSites counts the compute-layer sites npusim simulations charge,
+// nominal and faulted alike: one per compute layer of every simulated
+// network.
 var layerSites = obs.Default.Counter("supernpu_npusim_layer_sites_total",
-	"compute-layer sites accumulated by nominal npusim simulations")
+	"compute-layer sites charged by npusim simulations")
 
 // BatchCap is the paper's conservative batch ceiling: Table II never sets a
 // batch above 30 even when the buffers would hold more ("there is room to
@@ -70,54 +54,35 @@ var layerSites = obs.Default.Counter("supernpu_npusim_layer_sites_total",
 const BatchCap = 30
 
 // MaxBatch returns the largest batch size the design's on-chip buffers hold
-// for the network without additional off-chip memory access (Table II).
-//
-// Three constraints apply per layer:
+// for the network without additional off-chip memory access (Table II):
+// the smallest batchBound over its compute layers, floored at 1 (a single
+// input always runs, spilling to DRAM) and capped at BatchCap.
+func MaxBatch(cfg arch.Config, net workload.Network) int {
+	b := BatchCap
+	for _, l := range net.Layers {
+		if l.ComputeLayer() {
+			b = min(b, batchBound(cfg, l))
+		}
+	}
+	return max(b, 1)
+}
+
+// batchBound is the largest batch whose activations of layer l stay
+// on-chip. Two buffer lanes bind:
 //   - a monolithic ifmap buffer dedicates one byte lane per input channel
 //     (Fig. 18(c)): B·H·W must fit one lane; a divided buffer spreads
 //     channels across chunks, so only the total capacity binds;
 //   - the output buffer dedicates one byte lane per PE column / filter
-//     (Fig. 18(b)): B·E·F must fit one lane;
-//   - the result is floored at 1 (a single input always runs, spilling to
-//     DRAM) and capped at BatchCap.
-func MaxBatch(cfg arch.Config, net workload.Network) int {
-	b := BatchCap
-	ifLane := cfg.IfmapBufBytes / cfg.ArrayHeight
-	outLane := cfg.OutputBufBytes / cfg.ArrayWidth
-	for _, l := range net.Layers {
-		if !l.ComputeLayer() {
-			continue
-		}
-		var bIn int
-		if cfg.IfmapChunks == 1 {
-			bIn = ifLane / (l.H * l.W)
-		} else {
-			bIn = cfg.IfmapBufBytes / (l.H * l.W * l.C)
-		}
-		bOut := outLane / (l.OutH() * l.OutW())
-		if bIn < b {
-			b = bIn
-		}
-		if bOut < b {
-			b = bOut
-		}
-	}
-	if b < 1 {
-		return 1
-	}
-	return b
-}
-
-// layerFits reports whether the layer's batch-B activations stay on-chip.
-func layerFits(p simcache.LayerProj, l workload.Layer, batch int) bool {
+//     (Fig. 18(b)): B·E·F must fit one lane.
+func batchBound(cfg arch.Config, l workload.Layer) int {
 	var bIn int
-	if p.IfmapChunks == 1 {
-		bIn = p.IfmapBufBytes / p.ArrayHeight / (l.H * l.W)
+	if cfg.IfmapChunks == 1 {
+		bIn = cfg.IfmapBufBytes / cfg.ArrayHeight / (l.H * l.W)
 	} else {
-		bIn = p.IfmapBufBytes / (l.H * l.W * l.C)
+		bIn = cfg.IfmapBufBytes / (l.H * l.W * l.C)
 	}
-	bOut := p.OutputBufBytes / p.ArrayWidth / (l.OutH() * l.OutW())
-	return batch <= bIn && batch <= bOut
+	bOut := cfg.OutputBufBytes / cfg.ArrayWidth / (l.OutH() * l.OutW())
+	return min(bIn, bOut)
 }
 
 // LayerStats is the per-layer simulation outcome.
@@ -254,158 +219,64 @@ func (r *Report) PrepFraction() float64 {
 // cyclesPerByte converts DRAM bytes into NPU cycles at frequency f.
 func cyclesPerByte(f, bandwidth float64) float64 { return f / bandwidth }
 
-// layerCore is the cached portion of one layer simulation: the tile-walk
-// stats without the per-mapping shift-register unit costs, plus the
-// continuing-row tile count those costs multiply against.
-type layerCore struct {
-	Stats       LayerStats // Layer is zeroed; applyUnitCosts restores it
-	NonFirstRow int        // tiles that re-inject partial sums
-}
-
-// recirculateCycles is the per-mapping ifmap repositioning cost: the data
-// consumed by the previous mapping must rotate back to the chunk head
-// before it can stream again — a full-buffer rotation when monolithic,
-// one chunk when divided. The geometry is rebuilt from the projection
-// exactly as arch.Config.IfmapBuf builds it.
-func recirculateCycles(p simcache.LayerProj) int64 {
-	ifBuf := srmem.Config{WidthBytes: p.ArrayHeight, CapacityBytes: p.IfmapBufBytes, Chunks: p.IfmapChunks}
-	return int64(ifBuf.RecirculateCycles())
-}
-
-// psumMoveCycles is the per-continuing-tile partial-sum re-injection
-// cost. Separate psum/ofmap buffers pay the inter-buffer walk
-// (Fig. 16 ①); the integrated buffer just re-selects the chunk, for
-// free. Geometries rebuilt exactly as arch.Config.OutputBuf/PsumBuf.
-func psumMoveCycles(p simcache.LayerProj) int64 {
-	if p.IntegratedOutput {
-		return 0
-	}
-	outBuf := srmem.Config{WidthBytes: p.ArrayWidth, CapacityBytes: p.OutputBufBytes, Chunks: p.OutputChunks}
-	psumBuf := srmem.Config{WidthBytes: p.ArrayWidth, CapacityBytes: p.PsumBufBytes, Chunks: 1}
-	return int64(outBuf.InterBufferMoveCycles(psumBuf, p.PsumBufBytes))
-}
-
-// coreProj reduces the full projection to the fields the cached tile walk
-// reads, resolving the layer's batch-fit decision into its Fits bit. The
-// buffer capacities and divisions drop out here: beyond the fit bit they
-// only reach a layer through the per-mapping unit costs above.
-func coreProj(p simcache.LayerProj, l workload.Layer, batch int) simcache.LayerCoreProj {
-	return simcache.LayerCoreProj{
-		ArrayHeight: p.ArrayHeight, ArrayWidth: p.ArrayWidth,
-		Registers:      p.Registers,
-		PipelineStages: p.PipelineStages,
-		CyclesPerByte:  p.CyclesPerByte,
-		Fits:           layerFits(p, l, batch),
-	}
-}
-
-// simulateLayerCore runs the weight-mapping loop of one layer, polling
-// for cancellation once per weight mapping so a canceled simulation stops
-// mid-layer instead of charging the full tile walk.
-//
-// It reads the configuration only through the reduced core projection
-// (and the layer only through shape-derived quantities), which is what
-// makes the layer-grain cache key complete by construction: two configs
-// with equal core projections cannot produce different cores here.
-func simulateLayerCore(ctx context.Context, cp simcache.LayerCoreProj, l workload.Layer, batch int) (layerCore, error) {
-	var core layerCore
-	st := &core.Stats
-	var w guard.Watch
-	w.Arm(ctx)
-	defer w.Disarm()
-
+// chargeLayer charges one compute layer's weight mappings in closed form:
+// each tile class of mapper.Classes costs its count times the charge of
+// one of its tiles. Every per-tile charge below is an integer computed
+// from that tile's own fields, the truncated DRAM cycles included, so
+// count × charge equals the tile-by-tile sum exactly, and int64
+// wrap-around is the same either way (walk_test.go keeps the tile walk as
+// the reference).
+func chargeLayer(cfg arch.Config, cpb float64, l workload.Layer, batch int) LayerStats {
+	st := LayerStats{Layer: l}
 	ef := int64(l.OutH() * l.OutW())
-	peStages := cp.PipelineStages
-	cpb := cp.CyclesPerByte
+	peStages := cfg.PECfg().PipelineStages()
+	fits := batch <= batchBound(cfg, l)
+	// Shift-register costs per mapping: the data consumed by the previous
+	// mapping rotates back to the chunk head before it can stream again (a
+	// full-buffer rotation when monolithic, one chunk when divided), and a
+	// continuing row tile re-injects the previous partial sums — an
+	// inter-buffer walk with separate psum/ofmap buffers (Fig. 16 ①), free
+	// with the integrated buffer.
+	recirculate := int64(cfg.IfmapBuf().RecirculateCycles())
+	var psumMove int64
+	if !cfg.IntegratedOutput {
+		psumMove = int64(cfg.OutputBuf().InterBufferMoveCycles(cfg.PsumBuf(), cfg.PsumBufBytes))
+	}
 
-	for _, t := range mapper.Tiles(l, cp.ArrayHeight, cp.ArrayWidth, cp.Registers) {
-		if w.Canceled() {
-			return layerCore{}, w.Err()
-		}
-		st.Mappings++
+	for _, c := range mapper.Classes(l, cfg.ArrayHeight, cfg.ArrayWidth, cfg.Registers) {
+		n := int64(c.Count)
+		st.Mappings += c.Count
 
 		// Computation: the array streams B·E·F pixels, each presented
 		// `regs` consecutive cycles, plus pipeline fill and drain through
 		// the array's gate-level stages.
-		st.ComputeCycles += int64(batch)*ef*int64(t.Regs) + int64(t.Rows*peStages+t.Cols+t.Regs)
+		st.ComputeCycles += n * (int64(batch)*ef*int64(c.Regs) + int64(c.Rows*peStages+c.Cols+c.Regs))
 
 		// Weights: stream from DRAM through the weight buffer, then shift
 		// down the columns (one pass per engaged register plane).
-		wBytes := int64(t.Rows) * int64(t.Filters)
-		st.WeightCycles += int64(t.Rows * t.Regs)
-		st.DRAMCycles += int64(float64(wBytes) * cpb)
-		st.DRAMBytes += wBytes
+		wBytes := int64(c.Rows) * int64(c.Filters)
+		st.WeightCycles += n * int64(c.Rows*c.Regs)
+		st.DRAMCycles += n * int64(float64(wBytes)*cpb)
+		st.DRAMBytes += n * wBytes
 
-		// Ifmap streaming (the recirculation charge itself is a per-mapping
-		// unit cost, applied by applyUnitCosts).
-		st.BufferBytes += int64(batch) * int64(l.H*l.W*t.Channels)
-
-		// Continuing row tiles re-inject the previous partial sums; the
-		// per-tile movement charge is likewise applied by applyUnitCosts.
-		if !t.FirstRowTile {
-			core.NonFirstRow++
+		// Ifmap streaming and output accumulation through the buffers.
+		inBytes := int64(batch) * int64(l.H*l.W*c.Channels)
+		st.BufferBytes += n * (inBytes + int64(batch)*ef*int64(c.Filters))
+		st.IfmapMoveCycles += n * recirculate
+		if !c.FirstRowTile {
+			st.PsumMoveCycles += n * psumMove
 		}
-		st.BufferBytes += int64(batch) * ef * int64(t.Filters)
 
 		// Spilled activations: when the batch does not fit, every mapping
 		// re-fetches its ifmap slice from DRAM.
-		if !cp.Fits {
-			spill := int64(batch) * int64(l.H*l.W*t.Channels)
-			st.DRAMCycles += int64(float64(spill) * cpb)
-			st.DRAMBytes += spill
+		if !fits {
+			st.DRAMCycles += n * int64(float64(inBytes)*cpb)
+			st.DRAMBytes += n * inBytes
 		}
 
-		st.MACs += t.MACs(batch, ef)
+		st.MACs += n * int64(batch) * ef * int64(c.Rows) * int64(c.Filters)
 	}
-	return core, nil
-}
-
-// applyUnitCosts completes a (possibly cached) core into the caller's
-// LayerStats. The ifmap recirculation and psum movement charges are
-// constant per (continuing) mapping, so they distribute over the walk as
-// exact integer multiples — byte-identical to charging them inside the
-// loop — and the caller's own layer is restored so reports keep their
-// display names.
-func applyUnitCosts(core layerCore, p simcache.LayerProj, l workload.Layer) LayerStats {
-	st := core.Stats
-	st.Layer = l
-	st.IfmapMoveCycles += int64(core.Stats.Mappings) * recirculateCycles(p)
-	st.PsumMoveCycles += int64(core.NonFirstRow) * psumMoveCycles(p)
 	return st
-}
-
-// simulateLayer runs one layer simulation directly, bypassing the
-// layer-grain cache: the core tile walk plus the per-mapping unit costs.
-func simulateLayer(ctx context.Context, p simcache.LayerProj, l workload.Layer, batch int) (LayerStats, error) {
-	if l.Kind == workload.Pool {
-		return LayerStats{Layer: l}, nil
-	}
-	core, err := simulateLayerCore(ctx, coreProj(p, l, batch), l, batch)
-	if err != nil {
-		return LayerStats{}, err
-	}
-	return applyUnitCosts(core, p, l), nil
-}
-
-// simulateLayerCached serves one layer simulation through the layer-grain
-// cache. The cached core is computed from a name-free rehydration of the
-// layer's shape, so every layer of that shape — in this network, any
-// other network, or any sweep point whose core projection matches —
-// shares it.
-func simulateLayerCached(ctx context.Context, p simcache.LayerProj, l workload.Layer, batch int) (LayerStats, error) {
-	if l.Kind == workload.Pool {
-		return LayerStats{Layer: l}, nil
-	}
-	shape := l.Shape()
-	cp := coreProj(p, l, batch)
-	var kb [128]byte
-	core, err := layerCache.GetOrCompute(simcache.AppendLayerKey(kb[:0], cp, shape, batch), func() (layerCore, error) {
-		return simulateLayerCore(ctx, cp, shape.Layer(""), batch)
-	})
-	if err != nil {
-		return LayerStats{}, err
-	}
-	return applyUnitCosts(core, p, l), nil
 }
 
 // Simulate runs the network at the given batch size on the design and
@@ -417,8 +288,8 @@ func simulateLayerCached(ctx context.Context, p simcache.LayerProj, l workload.L
 // same inputs return one shared *Report, which callers must treat as
 // read-only. Validation and batch resolution happen inside the memoised
 // computation, so a cache hit costs only the key construction and lookup.
-// Cancellation of ctx aborts the per-layer fan-out and the per-tile mapping
-// loop; a canceled computation is evicted from the cache, not memoised.
+// Cancellation of ctx aborts the per-layer fan-out between layers; a
+// canceled computation is evicted from the cache, not memoised.
 func Simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch int) (*Report, error) {
 	return SimulateFaulted(ctx, cfg, net, batch, nil)
 }
@@ -462,18 +333,12 @@ func simSite(cfg arch.Config, net workload.Network, batch int) string {
 // simulate is the uncached simulation. Layers are mutually independent —
 // every cycle charge is a function of the layer's own shape — so their
 // LayerStats fan out across workers; the report accumulates them in layer
-// order afterwards, keeping the totals bit-identical to a serial run.
+// order afterwards, keeping the totals bit-identical to a serial run. The
+// fan-out is also where a canceled simulation stops, between layers.
 //
-// Nominal runs serve each site through the layer-grain cache, so repeated
-// shapes dedup there: the first site of a shape misses and every later
-// one hits, waiting on the entry if it is still being computed. Faulted
-// runs walk each site directly. Their pulse-drop retries and bit flips are
-// drawn after the walk, keyed by the layer's own site, so the walk does
-// not depend on the fault model and the fan-out order cannot perturb the
-// result. The bypass is a memory choice: a fault model that erodes margins
-// or spreads Ic moves the operating point, and with it the DRAM rate in
-// the layer key, so its cached walks would be entries no other run reuses
-// (DESIGN.md §15 has the measurement).
+// Nominal and faulted runs charge each layer alike. A faulted run's
+// pulse-drop retries and bit flips are drawn after the charge, keyed by
+// the layer's own site, so the fan-out order cannot perturb the result.
 func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch int, fm *faultinject.Model) (*Report, error) {
 	site := simSite(cfg, net, batch)
 	if fm.FailsSimulation(site) {
@@ -490,7 +355,6 @@ func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch 
 		StaticPower: est.StaticPower,
 	}
 	cpb := cyclesPerByte(est.Frequency, cfg.MemoryBandwidth)
-	proj := simcache.NPULayerProj(cfg, cpb)
 
 	type job struct {
 		idx int // position in net.Layers (0 = network entry)
@@ -509,21 +373,10 @@ func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch 
 			jobs = append(jobs, job{i, l})
 		}
 	}
-	if !fm.Enabled() {
-		layerSites.Add(int64(len(jobs)))
-	}
-	outs, err := parallel.MapContext(ctx, len(jobs), func(ctx context.Context, k int) (layerOut, error) {
+	layerSites.Add(int64(len(jobs)))
+	outs, err := parallel.MapContext(ctx, len(jobs), func(_ context.Context, k int) (layerOut, error) {
 		j := jobs[k]
-		var st LayerStats
-		var err error
-		if fm.Enabled() {
-			st, err = simulateLayer(ctx, proj, j.l, batch)
-		} else {
-			st, err = simulateLayerCached(ctx, proj, j.l, batch)
-		}
-		if err != nil {
-			return layerOut{}, err
-		}
+		st := chargeLayer(cfg, cpb, j.l, batch)
 
 		// Layer input delivery: the first compute layer streams its
 		// inputs from DRAM; later layers transfer the previous output

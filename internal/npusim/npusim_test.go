@@ -2,12 +2,17 @@ package npusim
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"supernpu/internal/arch"
+	"supernpu/internal/faultinject"
+	"supernpu/internal/parallel"
 	"supernpu/internal/sfq"
+	"supernpu/internal/simcache"
 	"supernpu/internal/workload"
 )
 
@@ -381,4 +386,90 @@ func TestTraceDRAMLowerBoundProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// repeatedNet builds a valid network whose k compute layers all share one
+// shape (a 3×3/pad-1/stride-1 conv preserves H×W, and M == C keeps the
+// channel chain consistent).
+func repeatedNet(k int) workload.Network {
+	layers := make([]workload.Layer, k)
+	for i := range layers {
+		layers[i] = workload.Layer{Name: fmt.Sprintf("conv%d", i), Kind: workload.Conv,
+			H: 14, W: 14, C: 64, R: 3, S: 3, M: 64, Stride: 1, Pad: 1}
+	}
+	return workload.Network{Name: fmt.Sprintf("repeat%d", k), Layers: layers}
+}
+
+// TestLayerDedupMultiplicity checks that k same-shaped layers charge k
+// times one layer's totals at any worker count, and that every site keeps
+// its own display name. Input delivery differs between the first layer
+// (DRAM) and the rest (on-chip move), so sites 1..k-1 must be identical to
+// each other.
+func TestLayerDedupMultiplicity(t *testing.T) {
+	const k = 6
+	net := repeatedNet(k)
+	cfg := arch.SuperNPU()
+
+	t.Cleanup(func() {
+		parallel.SetWorkers(0)
+		simcache.ClearAll()
+	})
+
+	for _, w := range []int{1, 4} {
+		parallel.SetWorkers(w)
+		simcache.ClearAll()
+		rep, err := Simulate(context.Background(), cfg, net, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Layers) != k {
+			t.Fatalf("workers=%d: report has %d layers, want %d", w, len(rep.Layers), k)
+		}
+		if want := int64(k) * rep.Layers[0].MACs; rep.MACs != want {
+			t.Errorf("workers=%d: total MACs = %d, want %d (k × per-layer)", w, rep.MACs, want)
+		}
+		if want := int64(k) * rep.Layers[0].ComputeCycles; rep.ComputeCycles != want {
+			t.Errorf("workers=%d: compute cycles = %d, want %d (k × per-layer)", w, rep.ComputeCycles, want)
+		}
+		for i, st := range rep.Layers {
+			if st.Layer.Name != net.Layers[i].Name {
+				t.Errorf("workers=%d: layer %d kept name %q, want %q", w, i, st.Layer.Name, net.Layers[i].Name)
+			}
+			if i >= 2 {
+				ref := rep.Layers[1]
+				ref.Layer.Name = st.Layer.Name
+				if st != ref {
+					t.Errorf("workers=%d: layer %d stats differ from layer 1:\n got %+v\nwant %+v", w, i, st, ref)
+				}
+			}
+		}
+	}
+}
+
+func TestNegativeBatchRejectedNonNegativeMessage(t *testing.T) {
+	net := repeatedNet(1)
+	cfg := arch.SuperNPU()
+	_, err := Simulate(context.Background(), cfg, net, -1)
+	if err == nil {
+		t.Fatal("negative batch accepted")
+	}
+	if got := err.Error(); !containsAll(got, "non-negative", "MaxBatch") {
+		t.Errorf("error %q should state the non-negative requirement and the batch-0 convention", got)
+	}
+	_, err = SimulateFaulted(context.Background(), cfg, net, -1, &faultinject.Model{Seed: 1, BitFlip: 1e-9})
+	if err == nil {
+		t.Fatal("negative faulted batch accepted")
+	}
+	if got := err.Error(); !containsAll(got, "non-negative", "MaxBatch") {
+		t.Errorf("faulted error %q should state the non-negative requirement and the batch-0 convention", got)
+	}
+}
+
+func containsAll(s string, subs ...string) bool {
+	for _, sub := range subs {
+		if !strings.Contains(s, sub) {
+			return false
+		}
+	}
+	return true
 }

@@ -4,9 +4,10 @@
 // (Section VI-A): a 256×256 PE array at 0.7 GHz with a 24 MB unified SRAM
 // buffer, 300 GB/s of HBM bandwidth and 40 W average power.
 //
-// The mapping loop mirrors the SFQ simulator's, but SRAM removes the
-// shift-register mechanics: no repositioning rotations, no inter-buffer
-// psum walks — the CMOS design's buffers are random access.
+// The mapping policy is the SFQ simulator's (package mapper, one register
+// plane per PE), but SRAM removes the shift-register mechanics: no
+// repositioning rotations, no inter-buffer psum walks — the CMOS design's
+// buffers are random access.
 package scalesim
 
 import (
@@ -15,6 +16,7 @@ import (
 	"math"
 
 	"supernpu/internal/guard"
+	"supernpu/internal/mapper"
 	"supernpu/internal/simcache"
 	"supernpu/internal/workload"
 )
@@ -25,16 +27,7 @@ import (
 // read-only.
 var cache = simcache.New[*Report]()
 
-// layerCache memoises the per-layer tile walk beneath the whole-simulation
-// cache, keyed by (projection, layer shape, batch): repeated shapes within
-// a network and across sweep points that hold the projection constant
-// share one walk.
-var layerCache = simcache.New[layerCost]()
-
-func init() {
-	simcache.Register("scalesim", cache)
-	simcache.Register("scalesim.layer", layerCache)
-}
+func init() { simcache.Register("scalesim", cache) }
 
 // Config describes the CMOS accelerator.
 type Config struct {
@@ -132,81 +125,47 @@ func appendConfigKey(b []byte, c Config) []byte {
 	return simcache.AppendFloat(b, c.Power)
 }
 
-// layerCost is one compute layer's cached charge set: the cycle classes
+// layerCost is one compute layer's charge set: the cycle classes
 // accumulated before the per-layer stall comparison, plus its MACs.
 type layerCost struct {
 	Compute, DRAM, MACs int64
 }
 
-// simulateLayer charges one compute layer's tile walk. It reads the
-// configuration only through its ScaleProj projection and the layer only
-// through its shape, which is what makes the layer-grain key complete by
-// construction. Every truncation stays per-tile, bit-identical to the
-// pre-cache inline loop.
-func simulateLayer(p simcache.ScaleProj, s workload.Shape, batch int) layerCost {
-	l := s.Layer("")
-	h, w := p.ArrayHeight, p.ArrayWidth
-	cpb := p.CyclesPerByte
+// chargeLayer charges one compute layer's weight mappings in closed form:
+// the single-register tile classes of mapper.Classes, each costing its
+// count times the charge of one of its tiles. Every per-tile charge is an
+// integer, each DRAM truncation included, so count × charge equals the
+// tile-by-tile sum exactly (walk_test.go keeps the tile walk as the
+// reference).
+func chargeLayer(cfg Config, l workload.Layer, batch int) layerCost {
+	cpb := cfg.Frequency / cfg.Bandwidth
 	ef := int64(l.OutH() * l.OutW())
-	fits := int64(batch)*l.WorkingSetBytes() <= p.BufferBytes
-
-	type tile struct{ rows, filters, channels int }
-	var tiles []tile
-	if l.Kind == workload.DepthwiseConv {
-		for c := 0; c < l.C; c++ {
-			tiles = append(tiles, tile{rows: min(l.R*l.S, h), filters: 1, channels: 1})
-		}
-	} else {
-		rsc := l.R * l.S * l.C
-		for rt := 0; rt < (rsc+h-1)/h; rt++ {
-			rows := min(h, rsc-rt*h)
-			for m := 0; m < l.M; m += w {
-				tiles = append(tiles, tile{
-					rows: rows, filters: min(w, l.M-m),
-					channels: (rows + l.R*l.S - 1) / (l.R * l.S),
-				})
-			}
-		}
-	}
+	fits := int64(batch)*l.WorkingSetBytes() <= cfg.BufferBytes
 
 	var cost layerCost
-	for _, t := range tiles {
+	for _, c := range mapper.Classes(l, cfg.ArrayHeight, cfg.ArrayWidth, 1) {
+		n := int64(c.Count)
 		// Streaming compute plus array fill/drain and column loading.
-		cost.Compute += int64(batch)*ef + int64(2*t.rows+t.filters)
+		cost.Compute += n * (int64(batch)*ef + int64(2*c.Rows+c.Filters))
 		// Weight fetch.
-		wBytes := int64(t.rows) * int64(t.filters)
-		cost.DRAM += int64(float64(wBytes) * cpb)
+		wBytes := int64(c.Rows) * int64(c.Filters)
+		cost.DRAM += n * int64(float64(wBytes)*cpb)
 		// Spilled activations re-fetch per mapping.
 		if !fits {
-			spill := int64(batch) * int64(l.H*l.W*t.channels)
-			cost.DRAM += int64(float64(spill) * cpb)
+			spill := int64(batch) * int64(l.H*l.W*c.Channels)
+			cost.DRAM += n * int64(float64(spill)*cpb)
 		}
-		cost.MACs += int64(batch) * ef * int64(t.rows) * int64(t.filters)
+		cost.MACs += n * int64(batch) * ef * int64(c.Rows) * int64(c.Filters)
 	}
 	return cost
 }
 
-// simulateLayerCached serves one layer's charges through the layer-grain
-// cache.
-func simulateLayerCached(p simcache.ScaleProj, s workload.Shape, batch int) layerCost {
-	var kb [128]byte
-	c, _ := layerCache.GetOrCompute(simcache.AppendScaleLayerKey(kb[:0], p, s, batch),
-		func() (layerCost, error) { return simulateLayer(p, s, batch), nil })
-	return c
-}
-
-// simulate is the uncached mapping loop, polling for cancellation once per
-// layer. Per-layer charges come through the layer-grain cache; the
-// serial walk dedups repeated shapes automatically (first occurrence
-// misses, the rest hit). Input delivery and stall resolution stay per
-// site, outside the cached function.
+// simulate is the uncached per-layer loop, polling for cancellation once per
+// layer. Input delivery and stall resolution are per layer site, on top
+// of the layer's charge.
 func simulate(ctx context.Context, cfg Config, net workload.Network, batch int) (*Report, error) {
 	rep := &Report{Config: cfg, Network: net.Name, Batch: batch}
 	cpb := cfg.Frequency / cfg.Bandwidth
-	proj := simcache.ScaleProj{
-		ArrayHeight: cfg.ArrayHeight, ArrayWidth: cfg.ArrayWidth,
-		BufferBytes: cfg.BufferBytes, CyclesPerByte: cpb,
-	}
 
 	var watch guard.Watch
 	watch.Arm(ctx)
@@ -218,7 +177,7 @@ func simulate(ctx context.Context, cfg Config, net workload.Network, batch int) 
 		if !l.ComputeLayer() {
 			continue
 		}
-		cost := simulateLayerCached(proj, l.Shape(), batch)
+		cost := chargeLayer(cfg, l, batch)
 		layerCompute, layerDRAM := cost.Compute, cost.DRAM
 		rep.MACs += cost.MACs
 		// First layer's inputs arrive from DRAM.

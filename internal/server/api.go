@@ -29,10 +29,10 @@ func techFor(ersfq bool) sfq.Technology {
 // Request body and custom-network bounds: generous multiples of the paper's
 // workloads, tight enough that a validated request cannot allocate
 // pathological amounts of memory or simulate for unbounded time. The
-// per-dimension bounds alone still admit a layer whose tile plan does not
-// fit in memory, so a custom network is also capped at 2^28 total weights
-// and 2^44 MACs per input (VGG16: 1.38e8 weights, 1.6e10 MACs); with
-// maxBatch that keeps batch × MACs below 2^60.
+// per-dimension bounds alone still admit layers far beyond any CNN, so a
+// custom network is also capped at 2^28 total weights and 2^44 MACs per
+// input (VGG16: 1.38e8 weights, 1.6e10 MACs); with maxBatch that keeps
+// batch × MACs below 2^60, clear of int64 overflow in the cycle counts.
 const (
 	maxBodyBytes  = 1 << 20 // 1 MiB of JSON per request
 	maxLayers     = 512     // deepest evaluation CNN is 58 compute layers

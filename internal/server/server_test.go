@@ -139,8 +139,8 @@ func TestEvaluateValidation(t *testing.T) {
 		{"invalid shape", `{"design":"SuperNPU","network":{"name":"x","layers":[{"name":"l","kind":"conv","h":2,"w":2,"c":1,"r":5,"s":5,"m":1}]}}`, 400, "empty output"},
 		{"pool only", `{"design":"SuperNPU","batch":1,"network":{"name":"p","layers":[{"name":"p","kind":"pool","h":8,"w":8,"c":4,"r":2,"stride":2}]}}`, 400, "no compute layer"},
 		{"pool only on TPU", `{"design":"TPU","batch":1,"network":{"name":"p","layers":[{"name":"p","kind":"pool","h":8,"w":8,"c":4,"r":2,"stride":2}]}}`, 400, "no compute layer"},
-		// Every dimension is in bounds, but the tile plan would not fit in
-		// memory: the whole-network weight limit must reject it up front.
+		// Every dimension is in bounds, but the layer is far beyond any
+		// CNN: the whole-network weight limit must reject it up front.
 		{"oversized layer", `{"design":"Resource opt.","batch":1,"network":{"name":"big","layers":[{"name":"c","kind":"conv","h":1,"w":1,"c":16384,"r":1024,"s":1024,"m":16384,"pad":512}]}}`, 400, "weights exceed the limit"},
 		{"oversized layer on TPU", `{"design":"TPU","batch":1,"network":{"name":"big","layers":[{"name":"c","kind":"conv","h":1,"w":1,"c":16384,"r":1024,"s":1024,"m":16384,"pad":512}]}}`, 400, "weights exceed the limit"},
 		{"too many MACs", `{"design":"TPU","batch":1,"network":{"name":"deep","layers":[{"name":"c","kind":"conv","h":4096,"w":4096,"c":512,"r":3,"s":3,"m":512,"pad":1}]}}`, 400, "MACs per input exceed the limit"},

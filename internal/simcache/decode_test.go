@@ -98,14 +98,18 @@ func (r *keyReader) config() arch.Config {
 	}
 }
 
-func (r *keyReader) shape() workload.Shape {
-	return workload.Shape{
+// layer decodes one layer's shape fields under the given name.
+func (r *keyReader) layer(name string) workload.Layer {
+	return workload.Layer{
+		Name: name,
 		Kind: workload.Kind(r.int()),
 		H:    int(r.int()), W: int(r.int()), C: int(r.int()),
 		R: int(r.int()), S: int(r.int()), M: int(r.int()),
 		Stride: int(r.int()), Pad: int(r.int()),
 	}
 }
+
+func (r *keyReader) shape() workload.Shape { return r.layer("").Shape() }
 
 func (r *keyReader) network() workload.Network {
 	net := workload.Network{Name: r.str()}
@@ -116,8 +120,7 @@ func (r *keyReader) network() workload.Network {
 	}
 	net.Layers = make([]workload.Layer, n)
 	for i := range net.Layers {
-		name := r.str()
-		net.Layers[i] = r.shape().Layer(name)
+		net.Layers[i] = r.layer(r.str())
 	}
 	return net
 }
@@ -135,19 +138,6 @@ func (r *keyReader) fault() *faultinject.Model {
 	return nil
 }
 
-func (r *keyReader) coreProj() LayerCoreProj {
-	return LayerCoreProj{
-		ArrayHeight: int(r.int()), ArrayWidth: int(r.int()),
-		Registers: int(r.int()), PipelineStages: int(r.int()),
-		CyclesPerByte: r.float(), Fits: r.bool(),
-	}
-}
-
-func (r *keyReader) scaleProj() ScaleProj {
-	return ScaleProj{ArrayHeight: int(r.int()), ArrayWidth: int(r.int()),
-		BufferBytes: r.int(), CyclesPerByte: r.float()}
-}
-
 // nominal maps a disabled model to nil, the form the key keeps of it.
 func nominal(fm *faultinject.Model) *faultinject.Model {
 	if !fm.Enabled() {
@@ -159,7 +149,7 @@ func nominal(fm *faultinject.Model) *faultinject.Model {
 // checkDecodes asserts that every key built from the inputs decodes back
 // to them exactly.
 func checkDecodes(t *testing.T, cfg arch.Config, net workload.Network, batch int, fm *faultinject.Model,
-	cp LayerCoreProj, sp ScaleProj, s workload.Shape) {
+	s workload.Shape, height, width, registers int) {
 	t.Helper()
 	r := keyReader{b: AppendFaultKey(AppendSimKey(nil, cfg, net, batch), fm)}
 	gotCfg, gotNet, gotBatch, gotFault := r.config(), r.network(), int(r.int()), r.fault()
@@ -168,18 +158,10 @@ func checkDecodes(t *testing.T, cfg arch.Config, net workload.Network, batch int
 		t.Fatalf("simulation key does not decode to its input:\n in  %+v %+v b%d %+v\n out %+v %+v b%d %+v",
 			cfg, net, batch, fm, gotCfg, gotNet, gotBatch, gotFault)
 	}
-	r = keyReader{b: AppendLayerKey(nil, cp, s, batch)}
-	if p, sh, b := r.coreProj(), r.shape(), int(r.int()); !r.done() || p != cp || sh != s || b != batch {
-		t.Fatalf("layer key does not decode to its input: %+v %+v b%d -> %+v %+v b%d", cp, s, batch, p, sh, b)
-	}
-	r = keyReader{b: AppendScaleLayerKey(nil, sp, s, batch)}
-	if p, sh, b := r.scaleProj(), r.shape(), int(r.int()); !r.done() || p != sp || sh != s || b != batch {
-		t.Fatalf("scale layer key does not decode to its input: %+v %+v b%d -> %+v %+v b%d", sp, s, batch, p, sh, b)
-	}
-	r = keyReader{b: AppendTilesKey(nil, s, cp.ArrayHeight, cp.ArrayWidth, cp.Registers)}
+	r = keyReader{b: AppendTilesKey(nil, s, height, width, registers)}
 	if sh, h, w, g := r.shape(), int(r.int()), int(r.int()), int(r.int()); !r.done() || sh != s ||
-		h != cp.ArrayHeight || w != cp.ArrayWidth || g != cp.Registers {
-		t.Fatalf("tiles key does not decode to its input: %+v %dx%dx%d", s, cp.ArrayHeight, cp.ArrayWidth, cp.Registers)
+		h != height || w != width || g != registers {
+		t.Fatalf("tiles key does not decode to its input: %+v %dx%dx%d", s, height, width, registers)
 	}
 }
 
@@ -192,16 +174,13 @@ func TestKeysDecodeToTheirInputs(t *testing.T) {
 		{Seed: math.MinInt64, IcSpread: math.Copysign(0, -1), PulseDrop: math.Inf(1), BitFlip: 1e-300,
 			MarginErosion: -0.5, SimFail: math.MaxFloat64},
 	}
-	cp := LayerCoreProj{ArrayHeight: 256, ArrayWidth: -64, Registers: math.MaxInt, PipelineStages: 20,
-		CyclesPerByte: 2.5, Fits: true}
-	sp := ScaleProj{ArrayHeight: 256, ArrayWidth: 256, BufferBytes: math.MinInt64, CyclesPerByte: 7.0 / 3}
 	nets := append(workload.All(),
 		workload.Network{},
 		workload.Network{Name: "\x00\x1f\xff", Layers: []workload.Layer{{Name: "\x1f\x1f", Kind: -1, H: math.MinInt}}})
 	for _, cfg := range append(arch.Designs(), arch.Config{Name: "\x1f", MemoryBandwidth: math.Inf(-1)}) {
 		for i, net := range nets {
 			fm := faults[i%len(faults)]
-			checkDecodes(t, cfg, net, i-1, fm, cp, sp, workload.Shape{Kind: workload.Kind(i), H: i, M: -i})
+			checkDecodes(t, cfg, net, i-1, fm, workload.Shape{Kind: workload.Kind(i), H: i, M: -i}, 256, -64, math.MaxInt)
 		}
 	}
 }

@@ -1,49 +1,18 @@
 package simcache
 
-// Key-injectivity tests for the layer-grain keys: every field of
-// the projection structs and of workload.Shape must move the key, and the
-// projection builder must capture exactly what the per-layer cycle model
-// reads.
+// Key-injectivity tests for the tile-plan keys: every field of
+// workload.Shape and of the array geometry must move the key.
 
 import (
 	"bytes"
 	"testing"
 
-	"supernpu/internal/arch"
 	"supernpu/internal/workload"
 )
 
 func baseShape() workload.Shape {
 	return workload.Shape{Kind: workload.Conv, H: 14, W: 14, C: 64,
 		R: 3, S: 3, M: 128, Stride: 1, Pad: 1}
-}
-
-func baseCoreProj() LayerCoreProj {
-	return LayerCoreProj{ArrayHeight: 256, ArrayWidth: 256, Registers: 1,
-		PipelineStages: 20, CyclesPerByte: 2.5, Fits: true}
-}
-
-func TestLayerKeyDistinguishesEveryProjField(t *testing.T) {
-	mutations := []func(*LayerCoreProj){
-		func(p *LayerCoreProj) { p.ArrayHeight++ },
-		func(p *LayerCoreProj) { p.ArrayWidth++ },
-		func(p *LayerCoreProj) { p.Registers++ },
-		func(p *LayerCoreProj) { p.PipelineStages++ },
-		func(p *LayerCoreProj) { p.CyclesPerByte *= 2 },
-		func(p *LayerCoreProj) { p.Fits = !p.Fits },
-	}
-	s := baseShape()
-	ref := AppendLayerKey(nil, baseCoreProj(), s, 4)
-	for i, mutate := range mutations {
-		p := baseCoreProj()
-		mutate(&p)
-		if bytes.Equal(AppendLayerKey(nil, p, s, 4), ref) {
-			t.Errorf("projection mutation %d: distinct core projections share a layer key", i)
-		}
-	}
-	if bytes.Equal(AppendLayerKey(nil, baseCoreProj(), s, 5), ref) {
-		t.Error("distinct batches share a layer key")
-	}
 }
 
 func TestLayerKeyDistinguishesEveryShapeField(t *testing.T) {
@@ -58,41 +27,13 @@ func TestLayerKeyDistinguishesEveryShapeField(t *testing.T) {
 		func(s *workload.Shape) { s.Stride++ },
 		func(s *workload.Shape) { s.Pad++ },
 	}
-	p := baseCoreProj()
-	ref := AppendLayerKey(nil, p, baseShape(), 4)
+	ref := AppendTilesKey(nil, baseShape(), 256, 256, 1)
 	for i, mutate := range mutations {
 		s := baseShape()
 		mutate(&s)
-		if bytes.Equal(AppendLayerKey(nil, p, s, 4), ref) {
-			t.Errorf("shape mutation %d: distinct shapes share a layer key", i)
+		if bytes.Equal(AppendTilesKey(nil, s, 256, 256, 1), ref) {
+			t.Errorf("shape mutation %d: distinct shapes share a tiles key", i)
 		}
-	}
-}
-
-func TestScaleLayerKeyDistinguishesEveryField(t *testing.T) {
-	base := ScaleProj{ArrayHeight: 256, ArrayWidth: 256, BufferBytes: 24 << 20, CyclesPerByte: 7.0 / 3}
-	mutations := []func(*ScaleProj){
-		func(p *ScaleProj) { p.ArrayHeight++ },
-		func(p *ScaleProj) { p.ArrayWidth++ },
-		func(p *ScaleProj) { p.BufferBytes++ },
-		func(p *ScaleProj) { p.CyclesPerByte *= 2 },
-	}
-	s := baseShape()
-	ref := AppendScaleLayerKey(nil, base, s, 4)
-	for i, mutate := range mutations {
-		p := base
-		mutate(&p)
-		if bytes.Equal(AppendScaleLayerKey(nil, p, s, 4), ref) {
-			t.Errorf("mutation %d: distinct CMOS projections share a layer key", i)
-		}
-	}
-	if bytes.Equal(AppendScaleLayerKey(nil, base, s, 5), ref) {
-		t.Error("distinct batches share a layer key")
-	}
-	other := s
-	other.M++
-	if bytes.Equal(AppendScaleLayerKey(nil, base, other, 4), ref) {
-		t.Error("distinct shapes share a layer key")
 	}
 }
 
@@ -115,30 +56,6 @@ func TestTilesKeySeparatesShapeAndGeometry(t *testing.T) {
 	}
 	if TilesKey(s, 128, 64, 2) != string(ref) {
 		t.Error("TilesKey differs from AppendTilesKey")
-	}
-}
-
-// TestNPULayerProjTracksConfigProjection pins the builder to the fields the
-// per-layer model reads: knobs outside the projection (name, weight buffer,
-// logic family) must not move it, while every modeled knob must.
-func TestNPULayerProjTracksConfigProjection(t *testing.T) {
-	cfg := arch.SuperNPU()
-	base := NPULayerProj(cfg, 2.5)
-
-	irrelevant := cfg
-	irrelevant.Name = "renamed"
-	irrelevant.WeightBufBytes++
-	if NPULayerProj(irrelevant, 2.5) != base {
-		t.Error("projection moved on a knob the per-layer model never reads")
-	}
-
-	relevant := cfg
-	relevant.IfmapChunks++
-	if NPULayerProj(relevant, 2.5) == base {
-		t.Error("projection ignored the ifmap division knob")
-	}
-	if NPULayerProj(cfg, 2.6) == base {
-		t.Error("projection ignored the DRAM rate")
 	}
 }
 

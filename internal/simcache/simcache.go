@@ -6,9 +6,13 @@
 // their configuration structs, yet the exhibits re-derive identical results
 // constantly — every sweep point of Figs. 20–22 re-simulates the Baseline
 // reference, every Table III row re-evaluates the TPU, and the RCSJ gate
-// extraction behind Fig. 7 is a fixed transient. Each such producer keeps a
-// package-level Cache here and registers it under a name so callers can
-// inspect hit/miss counters or clear everything for cold-start benchmarks.
+// extraction behind Fig. 7 is a fixed transient. Each such producer —
+// npusim, scalesim, estimator and jsim — keeps a package-level Cache here
+// and registers it under its name so callers can inspect hit/miss counters
+// or clear everything for cold-start benchmarks. Nothing finer is cached:
+// the cycle models charge a layer in closed form from its tile classes
+// (mapper.Classes), in O(1), so a per-layer cache would have nothing to
+// save.
 //
 // A cache keys on a compact binary encoding of its inputs, which the caller
 // appends into a buffer it holds (see KeyBuf). Every field is written in a
@@ -220,66 +224,7 @@ func Fingerprint(parts ...any) string {
 	return b.String()
 }
 
-// --- layer-grain keys ---
-//
-// The whole-simulation keys above only hit on exact (config, network,
-// batch) repeats. The layer-grain families below key on the *projection*
-// of the configuration that the per-layer cycle models actually read, plus
-// the layer's name-free shape — so sweep points that vary an irrelevant
-// knob (display name, weight buffer, logic family, or frequency and
-// bandwidth at a fixed ratio) and repeated shapes within one network
-// (ResNet-50's residual blocks) all share one tile walk.
-
-// LayerProj is the projection of arch.Config (plus the derived
-// cycles-per-byte DRAM rate) that npusim's per-layer model reads.
-// Everything else about a design — its name, weight-buffer capacity,
-// logic family, absolute frequency and bandwidth — either never enters
-// the per-layer arithmetic or enters only through CyclesPerByte.
-// npusim.simulateLayer takes this projection instead of the full config,
-// so key completeness is true by construction. The cache itself keys on
-// the further-reduced LayerCoreProj: the buffer fields here only reach
-// the walk through per-mapping unit costs and the batch-fit bit, both
-// factored out of the cached core.
-type LayerProj struct {
-	ArrayHeight, ArrayWidth int
-	Registers               int
-	// PipelineStages is the PE pipeline depth (array fill/drain cost).
-	PipelineStages int
-	// Shift-register buffer geometry: recirculation, inter-buffer psum
-	// movement, and the on-chip batch-fit decision.
-	IfmapBufBytes, IfmapChunks   int
-	OutputBufBytes, OutputChunks int
-	IntegratedOutput             bool
-	PsumBufBytes                 int
-	// CyclesPerByte converts DRAM bytes into NPU cycles (frequency over
-	// bandwidth).
-	CyclesPerByte float64
-}
-
-// NPULayerProj projects an SFQ NPU configuration down to the fields the
-// per-layer cycle model reads, at the given cycles-per-byte DRAM rate.
-func NPULayerProj(cfg arch.Config, cpb float64) LayerProj {
-	return LayerProj{
-		ArrayHeight: cfg.ArrayHeight, ArrayWidth: cfg.ArrayWidth,
-		Registers:      cfg.Registers,
-		PipelineStages: cfg.PECfg().PipelineStages(),
-		IfmapBufBytes:  cfg.IfmapBufBytes, IfmapChunks: cfg.IfmapChunks,
-		OutputBufBytes: cfg.OutputBufBytes, OutputChunks: cfg.OutputChunks,
-		IntegratedOutput: cfg.IntegratedOutput,
-		PsumBufBytes:     cfg.PsumBufBytes,
-		CyclesPerByte:    cpb,
-	}
-}
-
-// ScaleProj is the corresponding projection of the CMOS reference
-// simulator's configuration: array dims, the unified buffer capacity
-// (spill decisions) and the DRAM rate. scalesim constructs it inline —
-// this package cannot import scalesim.
-type ScaleProj struct {
-	ArrayHeight, ArrayWidth int
-	BufferBytes             int64
-	CyclesPerByte           float64
-}
+// --- tile-plan keys ---
 
 // appendShapeKey appends every field of a layer shape. Keep in step with
 // workload.Shape.
@@ -295,55 +240,11 @@ func appendShapeKey(b []byte, s workload.Shape) []byte {
 	return AppendInt(b, int64(s.Pad))
 }
 
-// LayerCoreProj is the reduced projection that keys npusim's layer-grain
-// cache. The shift-register unit costs LayerProj's buffer fields induce —
-// ifmap recirculation and psum inter-buffer movement — are constant per
-// weight mapping, so the cached tile walk excludes them and the caller
-// applies them as exact integer multiples of the tile counts afterwards.
-// The buffers' only other influence, the on-chip batch-fit decision, is
-// resolved into the Fits bit before keying. Sweep points that vary only
-// buffer division (Fig. 20) or capacity changes that do not flip a fit
-// decision therefore share one cached walk per (shape, batch).
-type LayerCoreProj struct {
-	ArrayHeight, ArrayWidth int
-	Registers               int
-	// PipelineStages is the PE pipeline depth (array fill/drain cost).
-	PipelineStages int
-	// CyclesPerByte converts DRAM bytes into NPU cycles (frequency over
-	// bandwidth).
-	CyclesPerByte float64
-	// Fits is the layer's resolved batch-fit decision: whether the
-	// batch-B activations stay on-chip (false adds per-mapping spill
-	// traffic inside the walk).
-	Fits bool
-}
-
-// AppendLayerKey appends the key of one (core projection, layer shape,
-// batch) tile walk for the npusim.layer cache.
-func AppendLayerKey(b []byte, p LayerCoreProj, s workload.Shape, batch int) []byte {
-	b = AppendInt(b, int64(p.ArrayHeight))
-	b = AppendInt(b, int64(p.ArrayWidth))
-	b = AppendInt(b, int64(p.Registers))
-	b = AppendInt(b, int64(p.PipelineStages))
-	b = AppendFloat(b, p.CyclesPerByte)
-	b = appendBool(b, p.Fits)
-	b = appendShapeKey(b, s)
-	return AppendInt(b, int64(batch))
-}
-
-// AppendScaleLayerKey appends the key of one (CMOS projection, layer shape,
-// batch) layer simulation for the scalesim.layer cache.
-func AppendScaleLayerKey(b []byte, p ScaleProj, s workload.Shape, batch int) []byte {
-	b = AppendInt(b, int64(p.ArrayHeight))
-	b = AppendInt(b, int64(p.ArrayWidth))
-	b = AppendInt(b, p.BufferBytes)
-	b = AppendFloat(b, p.CyclesPerByte)
-	b = appendShapeKey(b, s)
-	return AppendInt(b, int64(batch))
-}
-
-// AppendTilesKey appends the key of one tile-plan enumeration: the layer
-// shape plus the array geometry mapper.Tiles reads.
+// AppendTilesKey appends the key of one tile plan: the layer shape plus
+// the array geometry mapper.Tiles reads. No cache keys on it: the cycle
+// models charge a layer's tile classes in closed form. It remains, with
+// TilesKey, for the benchmark module's per-layer probe, which dedups the
+// tile plans it times by key.
 func AppendTilesKey(b []byte, s workload.Shape, height, width, registers int) []byte {
 	b = appendShapeKey(b, s)
 	b = AppendInt(b, int64(height))
@@ -352,7 +253,7 @@ func AppendTilesKey(b []byte, s workload.Shape, height, width, registers int) []
 }
 
 // TilesKey returns AppendTilesKey's key as a string, for callers that keep
-// keys as values; no cache builds it.
+// keys as values.
 func TilesKey(s workload.Shape, height, width, registers int) string {
 	return string(AppendTilesKey(nil, s, height, width, registers))
 }
@@ -542,8 +443,8 @@ func Snapshot() []Stats {
 
 // Clear clears the one registered cache with the given name, reporting
 // whether such a cache exists. Warm benchmarks use it to cool a single
-// family (the whole-simulation caches) while keeping the layer-grain
-// entries hot.
+// family, such as the whole-simulation caches, while the estimator and
+// jsim entries stay warm.
 func Clear(name string) bool {
 	regMu.Lock()
 	c, ok := registry[name]

@@ -214,37 +214,25 @@ func FasterRCNN() Network {
 }
 
 // templates holds the six evaluation workloads, built on first use rather
-// than at package init so process start-up does not pay for them. Callers
-// only ever see copies.
+// than at package init so process start-up does not pay for them.
 var templates = sync.OnceValue(func() []Network {
 	return []Network{
 		AlexNet(), FasterRCNN(), GoogLeNet(), MobileNet(), ResNet50(), VGG16(),
 	}
 })
 
-// clone returns a copy of n whose layer slice the caller owns.
-func (n Network) clone() Network {
-	return Network{Name: n.Name, Layers: slices.Clone(n.Layers)}
-}
-
 // All returns the paper's six evaluation workloads in Fig. 23 order. The
-// networks are built once; each call returns fresh copies the caller may
-// modify.
-func All() []Network {
-	t := templates()
-	out := make([]Network, len(t))
-	for i, n := range t {
-		out[i] = n.clone()
-	}
-	return out
-}
+// networks are built once and their layer slices are shared by every
+// caller: treat them as read-only, like every cached result. The returned
+// outer slice is the caller's own.
+func All() []Network { return slices.Clone(templates()) }
 
-// ByName returns a copy of the named workload, or an error listing valid
-// names.
+// ByName returns the named workload, whose layer slice is shared and
+// read-only like All's, or an error listing valid names.
 func ByName(name string) (Network, error) {
 	for _, n := range templates() {
 		if n.Name == name {
-			return n.clone(), nil
+			return n, nil
 		}
 	}
 	var names []string

@@ -137,10 +137,9 @@ func (l Layer) WorkingSetBytes() int64 { return l.IfmapBytes() + l.OfmapBytes() 
 func (l Layer) ComputeLayer() bool { return l.Kind != Pool }
 
 // Shape is a Layer stripped of its display name: exactly the fields the
-// cycle models read. Two layers with equal Shapes are indistinguishable to
-// the simulators, which is what makes shape-keyed memoisation and
-// within-network dedup sound. The struct is comparable, so it keys maps
-// directly; keep it in step with Layer.
+// cycle models read, so two layers with equal Shapes charge the same
+// cycles. simcache.AppendTilesKey keys a tile plan by it. The struct is
+// comparable, so it keys maps directly; keep it in step with Layer.
 type Shape struct {
 	Kind   Kind
 	H, W   int
@@ -155,14 +154,6 @@ type Shape struct {
 func (l Layer) Shape() Shape {
 	return Shape{Kind: l.Kind, H: l.H, W: l.W, C: l.C,
 		R: l.R, S: l.S, M: l.M, Stride: l.Stride, Pad: l.Pad}
-}
-
-// Layer rehydrates the shape into a Layer carrying the given display name.
-// Simulating s.Layer("") yields the same numbers as simulating any layer
-// of shape s, because the cycle models never read Name.
-func (s Shape) Layer(name string) Layer {
-	return Layer{Name: name, Kind: s.Kind, H: s.H, W: s.W, C: s.C,
-		R: s.R, S: s.S, M: s.M, Stride: s.Stride, Pad: s.Pad}
 }
 
 // Network is a named sequence of layers.

@@ -27,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"supernpu/internal/arch"
 	"supernpu/internal/checkpoint"
@@ -125,11 +126,23 @@ func Designs() []Design { return core.DesignPoints() }
 // energy-efficient biasing variant (the Table III rows).
 func DesignByName(name string) (Design, error) { return core.DesignByName(name) }
 
-// Workloads returns the six evaluation CNNs in Fig. 23 order.
-func Workloads() []Network { return workload.All() }
+// Workloads returns the six evaluation CNNs in Fig. 23 order, as copies
+// the caller may modify. Inside the module the networks are shared
+// read-only; this facade is where they leave it.
+func Workloads() []Network {
+	nets := workload.All()
+	for i := range nets {
+		nets[i].Layers = slices.Clone(nets[i].Layers)
+	}
+	return nets
+}
 
-// WorkloadByName returns a named evaluation CNN.
-func WorkloadByName(name string) (Network, error) { return workload.ByName(name) }
+// WorkloadByName returns a copy of a named evaluation CNN.
+func WorkloadByName(name string) (Network, error) {
+	net, err := workload.ByName(name)
+	net.Layers = slices.Clone(net.Layers)
+	return net, err
+}
 
 // Evaluate simulates the workload on the design at the given batch size
 // (batch 0 selects the design's maximum on-chip batch, Table II).

@@ -2,8 +2,11 @@ package supernpu
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"supernpu/internal/workload"
 )
 
 func TestFacadeDesigns(t *testing.T) {
@@ -109,5 +112,63 @@ func TestFacadeExploration(t *testing.T) {
 	r, err := ExploreRegisters(64, []int{1, 8})
 	if err != nil || len(r) != 2 {
 		t.Fatalf("ExploreRegisters: %v", err)
+	}
+}
+
+// TestReturnedNetworksAreCopies pins the facade's ownership contract:
+// inside the module the six CNNs are shared read-only templates, so a
+// caller mutating a network from Workloads or WorkloadByName must change
+// nothing any later caller sees.
+func TestReturnedNetworksAreCopies(t *testing.T) {
+	fresh := freshNetworks()
+	for i, n := range Workloads() {
+		n.Layers[0].M++
+		n.Layers[len(n.Layers)-1].Name = "mutated"
+		n.Layers = append(n.Layers[:1], n.Layers[2:]...)
+		got, err := WorkloadByName(fresh[i].Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Layers[1].C++
+		if !reflect.DeepEqual(Workloads()[i], fresh[i]) {
+			t.Errorf("%s: mutating returned copies changed the next Workloads result", fresh[i].Name)
+		}
+		if again, _ := WorkloadByName(fresh[i].Name); !reflect.DeepEqual(again, fresh[i]) {
+			t.Errorf("%s: mutating returned copies changed the next WorkloadByName result", fresh[i].Name)
+		}
+	}
+	if !reflect.DeepEqual(workload.All(), fresh) {
+		t.Error("mutating the facade's copies changed the shared templates")
+	}
+}
+
+// TestRunAllLeavesSharedNetworksIntact checks that no code in the module
+// writes to the shared CNN templates: after a full report they still equal
+// freshly built networks.
+func TestRunAllLeavesSharedNetworksIntact(t *testing.T) {
+	ClearCaches() // compute every result, so every code path runs
+	if _, err := RunAllExperiments(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(workload.All(), freshNetworks()) {
+		t.Error("a full report modified the shared CNN templates")
+	}
+}
+
+// freshNetworks builds the six CNNs anew, in Fig. 23 order.
+func freshNetworks() []Network {
+	return []Network{workload.AlexNet(), workload.FasterRCNN(), workload.GoogLeNet(),
+		workload.MobileNet(), workload.ResNet50(), workload.VGG16()}
+}
+
+// TestCacheFamilies pins the memo-cache registry: the whole-simulation
+// caches and the estimator and jsim caches, and no per-layer family.
+func TestCacheFamilies(t *testing.T) {
+	var names []string
+	for _, s := range CacheStatistics() {
+		names = append(names, s.Name)
+	}
+	if got, want := strings.Join(names, " "), "estimator jsim npusim scalesim"; got != want {
+		t.Errorf("registered caches = %q, want %q", got, want)
 	}
 }
