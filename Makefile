@@ -121,12 +121,14 @@ metrics-smoke:
 
 # Fault-injection smoke suite: the margin sweep runs end to end under a
 # fixed seed and must be byte-identical between a parallel and a serial
-# pass (scheduling independence of the seeded fault model).
+# pass (scheduling independence of the seeded fault model) and to its
+# committed golden (so a change that shifts both passes still fails).
 fault-smoke:
 	$(GO) run ./cmd/supernpu-explore -sweep margin -fault-seed 42 -parallel 4 > fault-smoke-par.out
 	$(GO) run ./cmd/supernpu-explore -sweep margin -fault-seed 42 -seq > fault-smoke-seq.out
 	cmp fault-smoke-par.out fault-smoke-seq.out
-	@echo "fault-injection smoke: parallel and serial sweeps byte-identical"
+	cmp fault-smoke-par.out testdata/golden/margin-seed42.golden
+	@echo "fault-injection smoke: parallel and serial sweeps byte-identical to the golden"
 	@rm -f fault-smoke-par.out fault-smoke-seq.out
 
 # Chaos smoke: the fault-injected margin sweep under the race detector

@@ -83,3 +83,16 @@ func TestGoldenFullReport(t *testing.T) {
 	}
 	checkGolden(t, "full_report", out)
 }
+
+// TestGoldenMarginSweep locks the seeded bias-margin sweep, the one exhibit
+// whose numbers come from faulted simulations: its dropped pulses, retry
+// cycles and accuracy proxy are the per-layer fault tallies. It is exactly
+// what `supernpu-explore -sweep margin -fault-seed 42` prints, which
+// `make fault-smoke` compares against the same file.
+func TestGoldenMarginSweep(t *testing.T) {
+	out, err := MarginSweep(context.Background(), MarginSweepOptions{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "margin-seed42", out)
+}

@@ -330,59 +330,68 @@ func simSite(cfg arch.Config, net workload.Network, batch int) string {
 	return fmt.Sprintf("npusim/%s/%s/%d", cfg.Name, net.Name, batch)
 }
 
+// faultTally is one compute layer's injected-fault activity: the bit
+// flips, the dropped pulses and their recirculation retry cycles.
+type faultTally struct{ flips, drops, retry int64 }
+
 // simulate is the uncached simulation. Layers are mutually independent —
-// every cycle charge is a function of the layer's own shape — so their
-// LayerStats fan out across workers; the report accumulates them in layer
-// order afterwards, keeping the totals bit-identical to a serial run. The
+// every cycle charge is a function of the layer's own shape — so the
+// per-layer pool fan-out charges each compute layer straight into its slot
+// of the presized rep.Layers; the report accumulates them in layer order
+// afterwards, keeping the totals bit-identical to a serial run. Workers
+// write distinct indices, and the pool returns only after every write. The
 // fan-out is also where a canceled simulation stops, between layers.
 //
 // Nominal and faulted runs charge each layer alike. A faulted run's
 // pulse-drop retries and bit flips are drawn after the charge, keyed by
-// the layer's own site, so the fan-out order cannot perturb the result.
+// the layer's own site, so the fan-out order cannot perturb the result;
+// nominal runs build no site strings and no fault tallies.
 func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch int, fm *faultinject.Model) (*Report, error) {
-	site := simSite(cfg, net, batch)
-	if fm.FailsSimulation(site) {
-		return nil, &faultinject.FaultError{Site: site}
+	var site string
+	if fm.Enabled() {
+		site = simSite(cfg, net, batch)
+		if fm.FailsSimulation(site) {
+			return nil, &faultinject.FaultError{Site: site}
+		}
 	}
 	est, err := estimator.EstimateFaulted(ctx, cfg, fm)
 	if err != nil {
 		return nil, err
 	}
 
+	n := 0
+	for _, l := range net.Layers {
+		if l.ComputeLayer() {
+			n++
+		}
+	}
 	rep := &Report{
 		Design: cfg, Network: net.Name, Batch: batch,
 		Frequency: est.Frequency, PeakMACs: est.PeakMACs,
 		StaticPower: est.StaticPower,
+		Layers:      make([]LayerStats, 0, n),
 	}
-	cpb := cyclesPerByte(est.Frequency, cfg.MemoryBandwidth)
-
-	type job struct {
-		idx int // position in net.Layers (0 = network entry)
-		l   workload.Layer
-	}
-	type layerOut struct {
-		st LayerStats
-		// injected-fault tallies for this layer
-		flips, drops, retry int64
-		// cleanFrac is the fraction of the layer's MACs untouched by flips.
-		cleanFrac float64
-	}
-	var jobs []job
-	for i, l := range net.Layers {
+	for _, l := range net.Layers {
 		if l.ComputeLayer() {
-			jobs = append(jobs, job{i, l})
+			rep.Layers = append(rep.Layers, LayerStats{Layer: l})
 		}
 	}
-	layerSites.Add(int64(len(jobs)))
-	outs, err := parallel.MapContext(ctx, len(jobs), func(_ context.Context, k int) (layerOut, error) {
-		j := jobs[k]
-		st := chargeLayer(cfg, cpb, j.l, batch)
+	cpb := cyclesPerByte(est.Frequency, cfg.MemoryBandwidth)
+	var tallies []faultTally
+	if fm.Enabled() {
+		tallies = make([]faultTally, n)
+	}
 
-		// Layer input delivery: the first compute layer streams its
-		// inputs from DRAM; later layers transfer the previous output
-		// buffer contents into the ifmap buffer on-chip.
-		inBytes := int64(batch) * j.l.IfmapBytes()
-		if j.idx == 0 {
+	layerSites.Add(int64(n))
+	err = parallel.ForEachContext(ctx, n, func(_ context.Context, k int) error {
+		l := rep.Layers[k].Layer
+		st := chargeLayer(cfg, cpb, l, batch)
+
+		// Layer input delivery: the first compute layer streams the
+		// network's inputs from DRAM; later layers transfer the previous
+		// output buffer contents into the ifmap buffer on-chip.
+		inBytes := int64(batch) * l.IfmapBytes()
+		if k == 0 {
 			st.DRAMCycles += int64(float64(inBytes) * cpb)
 			st.DRAMBytes += inBytes
 		} else {
@@ -391,34 +400,27 @@ func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch 
 			st.BufferBytes += inBytes
 		}
 
-		o := layerOut{cleanFrac: 1}
-		if fm.Enabled() {
-			lsite := site + "/layer/" + j.l.Name
+		if tallies != nil {
+			t := &tallies[k]
+			lsite := site + "/layer/" + l.Name
 			// Thermal pulse drops: every byte streamed through the
 			// shift-register buffers is one shift-in plus one shift-out;
 			// each dropped pulse recirculates the ifmap chunk to replay
 			// the lost entry. The retry cycles land in the ifmap-movement
 			// class, where the replay physically happens.
-			o.drops, o.retry = cfg.IfmapBuf().DropRetryCycles(fm, 2*st.BufferBytes, lsite+"/drop")
-			st.IfmapMoveCycles += o.retry
+			t.drops, t.retry = cfg.IfmapBuf().DropRetryCycles(fm, 2*st.BufferBytes, lsite+"/drop")
+			st.IfmapMoveCycles += t.retry
 			// Datapath bit flips corrupt MACs without costing cycles.
-			o.flips = fm.Count(fm.BitFlip, st.MACs, lsite+"/flip")
-			if st.MACs > 0 {
-				o.cleanFrac = 1 - float64(o.flips)/float64(st.MACs)
-			}
+			t.flips = fm.Count(fm.BitFlip, st.MACs, lsite+"/flip")
 		}
 		st.resolveStalls()
-		o.st = st
-		return o, nil
+		rep.Layers[k] = st
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	accuracy := 1.0
-	var faults FaultStats
-	for _, o := range outs {
-		st := o.st
-		rep.Layers = append(rep.Layers, st)
+	for _, st := range rep.Layers {
 		rep.ComputeCycles += st.ComputeCycles
 		rep.PrepCycles += st.PrepCycles()
 		rep.MACs += st.MACs
@@ -426,25 +428,26 @@ func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch 
 		rep.Trace.BufferBytes += st.BufferBytes
 		rep.Trace.DRAMBytes += st.DRAMBytes
 		rep.Trace.WeightLoads += st.WeightCycles
-		faults.BitFlips += o.flips
-		faults.DroppedPulses += o.drops
-		faults.RetryCycles += o.retry
-		accuracy *= o.cleanFrac
 	}
-	if fm.Enabled() {
-		faults.Model = fm.String()
+	if tallies != nil {
+		// The accuracy proxy compounds, in layer order, the fraction of
+		// each layer's MACs untouched by flips.
+		accuracy := 1.0
+		faults := FaultStats{Model: fm.String()}
+		for k, t := range tallies {
+			faults.BitFlips += t.flips
+			faults.DroppedPulses += t.drops
+			faults.RetryCycles += t.retry
+			if macs := rep.Layers[k].MACs; macs > 0 {
+				accuracy *= 1 - float64(t.flips)/float64(macs)
+			}
+		}
 		faults.Accuracy = math.Max(0, accuracy)
 		rep.Faults = &faults
 	}
 	// Final results drain to DRAM from the last compute layer (Validate
 	// guarantees there is one).
-	var last workload.Layer
-	for _, l := range net.Layers {
-		if l.ComputeLayer() {
-			last = l
-		}
-	}
-	outBytes := int64(batch) * last.OfmapBytes()
+	outBytes := int64(batch) * rep.Layers[n-1].Layer.OfmapBytes()
 	rep.PrepCycles += int64(float64(outBytes) * cpb)
 	rep.Trace.DRAMBytes += outBytes
 	rep.Trace.MACs = rep.MACs
@@ -468,12 +471,29 @@ func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch 
 	return rep, nil
 }
 
+// nominalLibs holds the nominal AIST 1.0 µm cell library of each
+// technology, built once and shared read-only by every simulation. They
+// stay private: sfq.NewLibrary keeps returning a fresh map to everyone
+// else, because sfq.NewLibraryFaulted mutates the one it gets.
+var nominalLibs = [...]*sfq.Library{
+	sfq.RSFQ:  sfq.NewLibrary(sfq.AIST10(), sfq.RSFQ),
+	sfq.ERSFQ: sfq.NewLibrary(sfq.AIST10(), sfq.ERSFQ),
+}
+
+// nominalLibrary returns the nominal cell library of tech.
+func nominalLibrary(tech sfq.Technology) *sfq.Library {
+	if tech >= 0 && int(tech) < len(nominalLibs) {
+		return nominalLibs[tech]
+	}
+	return sfq.NewLibrary(sfq.AIST10(), tech)
+}
+
 // dynamicPower models the chip's switching power over the run: the clock
 // network pulses every clocked cell of the PE array every cycle; MACs add
 // data switching; buffer traffic adds per-byte shift energy; the DAU adds
-// per-delivered-pixel energy.
+// per-delivered-pixel energy. Faulted runs read the nominal library too.
 func dynamicPower(cfg arch.Config, est *estimator.Result, rep *Report) PowerBreakdown {
-	lib := sfq.NewLibrary(sfq.AIST10(), cfg.Tech)
+	lib := nominalLibrary(cfg.Tech)
 	pc := cfg.PECfg()
 	var p PowerBreakdown
 

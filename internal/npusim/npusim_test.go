@@ -282,6 +282,11 @@ func TestReportInvariantsProperty(t *testing.T) {
 		if r.TotalCycles != r.ComputeCycles+r.PrepCycles {
 			return false
 		}
+		// The report holds exactly one entry per compute layer, allocated
+		// once at that size.
+		if n := len(net.ComputeLayers()); len(r.Layers) != n || cap(r.Layers) != n {
+			return false
+		}
 		var layerTotal int64
 		for _, l := range r.Layers {
 			layerTotal += l.TotalCycles()
@@ -472,4 +477,37 @@ func containsAll(s string, subs ...string) bool {
 		}
 	}
 	return true
+}
+
+// poolFirst returns net behind a shape-preserving 1×1 pool, so the first
+// compute layer is no longer the network's first layer.
+func poolFirst(net workload.Network) workload.Network {
+	f := net.Layers[0]
+	pool := workload.Layer{Name: "entry-pool", Kind: workload.Pool,
+		H: f.H, W: f.W, C: f.C, R: 1, S: 1, M: f.C, Stride: 1}
+	return workload.Network{Name: net.Name + "-pool-first",
+		Layers: append([]workload.Layer{pool}, net.Layers...)}
+}
+
+// TestPoolFirstNetworkFetchesInputs checks that the network input is
+// fetched from DRAM by the first compute layer, not by the network's first
+// layer: a pool layer in front of a network changes none of its cycles,
+// DRAM bytes or MACs.
+func TestPoolFirstNetworkFetchesInputs(t *testing.T) {
+	for _, cfg := range arch.Designs() {
+		for _, net := range workload.All() {
+			for _, batch := range []int{1, 0} {
+				want := sim(t, cfg, net, batch)
+				got := sim(t, cfg, poolFirst(net), batch)
+				if got.TotalCycles != want.TotalCycles || got.PrepCycles != want.PrepCycles ||
+					got.Trace.DRAMBytes != want.Trace.DRAMBytes || got.MACs != want.MACs {
+					t.Errorf("%s/%s/b%d: pool-first reads %d cycles (%d prep), %d DRAM bytes, %d MACs; "+
+						"want %d cycles (%d prep), %d DRAM bytes, %d MACs",
+						cfg.Name, net.Name, batch,
+						got.TotalCycles, got.PrepCycles, got.Trace.DRAMBytes, got.MACs,
+						want.TotalCycles, want.PrepCycles, want.Trace.DRAMBytes, want.MACs)
+				}
+			}
+		}
+	}
 }

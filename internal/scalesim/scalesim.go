@@ -170,7 +170,8 @@ func simulate(ctx context.Context, cfg Config, net workload.Network, batch int) 
 	var watch guard.Watch
 	watch.Arm(ctx)
 	defer watch.Disarm()
-	for i, l := range net.Layers {
+	first := true
+	for _, l := range net.Layers {
 		if watch.Canceled() {
 			return nil, watch.Err()
 		}
@@ -180,9 +181,10 @@ func simulate(ctx context.Context, cfg Config, net workload.Network, batch int) 
 		cost := chargeLayer(cfg, l, batch)
 		layerCompute, layerDRAM := cost.Compute, cost.DRAM
 		rep.MACs += cost.MACs
-		// First layer's inputs arrive from DRAM.
-		if i == 0 {
+		// The first compute layer's inputs arrive from DRAM.
+		if first {
 			layerDRAM += int64(float64(int64(batch)*l.IfmapBytes()) * cpb)
+			first = false
 		}
 		rep.ComputeCycles += layerCompute
 		rep.DRAMCycles += layerDRAM

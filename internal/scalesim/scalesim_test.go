@@ -99,3 +99,34 @@ func TestBandwidthMonotonicityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPoolFirstNetworkFetchesInputs checks that the network input is
+// fetched from DRAM by the first compute layer, not by the network's first
+// layer: a shape-preserving pool in front of a network changes none of its
+// cycles or MACs.
+func TestPoolFirstNetworkFetchesInputs(t *testing.T) {
+	for _, net := range workload.All() {
+		f := net.Layers[0]
+		pool := workload.Layer{Name: "entry-pool", Kind: workload.Pool,
+			H: f.H, W: f.W, C: f.C, R: 1, S: 1, M: f.C, Stride: 1}
+		pf := workload.Network{Name: net.Name + "-pool-first",
+			Layers: append([]workload.Layer{pool}, net.Layers...)}
+		for _, batch := range []int{1, TPU().MaxBatch(net)} {
+			want, err := Simulate(context.Background(), TPU(), net, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Simulate(context.Background(), TPU(), pf, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.TotalCycles != want.TotalCycles || got.StallCycles != want.StallCycles ||
+				got.DRAMCycles != want.DRAMCycles || got.MACs != want.MACs {
+				t.Errorf("%s/b%d: pool-first reads %d cycles (%d stall, %d DRAM), %d MACs; "+
+					"want %d cycles (%d stall, %d DRAM), %d MACs", net.Name, batch,
+					got.TotalCycles, got.StallCycles, got.DRAMCycles, got.MACs,
+					want.TotalCycles, want.StallCycles, want.DRAMCycles, want.MACs)
+			}
+		}
+	}
+}
