@@ -6,29 +6,19 @@
 //
 // Usage:
 //
-//	supernpu-lint [-C dir] [-rules r1,r2] [-pkgs dir1,dir2]
-//	              [-json | -sarif] [-baseline file] [-write-baseline file]
-//	              [-list]
+//	supernpu-lint [-C dir] [-rules r1,r2] [-json] [-list]
 //
-// Output is text by default; -json emits the stable JSON report and
-// -sarif a SARIF 2.1.0 log for code-scanning annotation. -baseline gates
-// on the committed baseline: only findings absent from it fail the run,
-// and stale entries are reported on stderr so the baseline only shrinks.
-// -pkgs restricts reporting to files under the given module-relative
-// directories (the packages are still loaded — transitive facts need the
-// whole module).
+// Output is text by default; -json emits the stable JSON report.
 //
 // Exit codes are CI-friendly: 0 for a clean tree, 1 when findings remain
-// after suppression and baseline filtering, 2 for usage or load failures.
-// Findings are silenced in place with //lint:allow(rule) comments; see
-// internal/lint.
+// after suppression, 2 for usage or load failures. Findings are silenced
+// in place with //lint:allow(rule) comments; see internal/lint.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"supernpu/internal/lint"
@@ -40,14 +30,10 @@ func main() {
 
 func run() int {
 	var (
-		dir       = flag.String("C", ".", "directory inside the module to lint (the module root is found upward from here)")
-		ruleList  = flag.String("rules", "", "comma-separated rule names to run (default: all)")
-		pkgFilter = flag.String("pkgs", "", "comma-separated module-relative directories to report on (default: whole module)")
-		asJSON    = flag.Bool("json", false, "emit the findings as a JSON report on stdout")
-		asSARIF   = flag.Bool("sarif", false, "emit the findings as a SARIF 2.1.0 log on stdout")
-		baseline  = flag.String("baseline", "", "baseline file; only findings absent from it fail the run")
-		writeBase = flag.String("write-baseline", "", "write the current findings as a baseline to this file and exit 0")
-		list      = flag.Bool("list", false, "list the registered rules and exit")
+		dir      = flag.String("C", ".", "directory inside the module to lint (the module root is found upward from here)")
+		ruleList = flag.String("rules", "", "comma-separated rule names to run (default: all)")
+		asJSON   = flag.Bool("json", false, "emit the findings as a JSON report on stdout")
+		list     = flag.Bool("list", false, "list the registered rules and exit")
 	)
 	flag.Parse()
 
@@ -56,10 +42,6 @@ func run() int {
 			fmt.Printf("%-16s %-8s %s\n", r.Name(), r.Severity(), r.Doc())
 		}
 		return 0
-	}
-	if *asJSON && *asSARIF {
-		fmt.Fprintln(os.Stderr, "supernpu-lint: -json and -sarif are mutually exclusive")
-		return 2
 	}
 
 	rules := lint.Rules()
@@ -88,87 +70,16 @@ func run() int {
 	}
 
 	res := lint.Run(pkgs, rules)
-	if *pkgFilter != "" {
-		res = filterDirs(res, root, strings.Split(*pkgFilter, ","))
-	}
-
-	if *writeBase != "" {
-		b := lint.NewBaseline(res, root)
-		f, err := os.Create(*writeBase)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "supernpu-lint:", err)
-			return 2
-		}
-		werr := b.Write(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "supernpu-lint:", werr)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "supernpu-lint: wrote %d baseline identit(ies) to %s\n", len(b.Findings), *writeBase)
-		return 0
-	}
-
-	if *baseline != "" {
-		b, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "supernpu-lint:", err)
-			return 2
-		}
-		var stale []lint.BaselineEntry
-		res, stale = lint.ApplyBaseline(res, root, b)
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "supernpu-lint: stale baseline entry: %s in %s (%s) x%d — the tree no longer produces it, delete it\n", e.Rule, e.File, e.Symbol, e.Count)
-		}
-	}
-
-	switch {
-	case *asJSON:
+	if *asJSON {
 		if err := lint.WriteJSON(os.Stdout, res); err != nil {
 			fmt.Fprintln(os.Stderr, "supernpu-lint:", err)
 			return 2
 		}
-	case *asSARIF:
-		if err := lint.WriteSARIF(os.Stdout, res, root); err != nil {
-			fmt.Fprintln(os.Stderr, "supernpu-lint:", err)
-			return 2
-		}
-	default:
+	} else {
 		lint.WriteText(os.Stdout, res)
 	}
 	if len(res.Diags) > 0 {
 		return 1
 	}
 	return 0
-}
-
-// filterDirs keeps diagnostics whose file lies under one of the given
-// module-relative directories.
-func filterDirs(res lint.Result, root string, dirs []string) lint.Result {
-	var prefixes []string
-	for _, d := range dirs {
-		d = strings.TrimSpace(d)
-		if d == "" {
-			continue
-		}
-		prefixes = append(prefixes, filepath.ToSlash(filepath.Clean(d))+"/")
-	}
-	out := lint.Result{Suppressed: res.Suppressed}
-	for _, diag := range res.Diags {
-		rel, err := filepath.Rel(root, diag.File)
-		if err != nil {
-			out.Diags = append(out.Diags, diag)
-			continue
-		}
-		slashRel := filepath.ToSlash(rel)
-		for _, p := range prefixes {
-			if strings.HasPrefix(slashRel+"/", p) || strings.HasPrefix(slashRel, p) {
-				out.Diags = append(out.Diags, diag)
-				break
-			}
-		}
-	}
-	return out
 }

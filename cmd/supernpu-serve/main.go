@@ -17,11 +17,12 @@
 //	GET  /v1/workloads  the six evaluation CNNs
 //	GET  /healthz       liveness
 //	GET  /metrics       Prometheus text exposition of every obs instrument
-//	GET  /debug/stats   cache hit/miss, pool occupancy, queue gauges
+//	                    (pool, queue, request and per-cache hit/miss series)
 //	GET  /debug/pprof/  live profiling (net/http/pprof: profile, heap, trace, …)
 //
-// The service sheds load with 429 + Retry-After once the work queue is
-// full, and drains in-flight requests on SIGINT/SIGTERM.
+// The startup log line names the pool width, queue depth, timeout and
+// fault model. The service sheds load with 429 + Retry-After once the work
+// queue is full, and drains in-flight requests on SIGINT/SIGTERM.
 package main
 
 import (

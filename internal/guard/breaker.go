@@ -73,6 +73,10 @@ func (b *Breaker) Allow(key string) bool {
 // and clears the failure count. A breaking error (IsNumeric) increments
 // the consecutive count and opens the breaker at the threshold. Any other
 // error — transient cancellations included — leaves the state untouched.
+//
+// A success on a key that is already closed with no failures, the common
+// case on every healthy request, leaves the state gauge alone: it costs
+// one map lookup and never touches the metrics registry.
 func (b *Breaker) Record(key string, err error) {
 	if err != nil && !IsNumeric(err) {
 		return
@@ -83,6 +87,8 @@ func (b *Breaker) Record(key string, err error) {
 	if e == nil {
 		e = &breakerEntry{}
 		b.m[key] = e
+	} else if err == nil && e.fails == 0 && !e.open {
+		return
 	}
 	if err == nil {
 		e.fails, e.open, e.skipped = 0, false, 0

@@ -1,11 +1,15 @@
 package guard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
+
+	"supernpu/internal/obs"
 )
 
 func TestCtxErrLiveContext(t *testing.T) {
@@ -189,6 +193,55 @@ func TestBreakerIgnoresTransientErrors(t *testing.T) {
 	b2.Record("d", div)
 	if b2.Allow("d") {
 		t.Fatal("cancellation between numeric failures reset the breaker count")
+	}
+}
+
+// TestBreakerClosedSuccessAllocatesNothing pins the serve path's common
+// case: every successful evaluation records nil for its design, and once
+// the key is known and closed that must not reach the metrics registry.
+func TestBreakerClosedSuccessAllocatesNothing(t *testing.T) {
+	b := NewBreaker(3, 8)
+	b.Record("warm", nil)
+	if allocs := testing.AllocsPerRun(100, func() { b.Record("warm", nil) }); allocs != 0 {
+		t.Fatalf("Record(closed key, nil) = %.0f allocs/op, want 0", allocs)
+	}
+}
+
+// TestBreakerStateGauge pins what /metrics shows per design after each
+// kind of state change, so skipping unchanged writes stays invisible.
+func TestBreakerStateGauge(t *testing.T) {
+	b := NewBreaker(2, 1)
+	div := fmt.Errorf("x: %w", ErrDiverged)
+	b.Record("gauge-ok", nil)
+	b.Record("gauge-ok", nil)
+	b.Record("gauge-fail-ok", div)
+	b.Record("gauge-fail-ok", nil)
+	b.Record("gauge-open", div)
+	b.Record("gauge-open", div)
+	b.Record("gauge-closed", div)
+	b.Record("gauge-closed", div)
+	b.Record("gauge-closed", nil)
+	b.Record("gauge-one-fail", div)
+
+	var buf bytes.Buffer
+	if err := obs.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, `supernpu_guard_breaker_state{design="gauge-`); ok {
+			key, val, _ := strings.Cut(rest, `"} `)
+			got[key] = val
+		}
+	}
+	want := map[string]string{"ok": "0", "fail-ok": "0", "open": "1", "closed": "0"}
+	if len(got) != len(want) {
+		t.Errorf("breaker gauge series = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("breaker gauge for gauge-%s = %q, want %q", k, got[k], v)
+		}
 	}
 }
 

@@ -29,6 +29,8 @@
 //	ctxflow         context.Background/TODO calls in the modeling packages,
 //	                and exported looping entry points that fail to accept
 //	                the caller's context.Context
+//	sharedmut       unsynchronized writes to captured or package-level
+//	                state inside callbacks handed to the worker pool
 //
 // False positives are silenced in place with a
 //
@@ -82,10 +84,6 @@ type Diagnostic struct {
 	Line     int      `json:"line"`
 	Col      int      `json:"col"`
 	Message  string   `json:"message"`
-	// Symbol names the enclosing top-level declaration ("Cold",
-	// "(*Solver).RunChain"); it is the position-independent half of the
-	// baseline identity, so line drift never churns the baseline.
-	Symbol string `json:"symbol,omitempty"`
 	// Chain is the interprocedural derivation for transitive findings,
 	// from the reported function down to the sink
 	// (["estimator.Cold", "report.stamp", "time.Now"]); empty for
@@ -237,8 +235,8 @@ func (s suppressions) allows(d Diagnostic) bool {
 // suppression-filtered result. Before the rules fire, the module-wide call
 // graph and its transitive facts are computed over the whole package set,
 // so interprocedural findings see edges that cross package boundaries.
-// Afterwards the diagnostics are sorted into the canonical emission order,
-// de-duplicated, and attributed to their enclosing top-level symbol.
+// Afterwards the diagnostics are sorted into the canonical emission order
+// and de-duplicated.
 func Run(pkgs []*Package, rules []Rule) Result {
 	facts := computeFacts(pkgs)
 	var res Result
@@ -256,15 +254,14 @@ func Run(pkgs []*Package, rules []Rule) Result {
 			rule.Check(pass)
 		}
 	}
-	attachSymbols(pkgs, res.Diags)
 	sortDiagnostics(res.Diags)
 	res.Diags = dedupe(res.Diags)
 	return res
 }
 
 // sortDiagnostics orders findings by (file, line, col, rule, message):
-// the canonical emission order every writer (text, JSON, SARIF) inherits,
-// so analyzer output is itself a pure function of the source tree. The
+// the canonical emission order both writers (text and JSON) inherit, so
+// analyzer output is itself a pure function of the source tree. The
 // message tie-break makes the order total even when one rule reports
 // twice at one position.
 func sortDiagnostics(diags []Diagnostic) {
@@ -307,77 +304,6 @@ func dedupe(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-// attachSymbols sets each diagnostic's Symbol to the name of the
-// enclosing top-level declaration, resolved by line range against the
-// package set the findings came from.
-func attachSymbols(pkgs []*Package, diags []Diagnostic) {
-	type declSpan struct {
-		start, end int
-		name       string
-	}
-	byFile := map[string][]declSpan{}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				var names []string
-				switch decl := decl.(type) {
-				case *ast.FuncDecl:
-					name := decl.Name.Name
-					if decl.Recv != nil && len(decl.Recv.List) == 1 {
-						names = append(names, "("+recvString(decl.Recv.List[0].Type)+")."+name)
-					} else {
-						names = append(names, name)
-					}
-				case *ast.GenDecl:
-					for _, spec := range decl.Specs {
-						switch spec := spec.(type) {
-						case *ast.ValueSpec:
-							for _, id := range spec.Names {
-								names = append(names, id.Name)
-							}
-						case *ast.TypeSpec:
-							names = append(names, spec.Name.Name)
-						}
-					}
-					if len(names) > 1 {
-						names = names[:1] // attribute the whole block to its first name
-					}
-				}
-				if len(names) == 0 {
-					continue
-				}
-				start := pkg.Fset.Position(decl.Pos())
-				end := pkg.Fset.Position(decl.End())
-				if decl, ok := decl.(*ast.FuncDecl); ok && decl.Doc != nil {
-					start = pkg.Fset.Position(decl.Doc.Pos())
-				}
-				byFile[start.Filename] = append(byFile[start.Filename], declSpan{start.Line, end.Line, names[0]})
-			}
-		}
-	}
-	for i := range diags {
-		for _, span := range byFile[diags[i].File] {
-			if diags[i].Line >= span.start && diags[i].Line <= span.end {
-				diags[i].Symbol = span.name
-				break
-			}
-		}
-	}
-}
-
-// recvString renders a receiver type expression ("*Solver", "Chain").
-func recvString(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.StarExpr:
-		return "*" + recvString(e.X)
-	case *ast.Ident:
-		return e.Name
-	case *ast.IndexExpr: // generic receiver
-		return recvString(e.X)
-	}
-	return "?"
-}
-
 // WriteText renders the result one finding per line, with a trailing
 // summary, in a stable order suitable for diffing in CI logs.
 func WriteText(w io.Writer, res Result) {
@@ -388,8 +314,8 @@ func WriteText(w io.Writer, res Result) {
 		len(res.Diags), res.Errors(), len(res.Diags)-res.Errors(), res.Suppressed)
 }
 
-// jsonReport is the stable JSON output schema; the shape is covered by
-// TestJSONOutputSchema and consumed by CI annotations.
+// jsonReport is the stable JSON output schema; TestJSONOutputSchema pins
+// its shape.
 type jsonReport struct {
 	Diagnostics []Diagnostic   `json:"diagnostics"`
 	Counts      map[string]int `json:"counts"`

@@ -244,7 +244,7 @@ func TestRulesExemptPackages(t *testing.T) {
 	}
 }
 
-// TestJSONOutputSchema locks the JSON report shape CI consumes.
+// TestJSONOutputSchema locks the shape of the -json report.
 func TestJSONOutputSchema(t *testing.T) {
 	pkg := loadFixture(t, "nakedgo")
 	res := Run([]*Package{pkg}, []Rule{RuleByName("nakedgo")})
@@ -260,7 +260,6 @@ func TestJSONOutputSchema(t *testing.T) {
 			Line     int      `json:"line"`
 			Col      int      `json:"col"`
 			Message  string   `json:"message"`
-			Symbol   string   `json:"symbol"`
 			Chain    []string `json:"chain"`
 		} `json:"diagnostics"`
 		Counts     map[string]int `json:"counts"`
@@ -289,7 +288,7 @@ func TestJSONOutputSchema(t *testing.T) {
 		t.Error("counts missing the warning bucket")
 	}
 	// An empty result must still serialise with a [] diagnostics array,
-	// not null, so jq pipelines in CI never see a type change.
+	// not null, so jq pipelines never see a type change.
 	buf.Reset()
 	if err := WriteJSON(&buf, Result{}); err != nil {
 		t.Fatal(err)
@@ -313,6 +312,36 @@ func TestTextOutput(t *testing.T) {
 	want := fmt.Sprintf("lint: %d finding(s)", len(res.Diags))
 	if !strings.Contains(out, want) {
 		t.Errorf("text output missing summary %q:\n%s", want, out)
+	}
+}
+
+// TestRunByteIdentity performs two fully independent load+run passes and
+// demands byte-identical text and JSON renderings — the analyzer's own
+// output must honour the determinism contract it enforces, including
+// across map-heavy structures like the call graph.
+func TestRunByteIdentity(t *testing.T) {
+	render := func() (text, jsonOut []byte) {
+		t.Helper()
+		pkgs := loadFixtureClosure(t, "sharedmut")
+		pkgs = append(pkgs, loadFixtureClosure(t, "ndcross")...)
+		res := Run(pkgs, Rules())
+		if len(res.Diags) == 0 {
+			t.Fatal("fixture run produced no findings; identity check would be vacuous")
+		}
+		var tb, jb bytes.Buffer
+		WriteText(&tb, res)
+		if err := WriteJSON(&jb, res); err != nil {
+			t.Fatal(err)
+		}
+		return tb.Bytes(), jb.Bytes()
+	}
+	t1, j1 := render()
+	t2, j2 := render()
+	if !bytes.Equal(t1, t2) {
+		t.Error("text output differs between two identical runs")
+	}
+	if !bytes.Equal(j1, j2) {
+		t.Error("JSON output differs between two identical runs")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"strings"
@@ -205,5 +206,27 @@ func TestGracefulDrainWithFaultInjectedSweep(t *testing.T) {
 	}
 	if _, err := http.Get(url + "/healthz"); err == nil {
 		t.Fatal("server still accepting connections after drain")
+	}
+}
+
+// TestStartupLineNamesLimitsAndFaultModel pins the one place the service
+// reports its static settings: the listening line carries the pool width,
+// queue depth, timeout and fault model, with and without faults armed.
+func TestStartupLineNamesLimitsAndFaultModel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, fm := range []*faultinject.Model{nil, mild()} {
+		var buf bytes.Buffer
+		s := New(Options{MaxConcurrent: 3, QueueDepth: 17, Timeout: 4 * time.Second,
+			Fault: fm, Logger: log.New(&buf, "", 0)})
+		if err := s.ListenAndServe(ctx, "127.0.0.1:0", time.Second); err != nil {
+			t.Fatal(err)
+		}
+		line, _, _ := strings.Cut(buf.String(), "\n")
+		for _, want := range []string{"workers 3", "queue 17", "timeout 4s", fm.String()} {
+			if !strings.Contains(line, want) {
+				t.Errorf("startup line %q does not name %q", line, want)
+			}
+		}
 	}
 }

@@ -18,13 +18,29 @@ import (
 	"supernpu/internal/guard"
 )
 
-// tripBreaker feeds the server's breaker the configured number of numeric
-// failures for key, as if that many consecutive simulations had diverged.
-func tripBreaker(s *Server, key string, n int) {
+// tripBreaker feeds the server's breaker breakerThreshold numeric failures
+// for key, as if that many consecutive simulations had diverged.
+func tripBreaker(s *Server, key string) {
 	err := fmt.Errorf("simulated failure: %w", guard.ErrDiverged)
-	for i := 0; i < n; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		s.breaker.Record(key, err)
 	}
+}
+
+// evaluateSuperNPU posts one ResNet50 evaluation of SuperNPU and decodes
+// the 200 response.
+func evaluateSuperNPU(t *testing.T, ts *httptest.Server) EvaluationResponse {
+	t.Helper()
+	status, body, _ := post(t, ts.URL+"/v1/evaluate",
+		`{"design":"SuperNPU","workload":"ResNet50","batch":1}`)
+	if status != http.StatusOK {
+		t.Fatalf("evaluate = %d %s, want 200", status, body)
+	}
+	var got EvaluationResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 // TestEvaluateBreakerServesDegraded trips the divergence breaker for one
@@ -32,21 +48,13 @@ func tripBreaker(s *Server, key string, n int) {
 // roofline — 200 with "degraded": true and the breaker named in the reason —
 // while other designs keep simulating normally.
 func TestEvaluateBreakerServesDegraded(t *testing.T) {
-	s, ts := newTestServer(t, Options{BreakerThreshold: 3, BreakerProbeEvery: 1 << 20})
-	tripBreaker(s, "SuperNPU", 3)
+	s, ts := newTestServer(t, Options{})
+	tripBreaker(s, "SuperNPU")
 	if !s.breaker.Open("SuperNPU") {
 		t.Fatal("breaker not open after threshold failures")
 	}
 
-	status, body, _ := post(t, ts.URL+"/v1/evaluate",
-		`{"design":"SuperNPU","workload":"ResNet50","batch":1}`)
-	if status != http.StatusOK {
-		t.Fatalf("evaluate with open breaker = %d %s, want 200", status, body)
-	}
-	var got EvaluationResponse
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
-	}
+	got := evaluateSuperNPU(t, ts)
 	if !got.Degraded || !strings.Contains(got.DegradedReason, "breaker open") {
 		t.Fatalf("want degraded response naming the breaker, got %+v", got)
 	}
@@ -55,7 +63,7 @@ func TestEvaluateBreakerServesDegraded(t *testing.T) {
 	}
 
 	// An untripped design still gets the full simulation.
-	status, body, _ = post(t, ts.URL+"/v1/evaluate",
+	status, body, _ := post(t, ts.URL+"/v1/evaluate",
 		`{"design":"Baseline","workload":"AlexNet","batch":1}`)
 	if status != http.StatusOK {
 		t.Fatalf("evaluate of untripped design = %d %s", status, body)
@@ -69,23 +77,20 @@ func TestEvaluateBreakerServesDegraded(t *testing.T) {
 	}
 }
 
-// TestEvaluateBreakerRecoversViaProbe opens the breaker, then lets the
-// half-open probe through: with probeEvery=1 the very next request runs the
-// real (healthy) simulation, which closes the breaker again.
+// TestEvaluateBreakerRecoversViaProbe opens the breaker, then walks its
+// half-open cadence: the first breakerProbeEvery-1 requests are denied and
+// served degraded, and the next one probes the real (healthy) simulation,
+// which closes the breaker again.
 func TestEvaluateBreakerRecoversViaProbe(t *testing.T) {
-	s, ts := newTestServer(t, Options{BreakerThreshold: 2, BreakerProbeEvery: 1})
-	tripBreaker(s, "SuperNPU", 2)
+	s, ts := newTestServer(t, Options{})
+	tripBreaker(s, "SuperNPU")
 
-	status, body, _ := post(t, ts.URL+"/v1/evaluate",
-		`{"design":"SuperNPU","workload":"ResNet50","batch":1}`)
-	if status != http.StatusOK {
-		t.Fatalf("probe request = %d %s", status, body)
+	for i := 1; i < breakerProbeEvery; i++ {
+		if got := evaluateSuperNPU(t, ts); !got.Degraded {
+			t.Fatalf("request %d of an open breaker was not served degraded: %+v", i, got)
+		}
 	}
-	var got EvaluationResponse
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Degraded {
+	if got := evaluateSuperNPU(t, ts); got.Degraded {
 		t.Fatalf("probe request served degraded: %+v", got)
 	}
 	if s.breaker.Open("SuperNPU") {

@@ -17,7 +17,6 @@ import (
 	"supernpu/internal/guard"
 	"supernpu/internal/obs"
 	"supernpu/internal/parallel"
-	"supernpu/internal/simcache"
 	"supernpu/internal/workload"
 )
 
@@ -60,10 +59,10 @@ func evaluateSafely(ctx context.Context, d core.Design, net workload.Network, ba
 // it answers 503 with the cancellation taxonomy.
 //
 // A per-design divergence breaker sits in front of the simulation: after
-// BreakerThreshold consecutive numeric failures (diverged or non-finite
+// breakerThreshold consecutive numeric failures (diverged or non-finite
 // results, typically from an aggressive fault model) the handler stops
 // paying for doomed simulations and serves the analytical roofline directly,
-// letting every BreakerProbeEvery-th request through as a recovery probe.
+// letting every breakerProbeEvery-th request through as a recovery probe.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req EvaluateRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
@@ -75,17 +74,15 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if s.breaker != nil && !s.breaker.Allow(d.Name()) {
+	if !s.breaker.Allow(d.Name()) {
 		s.degrade(w, r, d, net, req.Batch,
 			"divergence breaker open for design "+d.Name())
 		return
 	}
 	ev, err := evaluateSafely(r.Context(), d, net, req.Batch, s.opts.Fault)
-	if s.breaker != nil {
-		// Record feeds only numeric outcomes into the state machine;
-		// cancellations and panics leave the breaker untouched.
-		s.breaker.Record(d.Name(), err)
-	}
+	// Record feeds only numeric outcomes into the state machine;
+	// cancellations and panics leave the breaker untouched.
+	s.breaker.Record(d.Name(), err)
 	if err != nil {
 		if core.IsBadInput(err) {
 			writeError(w, http.StatusBadRequest, err.Error())
@@ -231,57 +228,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = obs.WritePrometheus(w)
-}
-
-// statsResponse is the GET /debug/stats payload.
-type statsResponse struct {
-	Workers       int              `json:"workers"`
-	MaxConcurrent int              `json:"maxConcurrent"`
-	QueueDepth    int              `json:"queueDepth"`
-	Running       int64            `json:"running"`
-	Queued        int64            `json:"queued"`
-	Rejected      int64            `json:"rejected"`
-	Requests      int64            `json:"requests"`
-	Panics        int64            `json:"panics"`
-	Degraded      int64            `json:"degraded"`
-	FaultModel    string           `json:"faultModel"`
-	SimsInFlight  int64            `json:"simsInFlight"`
-	Caches        []cacheStatsJSON `json:"caches"`
-}
-
-// cacheStatsJSON is one simulation cache's counters.
-type cacheStatsJSON struct {
-	Name     string  `json:"name"`
-	Entries  int     `json:"entries"`
-	Hits     int64   `json:"hits"`
-	Misses   int64   `json:"misses"`
-	HitRate  float64 `json:"hitRate"`
-	InFlight int64   `json:"inFlight"`
-}
-
-// handleStats serves GET /debug/stats: pool occupancy, queue gauges and the
-// per-cache hit/miss counters. Caches come pre-sorted from the registry, so
-// the payload is deterministic.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := statsResponse{
-		Workers:       parallel.Workers(),
-		MaxConcurrent: s.opts.MaxConcurrent,
-		QueueDepth:    s.opts.QueueDepth,
-		Running:       s.metrics.running.Value(),
-		Queued:        s.queued.Load(),
-		Rejected:      s.metrics.rejected.Value(),
-		Requests:      s.metrics.requests.Value(),
-		Panics:        s.metrics.panics.Value(),
-		Degraded:      s.metrics.degraded.Value(),
-		FaultModel:    s.opts.Fault.String(),
-		SimsInFlight:  simcache.TotalInFlight(),
-		Caches:        make([]cacheStatsJSON, 0, 4),
-	}
-	for _, c := range simcache.Snapshot() {
-		resp.Caches = append(resp.Caches, cacheStatsJSON{
-			Name: c.Name, Entries: c.Entries, Hits: c.Hits, Misses: c.Misses,
-			HitRate: c.HitRate(), InFlight: c.InFlight,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

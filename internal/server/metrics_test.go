@@ -164,10 +164,4 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("family %s has no samples", want.name)
 		}
 	}
-
-	// The JSON snapshot keeps working alongside /metrics.
-	status, body := get(t, ts.URL+"/debug/stats")
-	if status != http.StatusOK || !strings.Contains(string(body), `"requests"`) {
-		t.Fatalf("debug/stats after metrics = %d %s", status, body)
-	}
 }

@@ -64,7 +64,8 @@ func classifyEndpoint(path string) string {
 
 // limit is the backpressure gate: at most MaxConcurrent requests hold a work
 // slot, at most QueueDepth more wait for one, and everything beyond that is
-// shed immediately with 429 + Retry-After. The gauges feed /debug/stats.
+// shed immediately with 429 + Retry-After. The running and queued gauges
+// are served on /metrics.
 func (s *Server) limit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {

@@ -16,8 +16,8 @@
 //     (http.TimeoutHandler), and the whole service drains in-flight requests
 //     on SIGINT/SIGTERM via http.Server.Shutdown;
 //   - load and cache instruments live in the internal/obs registry, served
-//     in Prometheus text format on GET /metrics; GET /debug/stats adds a
-//     JSON snapshot with the configured limits and fault model.
+//     in Prometheus text format on GET /metrics; the configured limits and
+//     fault model are printed once, on the startup log line.
 //
 // Responses are byte-identical to serial, direct calls into the facade: the
 // models are deterministic pure functions, results are assembled in request
@@ -58,17 +58,19 @@ type Options struct {
 	// A simulation aborted by an injected fault does not 500: /v1/evaluate
 	// degrades to the analytical roofline estimate with "degraded": true.
 	Fault *faultinject.Model
-	// BreakerThreshold is the number of consecutive numeric failures
+}
+
+const (
+	// breakerThreshold is the number of consecutive numeric failures
 	// (diverged / non-finite simulations) of one design after which
 	// /v1/evaluate stops attempting the full simulation for that design and
-	// serves the analytical roofline directly. Default: 3. Negative disables
-	// the breaker.
-	BreakerThreshold int
-	// BreakerProbeEvery is the half-open cadence of the divergence breaker:
-	// while open, every probeEvery-th evaluate request for the tripped
-	// design runs the real simulation as a recovery probe. Default: 8.
-	BreakerProbeEvery int
-}
+	// serves the analytical roofline directly.
+	breakerThreshold = 3
+	// breakerProbeEvery is the half-open cadence of the divergence breaker:
+	// while open, every breakerProbeEvery-th evaluate request for the
+	// tripped design runs the real simulation as a recovery probe.
+	breakerProbeEvery = 8
+)
 
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
@@ -83,12 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Logger == nil {
 		o.Logger = log.Default()
-	}
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerProbeEvery <= 0 {
-		o.BreakerProbeEvery = 8
 	}
 	return o
 }
@@ -106,9 +102,9 @@ type Server struct {
 	queued  atomic.Int64
 	metrics *metrics
 	// breaker is the per-design divergence circuit breaker guarding
-	// /v1/evaluate (nil when disabled): designs whose simulations keep
-	// blowing up numerically are short-circuited onto the analytical
-	// degraded path until a half-open probe succeeds.
+	// /v1/evaluate: designs whose simulations keep blowing up numerically
+	// are short-circuited onto the analytical degraded path until a
+	// half-open probe succeeds.
 	breaker *guard.Breaker
 }
 
@@ -117,9 +113,7 @@ func New(opts Options) *Server {
 	s := &Server{opts: opts.withDefaults()}
 	s.sem = make(chan struct{}, s.opts.MaxConcurrent)
 	s.metrics = globalMetrics
-	if s.opts.BreakerThreshold > 0 {
-		s.breaker = guard.NewBreaker(s.opts.BreakerThreshold, s.opts.BreakerProbeEvery)
-	}
+	s.breaker = guard.NewBreaker(breakerThreshold, breakerProbeEvery)
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s
@@ -144,7 +138,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /debug/stats", s.handleStats)
 	// Live profiling endpoints (net/http/pprof) on the always-on side of the
 	// mux, so a saturated service can still be profiled: perf work should
 	// start from a profile, not a guess.
@@ -195,7 +188,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, grace time.Dur
 	if err != nil {
 		return err
 	}
-	s.opts.Logger.Printf("server: listening on %s (workers %d, queue %d, timeout %s)",
-		l.Addr(), s.opts.MaxConcurrent, s.opts.QueueDepth, s.opts.Timeout)
+	s.opts.Logger.Printf("server: listening on %s (workers %d, queue %d, timeout %s, fault model: %s)",
+		l.Addr(), s.opts.MaxConcurrent, s.opts.QueueDepth, s.opts.Timeout, s.opts.Fault)
 	return s.Serve(ctx, l, grace)
 }

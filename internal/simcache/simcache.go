@@ -463,16 +463,3 @@ func ClearAll() {
 		c.Clear()
 	}
 }
-
-// TotalInFlight sums the in-flight computation gauges of every registered
-// cache: the number of distinct simulations/estimations running right now.
-// The evaluation service exports it as a load gauge.
-func TotalInFlight() int64 {
-	regMu.Lock()
-	defer regMu.Unlock()
-	var n int64
-	for _, c := range registry {
-		n += c.InFlight()
-	}
-	return n
-}

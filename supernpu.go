@@ -64,12 +64,6 @@ func CacheStatistics() []CacheStats { return simcache.Snapshot() }
 // evaluation to recompute from scratch (cold-start benchmarks).
 func ClearCaches() { simcache.ClearAll() }
 
-// SimulationsInFlight returns the number of distinct simulations and
-// estimations running right now across every memo cache. Concurrent
-// duplicate requests coalesce onto one computation, so this gauge counts
-// work, not callers; the evaluation service exports it at /debug/stats.
-func SimulationsInFlight() int64 { return simcache.TotalInFlight() }
-
 // Design is one evaluated design point (an SFQ NPU configuration or the
 // CMOS TPU core).
 type Design = core.Design
