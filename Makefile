@@ -11,7 +11,7 @@ COVER_PACKAGES ?= ./internal/server:70 ./internal/obs:80 ./internal/checkpoint:7
 # Per-target budget for the fuzz smoke pass (make fuzz).
 FUZZTIME ?= 15s
 
-.PHONY: check build vet test race bench bench-sweep bench-smoke repro serve cover fuzz metrics-smoke fault-smoke chaos-smoke race-resilience golden-update clean lint fmt-check
+.PHONY: check build vet test race bench bench-sweep bench-smoke repro serve cover fuzz metrics-smoke fault-smoke chaos-smoke race-resilience golden-update clean lint fmt-check examples
 
 check: build lint race
 
@@ -106,6 +106,15 @@ fault-smoke:
 	cmp fault-smoke-par.out testdata/golden/margin-seed42.golden
 	@echo "fault-injection smoke: parallel and serial sweeps byte-identical to the golden"
 	@rm -f fault-smoke-par.out fault-smoke-seq.out
+
+# Example smoke: go build ./... only compiles the example programs, so run
+# each one end to end; any non-zero exit fails. examples/validation is the
+# only non-test caller of the storage-loop DFF demo.
+examples:
+	@for d in examples/*/; do \
+		echo "== go run ./$$d"; \
+		$(GO) run ./$$d || exit 1; \
+	done
 
 # Chaos smoke: the fault-injected margin sweep under the race detector
 # with an aggressive cancellation hammer (timeouts landing at staggered

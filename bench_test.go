@@ -222,9 +222,12 @@ func BenchmarkSystolicFunctional(b *testing.B) {
 }
 
 // BenchmarkJSIMTransient measures the RCSJ transient simulation of a
-// 12-stage JTL (the gate-parameter extraction path).
+// 12-stage JTL (the gate-parameter extraction path). The extraction is
+// memoised, so each iteration clears the jsim family first: otherwise every
+// iteration after the first would time a cache hit.
 func BenchmarkJSIMTransient(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		simcache.Clear("jsim")
 		if _, err := jsim.ExtractJTLParams(context.Background()); err != nil {
 			b.Fatal(err)
 		}

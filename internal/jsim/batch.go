@@ -37,9 +37,14 @@ func RunBatch(ctx context.Context, jobs []BatchJob) error {
 
 // BiasMarginsFaultedBatch measures the operating bias margins of many fault
 // variants across the worker pool: entry i of the result corresponds to
-// fms[i]. Each worker reuses one Solver for every bisection probe of every
-// grid point it claims; results are memoised under the same keys as
-// BiasMarginsFaulted, so a re-sweep (or a later single query) is free.
+// fms[i]. Each variant's JTL carries the model's Ic spread, and its bias
+// rails are held at multiples of the nominal (design-point) critical
+// current. Spread narrows the window from both sides — the weakest junction
+// free-runs first at high bias, the strongest one sticks first at low bias —
+// which is the physical quantity the MarginSweep exhibit plots. Each worker
+// reuses one Solver for every bisection probe of every grid point it
+// claims. Results are memoised per fault key, so a re-sweep is free; a
+// disabled model shares the nominal BiasMargins entry.
 func BiasMarginsFaultedBatch(ctx context.Context, fms []*faultinject.Model) ([]Margins, error) {
 	return parallel.MapLocalContext(ctx, len(fms), NewSolver,
 		func(ctx context.Context, s *Solver, i int) (Margins, error) {
@@ -65,20 +70,19 @@ func biasMarginsFaultedCached(ctx context.Context, fm *faultinject.Model, s *Sol
 }
 
 // marginProbe is the reusable state of one bias-margin bisection arm: a
-// solver, the chain under test (rebuilt once, re-biased per probe) and a
+// solver, the chain under test (built once, re-biased per probe) and a
 // final-state observer. Re-biasing and re-running reproduces the legacy
 // fresh-chain-per-probe trajectories exactly — the netlist is deterministic
 // and only Bias varied between probes. The probe carries the bisection's
 // context (its lifetime is one margin analysis) so every transient under
 // it is cancellable.
 type marginProbe struct {
-	ctx    context.Context
-	s      *Solver
-	ch     *Chain
-	biasIc []float64 // per-node current the probe bias multiplies
-	fin    FinalState
-	obs    []Observer
-	T, dt  float64
+	ctx context.Context
+	s   *Solver
+	ch  *Chain
+	fin FinalState
+	obs []Observer
+	dt  float64
 	// err latches the first non-numeric solver failure (cancellation or
 	// deadline): those describe the attempt, not the operating point, so
 	// "works == false" must not stand in for them — a canceled bisection
@@ -88,25 +92,27 @@ type marginProbe struct {
 	err error
 }
 
-// newMarginProbe builds a probe over ch whose probe bias is expressed in
-// multiples of biasIc[i] for node i.
-func newMarginProbe(ctx context.Context, s *Solver, ch *Chain, biasIc []float64, T, dt float64) *marginProbe {
-	p := &marginProbe{ctx: ctx, s: s, ch: ch, biasIc: biasIc, T: T, dt: dt}
+// newMarginProbe builds a probe on the solver over the margin-analysis JTL
+// carrying fm's Ic spread (the nominal line for a disabled model),
+// integrated at step dt.
+func newMarginProbe(ctx context.Context, s *Solver, fm *faultinject.Model, dt float64) *marginProbe {
+	p := &marginProbe{ctx: ctx, s: s, ch: PerturbedJTL(marginStages, fm), dt: dt}
 	p.obs = []Observer{&p.fin}
 	return p
 }
 
 // works reports whether the chain delivers exactly one pulse per junction at
-// the given bias multiple. After a latched error it reports false without
-// simulating; callers must check p.err before trusting a bisection result.
+// the given bias, in multiples of the design-point Ic. After a latched error
+// it reports false without simulating; callers must check p.err before
+// trusting a bisection result.
 func (p *marginProbe) works(bias float64) bool {
 	if p.err != nil {
 		return false
 	}
 	for i := range p.ch.Nodes {
-		p.ch.Nodes[i].Bias = bias * p.biasIc[i]
+		p.ch.Nodes[i].Bias = bias * marginIc
 	}
-	if err := p.s.RunChain(p.ctx, p.ch, p.T, p.dt, p.obs...); err != nil {
+	if err := p.s.RunChain(p.ctx, p.ch, marginProbeT, p.dt, p.obs...); err != nil {
 		if !guard.IsNumeric(err) {
 			p.err = err
 		}
@@ -120,9 +126,10 @@ func (p *marginProbe) works(bias float64) bool {
 	return true
 }
 
-// bisect walks the works boundary between a failing and a working bias.
-func (p *marginProbe) bisect(bad, good float64) float64 {
-	for i := 0; i < 12; i++ {
+// bisect walks the works boundary between a failing and a working bias,
+// halving the bracket n times.
+func (p *marginProbe) bisect(bad, good float64, n int) float64 {
+	for i := 0; i < n; i++ {
 		mid := (bad + good) / 2
 		if p.works(mid) {
 			good = mid
@@ -133,51 +140,28 @@ func (p *marginProbe) bisect(bad, good float64) float64 {
 	return good
 }
 
-// perJunctionIc returns each node's own critical current — the bias basis of
-// the nominal margin analysis.
-func perJunctionIc(ch *Chain) []float64 {
-	ic := make([]float64, len(ch.Nodes))
-	for i := range ch.Nodes {
-		ic[i] = ch.Nodes[i].JJ.Ic
-	}
-	return ic
-}
-
-// uniformIc returns a constant bias basis — the design-point current the
-// faulted analysis holds the rails at.
-func uniformIc(n int, ic float64) []float64 {
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = ic
-	}
-	return b
-}
-
 // ErrUnbracketedOverbias reports that a perturbed JTL still single-pulses at
 // the top of the bisection range, so the overbias bound cannot be bracketed.
 var ErrUnbracketedOverbias = errors.New("jsim: perturbed JTL still single-pulses at 1.5x Ic; overbias bound not bracketed")
 
 // biasMarginsFaulted runs the faulted bisections serially on one solver.
 func biasMarginsFaulted(ctx context.Context, fm *faultinject.Model, s *Solver) (Margins, error) {
-	const (
-		stages    = 10
-		nominalIc = 100e-6 // the bias rails are designed against this
-		nominal   = 0.7
-	)
-	p := newMarginProbe(ctx, s, PerturbedJTL(stages, fm), uniformIc(stages, nominalIc),
-		marginProbeT, marginProbeDt)
-	if !p.works(nominal) {
+	p := newMarginProbe(ctx, s, fm, transientDt)
+	if !p.works(marginNominal) {
 		if err := p.err; err != nil {
 			return Margins{}, err
 		}
 		// The spread closed the window at the design point outright: the
 		// chip margin is zero.
-		return Margins{Low: nominal, High: nominal}, nil
+		return Margins{Low: marginNominal, High: marginNominal}, nil
 	}
-	if p.works(1.5) {
+	if p.works(faultedOverbias) {
 		return Margins{}, ErrUnbracketedOverbias
 	}
-	m := Margins{Low: p.bisect(0.0, nominal), High: p.bisect(1.5, nominal)}
+	m := Margins{
+		Low:  p.bisect(0.0, marginNominal, marginBisections),
+		High: p.bisect(faultedOverbias, marginNominal, marginBisections),
+	}
 	if err := p.err; err != nil {
 		return Margins{}, err
 	}

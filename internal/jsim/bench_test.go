@@ -19,13 +19,13 @@ func BenchmarkRunStreaming(b *testing.B) {
 		fin    FinalState
 	)
 	obs := []Observer{&pulse, &energy, &fin}
-	if err := s.RunChain(context.Background(), ch, 120*sfq.Picosecond, 0.02*sfq.Picosecond, obs...); err != nil {
+	if err := s.RunChain(context.Background(), ch, 120*sfq.Picosecond, transientDt, obs...); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.RunChain(context.Background(), ch, 120*sfq.Picosecond, 0.02*sfq.Picosecond, obs...); err != nil {
+		if err := s.RunChain(context.Background(), ch, 120*sfq.Picosecond, transientDt, obs...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func BenchmarkRunBatch(b *testing.B) {
 		jobs[i] = BatchJob{
 			Chain:     StandardJTL(12),
 			T:         120 * sfq.Picosecond,
-			Dt:        0.02 * sfq.Picosecond,
+			Dt:        transientDt,
 			Observers: []Observer{&fins[i]},
 		}
 	}

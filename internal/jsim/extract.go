@@ -6,14 +6,13 @@ import (
 	"fmt"
 
 	"supernpu/internal/faultinject"
-	"supernpu/internal/guard"
 	"supernpu/internal/sfq"
 	"supernpu/internal/simcache"
 )
 
-// cache memoises the RCSJ extractions (gate parameters, setup time, bias
-// margins): each is a deterministic transient over a fixed netlist, yet
-// Fig. 7 re-runs the JTL extraction on every exhibit regeneration.
+// cache memoises the RCSJ extractions (gate parameters, bias margins): each
+// is a deterministic transient over a fixed netlist, yet Fig. 7 re-runs the
+// JTL extraction on every exhibit regeneration.
 var cache = simcache.New[any]()
 
 func init() { simcache.Register("jsim", cache) }
@@ -43,7 +42,7 @@ type GateParams struct {
 func ExtractJTLParams(ctx context.Context) (GateParams, error) {
 	var kb [128]byte
 	v, err := cache.GetOrCompute(appendExtractionKey(kb[:0], "jtl-params/12", nil), func() (any, error) {
-		return extractJTLParams(ctx)
+		return extractJTLParams(ctx, transientDt)
 	})
 	if err != nil {
 		return GateParams{}, err
@@ -51,7 +50,9 @@ func ExtractJTLParams(ctx context.Context) (GateParams, error) {
 	return v.(GateParams), nil
 }
 
-func extractJTLParams(ctx context.Context) (GateParams, error) {
+// extractJTLParams runs the JTL extraction at step dt: transientDt in
+// production, half of it in the step's convergence certificate.
+func extractJTLParams(ctx context.Context, dt float64) (GateParams, error) {
 	const stages = 12
 	chain := StandardJTL(stages)
 	// Streaming extraction: pulse times, bias energy and final phases are
@@ -63,7 +64,7 @@ func extractJTLParams(ctx context.Context) (GateParams, error) {
 		fin    FinalState
 	)
 	s := NewSolver()
-	if err := s.RunChain(ctx, chain, 120*sfq.Picosecond, 0.02*sfq.Picosecond, &pulse, &energy, &fin); err != nil {
+	if err := s.RunChain(ctx, chain, 120*sfq.Picosecond, dt, &pulse, &energy, &fin); err != nil {
 		return GateParams{}, err
 	}
 
@@ -148,7 +149,7 @@ func StorageChain(clockAt float64) *Chain {
 func DFFDemo(ctx context.Context) error {
 	const (
 		T       = 160 * sfq.Picosecond
-		dt      = 0.02 * sfq.Picosecond
+		dt      = transientDt
 		clockAt = 80 * sfq.Picosecond
 		store   = 4
 		out     = 6
@@ -183,87 +184,4 @@ func DFFDemo(ctx context.Context) error {
 		return errors.New("jsim: output pulse appeared before the clock")
 	}
 	return nil
-}
-
-// ExtractSetupTime measures the storage cell's setup time — the minimum
-// interval by which the data pulse must precede the clock pulse for the
-// stored fluxon to be released correctly — by bisecting the data→clock
-// separation on the storage-loop circuit. This is the timing-parameter
-// extraction the gate-level estimation layer performs against JSIM
-// (Section IV-A1). The extraction is memoised.
-func ExtractSetupTime(ctx context.Context) (float64, error) {
-	var kb [128]byte
-	v, err := cache.GetOrCompute(appendExtractionKey(kb[:0], "setup-time", nil), func() (any, error) {
-		return extractSetupTime(ctx)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return v.(float64), nil
-}
-
-func extractSetupTime(ctx context.Context) (float64, error) {
-	const (
-		T      = 200 * sfq.Picosecond
-		dt     = 0.05 * sfq.Picosecond
-		dataAt = 20 * sfq.Picosecond
-		out    = 6
-	)
-	// Reference: the data pulse passing the last shared JTL stage before
-	// the storage inductor. The setup time is how long after that instant
-	// the loop needs to charge before a clock pulse reads it out. One
-	// solver is reused across the probe and every bisection transient.
-	s := NewSolver()
-	var pulse PulseDetector
-	if err := s.RunChain(ctx, StorageChain(0), 80*sfq.Picosecond, dt, &pulse); err != nil {
-		return 0, err
-	}
-	ref := pulse.Times(2)
-	if len(ref) == 0 {
-		return 0, errors.New("jsim: data pulse never reached the storage loop")
-	}
-	arrive := ref[0]
-
-	var fin FinalState
-	relObs := []Observer{&fin}
-	// probeErr latches non-numeric failures (cancellation, deadline): they
-	// describe the attempt, not the cell, so they must abort the bisection
-	// instead of masquerading as "did not release".
-	var probeErr error
-	releases := func(sep float64) bool {
-		if probeErr != nil {
-			return false
-		}
-		if err := s.RunChain(ctx, StorageChain(arrive+sep), T, dt, relObs...); err != nil {
-			if !guard.IsNumeric(err) {
-				probeErr = err
-			}
-			return false
-		}
-		return fin.Slips(out) >= 1
-	}
-	// Establish a working upper bound.
-	hi := 40 * sfq.Picosecond
-	if !releases(hi) {
-		if probeErr != nil {
-			return 0, probeErr
-		}
-		return 0, errors.New("jsim: storage cell fails even with a generous setup interval")
-	}
-	lo := -10 * sfq.Picosecond
-	if releases(lo) {
-		return 0, errors.New("jsim: storage cell released before the data pulse settled")
-	}
-	for i := 0; i < 14; i++ {
-		mid := (lo + hi) / 2
-		if releases(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	if probeErr != nil {
-		return 0, probeErr
-	}
-	return hi, nil
 }

@@ -1,10 +1,6 @@
 package jsim
 
-import (
-	"context"
-
-	"supernpu/internal/faultinject"
-)
+import "supernpu/internal/faultinject"
 
 // PerturbedJTL builds an n-stage JTL whose junction critical currents carry
 // the fault model's per-site Ic spread: junction i is scaled by
@@ -38,18 +34,4 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(b[p:])
-}
-
-// BiasMarginsFaulted measures the operating bias margins of a JTL whose
-// junctions carry the fault model's C spread: the same bisection as
-// BiasMargins, but over a PerturbedJTL and with the bias rails held at
-// multiples of the nominal (design-point) critical current. Spread narrows
-// the window from both sides — the weakest junction free-runs first at high
-// bias, the strongest one sticks first at low bias — which is the physical
-// quantity the MarginSweep exhibit plots. Results are memoised per fault
-// key; a disabled model shares the nominal BiasMargins entry. Sweeps over
-// many fault variants should prefer BiasMarginsFaultedBatch, which reuses
-// one solver per worker across the whole grid.
-func BiasMarginsFaulted(ctx context.Context, fm *faultinject.Model) (Margins, error) {
-	return biasMarginsFaultedCached(ctx, fm, NewSolver())
 }

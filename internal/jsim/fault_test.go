@@ -43,19 +43,19 @@ func TestBiasMarginsFaultedNarrowsWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	fm := &faultinject.Model{Seed: 11, IcSpread: 0.08}
-	faulted, err := BiasMarginsFaulted(context.Background(), fm)
+	faulted, err := BiasMarginsFaultedBatch(context.Background(), []*faultinject.Model{fm})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if faulted.Width() >= nominal.Width() {
-		t.Fatalf("8%% Ic spread did not narrow the bias window: %+v vs nominal %+v", faulted, nominal)
+	if faulted[0].Width() >= nominal.Width() {
+		t.Fatalf("8%% Ic spread did not narrow the bias window: %+v vs nominal %+v", faulted[0], nominal)
 	}
-	if faulted.Width() < 0 {
-		t.Fatalf("negative margin window: %+v", faulted)
+	if faulted[0].Width() < 0 {
+		t.Fatalf("negative margin window: %+v", faulted[0])
 	}
 	// Disabled model shares the nominal extraction.
-	same, err := BiasMarginsFaulted(context.Background(), nil)
-	if err != nil || same != nominal {
+	same, err := BiasMarginsFaultedBatch(context.Background(), []*faultinject.Model{nil})
+	if err != nil || same[0] != nominal {
 		t.Fatalf("disabled model diverged from BiasMargins: %+v vs %+v (%v)", same, nominal, err)
 	}
 }

@@ -35,23 +35,25 @@ func BiasMargins(ctx context.Context) (Margins, error) {
 	return v.(Margins), nil
 }
 
-// Bisection probe parameters shared by the nominal and faulted margin
-// analyses: a 10-stage line observed for 140 ps at a 0.05 ps step.
+// Margin-analysis parameters shared by the nominal and faulted analyses: a
+// 10-stage line observed for 140 ps with its bias rails designed against
+// the nominal 100 µA critical current, each arm bisected from the nominal
+// 0.7·Ic working point. The overbias arm starts at 1.2·Ic on the nominal
+// line and at 1.5·Ic on a faulted one. Twelve halvings resolve a boundary
+// to 1/4096 of its bracket, under the 0.001·Ic the margin sweep prints.
 const (
-	marginProbeT  = 140 * sfq.Picosecond
-	marginProbeDt = 0.05 * sfq.Picosecond
+	marginStages     = 10
+	marginProbeT     = 140 * sfq.Picosecond
+	marginIc         = 100e-6
+	marginNominal    = 0.7
+	nominalOverbias  = 1.2
+	faultedOverbias  = 1.5
+	marginBisections = 12
 )
 
-// newNominalProbe builds a fresh nominal-JTL margin probe on the solver.
-func newNominalProbe(ctx context.Context, s *Solver) *marginProbe {
-	ch := StandardJTL(10)
-	return newMarginProbe(ctx, s, ch, perJunctionIc(ch), marginProbeT, marginProbeDt)
-}
-
 func biasMargins(ctx context.Context) (Margins, error) {
-	const nominal = 0.7
-	probe := newNominalProbe(ctx, NewSolver())
-	if !probe.works(nominal) {
+	probe := newMarginProbe(ctx, NewSolver(), nil, transientDt)
+	if !probe.works(marginNominal) {
 		if err := probe.err; err != nil {
 			return Margins{}, err
 		}
@@ -60,13 +62,13 @@ func biasMargins(ctx context.Context) (Margins, error) {
 	// The two bisection arms run concurrently, each reusing one solver and
 	// one chain across its probes.
 	arms, err := parallel.MapLocalContext(ctx, 2,
-		func() *marginProbe { return newNominalProbe(ctx, NewSolver()) },
+		func() *marginProbe { return newMarginProbe(ctx, NewSolver(), nil, transientDt) },
 		func(ctx context.Context, p *marginProbe, i int) (float64, error) {
 			var v float64
 			if i == 0 {
-				v = p.bisect(0.0, nominal)
+				v = p.bisect(0.0, marginNominal, marginBisections)
 			} else {
-				v = p.bisect(1.2, nominal)
+				v = p.bisect(nominalOverbias, marginNominal, marginBisections)
 			}
 			return v, p.err
 		})

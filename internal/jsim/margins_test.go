@@ -3,8 +3,6 @@ package jsim
 import (
 	"context"
 	"testing"
-
-	"supernpu/internal/sfq"
 )
 
 // Operating margins: the JTL must work over a healthy bias window around
@@ -22,18 +20,5 @@ func TestBiasMargins(t *testing.T) {
 	}
 	if m.High > 1.2 || m.Low < 0.0 {
 		t.Errorf("margins [%.2f, %.2f] outside physical range", m.Low, m.High)
-	}
-}
-
-// Setup-time extraction: the storage cell needs the data pulse to settle
-// for a few picoseconds before a clock pulse can read it out — the SetupTime
-// the cell library carries (DFF: 4.5 ps).
-func TestExtractSetupTime(t *testing.T) {
-	ts, err := ExtractSetupTime(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts < 0.1*sfq.Picosecond || ts > 20*sfq.Picosecond {
-		t.Fatalf("extracted setup time = %.2f ps, want a few ps", ts/sfq.Picosecond)
 	}
 }

@@ -25,50 +25,51 @@ func diffChains() map[string]*Chain {
 
 // The tentpole contract: every streaming observer reproduces its dense
 // post-processing counterpart bit-for-bit — pulse times, bias energy and
-// final state — across JTL, storage-loop and fault-injected chains.
+// final state — across JTL, storage-loop and fault-injected chains, at a
+// fine step and at the production step.
 func TestStreamingObserversBitIdenticalToDense(t *testing.T) {
-	const (
-		T  = 120 * sfq.Picosecond
-		dt = 0.02 * sfq.Picosecond
-	)
+	const T = 120 * sfq.Picosecond
 	for name, ch := range diffChains() {
 		ch := ch
 		t.Run(name, func(t *testing.T) {
-			dense, err := runDense(ch, T, dt)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var (
-				s      Solver
-				pulse  PulseDetector
-				energy EnergyAccumulator
-				fin    FinalState
-			)
-			if err := s.RunChain(context.Background(), ch, T, dt, &pulse, &energy, &fin); err != nil {
-				t.Fatal(err)
-			}
-
-			for node := range ch.Nodes {
-				want := dense.pulseTimes(node)
-				got := pulse.Times(node)
-				if len(got) != len(want) {
-					t.Fatalf("node %d: %d streamed pulses, %d dense", node, len(got), len(want))
+			for _, dt := range []float64{0.02 * sfq.Picosecond, transientDt} {
+				dense, err := runDense(ch, T, dt)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("node %d pulse %d: stream %v, dense %v", node, k, got[k], want[k])
+
+				var (
+					s      Solver
+					pulse  PulseDetector
+					energy EnergyAccumulator
+					fin    FinalState
+				)
+				if err := s.RunChain(context.Background(), ch, T, dt, &pulse, &energy, &fin); err != nil {
+					t.Fatal(err)
+				}
+
+				ps := dt / sfq.Picosecond
+				for node := range ch.Nodes {
+					want := dense.pulseTimes(node)
+					got := pulse.Times(node)
+					if len(got) != len(want) {
+						t.Fatalf("dt %gps node %d: %d streamed pulses, %d dense", ps, node, len(got), len(want))
+					}
+					for k := range want {
+						if got[k] != want[k] {
+							t.Fatalf("dt %gps node %d pulse %d: stream %v, dense %v", ps, node, k, got[k], want[k])
+						}
+					}
+					if fin.Phase(node) != dense.finalPhase(node) {
+						t.Fatalf("dt %gps node %d final phase: stream %v, dense %v", ps, node, fin.Phase(node), dense.finalPhase(node))
+					}
+					if fin.Slips(node) != dense.slips(node) {
+						t.Fatalf("dt %gps node %d slips: stream %d, dense %d", ps, node, fin.Slips(node), dense.slips(node))
 					}
 				}
-				if fin.Phase(node) != dense.finalPhase(node) {
-					t.Fatalf("node %d final phase: stream %v, dense %v", node, fin.Phase(node), dense.finalPhase(node))
+				if energy.Total() != dense.totalBiasEnergy() {
+					t.Fatalf("dt %gps total bias energy: stream %v, dense %v", ps, energy.Total(), dense.totalBiasEnergy())
 				}
-				if fin.Slips(node) != dense.slips(node) {
-					t.Fatalf("node %d slips: stream %d, dense %d", node, fin.Slips(node), dense.slips(node))
-				}
-			}
-			if energy.Total() != dense.totalBiasEnergy() {
-				t.Fatalf("total bias energy: stream %v, dense %v", energy.Total(), dense.totalBiasEnergy())
 			}
 		})
 	}
@@ -135,27 +136,28 @@ func TestSolverAllocsWithInstrumentationEnabled(t *testing.T) {
 // Margin bisection probes (solver + chain + final-state observer, re-biased
 // per probe) must also be allocation-free once warm.
 func TestMarginProbeSteadyStateAllocs(t *testing.T) {
-	p := newNominalProbe(context.Background(), NewSolver())
-	p.works(0.7) // warm-up
-	if n := testing.AllocsPerRun(10, func() { p.works(0.7) }); n != 0 {
+	p := newMarginProbe(context.Background(), NewSolver(), nil, transientDt)
+	p.works(marginNominal) // warm-up
+	if n := testing.AllocsPerRun(10, func() { p.works(marginNominal) }); n != 0 {
 		t.Fatalf("steady-state margin-probe allocations = %g per run, want 0", n)
 	}
 }
 
 // Step-count regression: the legacy int(T/dt)+1 truncation lost the final
 // sample whenever T/dt landed a few ulps under an integer (160 ps / 0.02 ps,
-// 80 ps / 0.05 ps). Pin the counts for the standard extraction parameters.
+// 80 ps / 0.05 ps). Pin the counts of the production transients and those
+// two ulp-guard cases.
 func TestStepCountRegression(t *testing.T) {
 	ps := sfq.Picosecond
 	cases := []struct {
 		T, dt float64
 		want  int
 	}{
-		{120 * ps, 0.02 * ps, 6001}, // JTL parameter extraction
-		{140 * ps, 0.05 * ps, 2801}, // bias-margin probes
-		{160 * ps, 0.02 * ps, 8001}, // DFF demo (lost a step before the guard)
-		{200 * ps, 0.05 * ps, 4001}, // setup-time bisection
-		{80 * ps, 0.05 * ps, 1601},  // setup-time probe (lost a step before the guard)
+		{120 * ps, transientDt, 1201},     // JTL parameter extraction
+		{marginProbeT, transientDt, 1401}, // bias-margin probes
+		{160 * ps, transientDt, 1601},     // DFF demo
+		{160 * ps, 0.02 * ps, 8001},       // lost a step before the guard
+		{80 * ps, 0.05 * ps, 1601},        // lost a step before the guard
 		{100 * ps, 0.02 * ps, 5001},
 		{100 * ps, 5 * ps, 21}, // divergence test's coarse step
 	}
@@ -201,7 +203,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// The batched margin evaluation must agree with the one-variant API and with
+// The batched margin evaluation must agree with one-variant batches and with
 // itself across cold and warm (memoised) passes.
 func TestBiasMarginsFaultedBatch(t *testing.T) {
 	models := []*faultinject.Model{
@@ -218,12 +220,12 @@ func TestBiasMarginsFaultedBatch(t *testing.T) {
 		t.Fatalf("batch returned %d margins for %d models", len(batch), len(models))
 	}
 	for i, fm := range models {
-		single, err := BiasMarginsFaulted(context.Background(), fm)
+		single, err := BiasMarginsFaultedBatch(context.Background(), []*faultinject.Model{fm})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch[i] != single {
-			t.Errorf("model %d: batch %+v, single %+v", i, batch[i], single)
+		if batch[i] != single[0] {
+			t.Errorf("model %d: batch %+v, single %+v", i, batch[i], single[0])
 		}
 	}
 	// Cold recompute must reproduce the memoised values exactly.
