@@ -15,9 +15,15 @@ package supernpu
 import (
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+
+	"supernpu/internal/faultinject"
+	"supernpu/internal/jsim"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden/")
@@ -95,4 +101,48 @@ func TestGoldenMarginSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "margin-seed42", out)
+}
+
+// TestGoldenJSIMFullPrecision pins the RCSJ outputs the exhibits round: Fig.
+// 7's stage delay and switch energy, and the 12-step bias margins of the
+// nominal JTL and of seed 42 at the margin sweep's five spreads, each printed
+// with %v, the shortest form that round-trips. Fig. 7 prints two digits and
+// the margin sweep three, so an arithmetic change can move a transient
+// without moving those goldens; it moves this one. The faulted models are
+// built as MarginSweep builds them, so they share the jsim cache entries of
+// TestGoldenMarginSweep.
+//
+// The values hold on amd64 only: on arm64 the compiler fuses a*b+c into one
+// rounding, so the RK4 step may round differently there.
+func TestGoldenJSIMFullPrecision(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("full-precision RCSJ values are pinned on amd64; GOARCH is %s", runtime.GOARCH)
+	}
+	ctx := context.Background()
+	gp, err := jsim.ExtractJTLParams(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "fig7 stage delay (s): %v\n", gp.StageDelay)
+	fmt.Fprintf(&b, "fig7 switch energy (J/JJ): %v\n", gp.SwitchEnergyPerJJ)
+
+	spreads := []float64{0.02, 0.04, 0.06, 0.08, 0.10}
+	models := []*faultinject.Model{nil}
+	for _, s := range spreads {
+		models = append(models, &faultinject.Model{
+			Seed: 42, IcSpread: s,
+			PulseDrop: 1e-4 * s, BitFlip: 1e-2 * s, MarginErosion: 0.5 * s,
+		})
+	}
+	margins, err := jsim.BiasMarginsFaultedBatch(ctx, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "margins nominal (xIc): low %v high %v\n", margins[0].Low, margins[0].High)
+	for i, s := range spreads {
+		m := margins[i+1]
+		fmt.Fprintf(&b, "margins seed 42 spread %v (xIc): low %v high %v\n", s, m.Low, m.High)
+	}
+	checkGolden(t, "jsim-fullprec", b.String())
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"supernpu/internal/faultinject"
 	"supernpu/internal/sfq"
 )
 
@@ -31,12 +32,31 @@ func BenchmarkRunStreaming(b *testing.B) {
 	}
 }
 
-// BenchmarkBiasMargins measures one full nominal bias-margin evaluation
-// (~28 transient probes across two bisection arms).
+// BenchmarkBiasMargins measures one full nominal bias-margin evaluation:
+// 25 transients (1 + 2×12), the two bisection arms running concurrently.
 func BenchmarkBiasMargins(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := biasMargins(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBiasMarginsFaulted measures one faulted margin row (seed 7, 6 %
+// spread) through biasMarginsFaulted on a reused solver, without the cache:
+// the unit a cold margin sweep is made of. A row runs 26 transients
+// (2 + 2×12), or 1 when the spread closes the window at the design point.
+func BenchmarkBiasMarginsFaulted(b *testing.B) {
+	fm := &faultinject.Model{Seed: 7, IcSpread: 0.06}
+	s := NewSolver()
+	if _, err := biasMarginsFaulted(context.Background(), fm, s); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := biasMarginsFaulted(context.Background(), fm, s); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -66,6 +66,25 @@ func (p PulseSource) current(t float64) float64 {
 	return p.Amp * math.Exp(-x*x)
 }
 
+// sourceCutoff is the multiple of the pulse width past its centre from
+// which a source's exponential is exactly zero: math.Exp returns 0 below
+// −745.13, so exp(−x²) is 0 for every x ≥ 28. Before the centre the
+// Gaussian is tiny but nonzero, so it is always evaluated there.
+const sourceCutoff = 28
+
+// cutoffTime returns the time from which current's exponential is exactly
+// 0, At + 28σ, or +Inf where no such time holds. current's x = (t−At)/σ
+// never decreases in t when σ > 0, so x ≥ 28 at the cutoff holds at every
+// later t; the check also rejects a cutoff that rounding pulled in (a σ
+// tiny beside At).
+func (p PulseSource) cutoffTime() float64 {
+	end := p.At + sourceCutoff*p.Sigma
+	if p.Sigma > 0 && (end-p.At)/p.Sigma >= sourceCutoff {
+		return end
+	}
+	return math.Inf(1)
+}
+
 // Chain is a simulatable junction chain with pulse stimuli.
 type Chain struct {
 	Nodes   []Node

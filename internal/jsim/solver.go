@@ -64,18 +64,23 @@ type Solver struct {
 	lNext []float64 // chain inductance to the next node
 
 	// Per-node source index: srcs[srcPtr[i]:srcPtr[i+1]] are the pulse
-	// sources driving node i, in their original Sources order.
+	// sources driving node i, in their original Sources order. srcEnd[k] is
+	// srcs[k]'s cutoff time (PulseSource.cutoffTime) and srcCur[k] its
+	// current at the stage time being integrated.
 	srcPtr []int
 	srcs   []PulseSource
+	srcEnd []float64
+	srcCur []float64
 	cnt    []int // counting-sort scratch
 
-	// State and RK4 stage scratch.
-	phi, v   []float64
-	k1p, k1v []float64
-	k2p, k2v []float64
-	k3p, k3v []float64
-	k4p, k4v []float64
-	tp, tv   []float64
+	// State and RK4 scratch. The stage inputs ping-pong between (ap, av)
+	// and (bp, bv); sumP and sumV accumulate k1 + 2k2 + 2k3 + k4, and sn
+	// holds the sines of the current stage input.
+	phi, v     []float64
+	ap, av     []float64
+	bp, bv     []float64
+	sumP, sumV []float64
+	sn         []float64
 
 	// watch carries the run context so the RK4 loop can poll for
 	// cancellation every pollSteps steps without allocating. Arming
@@ -136,11 +141,10 @@ func (s *Solver) prepNodes(nodes []Node) {
 	s.lNext = growF(s.lNext, n)
 	s.phi = growF(s.phi, n)
 	s.v = growF(s.v, n)
-	s.k1p, s.k1v = growF(s.k1p, n), growF(s.k1v, n)
-	s.k2p, s.k2v = growF(s.k2p, n), growF(s.k2v, n)
-	s.k3p, s.k3v = growF(s.k3p, n), growF(s.k3v, n)
-	s.k4p, s.k4v = growF(s.k4p, n), growF(s.k4v, n)
-	s.tp, s.tv = growF(s.tp, n), growF(s.tv, n)
+	s.ap, s.av = growF(s.ap, n), growF(s.av, n)
+	s.bp, s.bv = growF(s.bp, n), growF(s.bv, n)
+	s.sumP, s.sumV = growF(s.sumP, n), growF(s.sumV, n)
+	s.sn = growF(s.sn, n)
 	for i := range nodes {
 		nd := &nodes[i]
 		s.bias[i] = nd.Bias
@@ -182,6 +186,8 @@ func (s *Solver) indexSources(sources []PulseSource, n int) {
 	} else {
 		s.srcs = make([]PulseSource, valid)
 	}
+	s.srcEnd = growF(s.srcEnd, valid)
+	s.srcCur = growF(s.srcCur, valid)
 	s.srcPtr[0] = 0
 	for i := 0; i < n; i++ {
 		s.srcPtr[i+1] = s.srcPtr[i] + s.cnt[i]
@@ -189,38 +195,129 @@ func (s *Solver) indexSources(sources []PulseSource, n int) {
 	}
 	for _, src := range sources {
 		if src.Node >= 0 && src.Node < n {
-			s.srcs[s.srcPtr[src.Node]+s.cnt[src.Node]] = src
+			k := s.srcPtr[src.Node] + s.cnt[src.Node]
+			s.srcs[k] = src
+			s.srcEnd[k] = src.cutoffTime()
 			s.cnt[src.Node]++
 		}
 	}
 }
 
-// derivChain evaluates the chain's sine-Gordon right-hand side.
-func (s *Solver) derivChain(t float64, phi, v, dphi, dv []float64) {
-	n := len(phi)
-	for i := 0; i < n; i++ {
-		cur := s.bias[i]
-		for _, src := range s.srcs[s.srcPtr[i]:s.srcPtr[i+1]] {
-			cur += src.current(t)
+// sourceCurrents evaluates every pulse source at stage time t into srcCur.
+// Past its cutoff time a source's exponential is exactly 0, so Amp·0 is the
+// value current returns there and the exponential is not evaluated.
+func (s *Solver) sourceCurrents(t float64) {
+	for k := range s.srcs {
+		if t < s.srcEnd[k] {
+			s.srcCur[k] = s.srcs[k].current(t)
+		} else {
+			s.srcCur[k] = s.srcs[k].Amp * 0
 		}
-		if i > 0 {
-			cur += phi0over2pi * (phi[i-1] - phi[i]) / s.lNext[i-1]
-		}
-		if i < n-1 {
-			cur += phi0over2pi * (phi[i+1] - phi[i]) / s.lNext[i]
-		}
-		cur -= s.ic[i] * math.Sin(phi[i])
-		cur -= phi0over2pi * v[i] / s.res[i]
-		dphi[i] = v[i]
-		dv[i] = cur / s.cphi[i]
 	}
+}
+
+// The four stages of an RK4 step. They differ only in what a stage does
+// with the derivative it computes: which next-stage input it writes and how
+// it folds itself into the RK4 sums.
+const (
+	stage1 = iota
+	stage2
+	stage3
+	stage4
+)
+
+// stage evaluates the chain's sine-Gordon right-hand side at the stage input
+// (inP, inV), with srcCur holding the sources at the stage time, and
+// consumes the derivative at once. Stages 1–3 write the next stage's input
+// phi + c·k to (outP, outV); stage 4 ends the step with phi += c·Σ, c being
+// dt/6. It returns the first node whose updated state is non-finite or
+// outside the voltage bound, or -1.
+//
+// Every floating-point operation of the textbook step is kept, in the same
+// association (TestFusedStepBitIdenticalToReference):
+//   - The sines are taken in their own pass: the calls are independent, so
+//     the core overlaps them instead of waiting on each one inside the
+//     dependent current sum.
+//   - Each link current Φ0/2π·(φ[i+1]−φ[i])/L[i] is computed once, added to
+//     node i and subtracted from node i+1. IEEE subtraction, multiplication
+//     and division round symmetrically in sign, so that is the textbook
+//     term exactly; only a −0 bias could tell the +0 of two equal phases
+//     from its negation. Node 0 subtracts +0, which is exact.
+//   - A stage's dφ/dt is its input v, and the sums grow as
+//     ((k1 + 2k2) + 2k3) + k4, the association of the textbook sum.
+func (s *Solver) stage(st int, inP, inV, outP, outV []float64, c float64) int {
+	n := len(s.phi)
+	inP, inV, sn := inP[:n], inV[:n], s.sn[:n]
+	for i, p := range inP {
+		sn[i] = math.Sin(p)
+	}
+	bias, ic, res, cphi, lNext := s.bias[:n], s.ic[:n], s.res[:n], s.cphi[:n], s.lNext[:n]
+	phi, v, sumP, sumV := s.phi[:n], s.v[:n], s.sumP[:n], s.sumV[:n]
+	srcPtr, srcCur := s.srcPtr[:n+1], s.srcCur
+	link := 0.0 // the current node i-1 draws from node i through L[i-1]
+	for i := 0; i < n; i++ {
+		cur := bias[i]
+		for _, sc := range srcCur[srcPtr[i]:srcPtr[i+1]] {
+			cur += sc
+		}
+		cur -= link
+		if i+1 < n {
+			link = phi0over2pi * (inP[i+1] - inP[i]) / lNext[i]
+			cur += link
+		}
+		cur -= ic[i] * sn[i]
+		cur -= phi0over2pi * inV[i] / res[i]
+		dp, dv := inV[i], cur/cphi[i]
+		switch st {
+		case stage1:
+			outP[i] = phi[i] + c*dp
+			outV[i] = v[i] + c*dv
+			sumP[i], sumV[i] = dp, dv
+		case stage2, stage3:
+			outP[i] = phi[i] + c*dp
+			outV[i] = v[i] + c*dv
+			sumP[i] += 2 * dp
+			sumV[i] += 2 * dv
+		default:
+			p := phi[i] + c*(sumP[i]+dp)
+			w := v[i] + c*(sumV[i]+dv)
+			phi[i], v[i] = p, w
+			if math.IsNaN(p) || math.IsInf(p, 0) || w > divergedPhiDot || w < -divergedPhiDot {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// step advances (phi, v) by one RK4 step from time t. The sources are
+// evaluated once per distinct stage time: t, t+dt/2 (stages 2 and 3) and
+// t+dt. 0.5·dt and dt/6 are hoisted; Go evaluates the textbook's 0.5*dt*k
+// and dt / 6 * s as (0.5*dt)*k and (dt/6)*s, so they are the same values.
+func (s *Solver) step(t, dt float64) error {
+	h := 0.5 * dt
+	s.sourceCurrents(t)
+	s.stage(stage1, s.phi, s.v, s.ap, s.av, h)
+	s.sourceCurrents(t + h)
+	s.stage(stage2, s.ap, s.av, s.bp, s.bv, h)
+	s.stage(stage3, s.bp, s.bv, s.ap, s.av, dt)
+	s.sourceCurrents(t + dt)
+	i := s.stage(stage4, s.ap, s.av, nil, nil, dt/6)
+	if i < 0 {
+		return nil
+	}
+	mDiverged.Inc()
+	if p := s.phi[i]; math.IsNaN(p) || math.IsInf(p, 0) {
+		return fmt.Errorf(divergedFmt, t/sfq.Picosecond, i, guard.ErrNonFinite)
+	}
+	return fmt.Errorf(divergedFmt, t/sfq.Picosecond, i, guard.ErrDiverged)
 }
 
 // integrate runs the RK4 loop, streaming each pre-update state to the
 // observers. Every pollSteps steps the loop polls the solver's
 // cancellation watch — allocation-free on every path, so the
 // zero-allocation steady state holds whether or not a watch is armed.
-func (s *Solver) integrate(steps, n int, dt float64, obs []Observer) error {
+func (s *Solver) integrate(steps int, dt float64, obs []Observer) error {
 	for step := 0; step < steps; step++ {
 		if step&(pollSteps-1) == 0 && s.watch.Canceled() {
 			return s.watch.Err()
@@ -229,35 +326,8 @@ func (s *Solver) integrate(steps, n int, dt float64, obs []Observer) error {
 		for _, o := range obs {
 			o.Observe(step, t, s.phi, s.v)
 		}
-
-		s.derivChain(t, s.phi, s.v, s.k1p, s.k1v)
-		for i := 0; i < n; i++ {
-			s.tp[i] = s.phi[i] + 0.5*dt*s.k1p[i]
-			s.tv[i] = s.v[i] + 0.5*dt*s.k1v[i]
-		}
-		s.derivChain(t+0.5*dt, s.tp, s.tv, s.k2p, s.k2v)
-		for i := 0; i < n; i++ {
-			s.tp[i] = s.phi[i] + 0.5*dt*s.k2p[i]
-			s.tv[i] = s.v[i] + 0.5*dt*s.k2v[i]
-		}
-		s.derivChain(t+0.5*dt, s.tp, s.tv, s.k3p, s.k3v)
-		for i := 0; i < n; i++ {
-			s.tp[i] = s.phi[i] + dt*s.k3p[i]
-			s.tv[i] = s.v[i] + dt*s.k3v[i]
-		}
-		s.derivChain(t+dt, s.tp, s.tv, s.k4p, s.k4v)
-
-		for i := 0; i < n; i++ {
-			s.phi[i] += dt / 6 * (s.k1p[i] + 2*s.k2p[i] + 2*s.k3p[i] + s.k4p[i])
-			s.v[i] += dt / 6 * (s.k1v[i] + 2*s.k2v[i] + 2*s.k3v[i] + s.k4v[i])
-			if math.IsNaN(s.phi[i]) || math.IsInf(s.phi[i], 0) {
-				mDiverged.Inc()
-				return fmt.Errorf(divergedFmt, t/sfq.Picosecond, i, guard.ErrNonFinite)
-			}
-			if v := s.v[i]; v > divergedPhiDot || v < -divergedPhiDot {
-				mDiverged.Inc()
-				return fmt.Errorf(divergedFmt, t/sfq.Picosecond, i, guard.ErrDiverged)
-			}
+		if err := s.step(t, dt); err != nil {
+			return err
 		}
 	}
 	mTransients.Inc()
@@ -290,5 +360,5 @@ func (s *Solver) RunChain(ctx context.Context, c *Chain, T, dt float64, obs ...O
 	for _, o := range obs {
 		o.Init(info)
 	}
-	return s.integrate(steps, n, dt, obs)
+	return s.integrate(steps, dt, obs)
 }

@@ -2,6 +2,8 @@ package jsim
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 
 	"supernpu/internal/faultinject"
@@ -241,29 +243,145 @@ func TestBiasMarginsFaultedBatch(t *testing.T) {
 	}
 }
 
-// Reusing one solver across chains of different sizes and parameter sets
-// must reproduce fresh-solver results exactly (no state leaks between runs).
+// Reusing one solver across chains of different sizes, parameter sets and
+// source layouts must reproduce fresh-solver runs bit for bit (no state
+// leaks between runs). StorageChain(80 ps)'s two sources are cut off at
+// different times; after it come a chain with no sources, a perturbed JTL
+// and a JTL whose pulse is centred past T, so its source is never cut off.
 func TestSolverReuseNoStateLeak(t *testing.T) {
-	var s Solver
-	sequence := []*Chain{StandardJTL(12), StandardJTL(4), StorageChain(0), StandardJTL(12)}
 	const (
 		T  = 120 * sfq.Picosecond
 		dt = 0.05 * sfq.Picosecond
 	)
+	noSources := StandardJTL(6)
+	noSources.Sources = nil
+	late := StandardJTL(8)
+	late.Sources[0].At = T + 10*sfq.Picosecond
+	sequence := []*Chain{
+		StandardJTL(12), StandardJTL(4), StorageChain(0), StorageChain(80 * sfq.Picosecond),
+		noSources, PerturbedJTL(10, &faultinject.Model{Seed: 42, IcSpread: 0.06}), late,
+		StandardJTL(12),
+	}
+	var s Solver
 	for run, ch := range sequence {
-		var reFin FinalState
-		if err := s.RunChain(context.Background(), ch, T, dt, &reFin); err != nil {
-			t.Fatal(err)
-		}
-		dense, err := runDense(ch, T, dt)
+		re, err := record(&s, ch, T, dt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for node := range ch.Nodes {
-			if reFin.Phase(node) != dense.finalPhase(node) {
-				t.Fatalf("run %d node %d: reused solver %v, fresh %v",
-					run, node, reFin.Phase(node), dense.finalPhase(node))
+		fresh, err := record(NewSolver(), ch, T, dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := firstBitDiff(re.phi, fresh.phi); i >= 0 {
+			t.Fatalf("run %d: reused solver phi departs from a fresh solver's at sample %d", run, i)
+		}
+		if i := firstBitDiff(re.v, fresh.v); i >= 0 {
+			t.Fatalf("run %d: reused solver v departs from a fresh solver's at sample %d", run, i)
+		}
+	}
+}
+
+// refChains are the netlists the fused step is held to the textbook
+// reference on, beyond diffChains: the margin probe's line for seed 62 at
+// 10 % spread biased at its low boundary and near the top (the variant
+// whose margin moved when the certified step landed), a chain with two
+// sources on one node, which pins the per-node summation order, and a
+// chain that diverges.
+func refChains() map[string]*Chain {
+	chains := diffChains()
+	for name, bias := range map[string]float64{"seed62-0.603": 0.603, "seed62-0.99": 0.99} {
+		ch := PerturbedJTL(marginStages, &faultinject.Model{Seed: 62, IcSpread: 0.10})
+		for i := range ch.Nodes {
+			ch.Nodes[i].Bias = bias * marginIc
+		}
+		chains[name] = ch
+	}
+	two := StandardJTL(6)
+	two.Sources = append(two.Sources,
+		PulseSource{Node: 0, At: 21e-12, Sigma: 0.7e-12, Amp: 0.3e-4},
+		PulseSource{Node: 3, At: 60e-12, Sigma: 1.2e-12, Amp: 1.8e-4})
+	chains["two-sources"] = two
+	// A junction a hundred thousand times smaller in capacitance is far too
+	// stiff for either step: the run must fail, identically.
+	stiff := StandardJTL(4)
+	stiff.Nodes[1].JJ = CriticallyDamped(stiff.Nodes[1].JJ.Ic, stiff.Nodes[1].JJ.C*1e-5)
+	chains["diverging"] = stiff
+	return chains
+}
+
+// The fused step must reproduce the textbook RK4 reference bit for bit:
+// every φ and v sample at a fine step and at the production step, and a
+// diverging run's failure at the same step, node and error.
+//
+// The assertion holds on amd64 only. There the compiler rounds every
+// multiply and add on its own; on arm64 it contracts a*b+c into one fused
+// multiply-add, so two code shapes of one formula may round differently.
+func TestFusedStepBitIdenticalToReference(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("bitwise identity is pinned on amd64, where no multiply-add is fused; GOARCH is %s", runtime.GOARCH)
+	}
+	const T = marginProbeT
+	for name, ch := range refChains() {
+		ch := ch
+		t.Run(name, func(t *testing.T) {
+			for _, dt := range []float64{0.02 * sfq.Picosecond, transientDt} {
+				ps := dt / sfq.Picosecond
+				got, gotErr := record(NewSolver(), ch, T, dt)
+				var ref refSolver
+				var want sampleRecorder
+				wantErr := ref.run(ch, T, dt, &want)
+				if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+					t.Fatalf("dt %gps: fused error %v, reference error %v", ps, gotErr, wantErr)
+				}
+				if name == "diverging" && gotErr == nil {
+					t.Fatalf("dt %gps: the stiff chain did not diverge", ps)
+				}
+				if i := firstBitDiff(got.phi, want.phi); i >= 0 {
+					t.Fatalf("dt %gps: phi departs from the reference at step %d node %d (%d and %d samples)",
+						ps, i/len(ch.Nodes), i%len(ch.Nodes), len(got.phi), len(want.phi))
+				}
+				if i := firstBitDiff(got.v, want.v); i >= 0 {
+					t.Fatalf("dt %gps: v departs from the reference at step %d node %d (%d and %d samples)",
+						ps, i/len(ch.Nodes), i%len(ch.Nodes), len(got.v), len(want.v))
+				}
 			}
+		})
+	}
+}
+
+// Past its cutoff time a pulse source must be exactly +0, so the solver may
+// stop evaluating it: checked for every source the repo builds from the
+// cutoff to 200 ps in 0.01 ps steps and on the ulps just above the cutoff.
+// One width earlier the current is still nonzero, so the check is not
+// vacuous.
+func TestPulseSourceCutoffExact(t *testing.T) {
+	srcs := map[string]PulseSource{
+		"jtl-input":     StandardJTL(4).Sources[0],
+		"storage-input": StorageChain(80 * sfq.Picosecond).Sources[0],
+		"storage-clock": StorageChain(80 * sfq.Picosecond).Sources[1],
+	}
+	for name, p := range srcs {
+		end := p.cutoffTime()
+		if end != p.At+sourceCutoff*p.Sigma {
+			t.Fatalf("%s: cutoff at %v s, want At + %d sigma", name, end, sourceCutoff)
+		}
+		if p.current(p.At+27*p.Sigma) == 0 {
+			t.Errorf("%s: current is already 0 at At + 27 sigma", name)
+		}
+		check := func(tm float64) {
+			if c := p.current(tm); math.Float64bits(c) != 0 {
+				t.Fatalf("%s: current(%v s) = %v past the cutoff %v s, want +0", name, tm, c, end)
+			}
+		}
+		for k := 0; ; k++ {
+			tm := end + float64(k)*0.01*sfq.Picosecond
+			if tm > 200*sfq.Picosecond {
+				break
+			}
+			check(tm)
+		}
+		for k, tm := 0, end; k < 16; k, tm = k+1, math.Nextafter(tm, math.Inf(1)) {
+			check(tm)
 		}
 	}
 }
