@@ -7,7 +7,7 @@ GO ?= go
 
 # Per-package coverage floors enforced by make cover / CI, as
 # "<import path>:<floor percent>" pairs.
-COVER_PACKAGES ?= ./internal/server:70 ./internal/obs:80 ./internal/checkpoint:70 ./internal/simcache:85
+COVER_PACKAGES ?= ./internal/server:70 ./internal/obs:80 ./internal/simcache:85
 # Per-target budget for the fuzz smoke pass (make fuzz).
 FUZZTIME ?= 15s
 
@@ -125,7 +125,7 @@ chaos-smoke:
 
 # Race-detector pass focused on the resilience subsystems.
 race-resilience:
-	$(GO) test -race -count=1 ./internal/faultinject ./internal/parallel ./internal/server ./internal/checkpoint
+	$(GO) test -race -count=1 ./internal/faultinject ./internal/parallel ./internal/server
 
 # Re-snapshot the golden exhibit files after an intentional model change.
 golden-update:

@@ -10,18 +10,15 @@
 //	supernpu-explore -sweep registers -width 64 -seq -v
 //	supernpu-explore -sweep margin -fault-seed 42
 //	supernpu-explore -sweep division -ic-spread 0.05 -pulse-drop 1e-6
-//	supernpu-explore -sweep margin -fault-seed 42 -checkpoint margin.ck
-//	supernpu-explore -sweep margin -fault-seed 42 -checkpoint margin.ck -resume
 //	supernpu-explore -sweep width -trace-out spans.jsonl
 //	supernpu-explore -sweep margin -deadline 10m
 //
 // Fault injection (-fault-seed, -ic-spread, -pulse-drop, -bit-flip,
 // -erosion) perturbs every simulation of the sweep deterministically: the
 // same seed reproduces the same output byte for byte at any worker count.
-// Long sweeps checkpoint each completed point to -checkpoint; a killed run
-// restarted with -resume skips every checkpointed point without
-// re-simulating it (without -resume the checkpoint file starts fresh).
-// SIGINT/SIGTERM cancels the sweep cleanly, keeping the checkpoint intact.
+// SIGINT/SIGTERM or an expired -deadline cancels the sweep cleanly (exit
+// 130). The registers sweep accepts only Fig. 21's widths (256, 128, 64,
+// 32, 16), each with its Fig. 21 buffer capacity.
 package main
 
 import (
@@ -44,7 +41,7 @@ import (
 
 func main() {
 	sweep := flag.String("sweep", "division", "sweep kind: division, width, registers, margin")
-	width := flag.Int("width", 64, "PE array width for the registers sweep")
+	width := flag.Int("width", 64, "PE array width for the registers sweep: 256, 128, 64, 32 or 16")
 	par := flag.Int("parallel", runtime.NumCPU(), "maximum worker count for parallel evaluation")
 	seq := flag.Bool("seq", false, "run serially (shorthand for -parallel 1)")
 	verbose := flag.Bool("v", false, "print simulation-cache hit/miss statistics to stderr")
@@ -55,8 +52,6 @@ func main() {
 	bitFlip := flag.Float64("bit-flip", 0, "datapath bit-flip probability per MAC")
 	erosion := flag.Float64("erosion", 0, "timing-margin erosion (fractional delay stretch)")
 
-	ckPath := flag.String("checkpoint", "", "checkpoint file for kill/resume of long sweeps")
-	resume := flag.Bool("resume", false, "resume from an existing checkpoint instead of starting fresh")
 	traceOut := flag.String("trace-out", "", "write phase tracing spans (JSONL) to this file")
 	deadline := flag.Duration("deadline", 0, "abort the sweep after this wall-clock budget (0 = none)")
 	flag.Parse()
@@ -90,10 +85,8 @@ func main() {
 		defer cancel()
 	}
 
-	if err := run(ctx, *sweep, *width, *faultSeed, *icSpread, *pulseDrop, *bitFlip, *erosion, *ckPath, *resume); err != nil {
+	if err := run(ctx, *sweep, *width, *faultSeed, *icSpread, *pulseDrop, *bitFlip, *erosion); err != nil {
 		if errors.Is(err, guard.ErrCanceled) || errors.Is(err, guard.ErrDeadlineExceeded) {
-			// A canceled sweep is a clean exit: the checkpoint holds every
-			// completed point and -resume picks up from there.
 			fmt.Fprintln(os.Stderr, "supernpu-explore: sweep canceled:", err)
 			os.Exit(130)
 		}
@@ -110,45 +103,12 @@ func main() {
 	}
 }
 
-// openCheckpoint opens the checkpoint store; without -resume an existing
-// file is discarded so stale points cannot leak into a fresh sweep.
-func openCheckpoint(path string, resume bool) (*supernpu.Checkpoint, error) {
-	if path == "" {
-		if resume {
-			return nil, fmt.Errorf("-resume requires -checkpoint")
-		}
-		return nil, nil
-	}
-	if !resume {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return nil, err
-		}
-	}
-	return supernpu.OpenCheckpoint(path)
-}
-
-func run(ctx context.Context, sweep string, width int, seed int64, icSpread, pulseDrop, bitFlip, erosion float64, ckPath string, resume bool) (err error) {
+func run(ctx context.Context, sweep string, width int, seed int64, icSpread, pulseDrop, bitFlip, erosion float64) error {
 	sp := obs.StartSpan("sweep", obs.L("kind", sweep))
 	defer sp.End()
 
-	ck, cerr := openCheckpoint(ckPath, resume)
-	if cerr != nil {
-		return cerr
-	}
-	// A close failure means the checkpoint tail may not be durable, which
-	// would corrupt a later -resume; surface it unless the sweep already
-	// failed for another reason.
-	defer func() {
-		if cerr := ck.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-
 	if sweep == "margin" {
-		out, err := supernpu.MarginSweep(ctx, supernpu.MarginSweepOptions{
-			Seed:       seed,
-			Checkpoint: ck,
-		})
+		out, err := supernpu.MarginSweep(ctx, supernpu.MarginSweepOptions{Seed: seed})
 		if err != nil {
 			return err
 		}
@@ -163,16 +123,16 @@ func run(ctx context.Context, sweep string, width int, seed int64, icSpread, pul
 			BitFlip: bitFlip, MarginErosion: erosion,
 		}
 	}
-	o := supernpu.SweepOptions{Fault: fm, Checkpoint: ck}
 
 	var points []supernpu.SweepPoint
+	var err error
 	switch sweep {
 	case "division":
-		points, err = supernpu.ExploreDivisionOpts(ctx, []int{4, 16, 64, 256, 1024, 4096}, o)
+		points, err = supernpu.ExploreDivision(ctx, []int{4, 16, 64, 256, 1024, 4096}, fm)
 	case "width":
-		points, err = supernpu.ExploreWidthOpts(ctx, o)
+		points, err = supernpu.ExploreWidth(ctx, fm)
 	case "registers":
-		points, err = supernpu.ExploreRegistersOpts(ctx, width, []int{1, 2, 4, 8, 16, 32}, o)
+		points, err = supernpu.ExploreRegisters(ctx, width, []int{1, 2, 4, 8, 16, 32}, fm)
 	default:
 		err = fmt.Errorf("unknown sweep %q (division, width, registers, margin)", sweep)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,9 +13,10 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fmt.Println("Step 1 - integrate the psum/ofmap buffers and divide them into chunks")
 	fmt.Println("(speedup is the geometric mean over the six CNNs, vs the Baseline)")
-	division, err := supernpu.ExploreDivision([]int{4, 16, 64, 256, 1024, 4096})
+	division, err := supernpu.ExploreDivision(ctx, []int{4, 16, 64, 256, 1024, 4096}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,7 +29,7 @@ func main() {
 	fmt.Println()
 
 	fmt.Println("Step 2 - trade PE columns for buffer capacity")
-	width, err := supernpu.ExploreWidth()
+	width, err := supernpu.ExploreWidth(ctx, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func main() {
 
 	fmt.Println("Step 3 - registers per PE (multi-kernel execution)")
 	for _, w := range []int{64, 128} {
-		points, err := supernpu.ExploreRegisters(w, []int{1, 2, 4, 8, 16})
+		points, err := supernpu.ExploreRegisters(ctx, w, []int{1, 2, 4, 8, 16}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

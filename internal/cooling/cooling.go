@@ -29,36 +29,18 @@ func (s Scenario) String() string {
 	return "w/o cooling cost"
 }
 
-// Efficiency is one Table III row: a design's throughput per watt,
-// optionally normalised to a reference design.
-type Efficiency struct {
-	Name       string
-	Throughput float64 // MAC/s
-	ChipPower  float64 // W at 4 K (or ambient for CMOS)
-	Scenario   Scenario
-}
-
-// Power is the charged power of the row under its scenario.
-func (e Efficiency) Power() float64 {
-	if e.Scenario == FullCooling {
-		return WallPower(e.ChipPower)
+// RelativePerfPerWatt is Table III's accounting for a design that draws
+// chipPower (at 4 K; ambient for CMOS) and delivers speedup times the
+// throughput of a reference drawing refPower. It returns the power the
+// scenario charges and the design's perf/W normalised to the reference's,
+// speedup·refPower/charged, or 0 when nothing is charged.
+func RelativePerfPerWatt(s Scenario, chipPower, speedup, refPower float64) (charged, rel float64) {
+	charged = chipPower
+	if s == FullCooling {
+		charged = WallPower(chipPower)
 	}
-	return e.ChipPower
-}
-
-// PerfPerWatt is throughput divided by charged power.
-func (e Efficiency) PerfPerWatt() float64 {
-	if e.Power() <= 0 {
-		return 0
+	if charged <= 0 {
+		return charged, 0
 	}
-	return e.Throughput / e.Power()
-}
-
-// RelativeTo returns this row's perf/W normalised to the reference row's.
-func (e Efficiency) RelativeTo(ref Efficiency) float64 {
-	r := ref.PerfPerWatt()
-	if r == 0 {
-		return 0
-	}
-	return e.PerfPerWatt() / r
+	return charged, speedup * refPower / charged
 }

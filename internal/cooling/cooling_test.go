@@ -11,8 +11,6 @@ import (
 // with free cooling and ~1.2× with the 400× cooling cost; RSFQ at 964 W is
 // ~0.95× and ~0.002×.
 func TestTable3Arithmetic(t *testing.T) {
-	const tpuPerf = 16e12 // effective MAC/s, arbitrary scale
-	tpu := Efficiency{Name: "TPU", Throughput: tpuPerf, ChipPower: 40, Scenario: FreeCooling}
 
 	cases := []struct {
 		name     string
@@ -27,8 +25,7 @@ func TestTable3Arithmetic(t *testing.T) {
 		{"RSFQ w/ cooling", 964, FullCooling, 0.00239, 0.0002},
 	}
 	for _, c := range cases {
-		e := Efficiency{Name: c.name, Throughput: 23 * tpuPerf, ChipPower: c.power, Scenario: c.scenario}
-		got := e.RelativeTo(tpu)
+		_, got := RelativePerfPerWatt(c.scenario, c.power, 23, 40)
 		if math.Abs(got-c.want) > c.tol {
 			t.Errorf("%s: perf/W = %.4g× TPU, want %.4g", c.name, got, c.want)
 		}
@@ -48,29 +45,29 @@ func TestScenarioString(t *testing.T) {
 }
 
 func TestZeroPowerGuards(t *testing.T) {
-	z := Efficiency{Throughput: 1e12, ChipPower: 0}
-	if z.PerfPerWatt() != 0 {
-		t.Fatal("zero power must yield zero perf/W, not +Inf")
+	if charged, rel := RelativePerfPerWatt(FreeCooling, 0, 23, 40); charged != 0 || rel != 0 {
+		t.Fatalf("zero power: charged %g, perf/W %g; want 0 and 0, not +Inf", charged, rel)
 	}
-	e := Efficiency{Throughput: 1e12, ChipPower: 10}
-	if e.RelativeTo(z) != 0 {
-		t.Fatal("relative to a zero-perf/W reference must be 0")
+	if _, rel := RelativePerfPerWatt(FreeCooling, 10, 23, 0); rel != 0 {
+		t.Fatalf("relative to a zero-power reference: %g, want 0", rel)
 	}
 }
 
 // Property: cooling always costs exactly 400× and never changes ordering.
 func TestCoolingOrderInvarianceProperty(t *testing.T) {
-	f := func(p1, p2 uint16, t1, t2 uint32) bool {
-		a := Efficiency{Throughput: float64(t1) + 1, ChipPower: float64(p1) + 1}
-		b := Efficiency{Throughput: float64(t2) + 1, ChipPower: float64(p2) + 1}
-		aFull, bFull := a, b
-		aFull.Scenario, bFull.Scenario = FullCooling, FullCooling
+	f := func(p1, p2 uint16, s1, s2 uint32) bool {
+		pa, pb := float64(p1)+1, float64(p2)+1
+		sa, sb := float64(s1)+1, float64(s2)+1
+		ca, ra := RelativePerfPerWatt(FreeCooling, pa, sa, 40)
+		cb, rb := RelativePerfPerWatt(FreeCooling, pb, sb, 40)
+		caFull, raFull := RelativePerfPerWatt(FullCooling, pa, sa, 40)
+		_, rbFull := RelativePerfPerWatt(FullCooling, pb, sb, 40)
 		// 400× scaling.
-		if math.Abs(aFull.Power()-400*a.Power()) > 1e-9 {
+		if math.Abs(caFull-400*ca) > 1e-9 || cb != pb {
 			return false
 		}
 		// Order preservation.
-		return (a.PerfPerWatt() > b.PerfPerWatt()) == (aFull.PerfPerWatt() > bFull.PerfPerWatt())
+		return (ra > rb) == (raFull > rbFull)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,17 +1,12 @@
 package core
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
-	"supernpu/internal/checkpoint"
 	"supernpu/internal/guard"
 	"supernpu/internal/simcache"
 )
@@ -20,117 +15,63 @@ import (
 // mid-run cancellation lands while points are still being computed.
 var drainDegrees = []int{2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64}
 
-// countIntactLines parses the checkpoint JSONL and fails the test on any
-// torn or malformed record: a canceled run must leave a consistent prefix,
-// never a half-written line (the final line is the only one a kill may
-// tear, and cancellation is not a kill — Put completes or never starts).
-func countIntactLines(t *testing.T, path string) int {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	n := 0
-	for sc.Scan() {
-		var rec struct {
-			Key   string          `json:"key"`
-			Value json.RawMessage `json:"value"`
+// npusimMisses returns the npusim memo cache's miss count.
+func npusimMisses() int64 {
+	for _, s := range simcache.Snapshot() {
+		if s.Name == "npusim" {
+			return s.Misses
 		}
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil || rec.Key == "" {
-			t.Fatalf("checkpoint line %d is torn or malformed after cancellation: %q (%v)", n+1, sc.Text(), err)
-		}
-		n++
 	}
-	return n
+	return 0
 }
 
-// TestExploreCancelResumeByteIdentical cancels a checkpointed division
-// sweep mid-run, asserts the checkpoint holds a consistent prefix of
-// completed points, then resumes from it and requires the resumed result to
-// be byte-identical to an uninterrupted run of the same sweep.
+// TestExploreCancelResumeByteIdentical cancels a cold division sweep once
+// its first cycle simulation has started, then resumes it: a rerun on the
+// memo caches the canceled run left behind must be byte-identical to a run
+// from cold caches. A canceled computation must leave no entry that a
+// later run could read.
 func TestExploreCancelResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cold full-width division sweep")
 	}
-	dir := t.TempDir()
-	ckPath := filepath.Join(dir, "sweep.ck")
-
-	// Cold caches so the canceled attempt does real work instead of
-	// replaying memoised results instantaneously.
 	simcache.ClearAll()
-	ck, err := checkpoint.Open(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
+	watched := make(chan struct{})
 	go func() {
-		// Pull the plug once at least one point has been checkpointed (or
-		// give up watching after the deadline; a fast machine may finish
-		// the whole sweep first, which the test tolerates below).
+		defer close(watched)
+		// A fast machine may finish the whole sweep before the cancel
+		// lands, which the test tolerates below.
 		deadline := time.Now().Add(30 * time.Second)
-		for time.Now().Before(deadline) {
-			if st, err := os.Stat(ckPath); err == nil && st.Size() > 0 {
-				break
-			}
-			time.Sleep(200 * time.Microsecond)
+		for npusimMisses() == 0 && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
 		}
 		cancel()
 	}()
-	_, sweepErr := ExploreDivisionOpts(ctx, drainDegrees, SweepOptions{Checkpoint: ck})
-	cancel()
-	if err := ck.Close(); err != nil {
-		t.Fatal(err)
+	_, err := ExploreDivision(ctx, drainDegrees, nil)
+	<-watched
+	if err != nil && !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("canceled sweep failed outside the taxonomy: %v", err)
 	}
-	if sweepErr != nil && !errors.Is(sweepErr, guard.ErrCanceled) {
-		t.Fatalf("canceled sweep failed outside the taxonomy: %v", sweepErr)
-	}
+	t.Logf("canceled run: err=%v after %d npusim misses", err, npusimMisses())
 
-	// The interrupted checkpoint is a consistent prefix: every line parses,
-	// and there are no more lines than sweep points.
-	lines := countIntactLines(t, ckPath)
-	if sweepErr != nil && lines >= len(drainDegrees)+2 {
-		t.Fatalf("canceled sweep checkpointed all %d points", lines)
-	}
-	t.Logf("canceled after %d of %d checkpointed points (err=%v)", lines, len(drainDegrees)+2, sweepErr)
-
-	// Resume from the prefix. The simulators are memoised, but the resumed
-	// points must come out identical regardless of whether they were
-	// replayed from the checkpoint or recomputed.
-	ck2, err := checkpoint.Open(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := ExploreDivisionOpts(context.Background(), drainDegrees, SweepOptions{Checkpoint: ck2})
+	resumed, err := ExploreDivision(context.Background(), drainDegrees, nil)
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
 	}
-	if err := ck2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if countIntactLines(t, ckPath) != len(drainDegrees)+2 {
-		t.Fatalf("resumed checkpoint incomplete: %d lines, want %d", countIntactLines(t, ckPath), len(drainDegrees)+2)
-	}
-
-	// Reference: the same sweep, uninterrupted, with no checkpoint at all.
-	reference, err := ExploreDivisionOpts(context.Background(), drainDegrees, SweepOptions{})
+	simcache.ClearAll()
+	cold, err := ExploreDivision(context.Background(), drainDegrees, nil)
 	if err != nil {
-		t.Fatalf("reference sweep: %v", err)
-	}
-	refJSON, err := json.Marshal(reference)
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("cold sweep: %v", err)
 	}
 	resJSON, err := json.Marshal(resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(refJSON) != string(resJSON) {
-		t.Fatalf("resumed sweep diverges from uninterrupted run:\nresumed   %s\nreference %s", resJSON, refJSON)
+	coldJSON, err := json.Marshal(cold)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(reference, resumed) {
-		t.Fatal("resumed sweep points differ structurally from the uninterrupted run")
+	if string(resJSON) != string(coldJSON) {
+		t.Fatalf("resumed sweep diverges from a cold run:\nresumed %s\ncold    %s", resJSON, coldJSON)
 	}
 }

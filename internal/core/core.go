@@ -13,7 +13,6 @@ import (
 
 	"supernpu/internal/arch"
 	"supernpu/internal/clocking"
-	"supernpu/internal/cooling"
 	"supernpu/internal/faultinject"
 	"supernpu/internal/netunit"
 	"supernpu/internal/npusim"
@@ -207,15 +206,4 @@ func Speedup(ctx context.Context, d Design, net workload.Network) (float64, erro
 		return 0, err
 	}
 	return ev.Throughput / ref.Throughput, nil
-}
-
-// Efficiency builds the Table III row for an evaluation under a cooling
-// scenario.
-func (e *Evaluation) Efficiency(s cooling.Scenario) cooling.Efficiency {
-	return cooling.Efficiency{
-		Name:       e.Design,
-		Throughput: e.Throughput,
-		ChipPower:  e.ChipPower,
-		Scenario:   s,
-	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"supernpu/internal/arch"
 	"supernpu/internal/scalesim"
-	"supernpu/internal/sfq"
 	"supernpu/internal/workload"
 )
 
@@ -111,19 +110,6 @@ func TestMaxBatchDispatch(t *testing.T) {
 	}
 	if got := SFQDesign(arch.SuperNPU()).MaxBatch(net); got != 7 {
 		t.Errorf("SuperNPU VGG16 batch = %d, want 7", got)
-	}
-}
-
-func TestEfficiencyBridge(t *testing.T) {
-	cfg := arch.SuperNPU()
-	cfg.Tech = sfq.ERSFQ
-	ev, err := Evaluate(context.Background(), SFQDesign(cfg), workload.ResNet50(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eff := ev.Efficiency(0)
-	if eff.Throughput != ev.Throughput || eff.ChipPower != ev.ChipPower {
-		t.Fatal("Efficiency must carry the evaluation's throughput and power")
 	}
 }
 

@@ -6,42 +6,12 @@ import (
 	"math"
 
 	"supernpu/internal/arch"
-	"supernpu/internal/checkpoint"
 	"supernpu/internal/estimator"
 	"supernpu/internal/faultinject"
 	"supernpu/internal/npusim"
 	"supernpu/internal/parallel"
-	"supernpu/internal/simcache"
 	"supernpu/internal/workload"
 )
-
-// SweepOptions configures the resilience features of the Explore* sweeps.
-// The zero value is the plain nominal sweep.
-type SweepOptions struct {
-	// Fault perturbs every simulation of the sweep (including the Baseline
-	// normalisation references, so speedups compare like with like).
-	Fault *faultinject.Model
-	// Checkpoint, when non-nil, records each completed sweep point under
-	// its content key (config text key + fault key) and skips points
-	// already present — the resume path after a killed run.
-	Checkpoint *checkpoint.Store
-}
-
-// ckSweepPoint is the persisted subset of a SweepPoint; the Config is
-// refilled from the sweep's own input, so it never round-trips through JSON.
-type ckSweepPoint struct {
-	Label       string  `json:"label"`
-	SingleBatch float64 `json:"single_batch"`
-	MaxBatch    float64 `json:"max_batch"`
-	AreaRel     float64 `json:"area_rel"`
-}
-
-// sweepKey is the checkpoint key of one sweep point: the full configuration
-// text key plus the fault-model key, so a resumed run can only reuse
-// points computed under identical modeling conditions.
-func sweepKey(cfg arch.Config, fm *faultinject.Model) string {
-	return "sweep:" + simcache.ConfigKey(cfg) + fm.Key()
-}
 
 // geomean of a slice (the figures' cross-workload aggregate).
 func geomean(xs []float64) float64 {
@@ -128,45 +98,25 @@ func sweep(ctx context.Context, cfg arch.Config, nets []workload.Network, base m
 	}, nil
 }
 
-// sweepAllOpts evaluates every configuration as one parallel batch of sweep
-// points, preserving input order, with cancellation, fault injection and
-// checkpointing. Checkpointed points are returned without any simulation;
-// when every point is checkpointed, not even the Baseline references are
-// recomputed, so a fully resumed sweep costs zero simulation work.
-func sweepAllOpts(ctx context.Context, cfgs []arch.Config, o SweepOptions) ([]SweepPoint, error) {
-	out := make([]SweepPoint, len(cfgs))
-	var pending []int
-	for i, cfg := range cfgs {
-		var ck ckSweepPoint
-		if o.Checkpoint.Get(sweepKey(cfg, o.Fault), &ck) {
-			out[i] = SweepPoint{Label: ck.Label, SingleBatch: ck.SingleBatch,
-				MaxBatch: ck.MaxBatch, AreaRel: ck.AreaRel, Config: cfg}
-			continue
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return out, nil
-	}
+// sweepAll evaluates every configuration as one parallel batch of sweep
+// points, preserving input order. The fault model fm perturbs every
+// simulation, the Baseline references included, so speedups compare like
+// with like.
+func sweepAll(ctx context.Context, cfgs []arch.Config, fm *faultinject.Model) ([]SweepPoint, error) {
 	nets := workload.All()
-	base, err := baselineThroughputs(ctx, nets, o.Fault)
+	base, err := baselineThroughputs(ctx, nets, fm)
 	if err != nil {
 		return nil, err
 	}
-	bArea, err := baselineArea(ctx, o.Fault)
+	bArea, err := baselineArea(ctx, fm)
 	if err != nil {
 		return nil, err
 	}
-	err = parallel.ForEachContext(ctx, len(pending), func(ctx context.Context, k int) error {
-		i := pending[k]
-		p, err := sweep(ctx, cfgs[i], nets, base, bArea, o.Fault)
-		if err != nil {
-			return err
-		}
+	out := make([]SweepPoint, len(cfgs))
+	err = parallel.ForEachContext(ctx, len(cfgs), func(ctx context.Context, i int) error {
+		p, err := sweep(ctx, cfgs[i], nets, base, bArea, fm)
 		out[i] = p
-		return o.Checkpoint.Put(sweepKey(cfgs[i], o.Fault), ckSweepPoint{
-			Label: p.Label, SingleBatch: p.SingleBatch, MaxBatch: p.MaxBatch, AreaRel: p.AreaRel,
-		})
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -184,14 +134,8 @@ func baselineArea(ctx context.Context, fm *faultinject.Model) (float64, error) {
 
 // ExploreDivision reproduces the Fig. 20 sweep: the Baseline, psum/ofmap
 // integration (division 2), then growing division degrees. All sweep points
-// evaluate concurrently.
-func ExploreDivision(degrees []int) ([]SweepPoint, error) {
-	return ExploreDivisionOpts(context.Background(), degrees, SweepOptions{})
-}
-
-// ExploreDivisionOpts is ExploreDivision with cancellation, fault injection
-// and checkpoint/resume.
-func ExploreDivisionOpts(ctx context.Context, degrees []int, o SweepOptions) ([]SweepPoint, error) {
+// evaluate concurrently under ctx and the fault model fm (nil is nominal).
+func ExploreDivision(ctx context.Context, degrees []int, fm *faultinject.Model) ([]SweepPoint, error) {
 	integ := arch.BufferOpt()
 	integ.IfmapChunks, integ.OutputChunks = 2, 2
 	integ.Name = "+Integration"
@@ -203,7 +147,7 @@ func ExploreDivisionOpts(ctx context.Context, degrees []int, o SweepOptions) ([]
 		c.Name = fmt.Sprintf("+Division %d", d)
 		cfgs = append(cfgs, c)
 	}
-	return sweepAllOpts(ctx, cfgs, o)
+	return sweepAll(ctx, cfgs, fm)
 }
 
 // WidthPoint is one Fig. 21 resource-balancing configuration: PE-array
@@ -233,38 +177,32 @@ func widthConfig(width, bufMB, regs int) arch.Config {
 }
 
 // ExploreWidth reproduces the Fig. 21 sweep over the given points. All
-// sweep points evaluate concurrently.
-func ExploreWidth(points []WidthPoint) ([]SweepPoint, error) {
-	return ExploreWidthOpts(context.Background(), points, SweepOptions{})
-}
-
-// ExploreWidthOpts is ExploreWidth with cancellation, fault injection and
-// checkpoint/resume.
-func ExploreWidthOpts(ctx context.Context, points []WidthPoint, o SweepOptions) ([]SweepPoint, error) {
+// sweep points evaluate concurrently under ctx and the fault model fm.
+func ExploreWidth(ctx context.Context, points []WidthPoint, fm *faultinject.Model) ([]SweepPoint, error) {
 	var cfgs []arch.Config
 	for _, wp := range points {
 		cfgs = append(cfgs, widthConfig(wp.Width, wp.BufferMB, 1))
 	}
-	return sweepAllOpts(ctx, cfgs, o)
+	return sweepAll(ctx, cfgs, fm)
 }
 
 // ExploreRegisters reproduces the Fig. 22 sweep: registers-per-PE scaling
-// at the given array width with its Fig. 21 buffer capacity. All sweep
-// points evaluate concurrently.
-func ExploreRegisters(width int, regCounts []int) ([]SweepPoint, error) {
-	return ExploreRegistersOpts(context.Background(), width, regCounts, SweepOptions{})
-}
-
-// ExploreRegistersOpts is ExploreRegisters with cancellation, fault
-// injection and checkpoint/resume.
-func ExploreRegistersOpts(ctx context.Context, width int, regCounts []int, o SweepOptions) ([]SweepPoint, error) {
-	bufMB := 46
-	if width == 128 {
-		bufMB = 38
+// at the given array width with its Fig. 21 buffer capacity. A width that
+// is not a Fig. 21 point is an ErrUnknownDesign. All sweep points evaluate
+// concurrently under ctx and the fault model fm.
+func ExploreRegisters(ctx context.Context, width int, regCounts []int, fm *faultinject.Model) ([]SweepPoint, error) {
+	bufMB := 0
+	for _, wp := range Fig21Points() {
+		if wp.Width == width {
+			bufMB = wp.BufferMB
+		}
+	}
+	if bufMB == 0 {
+		return nil, fmt.Errorf("%w: width %d is not a Fig. 21 point", ErrUnknownDesign, width)
 	}
 	var cfgs []arch.Config
 	for _, r := range regCounts {
 		cfgs = append(cfgs, widthConfig(width, bufMB, r))
 	}
-	return sweepAllOpts(ctx, cfgs, o)
+	return sweepAll(ctx, cfgs, fm)
 }

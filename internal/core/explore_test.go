@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 )
 
 func TestExploreDivision(t *testing.T) {
-	points, err := ExploreDivision([]int{4, 64, 4096})
+	points, err := ExploreDivision(context.Background(), []int{4, 64, 4096}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestExploreDivision(t *testing.T) {
 }
 
 func TestExploreWidthShape(t *testing.T) {
-	points, err := ExploreWidth(Fig21Points())
+	points, err := ExploreWidth(context.Background(), Fig21Points(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +55,11 @@ func TestExploreWidthShape(t *testing.T) {
 
 func TestExploreRegistersShape(t *testing.T) {
 	regs := []int{1, 8}
-	w64, err := ExploreRegisters(64, regs)
+	w64, err := ExploreRegisters(context.Background(), 64, regs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w128, err := ExploreRegisters(128, regs)
+	w128, err := ExploreRegisters(context.Background(), 128, regs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +68,23 @@ func TestExploreRegistersShape(t *testing.T) {
 	if gain64 <= gain128 {
 		t.Errorf("width 64 must gain more from registers than width 128 (%.2f vs %.2f)",
 			gain64, gain128)
+	}
+}
+
+// TestExploreRegistersTakesFig21Capacity pins the registers sweep to the
+// buffer capacity Fig. 21 gives its width, and rejects a width Fig. 21
+// has no point for.
+func TestExploreRegistersTakesFig21Capacity(t *testing.T) {
+	ctx := context.Background()
+	pts, err := ExploreRegisters(ctx, 32, []int{1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "width 32 / 50 MB / 1 regs"; pts[0].Label != want {
+		t.Errorf("label %q, want %q", pts[0].Label, want)
+	}
+	if _, err := ExploreRegisters(ctx, 7, []int{1}, nil); !errors.Is(err, ErrUnknownDesign) {
+		t.Errorf("width 7: err = %v, want ErrUnknownDesign", err)
 	}
 }
 

@@ -122,19 +122,6 @@ func (u *Unit) Streams(m Ifmap) [][]int8 {
 	return out
 }
 
-// DelayDFFs returns the total number of cascaded special DFFs (with bypass
-// lines) the unit instantiates per bit lane: row r must delay its stream by
-// r·(peStages−1) cycles so its pixel meets the partial sum computed by the
-// rows above (Fig. 9 timing adjustment; the paper's 8-bit PE has 15
-// pipeline stages).
-func (u *Unit) DelayDFFs(peStages int) int {
-	total := 0
-	for r := range u.assigns {
-		total += r * (peStages - 1)
-	}
-	return total
-}
-
 // Inventory returns the DAU's cell multiset for `rows` PE rows with
 // bits-wide data, serving a PE with peStages pipeline stages: per row a
 // controller (index counters and comparators), a selector, the bypassable
@@ -150,8 +137,10 @@ func Inventory(rows, bits, peStages int) sfq.Inventory {
 	inv.AddGate(sfq.DFF, rows*48) // counter state
 	// Selector: one steering cell per bit per row.
 	inv.AddGate(sfq.MUXCell, rows*bits)
-	// Bypassable delay cascade: row r holds r·(stages−1) special DFFs
-	// per bit.
+	// Bypassable delay cascade: row r must delay its stream by
+	// r·(stages−1) cycles so its pixel meets the partial sum computed by
+	// the rows above (Fig. 9 timing adjustment; the paper's 8-bit PE has
+	// 15 pipeline stages), so it holds that many special DFFs per bit.
 	cascade := 0
 	for r := 0; r < rows; r++ {
 		cascade += r * (peStages - 1)

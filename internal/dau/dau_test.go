@@ -142,14 +142,15 @@ func TestStreamsShapeAndDedup(t *testing.T) {
 }
 
 func TestDelayDFFs(t *testing.T) {
-	l := layer2x2()
-	u, _ := New(l, RowAssignments(l, 0, 4))
-	// Fig. 9: with a 3-stage PE, row r needs r·(3−1) delay DFFs:
-	// 0+2+4+6 = 12.
-	if got := u.DelayDFFs(3); got != 12 {
-		t.Fatalf("DelayDFFs(3) = %d, want 12", got)
+	// Fig. 9: with a 3-stage PE, row r needs r·(3−1) delay DFFs per bit:
+	// 0+2+4+6 = 12 for four rows.
+	if got := Inventory(4, 1, 3)[sfq.DFFB]; got != 12 {
+		t.Fatalf("4 rows, 1 bit, 3 stages: %d delay DFFs, want 12", got)
 	}
-	if got := u.DelayDFFs(1); got != 0 {
+	if got := Inventory(4, 8, 3)[sfq.DFFB]; got != 96 {
+		t.Fatalf("8-bit lanes: %d delay DFFs, want 12 per bit = 96", got)
+	}
+	if got := Inventory(4, 8, 1)[sfq.DFFB]; got != 0 {
 		t.Fatalf("single-stage PE needs no delay cascade, got %d", got)
 	}
 }

@@ -246,7 +246,7 @@ func Fig17(ctx context.Context) (string, error) {
 
 // Fig20 reports the buffer integration/division sweep (Fig. 20).
 func Fig20(ctx context.Context) (string, error) {
-	points, err := core.ExploreDivisionOpts(ctx, []int{4, 16, 64, 256, 1024, 4096}, core.SweepOptions{})
+	points, err := core.ExploreDivision(ctx, []int{4, 16, 64, 256, 1024, 4096}, nil)
 	if err != nil {
 		return "", err
 	}
@@ -261,7 +261,7 @@ func Fig20(ctx context.Context) (string, error) {
 
 // Fig21 reports the resource-balancing sweep (Fig. 21).
 func Fig21(ctx context.Context) (string, error) {
-	points, err := core.ExploreWidthOpts(ctx, core.Fig21Points(), core.SweepOptions{})
+	points, err := core.ExploreWidth(ctx, core.Fig21Points(), nil)
 	if err != nil {
 		return "", err
 	}
@@ -278,11 +278,11 @@ func Fig21(ctx context.Context) (string, error) {
 // (Fig. 22).
 func Fig22(ctx context.Context) (string, error) {
 	regs := []int{1, 2, 4, 8, 16, 32}
-	w64, err := core.ExploreRegistersOpts(ctx, 64, regs, core.SweepOptions{})
+	w64, err := core.ExploreRegisters(ctx, 64, regs, nil)
 	if err != nil {
 		return "", err
 	}
-	w128, err := core.ExploreRegistersOpts(ctx, 128, regs, core.SweepOptions{})
+	w128, err := core.ExploreRegisters(ctx, 128, regs, nil)
 	if err != nil {
 		return "", err
 	}
@@ -399,11 +399,7 @@ func Table3(ctx context.Context) (string, error) {
 			return "", err
 		}
 		for _, sc := range []cooling.Scenario{cooling.FreeCooling, cooling.FullCooling} {
-			charged := power
-			if sc == cooling.FullCooling {
-				charged = cooling.WallPower(power)
-			}
-			rel := speedup * tpuPower / charged
+			charged, rel := cooling.RelativePerfPerWatt(sc, power, speedup, tpuPower)
 			t.AddRow(fmt.Sprintf("%s-SuperNPU (%s)", tech, sc),
 				fmt.Sprintf("%.3g", charged),
 				fmt.Sprintf("%.3g", rel))

@@ -27,8 +27,6 @@ package faultinject
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 )
 
 // Model is a seed-keyed fault-injection configuration. The zero value (and
@@ -71,26 +69,6 @@ func (m *Model) Enabled() bool {
 	}
 	return m.IcSpread != 0 || m.PulseDrop != 0 || m.BitFlip != 0 ||
 		m.MarginErosion != 0 || m.SimFail != 0
-}
-
-// Key renders the model as text for the persisted sweep checkpoints: a
-// resumed sweep may only reuse points computed under identical fault
-// settings. A disabled model renders as the empty string, so nominal
-// checkpoint keys carry no fault suffix. Checkpoints written by earlier
-// builds hold this text, so it must stay byte-stable (TestKeyIsStable).
-// The memo caches key fault models in binary (simcache.AppendFaultKey).
-func (m *Model) Key() string {
-	if !m.Enabled() {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString("\x1ffault:")
-	b.WriteString(strconv.FormatInt(m.Seed, 10))
-	for _, v := range []float64{m.IcSpread, m.PulseDrop, m.BitFlip, m.MarginErosion, m.SimFail} {
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	return b.String()
 }
 
 // String renders the model for logs and exhibit headers.

@@ -25,9 +25,6 @@ func TestNilAndZeroModelsAreDisabled(t *testing.T) {
 	if nilModel.FailsSimulation("x") {
 		t.Fatal("nil model fails simulations")
 	}
-	if nilModel.Key() != "" {
-		t.Fatalf("nil Key = %q, want empty", nilModel.Key())
-	}
 }
 
 func TestDrawsAreDeterministicPerSite(t *testing.T) {
@@ -105,46 +102,6 @@ func TestCountMatchesExpectation(t *testing.T) {
 	}
 	if c2 := m.Count(0.125, 100, "site"); c2 != c {
 		t.Fatalf("Count not deterministic: %d then %d", c, c2)
-	}
-}
-
-func TestKeyDistinguishesEveryField(t *testing.T) {
-	base := Model{Seed: 1, IcSpread: 0.01, PulseDrop: 1e-9, BitFlip: 1e-12, MarginErosion: 0.02, SimFail: 0.5}
-	variants := []Model{
-		{Seed: 2, IcSpread: 0.01, PulseDrop: 1e-9, BitFlip: 1e-12, MarginErosion: 0.02, SimFail: 0.5},
-		{Seed: 1, IcSpread: 0.02, PulseDrop: 1e-9, BitFlip: 1e-12, MarginErosion: 0.02, SimFail: 0.5},
-		{Seed: 1, IcSpread: 0.01, PulseDrop: 2e-9, BitFlip: 1e-12, MarginErosion: 0.02, SimFail: 0.5},
-		{Seed: 1, IcSpread: 0.01, PulseDrop: 1e-9, BitFlip: 2e-12, MarginErosion: 0.02, SimFail: 0.5},
-		{Seed: 1, IcSpread: 0.01, PulseDrop: 1e-9, BitFlip: 1e-12, MarginErosion: 0.03, SimFail: 0.5},
-		{Seed: 1, IcSpread: 0.01, PulseDrop: 1e-9, BitFlip: 1e-12, MarginErosion: 0.02, SimFail: 0.6},
-	}
-	seen := map[string]bool{base.Key(): true}
-	for i, v := range variants {
-		k := v.Key()
-		if seen[k] {
-			t.Fatalf("variant %d collides with a previous key", i)
-		}
-		seen[k] = true
-	}
-}
-
-// TestKeyIsStable pins Key's text to the bytes sweep checkpoints already
-// hold: a checkpoint written by an earlier build must still resume, so
-// this output may never drift.
-func TestKeyIsStable(t *testing.T) {
-	for _, c := range []struct {
-		m    *Model
-		want string
-	}{
-		{nil, ""},
-		{&Model{Seed: 42}, ""},
-		{&Model{Seed: 42, IcSpread: 0.03, PulseDrop: 1e-9, BitFlip: 2.5e-12, MarginErosion: 0.05, SimFail: 0.125},
-			"\x1ffault:42:0.03:1e-09:2.5e-12:0.05:0.125"},
-		{&Model{Seed: -7, PulseDrop: 0.5}, "\x1ffault:-7:0:0.5:0:0:0"},
-	} {
-		if got := c.m.Key(); got != c.want {
-			t.Errorf("Key(%+v) = %q, want %q", c.m, got, c.want)
-		}
 	}
 }
 

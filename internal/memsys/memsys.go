@@ -1,9 +1,9 @@
 // Package memsys models the off-chip memory system. The paper treats DRAM
 // as a flat 300 GB/s pipe (the TPUv2 HBM figure); this package refines that
 // with transfer granularity — per-request activation overhead and channel
-// burst granules — and a double-buffered transfer scheduler, and shows under
-// which conditions the flat-bandwidth abstraction the simulators use is
-// accurate (NPU-scale transfers are megabytes, far above the knee).
+// burst granules — and shows under which conditions the flat-bandwidth
+// abstraction the simulators use is accurate (NPU-scale transfers are
+// megabytes, far above the knee).
 package memsys
 
 import (
@@ -73,27 +73,4 @@ func (m Model) Efficiency(n int64) float64 {
 // request overhead equals the streaming time.
 func (m Model) KneeBytes() int64 {
 	return int64(math.Ceil(m.RequestOverhead * m.PeakBandwidth))
-}
-
-// Phase is one double-buffered execution phase: the compute time during
-// which the next phase's transferBytes can stream in the background.
-type Phase struct {
-	ComputeTime   float64
-	TransferBytes int64
-}
-
-// Schedule runs a phase sequence under double buffering: each phase's
-// transfer overlaps the same phase's computation; only the excess stalls.
-// It returns the total time and the exposed stall time.
-func (m Model) Schedule(phases []Phase) (total, stall float64) {
-	for _, p := range phases {
-		t := m.TransferTime(p.TransferBytes)
-		total += p.ComputeTime
-		if t > p.ComputeTime {
-			ex := t - p.ComputeTime
-			total += ex
-			stall += ex
-		}
-	}
-	return total, stall
 }

@@ -54,48 +54,6 @@ func TestBurstRounding(t *testing.T) {
 	}
 }
 
-func TestScheduleOverlap(t *testing.T) {
-	m := HBM2()
-	bigCompute := []Phase{{ComputeTime: 1e-3, TransferBytes: 1 << 20}}
-	total, stall := m.Schedule(bigCompute)
-	if stall != 0 || total != 1e-3 {
-		t.Fatalf("a 1 MB transfer must hide behind 1 ms of compute: total %g stall %g", total, stall)
-	}
-	bigTransfer := []Phase{{ComputeTime: 1e-6, TransferBytes: 24 << 20}}
-	total, stall = m.Schedule(bigTransfer)
-	want := m.TransferTime(24 << 20)
-	if math.Abs(total-want) > 1e-12 || stall <= 0 {
-		t.Fatalf("a transfer-bound phase must expose the excess: total %g want %g", total, want)
-	}
-}
-
-// Property: scheduling bounds — total time is at least the compute sum and
-// at least any single phase's transfer time, and never more than the sum of
-// both components.
-func TestScheduleBoundsProperty(t *testing.T) {
-	m := HBM2()
-	f := func(raw []uint16) bool {
-		var phases []Phase
-		var computeSum, transferSum float64
-		for i := 0; i+1 < len(raw) && i < 16; i += 2 {
-			p := Phase{
-				ComputeTime:   float64(raw[i]) * 1e-9,
-				TransferBytes: int64(raw[i+1]) * 64,
-			}
-			phases = append(phases, p)
-			computeSum += p.ComputeTime
-			transferSum += m.TransferTime(p.TransferBytes)
-		}
-		total, stall := m.Schedule(phases)
-		return total >= computeSum-1e-15 &&
-			total <= computeSum+transferSum+1e-15 &&
-			stall >= 0 && stall <= transferSum+1e-15
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: efficiency is monotone non-decreasing across granule-aligned
 // transfer sizes (within a granule, burst rounding makes it sawtoothed).
 func TestEfficiencyMonotoneProperty(t *testing.T) {

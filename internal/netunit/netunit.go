@@ -119,30 +119,6 @@ func CriticalPathDelay(d Design, cfg Config, lib *sfq.Library) float64 {
 	}
 }
 
-// SkewedTree2DDelay is the 2D splitter tree's cycle time when its timing
-// problem is patched with aggressive clock skewing — intentionally
-// lengthening the clock line along path ① of Fig. 4(a) to match the data.
-// The residual mismatch drops to one branch hop, so the delay flattens,
-// but the scheme "incurs much more area overhead and lowers the yield of
-// fabrication" (Section III-A): see SkewedTree2DExtraArea.
-func SkewedTree2DDelay(cfg Config, lib *sfq.Library) float64 {
-	dff := lib.Gate(sfq.DFF)
-	p := clocking.Pair{Src: dff, Dst: dff,
-		MismatchWire: []sfq.Gate{lib.Gate(sfq.Splitter), lib.Gate(sfq.JTL)}}
-	return p.CCT(clocking.ConcurrentFlowSkewed)
-}
-
-// SkewedTree2DExtraArea is the additional clock-line area the aggressive
-// skewing costs: a matched-delay JTL chain spanning every PE pitch of every
-// clock branch, on top of the plain tree of CellInventory.
-func SkewedTree2DExtraArea(cfg Config, lib *sfq.Library) float64 {
-	inv := sfq.Inventory{}
-	// One delay-matched clock chain per column lane, each crossing the
-	// full array width.
-	inv.AddGate(sfq.JTL, 2*cfg.Width*cfg.Width*jtlPerPEPitch*cfg.Bits)
-	return inv.Area(lib)
-}
-
 // MaxFrequency is 1/CriticalPathDelay.
 func MaxFrequency(d Design, cfg Config, lib *sfq.Library) float64 {
 	return clocking.Frequency(CriticalPathDelay(d, cfg, lib))

@@ -143,26 +143,3 @@ func TestBusWidthLinearityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Section III-A: aggressive clock skewing can flatten the 2D tree's delay,
-// but only at a large additional clock-wiring area — so the systolic array
-// still wins on both axes.
-func TestSkewedTree2DMitigation(t *testing.T) {
-	l := lib()
-	cfg := Config{Width: 64, Bits: 8}
-	plain := CriticalPathDelay(SplitterTree2D, cfg, l)
-	skewed := SkewedTree2DDelay(cfg, l)
-	if skewed >= plain/10 {
-		t.Fatalf("aggressive skewing must collapse the delay: %.0f → %.1f ps",
-			plain/sfq.Picosecond, skewed/sfq.Picosecond)
-	}
-	// But the extra clock wiring exceeds the whole systolic network.
-	extra := SkewedTree2DExtraArea(cfg, l)
-	if extra < Area(Systolic2D, cfg, l) {
-		t.Fatal("the skewing mitigation must cost more area than the systolic alternative")
-	}
-	// And the systolic design is still at least as fast.
-	if CriticalPathDelay(Systolic2D, cfg, l) > skewed {
-		t.Fatal("the systolic array must remain the fastest option")
-	}
-}

@@ -135,15 +135,6 @@ func (r *Registry) Histogram(name, help string, edges []float64, labels ...Label
 	return s.hist
 }
 
-// AdoptCounter registers an existing counter under (name, labels),
-// replacing any previous series there — the caller owns the instrument,
-// the registry only exposes it. It panics on a kind conflict (see
-// getSeries).
-func (r *Registry) AdoptCounter(name, help string, c *Counter, labels ...Label) {
-	s := r.getSeries(name, help, kindCounter, labels)
-	s.counter, s.fn = c, nil
-}
-
 // CounterFunc registers a callback-backed counter series, replacing any
 // previous series at (name, labels): the value is read at scrape time.
 // It panics on a kind conflict (see getSeries).

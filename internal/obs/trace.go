@@ -1,5 +1,5 @@
 // Phase-scoped tracing spans. A span is a start/stop wall-clock timer with
-// a hierarchical slash-separated path ("report/fig7") and optional labels;
+// a name ("report", "exhibit") and optional labels (id=fig7);
 // ending a span appends one JSON line to the configured trace writer. Span
 // emission is entirely off — no clock read, no allocation — until a writer
 // is installed with SetTraceWriter (the -trace-out flag on the CLIs), so
@@ -34,33 +34,23 @@ func SetTraceWriter(w io.Writer) {
 // Tracing reports whether a span sink is installed.
 func Tracing() bool { return tracing.Load() }
 
-// Span is one in-flight timed phase. The zero Span is inert: Child returns
-// another inert span and End does nothing, which is what StartSpan hands
-// out while tracing is disabled.
+// Span is one in-flight timed phase. The zero Span is inert: End does
+// nothing, which is what StartSpan hands out while tracing is disabled.
 type Span struct {
-	path   string
+	name   string
 	labels []Label
 	start  time.Time
 	live   bool
 }
 
-// StartSpan opens a root span. While tracing is disabled (no writer
+// StartSpan opens a span. While tracing is disabled (no writer
 // installed, or observability off) it returns an inert span without
 // reading the clock.
 func StartSpan(name string, labels ...Label) Span {
 	if !tracing.Load() || !enabled.Load() {
 		return Span{}
 	}
-	return Span{path: name, labels: labels, start: time.Now(), live: true}
-}
-
-// Child opens a sub-span whose path is the parent's path plus "/" plus
-// name. A child of an inert span is inert.
-func (s Span) Child(name string, labels ...Label) Span {
-	if !s.live {
-		return Span{}
-	}
-	return Span{path: s.path + "/" + name, labels: labels, start: time.Now(), live: true}
+	return Span{name: name, labels: labels, start: time.Now(), live: true}
 }
 
 // spanRecord is the JSONL schema of one completed span. Times are Unix
@@ -81,7 +71,7 @@ func (s Span) End() {
 		return
 	}
 	rec := spanRecord{
-		Span:    s.path,
+		Span:    s.name,
 		StartNs: s.start.UnixNano(),
 		DurNs:   time.Since(s.start).Nanoseconds(),
 	}

@@ -20,8 +20,7 @@ func TestSpanJSONL(t *testing.T) {
 	buf := withTrace(t)
 
 	sp := StartSpan("report", L("run", "test"))
-	child := sp.Child("fig7")
-	child.End()
+	StartSpan("exhibit", L("id", "fig7")).End()
 	sp.End()
 
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
@@ -34,13 +33,14 @@ func TestSpanJSONL(t *testing.T) {
 		DurNs   int64             `json:"dur_ns"`
 		Labels  map[string]string `json:"labels"`
 	}
-	// Children end first, so the child record comes first.
+	// Records are written in End order, so the inner span comes first.
 	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
 		t.Fatalf("trace line is not JSON: %v\n%s", err, lines[0])
 	}
-	if rec.Span != "report/fig7" {
-		t.Errorf("child span path = %q, want report/fig7", rec.Span)
+	if rec.Span != "exhibit" || rec.Labels["id"] != "fig7" {
+		t.Errorf("inner span = %+v, want span=exhibit labels[id]=fig7", rec)
 	}
+	rec.Labels = nil
 	if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,9 @@ func TestSpansInertWithoutWriter(t *testing.T) {
 	if sp.live {
 		t.Error("StartSpan returned a live span with no writer")
 	}
-	sp.Child("sub").End() // must all be no-ops
-	sp.End()
+	sp.End() // must be no-ops
 	var zero Span
 	zero.End()
-	zero.Child("x").End()
 }
 
 func TestSpansInertWhenDisabled(t *testing.T) {

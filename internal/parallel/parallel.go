@@ -20,7 +20,7 @@
 //     claiming new indices, so a failed 10 000-point sweep does not run its
 //     remaining points to completion first; and
 //   - every entry point observes context cancellation between jobs, which
-//     lets a checkpointed sweep stop cleanly on SIGINT/SIGTERM.
+//     lets a sweep stop cleanly on SIGINT/SIGTERM or an expired deadline.
 package parallel
 
 import (

@@ -140,34 +140,3 @@ func (s *Series) String() string {
 func F(v float64, prec int) string {
 	return fmt.Sprintf("%.*f", prec, v)
 }
-
-// WriteCSV emits the table as RFC-4180-ish CSV (quoted cells containing
-// commas), for plotting the regenerated figures outside the repo.
-func (t *Table) WriteCSV(w io.Writer) error {
-	writeRow := func(cells []string) error {
-		for i, c := range cells {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			if _, err := io.WriteString(w, c); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "\n")
-		return err
-	}
-	if err := writeRow(t.Columns); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := writeRow(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -57,18 +57,3 @@ func TestF(t *testing.T) {
 		t.Fatalf("F = %q", F(3.14159, 2))
 	}
 }
-
-func TestWriteCSV(t *testing.T) {
-	tb := NewTable("csv", "a", "b")
-	tb.AddRow("plain", "1")
-	tb.AddRow("with,comma", `with"quote`)
-	var buf strings.Builder
-	if err := tb.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	want := "a,b\nplain,1\n\"with,comma\",\"with\"\"quote\"\n"
-	if got != want {
-		t.Fatalf("CSV = %q, want %q", got, want)
-	}
-}

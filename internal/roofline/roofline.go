@@ -23,15 +23,6 @@ func (m Model) Attainable(intensity float64) float64 {
 	return m.PeakMACs
 }
 
-// Ridge returns the intensity (MAC/byte) at which the model turns
-// compute-bound.
-func (m Model) Ridge() float64 {
-	if m.Bandwidth == 0 {
-		return 0
-	}
-	return m.PeakMACs / m.Bandwidth
-}
-
 // Intensity is the paper's computational intensity of a workload at a batch
 // size: every weight byte mapped on the PE is reused across the batch, so
 // intensity grows linearly with the batch.

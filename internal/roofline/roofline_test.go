@@ -33,7 +33,7 @@ func TestFig17SingleBatchUtilizationBelow2Percent(t *testing.T) {
 
 func TestRidgePoint(t *testing.T) {
 	m := baselineModel()
-	ridge := m.Ridge()
+	ridge := m.PeakMACs / m.Bandwidth
 	// 3366 TMAC/s over 300 GB/s = 11220 MAC/byte.
 	if ridge < 11000 || ridge > 11500 {
 		t.Fatalf("ridge = %.0f MAC/byte, want ≈11220", ridge)
@@ -41,8 +41,8 @@ func TestRidgePoint(t *testing.T) {
 	if m.Attainable(ridge) != m.PeakMACs {
 		t.Fatal("at the ridge, attainable must equal peak")
 	}
-	if (Model{Bandwidth: 0}).Ridge() != 0 {
-		t.Fatal("zero-bandwidth guard failed")
+	if m.Attainable(ridge/2) >= m.PeakMACs {
+		t.Fatal("below the ridge, attainable must be bandwidth-bound")
 	}
 }
 

@@ -427,7 +427,7 @@ func (req *ExploreRequest) validate() error {
 	case "registers":
 		switch req.Width {
 		case 64, 128:
-			// the two widths with Fig. 21 buffer capacities
+			// the two widths Fig. 22 sweeps
 		default:
 			return fmt.Errorf("sweep=registers requires width 64 or 128, got %d", req.Width)
 		}

@@ -2,8 +2,8 @@
 // binary keys — AppendConfigKey/AppendNetworkKey/AppendSimKey with the
 // AppendFaultKey tail — being collision-free: two distinct inputs sharing
 // a key would silently serve one input's simulation result for the other.
-// The tile-plan key AppendTilesKey and the checkpoint text key ConfigKey
-// are held to the same standard. The fuzzer derives two of each key's
+// The tile-plan key AppendTilesKey and the text key ConfigKey are held to
+// the same standard. The fuzzer derives two of each key's
 // inputs from the input bytes, with names drawn from all 256 byte values,
 // and checks keys are equal exactly when the values are and that each
 // binary key decodes back to its inputs (decode_test.go). Seed corpus in

@@ -158,7 +158,7 @@ func AppendFaultKey(b []byte, fm *faultinject.Model) []byte {
 	return AppendFloat(b, fm.SimFail)
 }
 
-// --- text keys for checkpoints ---
+// --- text keys kept for the benchmark module ---
 
 // sep joins the parts of a text key.
 const sep = "\x1f"
@@ -185,10 +185,9 @@ func writeFloat(b *strings.Builder, v float64) {
 }
 
 // ConfigKey renders an SFQ NPU configuration as text. It is not a memo
-// key: the sweep checkpoints persist it (with faultinject.Model.Key) as
-// the identity of a completed point, so its output must stay byte-stable
-// for a checkpoint written by an earlier build to resume, and must stay
-// valid UTF-8 for JSONL. Keep it in step with arch.Config.
+// key, and nothing in this module calls it: its last callers are in the
+// benchmark module, _perfbench/serve.go and _perfbench/gen_test.go, which
+// tell configurations apart by it. Keep it in step with arch.Config.
 func ConfigKey(cfg arch.Config) string {
 	var b strings.Builder
 	b.Grow(96)

@@ -1,10 +1,6 @@
 package srmem
 
-import (
-	"fmt"
-
-	"supernpu/internal/faultinject"
-)
+import "supernpu/internal/faultinject"
 
 // DropRetryCycles converts a shift count into the recovery cost of the
 // fault model's thermal pulse drops: each dropped pulse forces the chunk
@@ -18,31 +14,4 @@ func (c Config) DropRetryCycles(fm *faultinject.Model, shifts int64, site string
 	}
 	dropped = fm.Count(fm.PulseDrop, shifts, site)
 	return dropped, dropped * int64(c.RecirculateCycles())
-}
-
-// ShiftFaulted is Shift under the fault model: with probability PulseDrop
-// the shifted-out entry loses one pulse — a bit that should read 1 reads 0,
-// the physical signature of a fluxon failing to propagate. The faulted bit
-// position is drawn deterministically from the same site, and dropped
-// reports whether this shift was hit. The site must uniquely name this
-// shift (e.g. include a sequence number) for independent draws.
-func (m *Memory) ShiftFaulted(in []byte, fm *faultinject.Model, site string) (out []byte, outValid, dropped bool) {
-	out, outValid = m.Shift(in)
-	if !fm.Enabled() || fm.PulseDrop <= 0 || !outValid {
-		return out, outValid, false
-	}
-	if fm.Uniform(site) >= fm.PulseDrop {
-		return out, outValid, false
-	}
-	bit := int(fm.Uniform(site+"\x00bit") * float64(m.width*8))
-	if bit >= m.width*8 {
-		bit = m.width*8 - 1
-	}
-	out[bit/8] &^= 1 << (bit % 8)
-	return out, outValid, true
-}
-
-// FaultSite builds the canonical per-shift site string for ShiftFaulted.
-func FaultSite(prefix string, shift int64) string {
-	return fmt.Sprintf("%s/shift/%d", prefix, shift)
 }

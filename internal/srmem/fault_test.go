@@ -1,7 +1,6 @@
 package srmem
 
 import (
-	"bytes"
 	"testing"
 
 	"supernpu/internal/faultinject"
@@ -23,47 +22,5 @@ func TestDropRetryCycles(t *testing.T) {
 	d2, r2 := c.DropRetryCycles(fm, 1e6, "buf")
 	if d2 != d || r2 != r {
 		t.Fatal("DropRetryCycles not deterministic")
-	}
-}
-
-func TestShiftFaultedDropsOneBitDeterministically(t *testing.T) {
-	run := func() ([]byte, bool) {
-		m := NewMemory(4, 2)
-		fm := &faultinject.Model{Seed: 9, PulseDrop: 1} // every shift drops
-		in := []byte{0xFF, 0xFF}
-		for i := 0; i < 4; i++ {
-			m.Shift(in)
-		}
-		out, ok, dropped := m.ShiftFaulted(in, fm, FaultSite("test", 4))
-		if !ok || !dropped {
-			t.Fatalf("drop not injected (valid=%v dropped=%v)", ok, dropped)
-		}
-		return out, dropped
-	}
-	a, _ := run()
-	b, _ := run()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("faulted shift not deterministic: %x vs %x", a, b)
-	}
-	ones := 0
-	for _, by := range a {
-		for i := 0; i < 8; i++ {
-			ones += int(by>>i) & 1
-		}
-	}
-	if ones != 15 {
-		t.Fatalf("expected exactly one dropped bit, got %d set of 16", ones)
-	}
-}
-
-func TestShiftFaultedDisabledMatchesShift(t *testing.T) {
-	m1, m2 := NewMemory(3, 2), NewMemory(3, 2)
-	in := []byte{0xAB, 0xCD}
-	for i := 0; i < 5; i++ {
-		a, av := m1.Shift(in)
-		b, bv, dropped := m2.ShiftFaulted(in, nil, FaultSite("x", int64(i)))
-		if dropped || av != bv || !bytes.Equal(a, b) {
-			t.Fatal("disabled fault model changed Shift semantics")
-		}
 	}
 }

@@ -2,11 +2,9 @@
 // logic favours over RAM (Section II-B3): serially connected DFF rows with a
 // feedback loop. It provides
 //
-//   - a functional ring-shift model used by the cycle-stepped systolic array
-//     tests,
-//   - the cycle-cost model of the performance simulator (filling, draining
-//     and recirculating data costs cycles proportional to the shifted
-//     length — the root of the paper's first bottleneck), and
+//   - the cycle-cost model of the performance simulator (filling and
+//     recirculating data costs cycles proportional to the shifted length —
+//     the root of the paper's first bottleneck), and
 //   - the cell inventory, including the multiplexer/demultiplexer trees and
 //     selection wiring that buffer division adds (Fig. 19/20).
 package srmem
@@ -53,9 +51,6 @@ func (c Config) ChunkEntries() int { return c.Entries() / c.Chunks }
 func (c Config) FillCycles(n int) int {
 	return (n + c.WidthBytes - 1) / c.WidthBytes
 }
-
-// DrainCycles is the number of shift-out cycles needed to unload n bytes.
-func (c Config) DrainCycles(n int) int { return c.FillCycles(n) }
 
 // RecirculateCycles is the cost of moving an entry from a chunk's tail back
 // to its head so it can be consumed again: the whole chunk must rotate once.
@@ -130,81 +125,4 @@ func (c Config) Area(lib *sfq.Library) float64 {
 func (c Config) ChunkShiftEnergy(lib *sfq.Library) float64 {
 	bitsPerChunk := c.ChunkEntries() * c.WidthBytes * 8
 	return float64(bitsPerChunk) * bitCell().AccessEnergy(lib)
-}
-
-// Memory is the functional ring-shift model: a fixed-length chain of
-// width-wide entries with a feedback loop from tail to head. It implements
-// exactly the semantics the cost model charges cycles for.
-type Memory struct {
-	width   int
-	entries [][]byte
-	head    int // index of the entry currently at the input end
-	valid   []bool
-}
-
-// NewMemory returns a functional shift register of the given geometry.
-// It panics on a non-positive geometry: dimensions are compile-time or
-// validated-config constants, so a bad value is a programmer error.
-func NewMemory(entries, widthBytes int) *Memory {
-	if entries <= 0 || widthBytes <= 0 {
-		panic("srmem: entries and width must be positive")
-	}
-	m := &Memory{
-		width:   widthBytes,
-		entries: make([][]byte, entries),
-		valid:   make([]bool, entries),
-	}
-	for i := range m.entries {
-		m.entries[i] = make([]byte, widthBytes)
-	}
-	return m
-}
-
-// Len returns the number of entries.
-func (m *Memory) Len() int { return len(m.entries) }
-
-// Width returns the entry width in bytes.
-func (m *Memory) Width() int { return m.width }
-
-func (m *Memory) idx(i int) int { return (m.head + i) % len(m.entries) }
-
-// Shift performs one clock of the chain: the tail entry leaves the register
-// and is returned; in becomes the new head entry. Passing the returned tail
-// back as in on the next call is recirculation — the feedback loop of
-// Fig. 2(b). A nil in shifts in an invalid (zero) entry. Shift panics on a
-// width mismatch: entry geometry is fixed at construction, so a wrong
-// width is a programmer error.
-func (m *Memory) Shift(in []byte) (out []byte, outValid bool) {
-	if in != nil && len(in) != m.width {
-		panic(fmt.Sprintf("srmem: entry width %d, want %d", len(in), m.width))
-	}
-	tail := m.idx(len(m.entries) - 1)
-	out = make([]byte, m.width)
-	copy(out, m.entries[tail])
-	outValid = m.valid[tail]
-
-	// The tail slot becomes the new head slot.
-	m.head = tail
-	if in == nil {
-		for i := range m.entries[tail] {
-			m.entries[tail][i] = 0
-		}
-		m.valid[tail] = false
-	} else {
-		copy(m.entries[tail], in)
-		m.valid[tail] = true
-	}
-	return out, outValid
-}
-
-// Peek returns entry i counted from the head without shifting. It is a test
-// convenience; real shift-register memory has no random access, which is
-// exactly why the cost model charges shifting cycles.
-func (m *Memory) Peek(i int) ([]byte, bool) {
-	if i < 0 || i >= len(m.entries) {
-		return nil, false
-	}
-	out := make([]byte, m.width)
-	copy(out, m.entries[m.idx(i)])
-	return out, m.valid[m.idx(i)]
 }

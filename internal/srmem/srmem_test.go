@@ -1,7 +1,6 @@
 package srmem
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -38,8 +37,8 @@ func TestDivisionShortensRecirculation(t *testing.T) {
 
 func TestFillDrainCycles(t *testing.T) {
 	c := Config{WidthBytes: 64, CapacityBytes: mb, Chunks: 4}
-	if c.FillCycles(640) != 10 || c.DrainCycles(640) != 10 {
-		t.Fatal("fill/drain must cost bytes/width cycles")
+	if c.FillCycles(640) != 10 {
+		t.Fatal("fill must cost bytes/width cycles")
 	}
 	if c.FillCycles(1) != 1 {
 		t.Fatal("partial entries round up")
@@ -107,92 +106,8 @@ func TestChunkShiftEnergyShrinksWithDivision(t *testing.T) {
 	}
 }
 
-func TestMemoryFIFOOrder(t *testing.T) {
-	m := NewMemory(4, 2)
-	inputs := [][]byte{{1, 1}, {2, 2}, {3, 3}, {4, 4}}
-	for _, in := range inputs {
-		if _, valid := m.Shift(in); valid {
-			t.Fatal("empty register must emit invalid entries while filling")
-		}
-	}
-	for i, want := range inputs {
-		out, valid := m.Shift(nil)
-		if !valid || !bytes.Equal(out, want) {
-			t.Fatalf("drain %d: got %v (valid=%v), want %v", i, out, valid, want)
-		}
-	}
-	if _, valid := m.Shift(nil); valid {
-		t.Fatal("register must be empty after full drain")
-	}
-}
-
-func TestMemoryRecirculation(t *testing.T) {
-	m := NewMemory(3, 1)
-	for _, b := range []byte{10, 20, 30} {
-		m.Shift([]byte{b})
-	}
-	// One recirculating shift: the tail (10) re-enters at the head.
-	out, valid := m.Shift(nil)
-	if !valid || out[0] != 10 {
-		t.Fatalf("tail = %v (valid=%v), want 10", out, valid)
-	}
-	m.shiftBack(out)
-	head, ok := m.Peek(0)
-	if !ok || head[0] != 10 {
-		t.Fatalf("recirculated entry must be at the head, got %v", head)
-	}
-	next, ok := m.Peek(1)
-	if !ok || next[0] != 30 {
-		t.Fatalf("order after recirculation wrong (head is newest), got %v at index 1", next)
-	}
-}
-
-// shiftBack is a test helper modelling the feedback loop: it replaces the
-// invalid head slot the previous Shift(nil) created with the tail value.
-func (m *Memory) shiftBack(v []byte) {
-	copy(m.entries[m.head], v)
-	m.valid[m.head] = true
-}
-
-// Property: after exactly Len() recirculating shifts (tail fed back to
-// head), the memory content returns to its original order — the feedback
-// loop of Fig. 2(b) is a rotation.
-func TestRecirculationRotationProperty(t *testing.T) {
-	f := func(raw []byte, n8 uint8) bool {
-		n := 1 + int(n8)%16
-		m := NewMemory(n, 1)
-		vals := make([]byte, n)
-		for i := 0; i < n; i++ {
-			if i < len(raw) {
-				vals[i] = raw[i]
-			}
-			m.Shift([]byte{vals[i]})
-		}
-		// One full rotation via the feedback loop.
-		for i := 0; i < n; i++ {
-			out, valid := m.Shift(nil)
-			if !valid {
-				return false
-			}
-			m.shiftBack(out)
-		}
-		// Contents must be back in the post-fill order: head (index 0)
-		// holds the newest value, the tail the oldest.
-		for i := 0; i < n; i++ {
-			got, valid := m.Peek(i)
-			if !valid || got[0] != vals[n-1-i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: fill/drain cycle costs are consistent — filling n bytes then
-// draining them costs 2·ceil(n/width) cycles, independent of division.
+// Property: filling n bytes costs ceil(n/width) cycles, independent of
+// division.
 func TestFillDrainSymmetryProperty(t *testing.T) {
 	f := func(n uint16, w8, chunks8 uint8) bool {
 		w := 1 + int(w8)%512
@@ -200,38 +115,9 @@ func TestFillDrainSymmetryProperty(t *testing.T) {
 		c := Config{WidthBytes: w, CapacityBytes: w * chunks * 64, Chunks: chunks}
 		nb := int(n)
 		want := (nb + w - 1) / w
-		return c.FillCycles(nb) == want && c.DrainCycles(nb) == want
+		return c.FillCycles(nb) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestMemoryPanicsAndPeekBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewMemory must panic on non-positive geometry")
-		}
-	}()
-	m := NewMemory(4, 2)
-	if _, ok := m.Peek(-1); ok {
-		t.Fatal("Peek out of range must report false")
-	}
-	if _, ok := m.Peek(4); ok {
-		t.Fatal("Peek out of range must report false")
-	}
-	if m.Width() != 2 || m.Len() != 4 {
-		t.Fatal("geometry accessors wrong")
-	}
-	NewMemory(0, 1)
-}
-
-func TestShiftWidthMismatchPanics(t *testing.T) {
-	m := NewMemory(2, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Shift must panic on wrong entry width")
-		}
-	}()
-	m.Shift([]byte{1})
 }
