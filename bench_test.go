@@ -160,9 +160,31 @@ func BenchmarkSimulateCold(b *testing.B) {
 }
 
 // BenchmarkSimulateCached measures the same simulation served from the memo
-// cache — the repeated-reference pattern of the Figs. 20–22 sweeps.
-func BenchmarkSimulateCached(b *testing.B) {
+// cache — the repeated-reference pattern of the Figs. 20–22 sweeps. Its
+// network is a fresh constructor copy, which keys as the template after a
+// layer-by-layer comparison.
+func BenchmarkSimulateCached(b *testing.B) { benchSimulateHit(b, workload.ResNet50()) }
+
+// BenchmarkSimulateCachedTemplate is the hit on the shared template that
+// workload.ByName hands out, which keys as the template in O(1).
+func BenchmarkSimulateCachedTemplate(b *testing.B) {
+	net, err := workload.ByName("ResNet50")
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSimulateHit(b, net)
+}
+
+// BenchmarkSimulateCachedCustom is the hit on a renamed copy of ResNet-50,
+// a custom network that keys by its content.
+func BenchmarkSimulateCachedCustom(b *testing.B) {
 	net := workload.ResNet50()
+	net.Name = "ResNet50-custom"
+	benchSimulateHit(b, net)
+}
+
+// benchSimulateHit times warm npusim.Simulate hits of net on SuperNPU.
+func benchSimulateHit(b *testing.B, net workload.Network) {
 	cfg := arch.SuperNPU()
 	simcache.ClearAll()
 	if _, err := npusim.Simulate(context.Background(), cfg, net, 0); err != nil {

@@ -28,7 +28,7 @@ import (
 // against the gate-level netlist generator (internal/netlist): the two
 // independent derivations of the Fig. 10 "structure model".
 func crossCheckNetlist() {
-	lib := sfq.NewLibrary(sfq.AIST10(), sfq.RSFQ)
+	lib := sfq.NominalLibrary(sfq.RSFQ)
 	pc := pe.Default8Bit(1)
 	g := netlist.MAC(pc.Bits, pc.AccBits, pc.Registers)
 	peInv := pc.Inventory()

@@ -255,7 +255,7 @@ func estimateWithLib(ctx context.Context, cfg arch.Config, lib *sfq.Library) (*R
 // EstimateMAC estimates a standalone MAC-unit prototype (the fabricated
 // 4-bit chip of Fig. 12(a)): frequency, static power and area.
 func EstimateMAC(pc pe.Config, tech sfq.Technology) UnitEstimate {
-	lib := sfq.NewLibrary(sfq.AIST10(), tech)
+	lib := sfq.NominalLibrary(tech)
 	inv := pc.Inventory()
 	return UnitEstimate{
 		Name:         fmt.Sprintf("%d-bit MAC unit", pc.Bits),
@@ -269,7 +269,7 @@ func EstimateMAC(pc pe.Config, tech sfq.Technology) UnitEstimate {
 
 // EstimateSRMem estimates a standalone shift-register memory prototype.
 func EstimateSRMem(c srmem.Config, tech sfq.Technology) UnitEstimate {
-	lib := sfq.NewLibrary(sfq.AIST10(), tech)
+	lib := sfq.NominalLibrary(tech)
 	u := estimateBuffer(fmt.Sprintf("SRmem %dB", c.CapacityBytes), c, lib)
 	return u
 }
@@ -278,7 +278,7 @@ func EstimateSRMem(c srmem.Config, tech sfq.Technology) UnitEstimate {
 // unit consists only of DFF-splitter branches, so it has no frequency of
 // its own (Fig. 13: "no frequency result for a single NW unit").
 func EstimateNW(width, bits int, tech sfq.Technology) UnitEstimate {
-	lib := sfq.NewLibrary(sfq.AIST10(), tech)
+	lib := sfq.NominalLibrary(tech)
 	inv := netunit.CellInventory(netunit.Systolic2D, netunit.Config{Width: width, Bits: bits})
 	return UnitEstimate{
 		Name:        fmt.Sprintf("%d-bit NW unit", bits),
@@ -293,7 +293,7 @@ func EstimateNW(width, bits int, tech sfq.Technology) UnitEstimate {
 // shift-register buffers (ifmap, psum, ofmap, weight) and the inter-unit
 // links — the architecture-level validation subject of Fig. 13.
 func EstimatePrototypeNPU(tech sfq.Technology) UnitEstimate {
-	lib := sfq.NewLibrary(sfq.AIST10(), tech)
+	lib := sfq.NominalLibrary(tech)
 	pc := pe.Config{Bits: 4, AccBits: 12, Registers: 1, Dataflow: pe.WeightStationary}
 
 	inv := sfq.Inventory{}

@@ -58,7 +58,7 @@ func runAblation(ctx context.Context, id string) (string, bool, error) {
 // the output-stationary PE's accumulator feedback forces counter-flow
 // clocking and costs the whole NPU its clock.
 func AblationDataflow(ctx context.Context) (string, error) {
-	lib := sfq.NewLibrary(sfq.AIST10(), sfq.RSFQ)
+	lib := sfq.NominalLibrary(sfq.RSFQ)
 	t := report.NewTable("Ablation: PE dataflow (Section III-B design choice)",
 		"dataflow", "feedback loop", "clocking", "PE clock (GHz)", "SuperNPU peak (TMAC/s)")
 	for _, df := range []pe.Dataflow{pe.WeightStationary, pe.InputStationary, pe.OutputStationary} {
@@ -80,7 +80,7 @@ func AblationDataflow(ctx context.Context) (string, error) {
 // technique (Section IV-A2): without skew tuning the clock pulse must wait
 // out the full data propagation of every pair.
 func AblationClockSkewing(ctx context.Context) (string, error) {
-	lib := sfq.NewLibrary(sfq.AIST10(), sfq.RSFQ)
+	lib := sfq.NominalLibrary(sfq.RSFQ)
 	skewed := pe.Default8Bit(1).CriticalPairs(lib)
 	// The unskewed variant exposes each pair's full data path against a
 	// single-JTL clock hop.

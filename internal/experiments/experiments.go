@@ -115,7 +115,7 @@ func RunAll(ctx context.Context) (string, error) {
 // Fig5 compares the three on-chip network designs' critical-path delay and
 // area over PE-array widths (Fig. 5).
 func Fig5(ctx context.Context) (string, error) {
-	lib := sfq.NewLibrary(sfq.AIST10(), sfq.RSFQ)
+	lib := sfq.NominalLibrary(sfq.RSFQ)
 	t := report.NewTable("Fig. 5: network-unit critical-path delay (ps) and area (mm^2)",
 		"PE array width", "2D tree delay", "1D tree delay", "systolic delay",
 		"2D tree area", "1D tree area", "systolic area")
@@ -138,7 +138,7 @@ func Fig5(ctx context.Context) (string, error) {
 // shift register under both clocking schemes (Fig. 7(c)), plus the RCSJ
 // circuit-level extraction that anchors the gate level.
 func Fig7(ctx context.Context) (string, error) {
-	lib := sfq.NewLibrary(sfq.AIST10(), sfq.RSFQ)
+	lib := sfq.NominalLibrary(sfq.RSFQ)
 	t := report.NewTable("Fig. 7(c): feedback-loop impact on clock frequency (GHz)",
 		"circuit", "without feedback (concurrent-flow)", "with feedback (counter-flow)")
 	for _, c := range []struct {

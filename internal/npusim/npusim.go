@@ -471,29 +471,12 @@ func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch 
 	return rep, nil
 }
 
-// nominalLibs holds the nominal AIST 1.0 µm cell library of each
-// technology, built once and shared read-only by every simulation. They
-// stay private: sfq.NewLibrary keeps returning a fresh map to everyone
-// else, because sfq.NewLibraryFaulted mutates the one it gets.
-var nominalLibs = [...]*sfq.Library{
-	sfq.RSFQ:  sfq.NewLibrary(sfq.AIST10(), sfq.RSFQ),
-	sfq.ERSFQ: sfq.NewLibrary(sfq.AIST10(), sfq.ERSFQ),
-}
-
-// nominalLibrary returns the nominal cell library of tech.
-func nominalLibrary(tech sfq.Technology) *sfq.Library {
-	if tech >= 0 && int(tech) < len(nominalLibs) {
-		return nominalLibs[tech]
-	}
-	return sfq.NewLibrary(sfq.AIST10(), tech)
-}
-
 // dynamicPower models the chip's switching power over the run: the clock
 // network pulses every clocked cell of the PE array every cycle; MACs add
 // data switching; buffer traffic adds per-byte shift energy; the DAU adds
 // per-delivered-pixel energy. Faulted runs read the nominal library too.
 func dynamicPower(cfg arch.Config, est *estimator.Result, rep *Report) PowerBreakdown {
-	lib := nominalLibrary(cfg.Tech)
+	lib := sfq.NominalLibrary(cfg.Tech)
 	pc := cfg.PECfg()
 	var p PowerBreakdown
 

@@ -110,6 +110,26 @@ func NewLibrary(p Process, tech Technology) *Library {
 	return &Library{Proc: p, Tech: tech, gates: g}
 }
 
+// nominalLibs holds the nominal AIST 1.0 µm cell library of each
+// technology, built once at start-up and shared read-only.
+var nominalLibs = [...]*Library{
+	RSFQ:  NewLibrary(AIST10(), RSFQ),
+	ERSFQ: NewLibrary(AIST10(), ERSFQ),
+}
+
+// NominalLibrary returns the nominal AIST 1.0 µm cell library of tech, the
+// library NewLibrary(AIST10(), tech) builds. It is built once per
+// technology and shared by every caller, so treat it as immutable, like
+// every cached result; an unknown technology gets a fresh library.
+// NewLibrary keeps returning a fresh library, the one NewLibraryFaulted
+// perturbs in place.
+func NominalLibrary(tech Technology) *Library {
+	if tech >= 0 && int(tech) < len(nominalLibs) {
+		return nominalLibs[tech]
+	}
+	return NewLibrary(AIST10(), tech)
+}
+
 // ErrUnknownGate marks a gate kind absent from the cell library. Boundary
 // code matches it with errors.Is to reject the input.
 var ErrUnknownGate = errors.New("sfq: unknown gate kind")

@@ -4,12 +4,16 @@ package simcache
 // exactly the input that built it, with no bytes left over, is what makes
 // the encoding injective: two inputs with equal keys decode to the same
 // input. The decoder is written from the key contract (uvarint-prefixed
-// strings, zig-zag varint ints, one-byte bools, eight-byte floats, a layer
-// count before the layers, a tagged fault model), so a builder that drops
-// a length prefix or a count fails here on any input, not only on inputs
-// crafted to collide.
+// strings, zig-zag varint ints, one-byte bools, eight-byte floats, a
+// tagged network that is either a template index or a content record with
+// its layer count before the layers, a tagged fault model), so a builder
+// that drops a length prefix or a count fails here on any input, not only
+// on inputs crafted to collide. It also holds the network key canonical:
+// a content record equal to one of the six templates is malformed, since
+// such a network must key by its index.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"reflect"
@@ -111,7 +115,32 @@ func (r *keyReader) layer(name string) workload.Layer {
 
 func (r *keyReader) shape() workload.Shape { return r.layer("").Shape() }
 
+// network decodes a network key: tag 0 and an index decode to that
+// template, tag 1 to a content record.
 func (r *keyReader) network() workload.Network {
+	switch r.byte() {
+	case 0:
+		templates := workload.All()
+		i, k := binary.Uvarint(r.b)
+		if k <= 0 || i >= uint64(len(templates)) {
+			r.bad = true
+			return workload.Network{}
+		}
+		r.b = r.b[k:]
+		return templates[i]
+	case 1:
+		net := r.content()
+		if isTemplate(net) {
+			r.bad = true // not canonical: the template's index keys it
+		}
+		return net
+	}
+	r.bad = true
+	return workload.Network{}
+}
+
+// content decodes a content record: name, layer count, then the layers.
+func (r *keyReader) content() workload.Network {
 	net := workload.Network{Name: r.str()}
 	n := r.int()
 	if n < 0 || n > int64(len(r.b)) { // every layer takes at least one byte
@@ -123,6 +152,17 @@ func (r *keyReader) network() workload.Network {
 		net.Layers[i] = r.layer(r.str())
 	}
 	return net
+}
+
+// isTemplate reports whether net has the name and layers of one of the
+// six evaluation CNNs.
+func isTemplate(net workload.Network) bool {
+	for _, t := range workload.All() {
+		if net.Name == t.Name && slices.Equal(net.Layers, t.Layers) {
+			return true
+		}
+	}
+	return false
 }
 
 // fault decodes the fault tail; the nominal tag decodes to nil.
@@ -181,6 +221,41 @@ func TestKeysDecodeToTheirInputs(t *testing.T) {
 		for i, net := range nets {
 			fm := faults[i%len(faults)]
 			checkDecodes(t, cfg, net, i-1, fm, workload.Shape{Kind: workload.Kind(i), H: i, M: -i}, 256, -64, math.MaxInt)
+		}
+	}
+}
+
+// TestNetworkKeyForms pins the two network key forms to the decoder. Each
+// template, as the shared alias and as a deep copy, keys as tag 0 and its
+// index in two bytes and decodes to the template; a renamed alias keys and
+// decodes by content. A template's content record is not canonical, and
+// an index past the six templates or an unknown tag is malformed.
+func TestNetworkKeyForms(t *testing.T) {
+	templates := workload.All()
+	for i, tmpl := range templates {
+		for _, net := range []workload.Network{tmpl, {Name: tmpl.Name, Layers: slices.Clone(tmpl.Layers)}} {
+			key := AppendNetworkKey(nil, net)
+			r := keyReader{b: key}
+			if got := r.network(); !bytes.Equal(key, []byte{0, byte(i)}) || !r.done() || !reflect.DeepEqual(got, tmpl) {
+				t.Errorf("%s keys as %x and decodes to %q (clean %v), want 00%02x and the template",
+					net.Name, key, got.Name, r.done(), i)
+			}
+		}
+		renamed := workload.Network{Name: tmpl.Name + "'", Layers: tmpl.Layers}
+		key := AppendNetworkKey(nil, renamed)
+		r := keyReader{b: key}
+		if got := r.network(); key[0] != 1 || !r.done() || got.Name != renamed.Name || !slices.Equal(got.Layers, renamed.Layers) {
+			t.Errorf("renamed %s keys as %x, want its content record under tag 1", tmpl.Name, key)
+		}
+		r = keyReader{b: appendContentKey([]byte{1}, tmpl)}
+		if r.network(); r.done() {
+			t.Errorf("the content record of template %s decoded as canonical", tmpl.Name)
+		}
+	}
+	for _, key := range [][]byte{{0, byte(len(templates))}, {0, 0x80}, {0}, {2}, {}} {
+		r := keyReader{b: key}
+		if r.network(); r.done() {
+			t.Errorf("malformed network key %x decoded cleanly", key)
 		}
 	}
 }

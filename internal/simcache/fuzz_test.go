@@ -4,9 +4,11 @@
 // a key would silently serve one input's simulation result for the other.
 // The tile-plan key AppendTilesKey and the text key ConfigKey are held to
 // the same standard. The fuzzer derives two of each key's
-// inputs from the input bytes, with names drawn from all 256 byte values,
-// and checks keys are equal exactly when the values are and that each
-// binary key decodes back to its inputs (decode_test.go). Seed corpus in
+// inputs from the input bytes, with names drawn from all 256 byte values
+// and networks that are sometimes one of the six templates, as the shared
+// alias or a deep copy, or a template copy with one change, and checks
+// keys are equal exactly when the values are and that each binary key
+// decodes back to its inputs (decode_test.go). Seed corpus in
 // testdata/fuzz/; run with
 //
 //	go test ./internal/simcache -run='^$' -fuzz=FuzzKeyInjectivity -fuzztime=30s
@@ -15,6 +17,7 @@ package simcache
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"supernpu/internal/arch"
@@ -110,8 +113,25 @@ func sameFault(a, b *faultinject.Model) bool {
 	return *a == *b
 }
 
-// network derives one workload from the feed.
+// network derives one workload from the feed: one of the six templates
+// as the shared alias workload.All hands out, a fresh deep copy of one, a
+// copy with one change (mutant), or a small random network. Templates key
+// by their index and everything else by content, so pairs across these
+// cases are where the two key forms could disagree with equality.
 func (f *byteFeed) network() workload.Network {
+	pick := func() workload.Network {
+		templates := workload.All()
+		return templates[int(f.next())%len(templates)]
+	}
+	switch f.next() % 8 {
+	case 5:
+		return pick()
+	case 6:
+		t := pick()
+		return workload.Network{Name: t.Name, Layers: slices.Clone(t.Layers)}
+	case 7:
+		return f.mutant(pick())
+	}
 	layers := make([]workload.Layer, int(f.next())%4)
 	for i := range layers {
 		layers[i] = workload.Layer{
@@ -123,6 +143,35 @@ func (f *byteFeed) network() workload.Network {
 		}
 	}
 	return workload.Network{Name: f.name(int(f.next()) % 8), Layers: layers}
+}
+
+// mutant returns a copy of template t with one change: one field of one
+// layer, the network name, or the layer count (a prefix that still shares
+// the template's layer array, or one layer more). t is never written.
+func (f *byteFeed) mutant(t workload.Network) workload.Network {
+	net := workload.Network{Name: t.Name, Layers: slices.Clone(t.Layers)}
+	switch f.next() % 3 {
+	case 0:
+		l := &net.Layers[f.intIn(0, len(net.Layers)-1)]
+		ints := [...]*int{&l.H, &l.W, &l.C, &l.R, &l.S, &l.M, &l.Stride, &l.Pad}
+		switch k := int(f.next()) % (len(ints) + 2); k {
+		case len(ints):
+			l.Name += f.name(1)
+		case len(ints) + 1:
+			l.Kind++
+		default:
+			*ints[k]++
+		}
+	case 1:
+		net.Name += f.name(1)
+	default:
+		if f.next()%2 == 0 {
+			net.Layers = t.Layers[:f.intIn(0, len(t.Layers)-1)]
+		} else {
+			net.Layers = append(net.Layers, net.Layers[f.intIn(0, len(net.Layers)-1)])
+		}
+	}
+	return net
 }
 
 func FuzzKeyInjectivity(f *testing.F) {

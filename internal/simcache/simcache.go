@@ -19,10 +19,13 @@
 // self-delimiting form — strings as a uvarint length and their bytes, ints
 // as varints, bools as one byte, floats as their eight IEEE 754 bytes — in
 // a fixed order, so a key parses back into exactly one input: distinct
-// inputs can never share an entry, whatever bytes their names hold. There
-// is no hash, so nothing probabilistic is involved. A lookup indexes the
-// map with the caller's bytes directly and a hit allocates nothing; only a
-// miss copies the key into the map.
+// inputs can never share an entry, whatever bytes their names hold. A
+// network is the one field with two forms, told apart by a tag byte: one
+// of the paper's six CNNs keys as its template index in two bytes, and any
+// other network by its content (AppendNetworkKey). There is no hash, so
+// nothing probabilistic is involved. A lookup indexes the map with the
+// caller's bytes directly and a hit allocates nothing; only a miss copies
+// the key into the map.
 //
 // Cached values are shared between callers and across goroutines: treat
 // anything returned through a Cache as immutable.
@@ -48,11 +51,13 @@ import (
 
 // --- binary memo keys ---
 
-// KeyBuf is the buffer a caller appends a network-carrying key into. It
-// holds the whole-simulation key of every one of the paper's six CNNs
-// (GoogLeNet's, the largest, is 1 345 bytes) with room for the fault-model
-// tail, so as a local variable it keeps a cache hit free of allocation; a
-// larger custom network grows its key onto the heap once per lookup.
+// KeyBuf is the buffer a caller appends a network-carrying key into. The
+// six CNNs key in a few dozen bytes, since their networks take two; the
+// 2 KB are for custom networks, which key by content. It holds the content
+// key of a GoogLeNet-sized custom network (a renamed GoogLeNet keys in
+// about 1 350 bytes) with the fault-model tail, so as a local variable it
+// keeps such a hit free of allocation too; a larger custom network grows
+// its key onto the heap once per lookup.
 type KeyBuf [2048]byte
 
 // AppendString appends s as its uvarint length followed by its bytes.
@@ -98,10 +103,24 @@ func AppendConfigKey(b []byte, cfg arch.Config) []byte {
 	return AppendFloat(b, cfg.MemoryBandwidth)
 }
 
-// AppendNetworkKey appends the key of a workload, layer count and layer
-// shapes included, so two custom networks sharing a display name still key
-// separately. Keep in step with workload.Layer.
+// AppendNetworkKey appends the key of a workload. A network equal to one
+// of the paper's six CNNs (workload.TemplateIndex) keys as a 0 tag byte
+// and the template's uvarint index: two bytes, however many layers it has.
+// Any other network keys as a 1 tag byte and its content record
+// (appendContentKey). The form is canonical: a network equal to a template
+// never takes the content form, so equal networks share one key however
+// they were built, and the tag keeps the two forms apart.
 func AppendNetworkKey(b []byte, net workload.Network) []byte {
+	if i, ok := workload.TemplateIndex(net); ok {
+		return binary.AppendUvarint(append(b, 0), uint64(i))
+	}
+	return appendContentKey(append(b, 1), net)
+}
+
+// appendContentKey appends a network's content record: its name, layer
+// count and every layer field, so two custom networks sharing a display
+// name still key separately. Keep in step with workload.Layer.
+func appendContentKey(b []byte, net workload.Network) []byte {
 	b = AppendString(b, net.Name)
 	b = AppendInt(b, int64(len(net.Layers)))
 	for _, l := range net.Layers {

@@ -227,6 +227,26 @@ var templates = sync.OnceValue(func() []Network {
 // outer slice is the caller's own.
 func All() []Network { return slices.Clone(templates()) }
 
+// TemplateIndex reports whether net equals one of the six evaluation
+// workloads, and which one in All's order. A network equals a template
+// when its name and every layer are equal. The networks All and ByName
+// hand out share the template's layer slice, so they are recognised in
+// O(1) by that slice's backing array, length and name; any other network
+// with a template's name and layer count, such as a constructor's fresh
+// copy or a caller's deep copy, is compared layer by layer.
+func TemplateIndex(net Network) (int, bool) {
+	for i, t := range templates() {
+		if len(net.Layers) != len(t.Layers) || net.Name != t.Name {
+			continue
+		}
+		if &net.Layers[0] == &t.Layers[0] || slices.Equal(net.Layers, t.Layers) {
+			return i, true
+		}
+		return 0, false // template names are distinct
+	}
+	return 0, false
+}
+
 // ByName returns the named workload, whose layer slice is shared and
 // read-only like All's, or an error listing valid names.
 func ByName(name string) (Network, error) {

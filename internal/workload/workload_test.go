@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -36,6 +37,34 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("LeNet"); err == nil {
 		t.Fatal("ByName must reject unknown networks")
+	}
+}
+
+// TestTemplateIndex checks which networks equal a template: the shared
+// alias, a constructor's fresh copy and a deep copy do; a renamed alias, a
+// prefix sharing the template's array, a copy with one layer changed and
+// an empty network do not.
+func TestTemplateIndex(t *testing.T) {
+	fresh := []func() Network{AlexNet, FasterRCNN, GoogLeNet, MobileNet, ResNet50, VGG16}
+	for i, tmpl := range All() {
+		alias, _ := ByName(tmpl.Name)
+		for _, net := range []Network{alias, fresh[i](), {Name: tmpl.Name, Layers: slices.Clone(tmpl.Layers)}} {
+			if got, ok := TemplateIndex(net); !ok || got != i {
+				t.Errorf("TemplateIndex(%s) = %d, %v; want %d, true", net.Name, got, ok, i)
+			}
+		}
+		changed := slices.Clone(tmpl.Layers)
+		changed[len(changed)-1].Name += "'"
+		for _, net := range []Network{
+			{Name: tmpl.Name + "'", Layers: tmpl.Layers},
+			{Name: tmpl.Name, Layers: tmpl.Layers[:len(tmpl.Layers)-1]},
+			{Name: tmpl.Name, Layers: changed},
+			{Name: tmpl.Name},
+		} {
+			if got, ok := TemplateIndex(net); ok {
+				t.Errorf("TemplateIndex(%q with %d layers) = %d, true; want false", net.Name, len(net.Layers), got)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"supernpu/internal/sfq"
 	"supernpu/internal/workload"
 )
 
@@ -153,6 +154,29 @@ func TestRunAllLeavesSharedNetworksIntact(t *testing.T) {
 	}
 	if !reflect.DeepEqual(workload.All(), freshNetworks()) {
 		t.Error("a full report modified the shared CNN templates")
+	}
+}
+
+// TestReportLeavesNominalLibrariesIntact checks that a full report, the
+// ablations and ValidateModels leave each shared nominal cell library
+// equal to a freshly built one: the exhibits, estimator and simulators
+// read them, and none may write.
+func TestReportLeavesNominalLibrariesIntact(t *testing.T) {
+	ctx := context.Background()
+	ClearCaches()
+	if _, err := RunAllExperiments(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range AblationIDs() {
+		if _, err := RunExperiment(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ValidateModels()
+	for _, tech := range []sfq.Technology{sfq.RSFQ, sfq.ERSFQ} {
+		if !reflect.DeepEqual(sfq.NominalLibrary(tech), sfq.NewLibrary(sfq.AIST10(), tech)) {
+			t.Errorf("the shared nominal %v library no longer equals a fresh one", tech)
+		}
 	}
 }
 
