@@ -305,8 +305,8 @@ func BenchmarkAblationBatch(b *testing.B) { benchExperiment(b, "ablation-batch")
 func BenchmarkAblationMemsys(b *testing.B) { benchExperiment(b, "ablation-memsys") }
 
 // BenchmarkMarginSweepCold measures the full bias-margin robustness exhibit
-// from a cold cache: six fault variants, each a batched margin evaluation
-// through per-worker reused solvers.
+// from a cold cache: six fault variants fanned out across the pool, each
+// margin analysis bisecting serially on its own solver.
 func BenchmarkMarginSweepCold(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

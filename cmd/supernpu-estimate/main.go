@@ -5,8 +5,12 @@
 // Usage:
 //
 //	supernpu-estimate -design SuperNPU
-//	supernpu-estimate -design Baseline -ersfq
+//	supernpu-estimate -design ERSFQ-Baseline
 //	supernpu-estimate -validate
+//
+// Design names resolve as on the HTTP API: case-insensitively, with an
+// "ERSFQ-" prefix selecting an SFQ design's energy-efficient biasing. The
+// estimator models SFQ designs only, so the CMOS TPU is an error.
 package main
 
 import (
@@ -18,6 +22,7 @@ import (
 	"syscall"
 
 	"supernpu"
+	"supernpu/internal/core"
 	"supernpu/internal/netlist"
 	"supernpu/internal/pe"
 	"supernpu/internal/report"
@@ -50,8 +55,7 @@ func crossCheckNetlist() {
 }
 
 func main() {
-	design := flag.String("design", "SuperNPU", "SFQ design name (Baseline, Buffer opt., Resource opt., SuperNPU)")
-	ersfq := flag.Bool("ersfq", false, "use ERSFQ biasing")
+	design := flag.String("design", "SuperNPU", "SFQ design name (Baseline, Buffer opt., Resource opt., SuperNPU), optionally ERSFQ- prefixed")
 	validate := flag.Bool("validate", false, "run the Fig. 13 model validation and exit")
 	xcheck := flag.Bool("netlist", false, "cross-check the PE structure model against the generated gate netlist and exit")
 	flag.Parse()
@@ -71,20 +75,13 @@ func main() {
 		return
 	}
 
-	var d supernpu.Design
-	found := false
-	for _, cand := range supernpu.Designs()[1:] { // skip the CMOS TPU
-		if cand.Name() == *design {
-			d, found = cand, true
-			break
-		}
+	d, err := supernpu.DesignByName(*design)
+	if err == nil && d.Platform != core.SFQ {
+		err = fmt.Errorf("%s is a CMOS design; the estimator models SFQ designs only", d.Name())
 	}
-	if !found {
-		fmt.Fprintf(os.Stderr, "supernpu-estimate: unknown SFQ design %q\n", *design)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "supernpu-estimate:", err)
 		os.Exit(1)
-	}
-	if *ersfq {
-		d = supernpu.ERSFQ(d)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

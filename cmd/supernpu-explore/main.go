@@ -56,6 +56,18 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "abort the sweep after this wall-clock budget (0 = none)")
 	flag.Parse()
 
+	var fm *supernpu.FaultModel
+	if *icSpread != 0 || *pulseDrop != 0 || *bitFlip != 0 || *erosion != 0 {
+		fm = &supernpu.FaultModel{
+			Seed: *faultSeed, IcSpread: *icSpread, PulseDrop: *pulseDrop,
+			BitFlip: *bitFlip, MarginErosion: *erosion,
+		}
+	}
+	if err := fm.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "supernpu-explore:", err)
+		os.Exit(2)
+	}
+
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -85,7 +97,7 @@ func main() {
 		defer cancel()
 	}
 
-	if err := run(ctx, *sweep, *width, *faultSeed, *icSpread, *pulseDrop, *bitFlip, *erosion); err != nil {
+	if err := run(ctx, *sweep, *width, *faultSeed, fm); err != nil {
 		if errors.Is(err, guard.ErrCanceled) || errors.Is(err, guard.ErrDeadlineExceeded) {
 			fmt.Fprintln(os.Stderr, "supernpu-explore: sweep canceled:", err)
 			os.Exit(130)
@@ -103,7 +115,9 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, sweep string, width int, seed int64, icSpread, pulseDrop, bitFlip, erosion float64) error {
+// run prints one sweep: the margin sweep under the given seed, any other
+// under the fault model fm (nil is nominal).
+func run(ctx context.Context, sweep string, width int, seed int64, fm *supernpu.FaultModel) error {
 	sp := obs.StartSpan("sweep", obs.L("kind", sweep))
 	defer sp.End()
 
@@ -114,14 +128,6 @@ func run(ctx context.Context, sweep string, width int, seed int64, icSpread, pul
 		}
 		fmt.Print(out)
 		return nil
-	}
-
-	var fm *supernpu.FaultModel
-	if icSpread != 0 || pulseDrop != 0 || bitFlip != 0 || erosion != 0 {
-		fm = &supernpu.FaultModel{
-			Seed: seed, IcSpread: icSpread, PulseDrop: pulseDrop,
-			BitFlip: bitFlip, MarginErosion: erosion,
-		}
 	}
 
 	var points []supernpu.SweepPoint

@@ -59,11 +59,6 @@ func main() {
 	simFail := flag.Float64("sim-fail", 0, "probability a simulation aborts entirely (exercises the degraded path)")
 	flag.Parse()
 
-	parallel.SetWorkers(*workers)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	// Any non-zero rate arms the fault model; /v1/evaluate degrades to the
 	// analytical roofline (200 + "degraded": true) when a simulation aborts.
 	var fm *faultinject.Model
@@ -73,6 +68,15 @@ func main() {
 			BitFlip: *bitFlip, MarginErosion: *erosion, SimFail: *simFail,
 		}
 	}
+	if err := fm.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "supernpu-serve:", err)
+		os.Exit(2)
+	}
+
+	parallel.SetWorkers(*workers)
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	s := server.New(server.Options{
 		MaxConcurrent: parallel.Workers(),

@@ -5,6 +5,10 @@
 //
 //	supernpu-sim -design SuperNPU -net ResNet50
 //	supernpu-sim -design Baseline -net VGG16 -batch 1 -layers
+//	supernpu-sim -design ERSFQ-SuperNPU -net AlexNet
+//
+// Design names resolve as on the HTTP API: case-insensitively, with an
+// "ERSFQ-" prefix selecting an SFQ design's energy-efficient biasing.
 package main
 
 import (
@@ -19,30 +23,17 @@ import (
 	"supernpu/internal/report"
 )
 
-func pick(name string) (supernpu.Design, error) {
-	for _, d := range supernpu.Designs() {
-		if d.Name() == name {
-			return d, nil
-		}
-	}
-	return supernpu.Design{}, fmt.Errorf("unknown design %q (TPU, Baseline, Buffer opt., Resource opt., SuperNPU)", name)
-}
-
 func main() {
-	design := flag.String("design", "SuperNPU", "design point name")
+	design := flag.String("design", "SuperNPU", "design point name, optionally ERSFQ- prefixed")
 	netName := flag.String("net", "ResNet50", "workload name")
 	batch := flag.Int("batch", 0, "batch size (0 = design's max batch)")
 	layers := flag.Bool("layers", false, "print the per-layer cycle breakdown (SFQ designs)")
-	ersfq := flag.Bool("ersfq", false, "switch an SFQ design to ERSFQ biasing")
 	flag.Parse()
 
-	d, err := pick(*design)
+	d, err := supernpu.DesignByName(*design)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "supernpu-sim:", err)
 		os.Exit(1)
-	}
-	if *ersfq {
-		d = supernpu.ERSFQ(d)
 	}
 	net, err := supernpu.WorkloadByName(*netName)
 	if err != nil {

@@ -42,12 +42,14 @@ type SweepPoint struct {
 // baselineThroughputs returns each workload's Baseline batch-1 throughput,
 // the normalisation reference of Figs. 20–22, under the sweep's fault model.
 func baselineThroughputs(ctx context.Context, nets []workload.Network, fm *faultinject.Model) (map[string]float64, error) {
-	tputs, err := parallel.MapContext(ctx, len(nets), func(ctx context.Context, i int) (float64, error) {
+	tputs := make([]float64, len(nets))
+	err := parallel.ForEachContext(ctx, len(nets), func(ctx context.Context, i int) error {
 		r, err := npusim.SimulateFaulted(ctx, arch.Baseline(), nets[i], 1, fm)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		return r.Throughput, nil
+		tputs[i] = r.Throughput
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -64,26 +66,24 @@ func baselineThroughputs(ctx context.Context, nets []workload.Network, fm *fault
 // workload order, so the result is bit-identical to a serial evaluation.
 // nets is shared with the sweep's other points and only read.
 func sweep(ctx context.Context, cfg arch.Config, nets []workload.Network, base map[string]float64, baseArea float64, fm *faultinject.Model) (SweepPoint, error) {
-	type speedups struct{ s1, sm float64 }
-	vals, err := parallel.MapContext(ctx, len(nets), func(ctx context.Context, i int) (speedups, error) {
+	s1 := make([]float64, len(nets))
+	sm := make([]float64, len(nets))
+	err := parallel.ForEachContext(ctx, len(nets), func(ctx context.Context, i int) error {
 		r1, err := npusim.SimulateFaulted(ctx, cfg, nets[i], 1, fm)
 		if err != nil {
-			return speedups{}, err
+			return err
 		}
 		rm, err := npusim.SimulateFaulted(ctx, cfg, nets[i], 0, fm)
 		if err != nil {
-			return speedups{}, err
+			return err
 		}
 		ref := base[nets[i].Name]
-		return speedups{r1.Throughput / ref, rm.Throughput / ref}, nil
+		s1[i] = r1.Throughput / ref
+		sm[i] = rm.Throughput / ref
+		return nil
 	})
 	if err != nil {
 		return SweepPoint{}, err
-	}
-	var s1, sm []float64
-	for _, v := range vals {
-		s1 = append(s1, v.s1)
-		sm = append(sm, v.sm)
 	}
 	est, err := estimator.EstimateFaulted(ctx, cfg, fm)
 	if err != nil {

@@ -94,12 +94,14 @@ func RunAll(ctx context.Context) (string, error) {
 	sp := obs.StartSpan("report")
 	defer sp.End()
 	ids := IDs()
-	outs, err := parallel.MapContext(ctx, len(ids), func(ctx context.Context, i int) (string, error) {
+	outs := make([]string, len(ids))
+	err := parallel.ForEachContext(ctx, len(ids), func(ctx context.Context, i int) error {
 		out, err := Run(ctx, ids[i])
 		if err != nil {
-			return "", fmt.Errorf("%s: %w", ids[i], err)
+			return fmt.Errorf("%s: %w", ids[i], err)
 		}
-		return out, nil
+		outs[i] = out
+		return nil
 	})
 	if err != nil {
 		return "", err
@@ -416,24 +418,27 @@ func Table3(ctx context.Context) (string, error) {
 func meanSpeedupAndPower(ctx context.Context, d core.Design) (speedup, power float64, err error) {
 	tpu := core.CMOSDesign(scalesim.TPU())
 	nets := workload.All()
-	type contrib struct{ speedup, power float64 }
-	vals, err := parallel.MapContext(ctx, len(nets), func(ctx context.Context, i int) (contrib, error) {
+	speedups := make([]float64, len(nets))
+	powers := make([]float64, len(nets))
+	err = parallel.ForEachContext(ctx, len(nets), func(ctx context.Context, i int) error {
 		ref, err := core.Evaluate(ctx, tpu, nets[i], 0)
 		if err != nil {
-			return contrib{}, err
+			return err
 		}
 		ev, err := core.Evaluate(ctx, d, nets[i], 0)
 		if err != nil {
-			return contrib{}, err
+			return err
 		}
-		return contrib{ev.Throughput / ref.Throughput / 6, ev.ChipPower / 6}, nil
+		speedups[i] = ev.Throughput / ref.Throughput / 6
+		powers[i] = ev.ChipPower / 6
+		return nil
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, v := range vals {
-		speedup += v.speedup
-		power += v.power
+	for i := range nets {
+		speedup += speedups[i]
+		power += powers[i]
 	}
 	return speedup, power, nil
 }

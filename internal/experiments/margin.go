@@ -92,9 +92,9 @@ func MarginSweep(ctx context.Context, o MarginSweepOptions) (string, error) {
 		return "", err
 	}
 	// The RCSJ transients dominate a cold sweep: evaluate every grid
-	// point's bias margins through the batched chain runner first — one
-	// reusable solver per worker across all bisection probes — then
-	// assemble the rows (cycle simulation) in a second fan-out.
+	// point's bias margins first — one fan-out, each variant bisecting on
+	// its own solver — then assemble the rows (cycle simulation) in a
+	// second fan-out.
 	models := make([]*faultinject.Model, len(o.IcSpreads))
 	for i, spread := range o.IcSpreads {
 		models[i] = o.model(spread)

@@ -80,6 +80,36 @@ func (m *Model) String() string {
 		m.Seed, m.IcSpread, m.PulseDrop, m.BitFlip, m.MarginErosion, m.SimFail)
 }
 
+// Validate reports the first unusable rate: every rate must be finite and
+// >= 0, and the probabilities PulseDrop, BitFlip and SimFail must be <= 1.
+// A nil model is valid. Callers validate where a model enters the program;
+// an erosion of -1, for one, scales every gate delay to 0 and no
+// simulation survives it.
+func (m *Model) Validate() error {
+	if m == nil {
+		return nil
+	}
+	for _, r := range [...]struct {
+		name        string
+		v           float64
+		probability bool
+	}{
+		{"IcSpread", m.IcSpread, false},
+		{"PulseDrop", m.PulseDrop, true},
+		{"BitFlip", m.BitFlip, true},
+		{"MarginErosion", m.MarginErosion, false},
+		{"SimFail", m.SimFail, true},
+	} {
+		switch {
+		case !(r.v >= 0) || math.IsInf(r.v, 1):
+			return fmt.Errorf("faultinject: %s = %g, want a finite rate >= 0", r.name, r.v)
+		case r.probability && r.v > 1:
+			return fmt.Errorf("faultinject: %s = %g, want a probability <= 1", r.name, r.v)
+		}
+	}
+	return nil
+}
+
 // hash maps (seed, site) onto 64 uniformly scrambled bits: FNV-1a over the
 // site bytes folded with the seed, finished with the splitmix64 mixer. The
 // result is a pure function of its inputs — the foundation of the model's

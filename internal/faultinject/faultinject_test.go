@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -120,5 +121,41 @@ func TestFaultErrorTextIsStable(t *testing.T) {
 	e := &FaultError{Site: "npusim/SuperNPU/ResNet50/30"}
 	if e.Error() != (&FaultError{Site: "npusim/SuperNPU/ResNet50/30"}).Error() {
 		t.Fatal("FaultError text not stable")
+	}
+}
+
+func TestValidate(t *testing.T) {
+	var nilModel *Model
+	if err := nilModel.Validate(); err != nil {
+		t.Errorf("nil model: %v", err)
+	}
+	cases := []struct {
+		name string
+		m    Model
+		bad  string // substring of the error, "" when valid
+	}{
+		{"zero", Model{Seed: 42}, ""},
+		{"mild", Model{Seed: 7, IcSpread: 0.03, PulseDrop: 1e-7, BitFlip: 1e-9, MarginErosion: 0.05}, ""},
+		{"certain failure", Model{PulseDrop: 1, BitFlip: 1, SimFail: 1}, ""},
+		{"large spread and erosion", Model{IcSpread: 2, MarginErosion: 3}, ""},
+		{"negative erosion", Model{MarginErosion: -1}, "MarginErosion"},
+		{"negative spread", Model{IcSpread: -0.01}, "IcSpread"},
+		{"NaN spread", Model{IcSpread: math.NaN()}, "IcSpread"},
+		{"infinite erosion", Model{MarginErosion: math.Inf(1)}, "MarginErosion"},
+		{"negative drop", Model{PulseDrop: -1e-9}, "PulseDrop"},
+		{"drop above 1", Model{PulseDrop: 1.5}, "PulseDrop"},
+		{"NaN flip", Model{BitFlip: math.NaN()}, "BitFlip"},
+		{"flip above 1", Model{BitFlip: 2}, "BitFlip"},
+		{"sim fail above 1", Model{SimFail: 1.0000001}, "SimFail"},
+		{"negative infinite sim fail", Model{SimFail: math.Inf(-1)}, "SimFail"},
+	}
+	for _, c := range cases {
+		err := c.m.Validate()
+		switch {
+		case c.bad == "" && err != nil:
+			t.Errorf("%s: %v, want valid", c.name, err)
+		case c.bad != "" && (err == nil || !strings.Contains(err.Error(), c.bad)):
+			t.Errorf("%s: got %v, want an error naming %s", c.name, err, c.bad)
+		}
 	}
 }

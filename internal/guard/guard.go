@@ -1,8 +1,7 @@
 // Package guard is the resilience layer of the simulation core: a typed,
-// errors.Is-able failure taxonomy plus the small deterministic mechanisms
-// the modeling packages use to stay cancellable — a cancellation poll
-// cheap enough for the RK4 hot loop (Watch) and a count-based divergence
-// circuit breaker (Breaker).
+// errors.Is-able failure taxonomy plus a cancellation poll cheap enough
+// for the RK4 hot loop (Watch), which the modeling packages use to stay
+// cancellable.
 //
 // Every failure a long-running simulation can hit maps onto one of four
 // sentinels:
@@ -17,10 +16,9 @@
 // them, see IsCancellation). The last two are deterministic properties of
 // the inputs and are safe to memoise.
 //
-// Nothing in this package reads the wall clock or draws randomness: the
-// breaker counts consecutive failures, so every decision is reproducible
-// byte for byte across runs and worker counts — the repository's core
-// determinism contract.
+// Nothing in this package reads the wall clock or draws randomness, so
+// every classification is reproducible byte for byte across runs and
+// worker counts — the repository's core determinism contract.
 package guard
 
 import (
@@ -91,8 +89,9 @@ func IsCancellation(err error) bool {
 }
 
 // IsNumeric reports whether err describes a numeric simulation failure
-// (divergence or a non-finite value) — the class the circuit breaker
-// counts. Numeric failures are deterministic in the inputs.
+// (divergence or a non-finite value) — evidence about the operating point,
+// which the bias-margin probe treats as "does not work". Numeric failures
+// are deterministic in the inputs.
 func IsNumeric(err error) bool {
 	return errors.Is(err, ErrDiverged) || errors.Is(err, ErrNonFinite)
 }

@@ -32,53 +32,26 @@ func BenchmarkRunStreaming(b *testing.B) {
 	}
 }
 
-// BenchmarkBiasMargins measures one full nominal bias-margin evaluation:
-// 25 transients (1 + 2×12), the two bisection arms running concurrently.
+// BenchmarkBiasMargins measures one full nominal bias-margin evaluation
+// without the cache: 26 transients (2 + 2×12) on one solver.
 func BenchmarkBiasMargins(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := biasMargins(context.Background()); err != nil {
+		if _, err := biasMargins(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkBiasMarginsFaulted measures one faulted margin row (seed 7, 6 %
-// spread) through biasMarginsFaulted on a reused solver, without the cache:
-// the unit a cold margin sweep is made of. A row runs 26 transients
-// (2 + 2×12), or 1 when the spread closes the window at the design point.
+// spread) through biasMargins, without the cache: the unit a cold margin
+// sweep is made of. A row runs 26 transients (2 + 2×12), or 1 when the
+// spread closes the window at the design point.
 func BenchmarkBiasMarginsFaulted(b *testing.B) {
 	fm := &faultinject.Model{Seed: 7, IcSpread: 0.06}
-	s := NewSolver()
-	if _, err := biasMarginsFaulted(context.Background(), fm, s); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := biasMarginsFaulted(context.Background(), fm, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunBatch measures the batched chain runner amortising one solver
-// per worker across eight independent JTL transients.
-func BenchmarkRunBatch(b *testing.B) {
-	const n = 8
-	jobs := make([]BatchJob, n)
-	fins := make([]FinalState, n)
-	for i := range jobs {
-		jobs[i] = BatchJob{
-			Chain:     StandardJTL(12),
-			T:         120 * sfq.Picosecond,
-			Dt:        transientDt,
-			Observers: []Observer{&fins[i]},
-		}
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := RunBatch(context.Background(), jobs); err != nil {
+		if _, err := biasMargins(context.Background(), fm); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -155,18 +155,18 @@ func DFFDemo(ctx context.Context) error {
 		out     = 6
 	)
 
-	// The two transients are independent netlists; the batched runner fans
-	// them out across the pool, streaming each into its own observers.
+	// The two transients run one after the other on one solver, each
+	// streaming into its own observers.
 	var (
+		s        Solver
 		held     FinalState
 		released FinalState
 		relPulse PulseDetector
 	)
-	err := RunBatch(ctx, []BatchJob{
-		{Chain: StorageChain(0), T: T, Dt: dt, Observers: []Observer{&held}},
-		{Chain: StorageChain(clockAt), T: T, Dt: dt, Observers: []Observer{&released, &relPulse}},
-	})
-	if err != nil {
+	if err := s.RunChain(ctx, StorageChain(0), T, dt, &held); err != nil {
+		return err
+	}
+	if err := s.RunChain(ctx, StorageChain(clockAt), T, dt, &released, &relPulse); err != nil {
 		return err
 	}
 	if held.Slips(store-1) < 1 {

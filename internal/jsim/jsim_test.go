@@ -151,8 +151,8 @@ func TestBiasDelayTradeoff(t *testing.T) {
 
 // An absurdly large step must be caught, not silently produce NaNs: at a
 // 5 ps step the 4-stage JTL deterministically leaves the voltage envelope.
-// The failure must carry guard.ErrDiverged — the class the server breaker
-// and the margin probes key on — and count once on the divergence metric.
+// The failure must carry guard.ErrDiverged — the class the margin probes
+// key on — and count once on the divergence metric.
 func TestDivergenceDetection(t *testing.T) {
 	var s Solver
 	before := mDiverged.Value()

@@ -53,8 +53,8 @@ func stepCount(T, dt float64) int {
 // Solver integrates junction chains with reusable scratch: every buffer is
 // grown on demand and kept across runs, so repeated transients over chains
 // of the same (or smaller) size allocate nothing. A Solver is not safe for
-// concurrent use; give each worker its own (see RunBatch and
-// parallel.ForEachLocalContext).
+// concurrent use; give each concurrent job its own (a margin analysis
+// builds one per computed variant).
 type Solver struct {
 	// Struct-of-arrays per-node constants, hoisted once per run.
 	bias  []float64 // DC bias current

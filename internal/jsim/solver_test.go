@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"supernpu/internal/faultinject"
-	sobs "supernpu/internal/obs"
 	"supernpu/internal/sfq"
 	"supernpu/internal/simcache"
 )
@@ -99,11 +98,9 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// With observability explicitly enabled (the shipping default), the
-// always-live jsim counters must keep the warm hot loop at zero
-// allocations per transient — and must actually count while doing it.
+// The jsim counters must keep the warm hot loop at zero allocations per
+// transient — and must actually count while doing it.
 func TestSolverAllocsWithInstrumentationEnabled(t *testing.T) {
-	sobs.SetEnabled(true)
 	ch := StandardJTL(10)
 	var (
 		s     Solver
@@ -138,7 +135,7 @@ func TestSolverAllocsWithInstrumentationEnabled(t *testing.T) {
 // Margin bisection probes (solver + chain + final-state observer, re-biased
 // per probe) must also be allocation-free once warm.
 func TestMarginProbeSteadyStateAllocs(t *testing.T) {
-	p := newMarginProbe(context.Background(), NewSolver(), nil, transientDt)
+	p := newMarginProbe(context.Background(), nil, transientDt)
 	p.works(marginNominal) // warm-up
 	if n := testing.AllocsPerRun(10, func() { p.works(marginNominal) }); n != 0 {
 		t.Fatalf("steady-state margin-probe allocations = %g per run, want 0", n)
@@ -172,36 +169,6 @@ func TestStepCountRegression(t *testing.T) {
 	// A genuinely fractional quotient must still truncate.
 	if got := stepCount(10.5, 1); got != 11 {
 		t.Errorf("stepCount(10.5, 1) = %d, want 11", got)
-	}
-}
-
-// RunBatch must agree with one-at-a-time runs on every job.
-func TestRunBatchMatchesSequential(t *testing.T) {
-	chains := []*Chain{StandardJTL(6), StandardJTL(10), StorageChain(0)}
-	const (
-		T  = 120 * sfq.Picosecond
-		dt = 0.05 * sfq.Picosecond
-	)
-	jobs := make([]BatchJob, len(chains))
-	fins := make([]*FinalState, len(chains))
-	for i, ch := range chains {
-		fins[i] = &FinalState{}
-		jobs[i] = BatchJob{Chain: ch, T: T, Dt: dt, Observers: []Observer{fins[i]}}
-	}
-	if err := RunBatch(context.Background(), jobs); err != nil {
-		t.Fatal(err)
-	}
-	for i, ch := range chains {
-		dense, err := runDense(ch, T, dt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for node := range ch.Nodes {
-			if fins[i].Phase(node) != dense.finalPhase(node) {
-				t.Fatalf("job %d node %d: batch %v, sequential %v",
-					i, node, fins[i].Phase(node), dense.finalPhase(node))
-			}
-		}
 	}
 }
 

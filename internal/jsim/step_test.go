@@ -61,26 +61,22 @@ func TestTransientStepConverged(t *testing.T) {
 	// Each arm starts its bracket where the production analysis does: the
 	// underbias arm at 0, the overbias arm at the nominal or faulted top.
 	failing := func(fm *faultinject.Model, arm int) float64 {
-		switch {
-		case arm == 0:
+		if arm == 0 {
 			return 0
-		case fm.Enabled():
-			return faultedOverbias
-		default:
-			return nominalOverbias
 		}
+		return overbias(fm)
 	}
-	// One job per (model, step, arm).
-	bounds, err := parallel.MapLocalContext(ctx, len(models)*4, NewSolver,
-		func(ctx context.Context, s *Solver, j int) (float64, error) {
-			fm, dt, arm := models[j/4], steps[j/2%2], j%2
-			p := newMarginProbe(ctx, s, fm, dt)
-			if !p.works(marginNominal) {
-				return 0, fmt.Errorf("%v fails at the nominal bias at %g ps", fm, dt/sfq.Picosecond)
-			}
-			b := p.bisect(failing(fm, arm), marginNominal, certBisections)
-			return b, p.err
-		})
+	// One job per (model, step, arm), each on its own probe.
+	bounds := make([]float64, len(models)*4)
+	err := parallel.ForEachContext(ctx, len(bounds), func(ctx context.Context, j int) error {
+		fm, dt, arm := models[j/4], steps[j/2%2], j%2
+		p := newMarginProbe(ctx, fm, dt)
+		if !p.works(marginNominal) {
+			return fmt.Errorf("%v fails at the nominal bias at %g ps", fm, dt/sfq.Picosecond)
+		}
+		bounds[j] = p.bisect(failing(fm, arm), marginNominal, certBisections)
+		return p.err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

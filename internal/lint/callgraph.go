@@ -5,9 +5,9 @@
 //
 //   - direct calls to package-level functions,
 //   - method calls resolved through the static type of the receiver, and
-//   - function values handed to the worker pool (any exported Map*/ForEach*
-//     of internal/parallel), which the pool will invoke even though no call
-//     expression appears at the hand-off site.
+//   - function values handed to the worker pool (parallel.ForEachContext),
+//     which the pool will invoke even though no call expression appears at
+//     the hand-off site.
 //
 // Function literals are not separate nodes: a literal's body is attributed
 // to the enclosing declaration, which over-approximates (a stored-but-never-
@@ -22,11 +22,10 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // parallelPkgPath is the worker pool; function values passed to its
-// exported entry points are treated as called (edgeCallback).
+// entry point are treated as called (edgeCallback).
 const parallelPkgPath = "supernpu/internal/parallel"
 
 // edgeKind distinguishes how control reaches the callee: an ordinary call
@@ -134,13 +133,10 @@ func funcValueOf(info *types.Info, e ast.Expr) *types.Func {
 	return nil
 }
 
-// isPoolEntry reports whether f is an exported fan-out entry point of the
-// worker pool (MapContext, MapLocalContext, ForEach*Context).
+// isPoolEntry reports whether f is the worker pool's fan-out entry point,
+// parallel.ForEachContext.
 func isPoolEntry(f *types.Func) bool {
-	if f == nil || f.Pkg() == nil || f.Pkg().Path() != parallelPkgPath {
-		return false
-	}
-	return strings.HasPrefix(f.Name(), "Map") || strings.HasPrefix(f.Name(), "ForEach")
+	return f != nil && f.Pkg() != nil && f.Pkg().Path() == parallelPkgPath && f.Name() == "ForEachContext"
 }
 
 // buildCallGraph constructs the graph over the given package set. Callees

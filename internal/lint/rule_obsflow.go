@@ -1,10 +1,10 @@
 // The obsflow rule: observability is write-only from the modeling
 // packages. They may bump counters, observe histograms and open spans, but
 // nothing they compute may read instrument state back — a modeled number
-// that depends on a hit count or on whether telemetry is enabled would
-// break the guarantee that exhibits are byte-identical with observability
-// on and off (the differential golden test checks the property end to end;
-// this rule rejects it at the source level).
+// that depends on a hit count or on whether tracing is on would break the
+// guarantee that exhibits are byte-identical with tracing on and off (the
+// differential golden test checks the property end to end; this rule
+// rejects it at the source level).
 
 package lint
 
@@ -14,9 +14,9 @@ import "go/ast"
 // guards.
 const obsPkgPath = "supernpu/internal/obs"
 
-// obsReadNames is the read surface of internal/obs. Enabled and Tracing
-// are reads too: gating a modeled computation on observability state is
-// exactly the feedback the determinism contract forbids.
+// obsReadNames is the read surface of internal/obs. Tracing is a read
+// too: gating a modeled computation on observability state is exactly the
+// feedback the determinism contract forbids.
 var obsReadNames = map[string]bool{
 	"Value":           true,
 	"Count":           true,
@@ -24,7 +24,6 @@ var obsReadNames = map[string]bool{
 	"BucketCounts":    true,
 	"Edges":           true,
 	"WritePrometheus": true,
-	"Enabled":         true,
 	"Tracing":         true,
 }
 

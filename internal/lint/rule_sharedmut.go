@@ -3,8 +3,8 @@
 // is a data race unless it is synchronized — and it is exactly the race
 // class `go test -race` only catches when two workers happen to collide
 // on the same cache line during the test run. The pool's safe idioms are
-// untouched: writing result[i] through the callback's own index, per-
-// worker state via MapLocalContext, and mutex-guarded aggregation all pass.
+// untouched: writing result[i] through the callback's own index,
+// callback-local state, and mutex-guarded aggregation all pass.
 //
 // The rule is interprocedural: a callback that calls a helper — in any
 // module package, at any depth — which writes a package-level variable
@@ -109,7 +109,7 @@ func (r sharedMutRule) checkCallback(p *Pass, poolName string, lit *ast.FuncLit)
 func (r sharedMutRule) checkWrite(p *Pass, lit *ast.FuncLit, poolName string, captured func(*types.Var) bool, lhs ast.Expr) {
 	info := p.Pkg.Info
 	report := func(at ast.Expr, form string, v *types.Var) {
-		p.Reportf(at, "callback passed to parallel.%s writes %s %s captured from the enclosing scope without synchronization; aggregate per index, use MapLocalContext worker state, or guard with a mutex", poolName, form, v.Name())
+		p.Reportf(at, "callback passed to parallel.%s writes %s %s captured from the enclosing scope without synchronization; aggregate per index, keep the state local to the callback, or guard with a mutex", poolName, form, v.Name())
 	}
 	switch e := ast.Unparen(lhs).(type) {
 	case *ast.Ident:

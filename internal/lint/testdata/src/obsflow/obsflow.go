@@ -25,10 +25,7 @@ func writesAreFine(steps int) {
 // call here must be flagged.
 func readsAreNot() float64 {
 	n := transients.Value() // want "obs.Value"
-	if obs.Enabled() {      // want "obs.Enabled"
-		n++
-	}
-	if obs.Tracing() { // want "obs.Tracing"
+	if obs.Tracing() {      // want "obs.Tracing"
 		n--
 	}
 	_ = solveTime.Count()        // want "obs.Count"

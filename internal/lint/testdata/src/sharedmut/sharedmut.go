@@ -56,8 +56,8 @@ func ChainMut(n int) error {
 
 // NamedMut hands the pool a named callback whose call graph writes a
 // package-level variable.
-func NamedMut(n int) ([]int, error) {
-	return parallel.MapContext(context.Background(), n, smhelper.Tally) // want "mutates shared state"
+func NamedMut(n int) error {
+	return parallel.ForEachContext(context.Background(), n, smhelper.Tally) // want "mutates shared state"
 }
 
 // GoodIndexed is the pool's order-preserving idiom: each worker owns its
@@ -86,14 +86,17 @@ func GoodLocked(n int) (int, error) {
 
 // GoodLocal keeps all mutation on callback-local state.
 func GoodLocal(n int) ([]float64, error) {
-	return parallel.MapContext(context.Background(), n, func(_ context.Context, i int) (float64, error) {
+	out := make([]float64, n)
+	err := parallel.ForEachContext(context.Background(), n, func(_ context.Context, i int) error {
 		x := float64(i)
 		x *= x
-		return x, nil
+		out[i] = x
+		return nil
 	})
+	return out, err
 }
 
 // GoodNamed hands the pool a pure named callback.
-func GoodNamed(n int) ([]int, error) {
-	return parallel.MapContext(context.Background(), n, smhelper.Scale)
+func GoodNamed(n int) error {
+	return parallel.ForEachContext(context.Background(), n, smhelper.Scale)
 }

@@ -3,7 +3,10 @@
 // package-level accumulator, two hops down (Record → note → hits).
 package smhelper
 
-import "context"
+import (
+	"context"
+	"errors"
+)
 
 var hits int
 
@@ -16,14 +19,17 @@ func note(i int) {
 	hits += i
 }
 
-// Tally records and echoes its index — the named-callback shape handed
-// straight to the pool.
-func Tally(_ context.Context, i int) (int, error) {
+// Tally records its index — the named-callback shape handed straight to
+// the pool.
+func Tally(_ context.Context, i int) error {
 	note(i)
-	return i, nil
+	return nil
 }
 
-// Scale is the compliant shape: pure arithmetic.
-func Scale(_ context.Context, i int) (int, error) {
-	return i * 2, nil
+// Scale is the compliant shape: pure arithmetic on local state.
+func Scale(_ context.Context, i int) error {
+	if i*2 < i {
+		return errors.New("smhelper: negative index")
+	}
+	return nil
 }

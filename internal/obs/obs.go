@@ -12,22 +12,22 @@
 // perspective: simulators and estimators may bump instruments, but nothing
 // they compute may ever depend on instrument state (the supernpu-lint
 // obsflow rule rejects reads at the source level, and the differential
-// golden test proves exhibit bytes are identical with observability on and
+// golden test proves exhibit bytes are identical with span tracing on and
 // off). Registry output itself is deterministic in *structure*: families
 // and series render in sorted order and histogram bucket edges are fixed at
 // registration, so two scrapes differ only in measured values.
 //
 // # Cost model
 //
-// Counters and gauges are single atomic cells and are always live: they
-// double as functional statistics (cache hit rates, queue occupancy) that
-// must keep counting even when observability is off, and their cost — one
+// Counters and gauges are single atomic cells: they double as functional
+// statistics (cache hit rates, queue occupancy), and their cost — one
 // uncontended atomic add, zero allocations — is at the noise floor of any
-// workload this repository runs. Everything that reads a clock or formats
-// bytes is gated: histogram observation, the Time helper and span emission
-// all collapse to a single atomic load when disabled (SetEnabled(false), or
-// no trace writer configured), so the zero-allocation guarantee of the JSIM
-// hot loop holds with instrumentation compiled in either way.
+// workload this repository runs. Histograms are a few atomic adds per
+// observation and allocate nothing, so they always record too. Only span
+// emission, which reads the clock and formats bytes, is gated: with no
+// trace writer configured (SetTraceWriter) a span is a single atomic load,
+// so the zero-allocation guarantee of the JSIM hot loop holds with
+// instrumentation compiled in.
 package obs
 
 import (
@@ -35,19 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// enabled gates every clock-reading or byte-producing instrument path.
-// Counters and gauges stay live regardless (see the package cost model).
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns the gated instrument paths (histograms, timers, spans)
-// on or off. Counters and gauges keep counting either way.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether the gated instrument paths are active.
-func Enabled() bool { return enabled.Load() }
 
 // Label is one key=value pair attached to an instrument at registration.
 // Keys are sanitised to the Prometheus label-name charset and values are
@@ -119,8 +106,8 @@ var SizeEdges = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384}
 
 // Histogram is a fixed-bucket histogram. Bucket edges are upper bounds in
 // ascending order, set once at construction; an implicit +Inf bucket
-// catches the overflow. Observations are dropped while observability is
-// disabled — histograms are pure telemetry, never functional state.
+// catches the overflow. Histograms are pure telemetry, never functional
+// state.
 type Histogram struct {
 	edges   []float64
 	buckets []atomic.Int64 // one per edge, plus the +Inf overflow at the end
@@ -148,12 +135,8 @@ func NewHistogram(edges []float64) *Histogram {
 	return h
 }
 
-// Observe records one sample. A no-op (one atomic load) while
-// observability is disabled.
+// Observe records one sample.
 func (h *Histogram) Observe(x float64) {
-	if !enabled.Load() {
-		return
-	}
 	i := 0
 	for i < len(h.edges) && x > h.edges[i] {
 		i++
@@ -193,17 +176,9 @@ func (h *Histogram) Edges() []float64 { return append([]float64(nil), h.edges...
 //
 //	defer obs.Time(h)()
 //
-// While observability is disabled both halves are no-ops and the clock is
-// never read, so modeling packages may call this freely — the lint
-// nondeterminism rule stays satisfied because the clock read lives here.
+// Modeling packages may call this freely — the lint nondeterminism rule
+// stays satisfied because the clock read lives here.
 func Time(h *Histogram) func() {
-	if !enabled.Load() {
-		return nop
-	}
 	start := time.Now()
 	return func() { h.Observe(time.Since(start).Seconds()) }
 }
-
-// nop is the shared disabled-path stop function; returning the same
-// function value keeps the disabled path allocation-free.
-func nop() {}

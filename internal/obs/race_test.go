@@ -9,7 +9,6 @@ package obs_test
 import (
 	"context"
 	"io"
-	"sync"
 	"testing"
 
 	"supernpu/internal/obs"
@@ -66,35 +65,5 @@ func TestInstrumentsUnderParallelHammer(t *testing.T) {
 	}
 	if buckets != want {
 		t.Errorf("bucket total = %d, want exactly %d", buckets, want)
-	}
-}
-
-func TestEnabledToggleUnderHammer(t *testing.T) {
-	// Flipping the gate while histograms observe must be race-free; the
-	// final count is not asserted (it depends on interleaving), only
-	// integrity between count and bucket totals.
-	defer obs.SetEnabled(true)
-	h := obs.NewHistogram([]float64{1})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				h.Observe(0.5)
-			}
-		}()
-	}
-	for i := 0; i < 100; i++ {
-		obs.SetEnabled(i%2 == 0)
-	}
-	obs.SetEnabled(true)
-	wg.Wait()
-	var buckets int64
-	for _, b := range h.BucketCounts() {
-		buckets += b
-	}
-	if buckets != h.Count() {
-		t.Errorf("bucket total %d != count %d", buckets, h.Count())
 	}
 }

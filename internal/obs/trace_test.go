@@ -65,16 +65,6 @@ func TestSpansInertWithoutWriter(t *testing.T) {
 	zero.End()
 }
 
-func TestSpansInertWhenDisabled(t *testing.T) {
-	buf := withTrace(t)
-	defer SetEnabled(true)
-	SetEnabled(false)
-	StartSpan("off").End()
-	if buf.Len() != 0 {
-		t.Errorf("disabled span emitted %q", buf.String())
-	}
-}
-
 func TestSetTraceWriterNilStops(t *testing.T) {
 	buf := withTrace(t)
 	StartSpan("one").End()

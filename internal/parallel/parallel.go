@@ -1,14 +1,14 @@
-// Package parallel is the repository's bounded worker pool: order-preserving
-// MapContext/ForEachContext over index ranges, plus MapLocalContext/
-// ForEachLocalContext with per-worker scratch, built on the standard
-// library only.
+// Package parallel is the repository's bounded worker pool, built on the
+// standard library only. It has one entry point, ForEachContext, which runs
+// a job per index of a range.
 //
 // Every hot loop of the evaluation pipeline (figure regeneration, design-
 // space sweeps, per-layer simulation, JSIM transients) fans out through this
 // package, so a single knob — SetWorkers — switches the whole system between
-// serial and parallel execution. Results are always assembled by index, and
-// the error returned is always the one of the lowest failing index, so
-// output is byte-identical regardless of the worker count.
+// serial and parallel execution. Callers assemble results by index (each
+// job writes its own slot of a presized slice), and the error returned is
+// always the one of the lowest failing index, so output is byte-identical
+// regardless of the worker count.
 //
 // The pool is hardened for long-running and served workloads:
 //
@@ -19,8 +19,8 @@
 //   - scheduling fails fast: after the first error or panic, workers stop
 //     claiming new indices, so a failed 10 000-point sweep does not run its
 //     remaining points to completion first; and
-//   - every entry point observes context cancellation between jobs, which
-//     lets a sweep stop cleanly on SIGINT/SIGTERM or an expired deadline.
+//   - it observes context cancellation between jobs, which lets a sweep
+//     stop cleanly on SIGINT/SIGTERM or an expired deadline.
 package parallel
 
 import (
@@ -36,13 +36,12 @@ import (
 	"supernpu/internal/obs"
 )
 
-// Pool instruments: batch and task counts are always-live counters; the
-// queue-wait histogram (delay between a batch being submitted and each of
-// its tasks being claimed by a worker) reads the clock only while
-// observability is enabled. None of it feeds back into scheduling, so
-// results stay byte-identical with instrumentation on or off.
+// Pool instruments: batch and task counts are counters; the queue-wait
+// histogram records the delay between a batch being submitted and each of
+// its tasks being claimed by a worker. None of it feeds back into
+// scheduling, so results stay byte-identical with tracing on or off.
 var (
-	poolRuns      = obs.Default.Counter("supernpu_pool_runs_total", "Map/ForEach batches submitted to the worker pool")
+	poolRuns      = obs.Default.Counter("supernpu_pool_runs_total", "ForEachContext batches submitted to the worker pool")
 	poolTasks     = obs.Default.Counter("supernpu_pool_tasks_total", "tasks executed by the worker pool")
 	poolPanics    = obs.Default.Counter("supernpu_pool_panics_total", "task panics recovered into *PanicError")
 	poolQueueWait = obs.Default.Histogram("supernpu_pool_queue_wait_seconds", "delay between batch submission and task claim", obs.DurationEdges)
@@ -58,8 +57,8 @@ func init() {
 // workers holds the configured worker count; 0 means runtime.NumCPU().
 var workers atomic.Int64
 
-// SetWorkers sets the maximum number of concurrent workers used by the
-// pool's entry points. n <= 0 resets to runtime.NumCPU(). n == 1 forces
+// SetWorkers sets the maximum number of concurrent workers used by
+// ForEachContext. n <= 0 resets to runtime.NumCPU(). n == 1 forces
 // fully serial, in-order execution.
 func SetWorkers(n int) {
 	if n < 0 {
@@ -98,21 +97,24 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// call runs fn(ctx, local, i), converting a panic into a *PanicError.
-func call[L, T any](ctx context.Context, fn func(ctx context.Context, local L, i int) (T, error), local L, i int) (v T, err error) {
+// call runs fn(ctx, i), converting a panic into a *PanicError.
+func call(ctx context.Context, fn func(ctx context.Context, i int) error, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			poolPanics.Inc()
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return fn(ctx, local, i)
+	return fn(ctx, i)
 }
 
-// MapContext evaluates fn for every index in [0, n) using at most
-// Workers() goroutines and returns the results in index order. If any call
-// fails, MapContext returns the error of the lowest failing index and a nil
-// slice. Scheduling is fail-fast: indices not yet claimed when the first
+// ForEachContext runs fn for every index in [0, n) using at most Workers()
+// goroutines. Jobs return no value: a caller that needs results writes
+// them into a slice it presized to n, each job at its own index, so the
+// results come out in index order at any worker count.
+//
+// If any call fails, ForEachContext returns the error of the lowest failing
+// index. Scheduling is fail-fast: indices not yet claimed when the first
 // error (or panic) occurs are never run; indices claimed before it always
 // run to completion, which is what keeps the lowest-failing-index contract
 // exact — indices are claimed in increasing order, so everything below the
@@ -120,66 +122,32 @@ func call[L, T any](ctx context.Context, fn func(ctx context.Context, local L, i
 //
 // Between jobs, workers observe ctx and stop claiming new indices once it
 // is cancelled. When the run is cut short by cancellation (and no job
-// failed first), MapContext returns ctx's error lifted into the guard
+// failed first), ForEachContext returns ctx's error lifted into the guard
 // taxonomy, so callers at any distance classify it with
 // errors.Is(err, guard.ErrCanceled) (or guard.ErrDeadlineExceeded).
-func MapContext[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapLocalContext(ctx, n, func() struct{} { return struct{}{} },
-		func(ctx context.Context, _ struct{}, i int) (T, error) {
-			return fn(ctx, i)
-		})
-}
-
-// ForEachLocalContext is ForEachContext with per-worker local state (see
-// MapLocalContext).
-func ForEachLocalContext[L any](ctx context.Context, n int, newLocal func() L, fn func(ctx context.Context, local L, i int) error) error {
-	_, err := MapLocalContext(ctx, n, newLocal, func(ctx context.Context, local L, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, local, i)
-	})
-	return err
-}
-
-// MapLocalContext is MapContext with per-worker local state: newLocal runs
-// once per worker and its value is handed to every fn call that worker
-// executes. It is the hook for reusing expensive scratch (a jsim.Solver, a
-// decode buffer) across the jobs of one worker without sharing it between
-// workers — fn may mutate its local freely and must not stash it anywhere
-// another goroutine reads. newLocal must not panic; a panic inside fn is
-// recovered as usual. Locals are created lazily, one per worker goroutine
-// actually started (the serial path creates exactly one). It is the engine
-// under the other three entry points.
-func MapLocalContext[L, T any](ctx context.Context, n int, newLocal func() L, fn func(ctx context.Context, local L, i int) (T, error)) ([]T, error) {
+func ForEachContext(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
-		return nil, nil
+		return nil
 	}
 	poolRuns.Inc()
 	poolBatch.Observe(float64(n))
-	var submitted time.Time
-	if obs.Enabled() {
-		submitted = time.Now()
-	}
+	submitted := time.Now()
 	w := Workers()
 	if w > n {
 		w = n
 	}
-	out := make([]T, n)
 	if w <= 1 {
-		local := newLocal()
 		for i := 0; i < n; i++ {
 			if err := guard.CtxErr(ctx); err != nil {
-				return nil, err
+				return err
 			}
-			if !submitted.IsZero() {
-				poolQueueWait.Observe(time.Since(submitted).Seconds())
-			}
+			poolQueueWait.Observe(time.Since(submitted).Seconds())
 			poolTasks.Inc()
-			v, err := call(ctx, fn, local, i)
-			if err != nil {
-				return nil, guard.WrapCancellation(err)
+			if err := call(ctx, fn, i); err != nil {
+				return guard.WrapCancellation(err)
 			}
-			out[i] = v
 		}
-		return out, nil
+		return nil
 	}
 
 	errs := make([]error, n)
@@ -190,7 +158,6 @@ func MapLocalContext[L, T any](ctx context.Context, n int, newLocal func() L, fn
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
-			local := newLocal()
 			for {
 				if failed.Load() || ctx.Err() != nil {
 					return
@@ -199,12 +166,9 @@ func MapLocalContext[L, T any](ctx context.Context, n int, newLocal func() L, fn
 				if i >= n {
 					return
 				}
-				if !submitted.IsZero() {
-					poolQueueWait.Observe(time.Since(submitted).Seconds())
-				}
+				poolQueueWait.Observe(time.Since(submitted).Seconds())
 				poolTasks.Inc()
-				out[i], errs[i] = call(ctx, fn, local, i)
-				if errs[i] != nil {
+				if errs[i] = call(ctx, fn, i); errs[i] != nil {
 					failed.Store(true)
 				}
 			}
@@ -213,21 +177,11 @@ func MapLocalContext[L, T any](ctx context.Context, n int, newLocal func() L, fn
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, guard.WrapCancellation(err)
+			return guard.WrapCancellation(err)
 		}
 	}
 	if ctx.Err() != nil && int(next.Load()) < n {
-		return nil, guard.CtxErr(ctx)
+		return guard.CtxErr(ctx)
 	}
-	return out, nil
-}
-
-// ForEachContext is MapContext for jobs without a result: it returns the
-// error of the lowest failing index, if any, with the same panic recovery,
-// fail-fast scheduling and cancellation.
-func ForEachContext(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := MapContext(ctx, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
+	return nil
 }

@@ -14,15 +14,22 @@ import (
 	"supernpu/internal/guard/leaktest"
 )
 
+// squares fills a presized slice by index, the pool's result idiom.
+func squares(ctx context.Context, n int) ([]int, error) {
+	out := make([]int, n)
+	err := ForEachContext(ctx, n, func(_ context.Context, i int) error {
+		out[i] = i * i
+		return nil
+	})
+	return out, err
+}
+
 func TestMapPreservesOrder(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		SetWorkers(w)
-		out, err := MapContext(context.Background(), 100, func(_ context.Context, i int) (int, error) { return i * i, nil })
+		out, err := squares(context.Background(), 100)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if len(out) != 100 {
-			t.Fatalf("workers=%d: got %d results", w, len(out))
 		}
 		for i, v := range out {
 			if v != i*i {
@@ -37,14 +44,14 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 	errA := errors.New("a")
 	for _, w := range []int{1, 4} {
 		SetWorkers(w)
-		_, err := MapContext(context.Background(), 50, func(_ context.Context, i int) (int, error) {
+		err := ForEachContext(context.Background(), 50, func(_ context.Context, i int) error {
 			switch i {
 			case 7:
-				return 0, errA
+				return errA
 			case 31:
-				return 0, errors.New("b")
+				return errors.New("b")
 			}
-			return i, nil
+			return nil
 		})
 		if !errors.Is(err, errA) {
 			t.Fatalf("workers=%d: got %v, want error of index 7", w, err)
@@ -54,9 +61,10 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := MapContext(context.Background(), 0, func(_ context.Context, i int) (int, error) { return 0, errors.New("never") })
-	if err != nil || out != nil {
-		t.Fatalf("got (%v, %v), want (nil, nil)", out, err)
+	for _, n := range []int{0, -1} {
+		if err := ForEachContext(context.Background(), n, func(_ context.Context, i int) error { return errors.New("never") }); err != nil {
+			t.Fatalf("n=%d: got %v, want nil", n, err)
+		}
 	}
 }
 
@@ -67,7 +75,7 @@ func TestMapBoundsConcurrency(t *testing.T) {
 
 	var inFlight, peak atomic.Int64
 	var mu sync.Mutex
-	_, err := MapContext(context.Background(), 64, func(_ context.Context, i int) (struct{}, error) {
+	err := ForEachContext(context.Background(), 64, func(_ context.Context, i int) error {
 		n := inFlight.Add(1)
 		mu.Lock()
 		if n > peak.Load() {
@@ -76,7 +84,7 @@ func TestMapBoundsConcurrency(t *testing.T) {
 		mu.Unlock()
 		runtime.Gosched()
 		inFlight.Add(-1)
-		return struct{}{}, nil
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,11 +147,11 @@ func TestMapRecoversPanickingJob(t *testing.T) {
 	// goroutine). It must now surface as a *PanicError.
 	for _, w := range []int{1, 4} {
 		SetWorkers(w)
-		_, err := MapContext(context.Background(), 20, func(_ context.Context, i int) (int, error) {
+		err := ForEachContext(context.Background(), 20, func(_ context.Context, i int) error {
 			if i == 5 {
 				panic("sfq meltdown")
 			}
-			return i, nil
+			return nil
 		})
 		if err == nil {
 			t.Fatalf("workers=%d: panic was swallowed", w)
@@ -169,11 +177,11 @@ func TestPanicErrorUnwrapsErrorValues(t *testing.T) {
 	sentinel := errors.New("typed sentinel")
 	SetWorkers(2)
 	defer SetWorkers(0)
-	_, err := MapContext(context.Background(), 4, func(_ context.Context, i int) (int, error) {
+	err := ForEachContext(context.Background(), 4, func(_ context.Context, i int) error {
 		if i == 2 {
 			panic(sentinel)
 		}
-		return i, nil
+		return nil
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("errors.Is lost the sentinel across the panic boundary: %v", err)
@@ -189,13 +197,13 @@ func TestMapFailsFast(t *testing.T) {
 	defer SetWorkers(0)
 	var executed atomic.Int64
 	boom := errors.New("boom")
-	_, err := MapContext(context.Background(), n, func(_ context.Context, i int) (int, error) {
+	err := ForEachContext(context.Background(), n, func(_ context.Context, i int) error {
 		executed.Add(1)
 		if i == 0 {
-			return 0, boom
+			return boom
 		}
 		time.Sleep(10 * time.Millisecond)
-		return i, nil
+		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want boom", err)
@@ -205,18 +213,18 @@ func TestMapFailsFast(t *testing.T) {
 	}
 }
 
-func TestMapContextCancellationStopsScheduling(t *testing.T) {
+func TestForEachCancellationStopsScheduling(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		SetWorkers(w)
 		ctx, cancel := context.WithCancel(context.Background())
 		var executed atomic.Int64
 		const n = 10000
-		_, err := MapContext(ctx, n, func(ctx context.Context, i int) (int, error) {
+		err := ForEachContext(ctx, n, func(ctx context.Context, i int) error {
 			if executed.Add(1) == 3 {
 				cancel()
 			}
 			time.Sleep(time.Millisecond)
-			return i, nil
+			return nil
 		})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
@@ -229,19 +237,26 @@ func TestMapContextCancellationStopsScheduling(t *testing.T) {
 	SetWorkers(0)
 }
 
-func TestMapContextCompletedRunIgnoresLateCancel(t *testing.T) {
+func TestForEachCompletedRunIgnoresLateCancel(t *testing.T) {
 	// A context cancelled only after every index has been claimed must not
-	// turn a fully successful run into an error.
-	SetWorkers(2)
-	defer SetWorkers(0)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	out, err := MapContext(ctx, 8, func(ctx context.Context, i int) (int, error) {
-		return i, nil
-	})
-	if err != nil || len(out) != 8 {
-		t.Fatalf("got (%v, %v)", out, err)
+	// turn a fully successful run into an error: the last index cancels.
+	for _, w := range []int{1, 2} {
+		SetWorkers(w)
+		ctx, cancel := context.WithCancel(context.Background())
+		out := make([]int, 8)
+		err := ForEachContext(ctx, len(out), func(_ context.Context, i int) error {
+			if i == len(out)-1 {
+				cancel()
+			}
+			out[i] = i * i
+			return nil
+		})
+		cancel()
+		if err != nil || out[7] != 49 {
+			t.Fatalf("workers=%d: got (%v, %v)", w, out, err)
+		}
 	}
+	SetWorkers(0)
 }
 
 func TestForEachContextPropagatesCancel(t *testing.T) {
@@ -255,132 +270,13 @@ func TestForEachContextPropagatesCancel(t *testing.T) {
 	}
 }
 
-func TestMapLocalOneLocalPerWorker(t *testing.T) {
-	// Each worker must get exactly one local, built inside that worker, and
-	// no two workers may share one.
-	const workers = 4
-	SetWorkers(workers)
-	defer SetWorkers(0)
-	var built atomic.Int64
-	type local struct{ uses int }
-	out, err := MapLocalContext(context.Background(), 200, func() *local {
-		built.Add(1)
-		return &local{}
-	}, func(_ context.Context, l *local, i int) (int, error) {
-		l.uses++ // races across workers would trip -race if locals were shared
-		return i * 3, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*3 {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*3)
-		}
-	}
-	if b := built.Load(); b < 1 || b > workers {
-		t.Fatalf("built %d locals for %d workers", b, workers)
-	}
-}
-
-func TestMapLocalSerialSingleLocal(t *testing.T) {
-	SetWorkers(1)
-	defer SetWorkers(0)
-	var built atomic.Int64
-	if _, err := MapLocalContext(context.Background(), 50, func() int {
-		built.Add(1)
-		return 0
-	}, func(_ context.Context, l int, i int) (int, error) {
-		return i, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if b := built.Load(); b != 1 {
-		t.Fatalf("serial path built %d locals, want 1", b)
-	}
-}
-
-func TestMapLocalReturnsLowestIndexError(t *testing.T) {
-	errA := errors.New("a")
-	for _, w := range []int{1, 4} {
-		SetWorkers(w)
-		_, err := MapLocalContext(context.Background(), 50, func() struct{} { return struct{}{} },
-			func(_ context.Context, l struct{}, i int) (int, error) {
-				switch i {
-				case 9:
-					return 0, errA
-				case 40:
-					return 0, errors.New("b")
-				}
-				return i, nil
-			})
-		if !errors.Is(err, errA) {
-			t.Fatalf("workers=%d: got %v, want error of index 9", w, err)
-		}
-	}
-	SetWorkers(0)
-}
-
-func TestForEachLocalVisitsEveryIndex(t *testing.T) {
-	SetWorkers(4)
-	defer SetWorkers(0)
-	var seen [41]atomic.Int64
-	if err := ForEachLocalContext(context.Background(), len(seen), func() []byte {
-		return make([]byte, 8) // scratch each worker reuses
-	}, func(_ context.Context, buf []byte, i int) error {
-		buf[0] = byte(i)
-		seen[i].Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range seen {
-		if n := seen[i].Load(); n != 1 {
-			t.Fatalf("index %d visited %d times", i, n)
-		}
-	}
-}
-
-func TestMapLocalContextCancel(t *testing.T) {
-	SetWorkers(3)
-	defer SetWorkers(0)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := MapLocalContext(ctx, 100, func() struct{} { return struct{}{} },
-		func(ctx context.Context, l struct{}, i int) (int, error) { return i, nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}
-
-func TestMapLocalRecoversPanickingJob(t *testing.T) {
-	SetWorkers(4)
-	defer SetWorkers(0)
-	_, err := MapLocalContext(context.Background(), 20, func() struct{} { return struct{}{} },
-		func(_ context.Context, l struct{}, i int) (int, error) {
-			if i == 5 {
-				panic("local meltdown")
-			}
-			return i, nil
-		})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("got %T %v, want *PanicError", err, err)
-	}
-	if pe.Value != "local meltdown" {
-		t.Fatalf("panic value = %v", pe.Value)
-	}
-}
-
 func TestCancellationErrorsCarryGuardTaxonomy(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		SetWorkers(w)
 		defer SetWorkers(0)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, err := MapContext(ctx, 50, func(ctx context.Context, i int) (int, error) {
-			return i, nil
-		})
+		err := ForEachContext(ctx, 50, func(ctx context.Context, i int) error { return nil })
 		if !errors.Is(err, guard.ErrCanceled) {
 			t.Errorf("workers=%d: errors.Is(err, guard.ErrCanceled) = false for %v", w, err)
 		}
@@ -408,57 +304,36 @@ func TestJobReturnedCtxErrGetsWrapped(t *testing.T) {
 	defer SetWorkers(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	_, err := MapContext(ctx, 10, func(ctx context.Context, i int) (int, error) {
+	err := ForEachContext(ctx, 10, func(ctx context.Context, i int) error {
 		once.Do(cancel)
-		return 0, ctx.Err()
+		return ctx.Err()
 	})
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("raw ctx.Err() from a job not lifted: %v", err)
 	}
 }
 
-func TestForEachLocalContextVisitsEveryIndex(t *testing.T) {
-	SetWorkers(4)
-	defer SetWorkers(0)
-	var visited [50]atomic.Bool
-	err := ForEachLocalContext(context.Background(), 50, func() int { return 0 },
-		func(ctx context.Context, local int, i int) error {
-			visited[i].Store(true)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range visited {
-		if !visited[i].Load() {
-			t.Fatalf("index %d never visited", i)
-		}
-	}
-}
-
-// The pool promises complete shutdown: after MapContext returns — success,
-// error, or cancellation — no worker goroutine survives.
+// The pool promises complete shutdown: after ForEachContext returns —
+// success, error, or cancellation — no worker goroutine survives.
 func TestPoolShutdownLeavesNoGoroutines(t *testing.T) {
 	leaktest.Check(t)
 	SetWorkers(8)
 	defer SetWorkers(0)
 
-	if _, err := MapContext(context.Background(), 64, func(_ context.Context, i int) (int, error) { return i, nil }); err != nil {
+	if _, err := squares(context.Background(), 64); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MapContext(context.Background(), 64, func(_ context.Context, i int) (int, error) {
+	if err := ForEachContext(context.Background(), 64, func(_ context.Context, i int) error {
 		if i == 3 {
-			return 0, errors.New("boom")
+			return errors.New("boom")
 		}
-		return i, nil
+		return nil
 	}); err == nil {
 		t.Fatal("expected error")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MapContext(ctx, 64, func(ctx context.Context, i int) (int, error) {
-		return i, nil
-	}); err == nil {
+	if _, err := squares(ctx, 64); err == nil {
 		t.Fatal("expected cancellation error")
 	}
 }

@@ -56,13 +56,9 @@ func evaluateSafely(ctx context.Context, d core.Design, net workload.Network, ba
 // rather than a 5xx — only bad input earns a 400, and 422 is reserved for
 // requests that cannot be evaluated even analytically. A request that dies
 // because its own deadline passed or its client hung up is not "degraded":
-// it answers 503 with the cancellation taxonomy.
-//
-// A per-design divergence breaker sits in front of the simulation: after
-// breakerThreshold consecutive numeric failures (diverged or non-finite
-// results, typically from an aggressive fault model) the handler stops
-// paying for doomed simulations and serves the analytical roofline directly,
-// letting every breakerProbeEvery-th request through as a recovery probe.
+// it answers 503 with the cancellation taxonomy. Identical requests get
+// identical bytes: the simulators memoise a deterministic failure like any
+// other result, so a repeat costs one cache hit and degrades the same way.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req EvaluateRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
@@ -74,15 +70,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if !s.breaker.Allow(d.Name()) {
-		s.degrade(w, r, d, net, req.Batch,
-			"divergence breaker open for design "+d.Name())
-		return
-	}
 	ev, err := evaluateSafely(r.Context(), d, net, req.Batch, s.opts.Fault)
-	// Record feeds only numeric outcomes into the state machine;
-	// cancellations and panics leave the breaker untouched.
-	s.breaker.Record(d.Name(), err)
 	if err != nil {
 		if core.IsBadInput(err) {
 			writeError(w, http.StatusBadRequest, err.Error())

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"supernpu/internal/faultinject"
-	"supernpu/internal/guard"
 	"supernpu/internal/parallel"
 )
 
@@ -59,18 +58,6 @@ type Options struct {
 	// degrades to the analytical roofline estimate with "degraded": true.
 	Fault *faultinject.Model
 }
-
-const (
-	// breakerThreshold is the number of consecutive numeric failures
-	// (diverged / non-finite simulations) of one design after which
-	// /v1/evaluate stops attempting the full simulation for that design and
-	// serves the analytical roofline directly.
-	breakerThreshold = 3
-	// breakerProbeEvery is the half-open cadence of the divergence breaker:
-	// while open, every breakerProbeEvery-th evaluate request for the
-	// tripped design runs the real simulation as a recovery probe.
-	breakerProbeEvery = 8
-)
 
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
@@ -101,11 +88,6 @@ type Server struct {
 	sem     chan struct{}
 	queued  atomic.Int64
 	metrics *metrics
-	// breaker is the per-design divergence circuit breaker guarding
-	// /v1/evaluate: designs whose simulations keep blowing up numerically
-	// are short-circuited onto the analytical degraded path until a
-	// half-open probe succeeds.
-	breaker *guard.Breaker
 }
 
 // New returns a Server with the given options.
@@ -113,7 +95,6 @@ func New(opts Options) *Server {
 	s := &Server{opts: opts.withDefaults()}
 	s.sem = make(chan struct{}, s.opts.MaxConcurrent)
 	s.metrics = globalMetrics
-	s.breaker = guard.NewBreaker(breakerThreshold, breakerProbeEvery)
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s

@@ -2,11 +2,11 @@ package supernpu
 
 // Differential observability test: the tentpole contract of internal/obs is
 // that instruments and spans NEVER feed back into modeled numbers. This test
-// enforces it end-to-end by regenerating the full exhibit report three ways —
-// observability disabled, enabled, and enabled with span tracing live — and
-// demanding byte-identical output each time (and identical to the committed
-// golden snapshot). The static side of the same contract is the supernpu-lint
-// obsflow rule; this is the dynamic side.
+// enforces it end-to-end by regenerating the full exhibit report twice —
+// untraced, and with span tracing live — and demanding byte-identical output
+// both times (and identical to the committed golden snapshot). The static
+// side of the same contract is the supernpu-lint obsflow rule; this is the
+// dynamic side.
 
 import (
 	"bytes"
@@ -22,26 +22,13 @@ import (
 
 func TestFullReportByteIdenticalWithObservability(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates the full report three times")
+		t.Skip("regenerates the full report twice")
 	}
-	t.Cleanup(func() {
-		obs.SetEnabled(true)
-		obs.SetTraceWriter(nil)
-	})
+	t.Cleanup(func() { obs.SetTraceWriter(nil) })
 
-	obs.SetEnabled(false)
-	off, err := RunAllExperiments(context.Background())
+	untraced, err := RunAllExperiments(context.Background())
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	obs.SetEnabled(true)
-	on, err := RunAllExperiments(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off != on {
-		t.Fatalf("report differs with observability enabled (%d vs %d bytes): instruments leaked into modeled numbers", len(off), len(on))
 	}
 
 	var trace bytes.Buffer
@@ -51,16 +38,16 @@ func TestFullReportByteIdenticalWithObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if traced != off {
-		t.Fatal("report differs with span tracing live: tracing leaked into modeled numbers")
+	if traced != untraced {
+		t.Fatalf("report differs with span tracing live (%d vs %d bytes): tracing leaked into modeled numbers", len(traced), len(untraced))
 	}
 
 	want, err := os.ReadFile(filepath.Join("testdata", "golden", "full_report.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off != string(want) {
-		t.Error("report with observability disabled drifted from testdata/golden/full_report.golden")
+	if untraced != string(want) {
+		t.Error("untraced report drifted from testdata/golden/full_report.golden")
 	}
 
 	// The trace itself must be well-formed JSONL with the report span and
