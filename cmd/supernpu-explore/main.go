@@ -16,6 +16,8 @@
 // Fault injection (-fault-seed, -ic-spread, -pulse-drop, -bit-flip,
 // -erosion) perturbs every simulation of the sweep deterministically: the
 // same seed reproduces the same output byte for byte at any worker count.
+// The margin sweep sets its own rates and takes only -fault-seed; with it,
+// -ic-spread, -pulse-drop, -bit-flip or -erosion exits 2.
 // SIGINT/SIGTERM or an expired -deadline cancels the sweep cleanly (exit
 // 130). The registers sweep accepts only Fig. 21's widths (256, 128, 64,
 // 32, 16), each with its Fig. 21 buffer capacity.
@@ -55,6 +57,16 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write phase tracing spans (JSONL) to this file")
 	deadline := flag.Duration("deadline", 0, "abort the sweep after this wall-clock budget (0 = none)")
 	flag.Parse()
+
+	if *sweep == "margin" {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "ic-spread", "pulse-drop", "bit-flip", "erosion":
+				fmt.Fprintf(os.Stderr, "supernpu-explore: -sweep margin takes only -fault-seed, not -%s\n", f.Name)
+				os.Exit(2)
+			}
+		})
+	}
 
 	var fm *supernpu.FaultModel
 	if *icSpread != 0 || *pulseDrop != 0 || *bitFlip != 0 || *erosion != 0 {

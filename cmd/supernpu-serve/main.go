@@ -21,8 +21,9 @@
 //	GET  /debug/pprof/  live profiling (net/http/pprof: profile, heap, trace, …)
 //
 // The startup log line names the pool width, queue depth, timeout and
-// fault model. The service sheds load with 429 + Retry-After once the work
-// queue is full, and drains in-flight requests on SIGINT/SIGTERM.
+// fault model. Past its -timeout (queue wait included; it must be positive)
+// a request answers 503. The service sheds load with 429 + Retry-After once
+// the work queue is full, and drains in-flight requests on SIGINT/SIGTERM.
 package main
 
 import (
@@ -49,7 +50,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", runtime.NumCPU(), "simulation worker pool width (also the request concurrency bound)")
 	queue := flag.Int("queue", 64, "bounded request queue depth; beyond it requests get 429")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout, queue wait included")
+	timeout := flag.Duration("timeout", 30*time.Second, "budget of each work request, queue wait included (must be positive)")
 	grace := flag.Duration("grace", 15*time.Second, "shutdown grace period for draining in-flight requests")
 	faultSeed := flag.Int64("fault-seed", 0, "seed for the deterministic SFQ fault model")
 	icSpread := flag.Float64("ic-spread", 0, "junction critical-current spread injected into every simulation")
@@ -58,6 +59,11 @@ func main() {
 	erosion := flag.Float64("erosion", 0, "timing-margin erosion (fractional delay stretch)")
 	simFail := flag.Float64("sim-fail", 0, "probability a simulation aborts entirely (exercises the degraded path)")
 	flag.Parse()
+
+	if *timeout <= 0 {
+		fmt.Fprintf(os.Stderr, "supernpu-serve: -timeout must be positive, got %s\n", *timeout)
+		os.Exit(2)
+	}
 
 	// Any non-zero rate arms the fault model; /v1/evaluate degrades to the
 	// analytical roofline (200 + "degraded": true) when a simulation aborts.

@@ -37,7 +37,11 @@ func main() {
 	fmt.Printf("  speedup  : %.1fx\n\n", snpu.Throughput/tpu.Throughput)
 
 	// 2. Power: the RSFQ design burns static bias power; ERSFQ removes it.
-	ersfq, err := supernpu.Evaluate(ctx, supernpu.ERSFQ(supernpu.SuperNPU()), net, 0)
+	ersfqDesign, err := supernpu.DesignByName("ERSFQ-SuperNPU")
+	if err != nil {
+		log.Fatal(err)
+	}
+	ersfq, err := supernpu.Evaluate(ctx, ersfqDesign, net, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,7 +44,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ersfq, err := supernpu.Evaluate(ctx, supernpu.ERSFQ(supernpu.SuperNPU()), net, 0)
+	ersfqDesign, err := supernpu.DesignByName("ERSFQ-SuperNPU")
+	if err != nil {
+		log.Fatal(err)
+	}
+	ersfq, err := supernpu.Evaluate(ctx, ersfqDesign, net, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

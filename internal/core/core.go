@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"supernpu/internal/arch"
@@ -71,15 +72,18 @@ func SFQDesign(cfg arch.Config) Design { return Design{Platform: SFQ, SFQ: cfg} 
 // CMOSDesign wraps a CMOS configuration.
 func CMOSDesign(cfg scalesim.Config) Design { return Design{Platform: CMOS, CMOS: cfg} }
 
-// DesignPoints returns the paper's five evaluated designs in Fig. 23
-// order: TPU, Baseline, Buffer opt., Resource opt., SuperNPU.
-func DesignPoints() []Design {
+// designPoints is built once: DesignByName reads it on every request.
+var designPoints = func() []Design {
 	out := []Design{CMOSDesign(scalesim.TPU())}
 	for _, c := range arch.Designs() {
 		out = append(out, SFQDesign(c))
 	}
 	return out
-}
+}()
+
+// DesignPoints returns the paper's five evaluated designs in Fig. 23
+// order: TPU, Baseline, Buffer opt., Resource opt., SuperNPU.
+func DesignPoints() []Design { return slices.Clone(designPoints) }
 
 // DesignByName resolves a design point by display name, case-insensitively.
 // An "ERSFQ-" prefix on an SFQ design name selects the energy-efficient
@@ -91,7 +95,7 @@ func DesignByName(name string) (Design, error) {
 	if len(want) >= 6 && strings.EqualFold(want[:6], "ERSFQ-") {
 		base, ersfq = want[6:], true
 	}
-	for _, d := range DesignPoints() {
+	for _, d := range designPoints {
 		if !strings.EqualFold(d.Name(), base) {
 			continue
 		}
@@ -106,8 +110,8 @@ func DesignByName(name string) (Design, error) {
 		cfg.Name = "ERSFQ-" + cfg.Name
 		return SFQDesign(cfg), nil
 	}
-	names := make([]string, 0, 5)
-	for _, d := range DesignPoints() {
+	names := make([]string, 0, len(designPoints))
+	for _, d := range designPoints {
 		names = append(names, d.Name())
 	}
 	return Design{}, fmt.Errorf("%w %q (have %s, optionally ERSFQ- prefixed)",

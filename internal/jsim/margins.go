@@ -33,11 +33,13 @@ func BiasMargins(ctx context.Context) (Margins, error) {
 // variants across the worker pool: entry i of the result corresponds to
 // fms[i]. Each variant's JTL carries the model's Ic spread, and its bias
 // rails are held at multiples of the nominal (design-point) critical
-// current. Spread narrows the window from both sides — the weakest junction
-// free-runs first at high bias, the strongest one sticks first at low bias —
-// which is the physical quantity the MarginSweep exhibit plots. Results are
-// memoised per fault key, so a re-sweep is free; a disabled model shares
-// the nominal BiasMargins entry.
+// current. Spread need not narrow the window: the high boundary tracks the
+// weakest junction, which free-runs first, but the low one tracks junction
+// 0, which the fixed 1.8·Ic input pulse stops switching first, so that arm
+// measures the trigger stage, not the line (seed 42 at 2 % spread reads
+// 0.599–0.996·Ic, nominal 0.599–0.987). Results are memoised per fault key,
+// so a re-sweep is free; a disabled model shares the nominal BiasMargins
+// entry.
 func BiasMarginsFaultedBatch(ctx context.Context, fms []*faultinject.Model) ([]Margins, error) {
 	out := make([]Margins, len(fms))
 	err := parallel.ForEachContext(ctx, len(fms), func(ctx context.Context, i int) error {

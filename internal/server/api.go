@@ -317,24 +317,21 @@ func (req *EvaluateRequest) resolve() (core.Design, workload.Network, error) {
 	if err != nil {
 		return core.Design{}, workload.Network{}, err
 	}
+	var net workload.Network
 	switch {
 	case req.Workload != "" && req.Network != nil:
-		return core.Design{}, workload.Network{}, fmt.Errorf("workload and network are mutually exclusive")
+		err = fmt.Errorf("workload and network are mutually exclusive")
 	case req.Workload != "":
-		net, err := workload.ByName(req.Workload)
-		if err != nil {
-			return core.Design{}, workload.Network{}, err
-		}
-		return d, net, nil
+		net, err = workload.ByName(req.Workload)
 	case req.Network != nil:
-		net, err := req.Network.toNetwork()
-		if err != nil {
-			return core.Design{}, workload.Network{}, err
-		}
-		return d, net, nil
+		net, err = req.Network.toNetwork()
 	default:
-		return core.Design{}, workload.Network{}, fmt.Errorf("one of workload or network is required")
+		err = fmt.Errorf("one of workload or network is required")
 	}
+	if err != nil {
+		return core.Design{}, workload.Network{}, err
+	}
+	return d, net, nil
 }
 
 // toConfig validates a custom configuration spec and converts it.

@@ -77,7 +77,7 @@ func TestRetryAfterDerivation(t *testing.T) {
 // of the historical constant 1.
 func TestRetryAfterGrowsUnderLoad(t *testing.T) {
 	const depth = 6
-	s := New(Options{MaxConcurrent: 1, QueueDepth: depth, Timeout: -1, Logger: quiet})
+	s := New(Options{MaxConcurrent: 1, QueueDepth: depth, Logger: quiet})
 	block := make(chan struct{})
 	started := make(chan struct{}, depth+2)
 	ts := httptest.NewServer(s.limit(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -130,10 +130,10 @@ func TestRetryAfterGrowsUnderLoad(t *testing.T) {
 }
 
 // TestEvaluateCanceledRequestIs503 serves an evaluate request whose context
-// is already dead — the shape every request takes once its TimeoutHandler
-// budget expires or its client hangs up. The cancellation must surface as
-// 503 with the taxonomy's message, not as a degraded 200 (the design did
-// nothing wrong) and not as a 4xx/5xx misclassification.
+// is already dead — the shape a request takes when its client hangs up
+// after limit admitted it. The cancellation must surface as 503 with the
+// taxonomy's message, not as a degraded 200 (the design did nothing wrong)
+// and not as a 4xx/5xx misclassification.
 func TestEvaluateCanceledRequestIs503(t *testing.T) {
 	s := New(Options{Logger: quiet})
 	before := s.metrics.degraded.Value()

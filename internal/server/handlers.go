@@ -7,6 +7,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"runtime/debug"
 	"strings"
@@ -34,13 +35,26 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, apiError{Error: msg})
 }
 
+// modelError maps a failed model call onto its HTTP answer: 400 for bad
+// input, 503 for a cancellation ("request timed out: …" once the deadline
+// has passed), and 422 for anything else, which /v1/evaluate degrades.
+func modelError(err error) (int, string) {
+	switch {
+	case core.IsBadInput(err):
+		return http.StatusBadRequest, err.Error()
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusServiceUnavailable, "request timed out: " + err.Error()
+	case guard.IsCancellation(err):
+		return http.StatusServiceUnavailable, err.Error()
+	}
+	return http.StatusUnprocessableEntity, err.Error()
+}
+
 // evaluateSafely runs the faulted evaluation with panics converted into
 // errors, so a simulation that blows up outside the worker pool still reaches
-// the degraded-response path instead of the 500 recovery middleware. The
-// context carries the per-request deadline: http.TimeoutHandler attaches its
-// budget to r.Context(), so the simulators' cancellation checkpoints stop
-// the work shortly after the response deadline passes instead of running on
-// as abandoned goroutines.
+// the degraded-response path instead of the outer wrapper's 500. The context
+// carries the deadline limit set, so the simulators' cancellation
+// checkpoints stop the work once it passes.
 func evaluateSafely(ctx context.Context, d core.Design, net workload.Network, batch int, fm *faultinject.Model) (ev *core.Evaluation, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -72,12 +86,8 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	ev, err := evaluateSafely(r.Context(), d, net, req.Batch, s.opts.Fault)
 	if err != nil {
-		if core.IsBadInput(err) {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if guard.IsCancellation(err) {
-			writeError(w, http.StatusServiceUnavailable, err.Error())
+		if status, msg := modelError(err); status != http.StatusUnprocessableEntity {
+			writeError(w, status, msg)
 			return
 		}
 		s.degrade(w, r, d, net, req.Batch, err.Error())
@@ -117,14 +127,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := estimator.Estimate(r.Context(), cfg)
 	if err != nil {
-		status := http.StatusUnprocessableEntity
-		switch {
-		case core.IsBadInput(err):
-			status = http.StatusBadRequest
-		case guard.IsCancellation(err):
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err.Error())
+		status, msg := modelError(err)
+		writeError(w, status, msg)
 		return
 	}
 	writeJSON(w, http.StatusOK, estimateResponse(res))
@@ -154,14 +158,8 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		pts, err = core.ExploreRegisters(r.Context(), req.Width, req.Registers, s.opts.Fault)
 	}
 	if err != nil {
-		status := http.StatusUnprocessableEntity
-		switch {
-		case core.IsBadInput(err):
-			status = http.StatusBadRequest
-		case guard.IsCancellation(err):
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err.Error())
+		status, msg := modelError(err)
+		writeError(w, status, msg)
 		return
 	}
 	writeJSON(w, http.StatusOK, sweepResponse(req.Sweep, pts))

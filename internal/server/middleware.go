@@ -1,8 +1,10 @@
-// Middleware of the evaluation service: request metrics, the bounded-queue
-// backpressure limiter, panic recovery and request logging.
+// Middleware of the evaluation service: the bounded-queue backpressure
+// limiter with each work request's deadline, and the one outer wrapper that
+// counts, recovers, times and logs every request.
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"runtime/debug"
@@ -10,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"supernpu/internal/guard"
 	"supernpu/internal/obs"
 )
 
@@ -39,7 +42,7 @@ var globalMetrics = &metrics{
 
 // requestSeconds returns the request-latency histogram series for one
 // classified endpoint (bounded label set — see classifyEndpoint); the
-// logging middleware observes into it.
+// outer wrapper observes into it.
 func requestSeconds(endpoint string) *obs.Histogram {
 	return obs.Default.Histogram("supernpu_http_request_seconds",
 		"request wall time by endpoint", obs.DurationEdges, obs.L("endpoint", endpoint))
@@ -51,10 +54,8 @@ func classifyEndpoint(path string) string {
 	switch path {
 	case "/v1/evaluate", "/v1/estimate", "/v1/explore", "/v1/designs", "/v1/workloads":
 		return strings.TrimPrefix(path, "/v1/")
-	case "/healthz":
-		return "healthz"
-	case "/metrics":
-		return "metrics"
+	case "/healthz", "/metrics":
+		return path[1:]
 	}
 	if strings.HasPrefix(path, "/debug/") {
 		return "debug"
@@ -62,12 +63,15 @@ func classifyEndpoint(path string) string {
 	return "other"
 }
 
-// limit is the backpressure gate: at most MaxConcurrent requests hold a work
+// limit is the backpressure gate. It sets the work request's deadline
+// before the request queues; at most MaxConcurrent requests hold a work
 // slot, at most QueueDepth more wait for one, and everything beyond that is
-// shed immediately with 429 + Retry-After. The running and queued gauges
-// are served on /metrics.
-func (s *Server) limit(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// shed with 429 + Retry-After. The gauges are served on /metrics.
+func (s *Server) limit(next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
+		defer cancel()
+		admitted := true
 		select {
 		case s.sem <- struct{}{}:
 			// A work slot was free; skip the queue entirely.
@@ -83,24 +87,36 @@ func (s *Server) limit(next http.Handler) http.Handler {
 				return
 			}
 			s.metrics.queued.Add(1)
-			dequeue := func() {
-				s.queued.Add(-1)
-				s.metrics.queued.Add(-1)
-			}
 			select {
 			case s.sem <- struct{}{}:
-				dequeue()
-			case <-r.Context().Done():
-				dequeue()
-				writeError(w, http.StatusServiceUnavailable, "request abandoned while queued")
-				return
+			case <-ctx.Done():
+				admitted = false
 			}
+			s.queued.Add(-1)
+			s.metrics.queued.Add(-1)
 		}
-		defer func() { <-s.sem }()
+		if admitted {
+			defer func() { <-s.sem }()
+		}
+		// A request that won its slot after its deadline answers 503 too: a
+		// warm cache hit never polls the context.
+		if err := guard.CtxErr(ctx); err != nil {
+			status, msg := modelError(err)
+			writeError(w, status, msg)
+			return
+		}
+		// The deadline bounds the body read too, so a client that stalls
+		// mid-body cannot hold its slot; net/http lifts it at the body's
+		// end. A bodyless request has nothing to bound, and net/http is
+		// already reading ahead on its connection.
+		if r.ContentLength != 0 {
+			dl, _ := ctx.Deadline()
+			_ = http.NewResponseController(w).SetReadDeadline(dl)
+		}
 		s.metrics.running.Inc()
 		defer s.metrics.running.Dec()
-		next.ServeHTTP(w, r)
-	})
+		next(w, r.WithContext(ctx))
+	}
 }
 
 // maxRetryAfter caps the backpressure hint: past a minute the client should
@@ -115,10 +131,7 @@ const maxRetryAfter = 60
 // deepens — clients backing off proportionally spread their retries instead
 // of stampeding back in lockstep one second later.
 func (s *Server) retryAfter(queued int64) int {
-	slots := int64(s.opts.MaxConcurrent)
-	if slots < 1 {
-		slots = 1
-	}
+	slots := int64(s.opts.MaxConcurrent) // at least 1 after withDefaults
 	rounds := (queued + slots - 1) / slots
 	if rounds < 1 {
 		rounds = 1
@@ -127,29 +140,6 @@ func (s *Server) retryAfter(queued int64) int {
 		rounds = maxRetryAfter
 	}
 	return int(rounds)
-}
-
-// countRequests bumps the total-request counter.
-func (s *Server) countRequests(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.requests.Inc()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// recovery converts handler panics into 500 responses instead of taking the
-// whole connection (and the process's other requests) down.
-func (s *Server) recovery(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if v := recover(); v != nil {
-				s.metrics.panics.Inc()
-				s.opts.Logger.Printf("server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
-				writeError(w, http.StatusInternalServerError, "internal error")
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
 }
 
 // statusRecorder captures the response code for the request log.
@@ -172,20 +162,33 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 	return sr.ResponseWriter.Write(b)
 }
 
-// logging emits one line per request (method, path, status, duration) and
-// feeds the per-endpoint latency histogram.
-func (s *Server) logging(next http.Handler) http.Handler {
+// Unwrap lets http.ResponseController reach the connection (see limit).
+func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
+
+// Handler returns the service's root handler: the mux behind one outer
+// wrapper. It counts the request, turns a handler panic into a 500 instead
+// of taking the connection (and the process's other requests) down, then
+// observes the per-endpoint latency histogram and writes one log line
+// (method, path, status, duration).
+func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.metrics.requests.Inc()
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w}
-		next.ServeHTTP(rec, r)
-		status := rec.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		elapsed := time.Since(start)
-		requestSeconds(classifyEndpoint(r.URL.Path)).Observe(elapsed.Seconds())
-		s.opts.Logger.Printf("server: %s %s %s %s", r.Method, r.URL.Path,
-			strconv.Itoa(status), elapsed.Round(time.Microsecond))
+		defer func() {
+			if v := recover(); v != nil {
+				s.metrics.panics.Inc()
+				s.opts.Logger.Printf("server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+				writeError(rec, http.StatusInternalServerError, "internal error")
+			}
+			if rec.status == 0 {
+				rec.status = http.StatusOK // nothing written: net/http sends 200
+			}
+			elapsed := time.Since(start)
+			requestSeconds(classifyEndpoint(r.URL.Path)).Observe(elapsed.Seconds())
+			s.opts.Logger.Printf("server: %s %s %s %s", r.Method, r.URL.Path,
+				strconv.Itoa(rec.status), elapsed.Round(time.Microsecond))
+		}()
+		s.mux.ServeHTTP(rec, r)
 	})
 }

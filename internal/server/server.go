@@ -12,9 +12,10 @@
 //     worker count, and waiting requests queue up to a configured depth —
 //     beyond it the service sheds load with 429 + Retry-After instead of
 //     growing goroutines without bound;
-//   - every work endpoint runs under a per-request timeout
-//     (http.TimeoutHandler), and the whole service drains in-flight requests
-//     on SIGINT/SIGTERM via http.Server.Shutdown;
+//   - every work request has one deadline, set before it queues, which
+//     bounds its body read and which the models' cancellation checkpoints
+//     obey; the whole service drains in-flight requests on SIGINT/SIGTERM
+//     via http.Server.Shutdown;
 //   - load and cache instruments live in the internal/obs registry, served
 //     in Prometheus text format on GET /metrics; the configured limits and
 //     fault model are printed once, on the startup log line.
@@ -47,8 +48,8 @@ type Options struct {
 	// QueueDepth bounds how many admitted requests may wait for a work
 	// slot; one more is rejected with 429. Default: 64.
 	QueueDepth int
-	// Timeout is the per-request wall-clock budget, queue wait included.
-	// Default: 30s. Negative disables the timeout (tests).
+	// Timeout is the wall-clock budget of a work request, queue wait
+	// included. Default (any value <= 0): 30s.
 	Timeout time.Duration
 	// Logger receives one line per request. Default: log.Default().
 	Logger *log.Logger
@@ -67,7 +68,7 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
-	if o.Timeout == 0 {
+	if o.Timeout <= 0 {
 		o.Timeout = 30 * time.Second
 	}
 	if o.Logger == nil {
@@ -101,20 +102,13 @@ func New(opts Options) *Server {
 }
 
 // routes wires the endpoint table. Work endpoints (those that may simulate)
-// pass through the backpressure limiter and the per-request timeout;
+// pass through the backpressure limiter, which also sets their deadline;
 // introspection endpoints stay always-on so health checks and dashboards
 // keep answering under full load.
 func (s *Server) routes() {
-	work := func(h http.HandlerFunc) http.Handler {
-		var inner http.Handler = h
-		if s.opts.Timeout > 0 {
-			inner = http.TimeoutHandler(inner, s.opts.Timeout, `{"error":"request timed out"}`)
-		}
-		return s.limit(inner)
-	}
-	s.mux.Handle("POST /v1/evaluate", work(s.handleEvaluate))
-	s.mux.Handle("POST /v1/estimate", work(s.handleEstimate))
-	s.mux.Handle("POST /v1/explore", work(s.handleExplore))
+	s.mux.HandleFunc("POST /v1/evaluate", s.limit(s.handleEvaluate))
+	s.mux.HandleFunc("POST /v1/estimate", s.limit(s.handleEstimate))
+	s.mux.HandleFunc("POST /v1/explore", s.limit(s.handleExplore))
 	s.mux.HandleFunc("GET /v1/designs", s.handleDesigns)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -127,12 +121,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-}
-
-// Handler returns the service's root handler with logging, recovery and
-// metrics middleware applied.
-func (s *Server) Handler() http.Handler {
-	return s.logging(s.recovery(s.countRequests(s.mux)))
 }
 
 // Serve accepts connections on l until ctx is cancelled, then shuts down

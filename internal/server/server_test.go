@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -255,7 +257,7 @@ func TestListingsAndStats(t *testing.T) {
 // and the next is shed with 429 + Retry-After at exactly the configured
 // bound.
 func TestBackpressure429(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueDepth: 1, Timeout: -1, Logger: quiet})
+	s := New(Options{MaxConcurrent: 1, QueueDepth: 1, Logger: quiet})
 	block := make(chan struct{})
 	started := make(chan struct{}, 4)
 	ts := httptest.NewServer(s.limit(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -338,6 +340,148 @@ func TestTimeout(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "timed out") {
 		t.Fatalf("timeout body = %s", body)
+	}
+}
+
+// TestQueuedRequestTimesOut holds the one work slot and queues a request
+// behind it. The request's own 50 ms budget, not its client's 2 s
+// deadline, must answer it: 503 "timed out" well inside a second.
+func TestQueuedRequestTimesOut(t *testing.T) {
+	s, ts := newTestServer(t, Options{MaxConcurrent: 1, Timeout: 50 * time.Millisecond})
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/evaluate",
+		strings.NewReader(`{"design":"SuperNPU","workload":"ResNet50","batch":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("queued request got no answer in %s: %v", time.Since(start), err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); resp.StatusCode != http.StatusServiceUnavailable ||
+		!strings.Contains(string(body), "timed out") || elapsed >= time.Second {
+		t.Fatalf("queued request = %d %s after %s, want 503 \"timed out\" within 1s",
+			resp.StatusCode, body, elapsed)
+	}
+	if q := s.queued.Load(); q != 0 {
+		t.Fatalf("queued = %d after the waiter timed out, want 0", q)
+	}
+}
+
+// TestStalledBodyFreesSlot sends a work request's headers and 10 of its
+// 100 declared body bytes over a raw connection, then stalls. The
+// request's 50 ms budget bounds the body read, so the request is answered
+// well inside a second and the one work slot then serves the next request.
+func TestStalledBodyFreesSlot(t *testing.T) {
+	serveWarm(t, New(Options{Logger: quiet}).Handler())()
+	s, ts := newTestServer(t, Options{MaxConcurrent: 1, Timeout: 50 * time.Millisecond})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/evaluate HTTP/1.1\r\nHost: test\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"design\":"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("stalled request got no answer in %s: %v", time.Since(start), err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("stalled request = %d, want 400", resp.StatusCode)
+	}
+	if n := len(s.sem); n != 0 {
+		t.Fatalf("%d work slots held after the stalled request was answered, want 0", n)
+	}
+	status, body, _ := post(t, ts.URL+"/v1/evaluate", warmEvaluate)
+	if elapsed := time.Since(start); status != http.StatusOK || elapsed >= time.Second {
+		t.Fatalf("next request = %d %s after %s, want 200 within 1s", status, body, elapsed)
+	}
+}
+
+// TestLimitAnswersDeadRequests drives limit with requests that are dead
+// before they could run: a waiter whose client left answers 503 naming the
+// cancellation, and a request that wins a free slot after its deadline
+// answers 503 "timed out". Neither runs the handler.
+func TestLimitAnswersDeadRequests(t *testing.T) {
+	s := New(Options{MaxConcurrent: 1, Logger: quiet})
+	ran := false
+	h := s.limit(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { ran = true }))
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+
+	for _, tc := range []struct {
+		name     string
+		ctx      context.Context
+		holdSlot bool
+		want     string
+	}{
+		{"client left while queued", canceled, true, "cancel"},
+		{"slot won after the deadline", expired, false, "timed out"},
+	} {
+		if tc.holdSlot {
+			s.sem <- struct{}{}
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", nil).WithContext(tc.ctx))
+		if tc.holdSlot {
+			<-s.sem
+		}
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s: %d %s, want 503 containing %q", tc.name, rec.Code, rec.Body, tc.want)
+		}
+	}
+	if ran {
+		t.Fatal("limit ran the handler of a dead request")
+	}
+	if len(s.sem) != 0 || s.queued.Load() != 0 {
+		t.Fatalf("limit leaked a slot (%d held, %d queued)", len(s.sem), s.queued.Load())
+	}
+}
+
+// TestPanicIsRecoveredTimedAndLogged puts a panicking route behind the
+// outer wrapper: the request answers 500 "internal error", bumps
+// supernpu_http_panics_total by one, and is still timed and logged.
+func TestPanicIsRecoveredTimedAndLogged(t *testing.T) {
+	var logged bytes.Buffer
+	s := New(Options{Logger: log.New(&logged, "", 0)})
+	s.mux.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) { panic("boom") })
+	panics, timed := s.metrics.panics.Value(), requestSeconds("other").Count()
+
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/boom", nil))
+
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "internal error") {
+		t.Fatalf("panicking handler = %d %s, want 500 internal error", rec.Code, rec.Body)
+	}
+	if got := s.metrics.panics.Value() - panics; got != 1 {
+		t.Errorf("supernpu_http_panics_total moved by %d, want 1", got)
+	}
+	if got := requestSeconds("other").Count() - timed; got != 1 {
+		t.Errorf("latency histogram observed %d requests, want 1", got)
+	}
+	for _, want := range []string{"panic serving GET /boom: boom", "server: GET /boom 500 "} {
+		if !strings.Contains(logged.String(), want) {
+			t.Errorf("log does not contain %q:\n%s", want, logged.String())
+		}
 	}
 }
 

@@ -2,9 +2,9 @@
 // logic favours over RAM (Section II-B3): serially connected DFF rows with a
 // feedback loop. It provides
 //
-//   - the cycle-cost model of the performance simulator (filling and
-//     recirculating data costs cycles proportional to the shifted length —
-//     the root of the paper's first bottleneck), and
+//   - the cycle-cost model of the performance simulator (recirculating a
+//     chunk and moving data between buffers cost cycles proportional to the
+//     shifted length — the root of the paper's first bottleneck), and
 //   - the cell inventory, including the multiplexer/demultiplexer trees and
 //     selection wiring that buffer division adds (Fig. 19/20).
 package srmem
@@ -46,11 +46,6 @@ func (c Config) Entries() int { return c.CapacityBytes / c.WidthBytes }
 
 // ChunkEntries is the length of one chunk in entries.
 func (c Config) ChunkEntries() int { return c.Entries() / c.Chunks }
-
-// FillCycles is the number of shift-in cycles needed to load n bytes.
-func (c Config) FillCycles(n int) int {
-	return (n + c.WidthBytes - 1) / c.WidthBytes
-}
 
 // RecirculateCycles is the cost of moving an entry from a chunk's tail back
 // to its head so it can be consumed again: the whole chunk must rotate once.

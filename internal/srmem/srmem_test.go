@@ -3,7 +3,6 @@ package srmem
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"supernpu/internal/sfq"
 )
@@ -32,19 +31,6 @@ func TestDivisionShortensRecirculation(t *testing.T) {
 	}
 	if got := div.RecirculateCycles(); got != 512 {
 		t.Fatalf("divided recirculation = %d, want 512", got)
-	}
-}
-
-func TestFillDrainCycles(t *testing.T) {
-	c := Config{WidthBytes: 64, CapacityBytes: mb, Chunks: 4}
-	if c.FillCycles(640) != 10 {
-		t.Fatal("fill must cost bytes/width cycles")
-	}
-	if c.FillCycles(1) != 1 {
-		t.Fatal("partial entries round up")
-	}
-	if c.FillCycles(0) != 0 {
-		t.Fatal("zero bytes cost zero cycles")
 	}
 }
 
@@ -103,21 +89,5 @@ func TestChunkShiftEnergyShrinksWithDivision(t *testing.T) {
 	em, ed := mono.ChunkShiftEnergy(l), div.ChunkShiftEnergy(l)
 	if math.Abs(em/ed-64) > 0.01 {
 		t.Fatalf("64-way division must cut per-access energy 64×, got %.2f×", em/ed)
-	}
-}
-
-// Property: filling n bytes costs ceil(n/width) cycles, independent of
-// division.
-func TestFillDrainSymmetryProperty(t *testing.T) {
-	f := func(n uint16, w8, chunks8 uint8) bool {
-		w := 1 + int(w8)%512
-		chunks := 1 + int(chunks8)%8
-		c := Config{WidthBytes: w, CapacityBytes: w * chunks * 64, Chunks: chunks}
-		nb := int(n)
-		want := (nb + w - 1) / w
-		return c.FillCycles(nb) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -110,7 +110,11 @@ func TestPropertySpeedupStableUnderBiasing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		se, err := Speedup(context.Background(), ERSFQ(d), net)
+		// The ERSFQ variant, built as DesignByName builds it for a name.
+		ecfg := cfg
+		ecfg.Tech = sfq.ERSFQ
+		ecfg.Name = "ERSFQ-" + cfg.Name
+		se, err := Speedup(context.Background(), core.SFQDesign(ecfg), net)
 		if err != nil {
 			t.Fatal(err)
 		}

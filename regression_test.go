@@ -55,7 +55,11 @@ func TestReproductionRegression(t *testing.T) {
 
 	// Table III power of the ERSFQ design on ResNet-50.
 	net, _ := WorkloadByName("ResNet50")
-	ev, err := Evaluate(context.Background(), ERSFQ(SuperNPU()), net, 0)
+	ersfq, err := DesignByName("ERSFQ-SuperNPU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := Evaluate(context.Background(), ersfq, net, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

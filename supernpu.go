@@ -37,7 +37,6 @@ import (
 	"supernpu/internal/faultinject"
 	"supernpu/internal/parallel"
 	"supernpu/internal/scalesim"
-	"supernpu/internal/sfq"
 	"supernpu/internal/simcache"
 	"supernpu/internal/systolic"
 	"supernpu/internal/workload"
@@ -97,19 +96,6 @@ func ResourceOpt() Design { return core.SFQDesign(arch.ResourceOpt()) }
 // SuperNPU returns the paper's final design: 64×256 weight-stationary array,
 // 48 MB of divided, integrated shift-register buffers, 8 registers per PE.
 func SuperNPU() Design { return core.SFQDesign(arch.SuperNPU()) }
-
-// ERSFQ returns a copy of an SFQ design switched to energy-efficient RSFQ
-// biasing (zero static power, doubled switching energy). It panics on a
-// CMOS design.
-func ERSFQ(d Design) Design {
-	if d.Platform != core.SFQ {
-		panic("supernpu: ERSFQ applies only to SFQ designs")
-	}
-	cfg := d.SFQ
-	cfg.Tech = sfq.ERSFQ
-	cfg.Name = "ERSFQ-" + cfg.Name
-	return core.SFQDesign(cfg)
-}
 
 // Designs returns the five evaluation design points in Fig. 23 order.
 func Designs() []Design { return core.DesignPoints() }
