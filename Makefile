@@ -101,7 +101,7 @@ metrics-smoke:
 # committed golden (so a change that shifts both passes still fails).
 fault-smoke:
 	$(GO) run ./cmd/supernpu-explore -sweep margin -fault-seed 42 -parallel 4 > fault-smoke-par.out
-	$(GO) run ./cmd/supernpu-explore -sweep margin -fault-seed 42 -seq > fault-smoke-seq.out
+	$(GO) run ./cmd/supernpu-explore -sweep margin -fault-seed 42 -parallel 1 > fault-smoke-seq.out
 	cmp fault-smoke-par.out fault-smoke-seq.out
 	cmp fault-smoke-par.out testdata/golden/margin-seed42.golden
 	@echo "fault-injection smoke: parallel and serial sweeps byte-identical to the golden"

@@ -17,73 +17,27 @@ import (
 	"supernpu/internal/workload"
 )
 
-// One benchmark per paper exhibit: running `go test -bench=.` regenerates
-// every table and figure of the evaluation and reports how long each
-// reproduction takes. The rendered outputs are logged once per benchmark.
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	out, err := experiments.Run(context.Background(), id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Log("\n" + out)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(context.Background(), id); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExhibit regenerates every paper exhibit and ablation, one
+// sub-benchmark per id in table order (BenchmarkExhibit/fig23), so running
+// `go test -bench=.` reproduces the whole evaluation and reports how long
+// each exhibit takes. Each rendered output is logged once.
+func BenchmarkExhibit(b *testing.B) {
+	for _, id := range append(experiments.IDs(), experiments.AblationIDs()...) {
+		b.Run(id, func(b *testing.B) {
+			out, err := experiments.Run(context.Background(), id)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Log("\n" + out)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := experiments.Run(context.Background(), id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkFig5NetworkComparison regenerates the network-unit delay/area
-// comparison (Fig. 5).
-func BenchmarkFig5NetworkComparison(b *testing.B) { benchExperiment(b, "fig5") }
-
-// BenchmarkFig7FeedbackFrequency regenerates the clocking-scheme frequency
-// comparison, including the RCSJ circuit-level extraction (Fig. 7(c)).
-func BenchmarkFig7FeedbackFrequency(b *testing.B) { benchExperiment(b, "fig7") }
-
-// BenchmarkFig8DuplicatedPixels regenerates the ifmap duplication analysis
-// (Fig. 8).
-func BenchmarkFig8DuplicatedPixels(b *testing.B) { benchExperiment(b, "fig8") }
-
-// BenchmarkFig13Validation regenerates the estimator validation (Fig. 13).
-func BenchmarkFig13Validation(b *testing.B) { benchExperiment(b, "fig13") }
-
-// BenchmarkFig15CycleBreakdown regenerates the Baseline preparation/compute
-// breakdown (Fig. 15).
-func BenchmarkFig15CycleBreakdown(b *testing.B) { benchExperiment(b, "fig15") }
-
-// BenchmarkFig17Roofline regenerates the single-batch roofline analysis
-// (Fig. 17).
-func BenchmarkFig17Roofline(b *testing.B) { benchExperiment(b, "fig17") }
-
-// BenchmarkFig20BufferSweep regenerates the buffer integration/division
-// sweep (Fig. 20).
-func BenchmarkFig20BufferSweep(b *testing.B) { benchExperiment(b, "fig20") }
-
-// BenchmarkFig21ResourceBalancing regenerates the PE-width/buffer-capacity
-// sweep (Fig. 21).
-func BenchmarkFig21ResourceBalancing(b *testing.B) { benchExperiment(b, "fig21") }
-
-// BenchmarkFig22RegisterSweep regenerates the registers-per-PE sweep
-// (Fig. 22).
-func BenchmarkFig22RegisterSweep(b *testing.B) { benchExperiment(b, "fig22") }
-
-// BenchmarkFig23Performance regenerates the final cross-design performance
-// evaluation (Fig. 23).
-func BenchmarkFig23Performance(b *testing.B) { benchExperiment(b, "fig23") }
-
-// BenchmarkTable1Setup regenerates the evaluation-setup table (Table I).
-func BenchmarkTable1Setup(b *testing.B) { benchExperiment(b, "table1") }
-
-// BenchmarkTable2Batches regenerates the batch-size table (Table II).
-func BenchmarkTable2Batches(b *testing.B) { benchExperiment(b, "table2") }
-
-// BenchmarkTable3PowerEfficiency regenerates the power-efficiency table
-// (Table III).
-func BenchmarkTable3PowerEfficiency(b *testing.B) { benchExperiment(b, "table3") }
 
 // --- sweep-engine benchmarks (serial vs parallel, cold vs cached) ---
 
@@ -279,30 +233,6 @@ func BenchmarkMaxBatchSolver(b *testing.B) {
 		}
 	}
 }
-
-// --- ablation benchmarks (design-choice studies beyond the paper's own
-// exhibits; see DESIGN.md) ---
-
-// BenchmarkAblationDataflow quantifies the weight-stationary PE choice.
-func BenchmarkAblationDataflow(b *testing.B) { benchExperiment(b, "ablation-dataflow") }
-
-// BenchmarkAblationClockSkewing quantifies the skew-tuning frequency gain.
-func BenchmarkAblationClockSkewing(b *testing.B) { benchExperiment(b, "ablation-skew") }
-
-// BenchmarkAblationNoDAU quantifies the data alignment unit's value.
-func BenchmarkAblationNoDAU(b *testing.B) { benchExperiment(b, "ablation-dau") }
-
-// BenchmarkAblationBandwidth sweeps the off-chip bandwidth assumption.
-func BenchmarkAblationBandwidth(b *testing.B) { benchExperiment(b, "ablation-bandwidth") }
-
-// BenchmarkAblationScaling projects clocks under JJ feature-size scaling.
-func BenchmarkAblationScaling(b *testing.B) { benchExperiment(b, "ablation-scaling") }
-
-// BenchmarkAblationBatch sweeps the batch-size intensity lever.
-func BenchmarkAblationBatch(b *testing.B) { benchExperiment(b, "ablation-batch") }
-
-// BenchmarkAblationMemsys validates the flat-bandwidth DRAM abstraction.
-func BenchmarkAblationMemsys(b *testing.B) { benchExperiment(b, "ablation-memsys") }
 
 // BenchmarkMarginSweepCold measures the full bias-margin robustness exhibit
 // from a cold cache: six fault variants fanned out across the pool, each

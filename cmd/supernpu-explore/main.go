@@ -7,7 +7,7 @@
 //
 //	supernpu-explore -sweep division
 //	supernpu-explore -sweep width -parallel 4
-//	supernpu-explore -sweep registers -width 64 -seq -v
+//	supernpu-explore -sweep registers -width 64 -parallel 1 -v
 //	supernpu-explore -sweep margin -fault-seed 42
 //	supernpu-explore -sweep division -ic-spread 0.05 -pulse-drop 1e-6
 //	supernpu-explore -sweep width -trace-out spans.jsonl
@@ -45,7 +45,6 @@ func main() {
 	sweep := flag.String("sweep", "division", "sweep kind: division, width, registers, margin")
 	width := flag.Int("width", 64, "PE array width for the registers sweep: 256, 128, 64, 32 or 16")
 	par := flag.Int("parallel", runtime.NumCPU(), "maximum worker count for parallel evaluation")
-	seq := flag.Bool("seq", false, "run serially (shorthand for -parallel 1)")
 	verbose := flag.Bool("v", false, "print simulation-cache hit/miss statistics to stderr")
 
 	faultSeed := flag.Int64("fault-seed", 0, "seed for the deterministic fault model")
@@ -95,11 +94,7 @@ func main() {
 		}()
 	}
 
-	if *seq {
-		parallel.SetWorkers(1)
-	} else {
-		parallel.SetWorkers(*par)
-	}
+	parallel.SetWorkers(*par)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -6,7 +6,7 @@
 //	supernpu-repro -exp fig23   # regenerate one exhibit
 //	supernpu-repro -list        # list exhibit ids
 //	supernpu-repro -parallel 4  # bound the worker pool at 4
-//	supernpu-repro -seq -v      # serial run, cache stats on stderr
+//	supernpu-repro -parallel 1 -v           # serial run, cache stats on stderr
 //	supernpu-repro -cpuprofile cpu.pprof -memprofile mem.pprof
 //	supernpu-repro -trace-out spans.jsonl   # phase-span trace (JSONL)
 //	supernpu-repro -deadline 5m             # hard wall-clock budget
@@ -41,7 +41,6 @@ func run() int {
 	exp := flag.String("exp", "all", "exhibit id (fig5..fig23, table1..table3, ablation-*), 'all' or 'ablations'")
 	list := flag.Bool("list", false, "list available exhibit ids and exit")
 	par := flag.Int("parallel", runtime.NumCPU(), "maximum worker count for parallel evaluation")
-	seq := flag.Bool("seq", false, "run serially (shorthand for -parallel 1)")
 	verbose := flag.Bool("v", false, "print simulation-cache hit/miss statistics to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file after the run")
@@ -75,11 +74,7 @@ func run() int {
 		}()
 	}
 
-	if *seq {
-		parallel.SetWorkers(1)
-	} else {
-		parallel.SetWorkers(*par)
-	}
+	parallel.SetWorkers(*par)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -114,17 +109,7 @@ func run() int {
 	case "all":
 		out, err = experiments.RunAll(ctx)
 	case "ablations":
-		var b strings.Builder
-		for _, id := range experiments.AblationIDs() {
-			o, e := experiments.Run(ctx, id)
-			if e != nil {
-				err = e
-				break
-			}
-			b.WriteString(o)
-			b.WriteString("\n")
-		}
-		out = b.String()
+		out, err = experiments.RunAblations(ctx)
 	default:
 		out, err = experiments.Run(ctx, *exp)
 	}

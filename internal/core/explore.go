@@ -176,11 +176,11 @@ func widthConfig(width, bufMB, regs int) arch.Config {
 	return c
 }
 
-// ExploreWidth reproduces the Fig. 21 sweep over the given points. All
+// ExploreWidth reproduces the Fig. 21 sweep over its five points. All
 // sweep points evaluate concurrently under ctx and the fault model fm.
-func ExploreWidth(ctx context.Context, points []WidthPoint, fm *faultinject.Model) ([]SweepPoint, error) {
+func ExploreWidth(ctx context.Context, fm *faultinject.Model) ([]SweepPoint, error) {
 	var cfgs []arch.Config
-	for _, wp := range points {
+	for _, wp := range Fig21Points() {
 		cfgs = append(cfgs, widthConfig(wp.Width, wp.BufferMB, 1))
 	}
 	return sweepAll(ctx, cfgs, fm)

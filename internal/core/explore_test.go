@@ -36,7 +36,7 @@ func TestExploreDivision(t *testing.T) {
 }
 
 func TestExploreWidthShape(t *testing.T) {
-	points, err := ExploreWidth(context.Background(), Fig21Points(), nil)
+	points, err := ExploreWidth(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,49 +15,10 @@ import (
 	"supernpu/internal/workload"
 )
 
-// AblationIDs lists the ablation studies that quantify the design choices
-// DESIGN.md calls out, beyond the paper's own exhibits.
-func AblationIDs() []string {
-	return []string{
-		"ablation-dataflow", "ablation-skew", "ablation-dau",
-		"ablation-bandwidth", "ablation-scaling", "ablation-batch",
-		"ablation-memsys",
-	}
-}
-
-// runAblation dispatches ablation ids (used by Run).
-func runAblation(ctx context.Context, id string) (string, bool, error) {
-	switch id {
-	case "ablation-dataflow":
-		out, err := AblationDataflow(ctx)
-		return out, true, err
-	case "ablation-skew":
-		out, err := AblationClockSkewing(ctx)
-		return out, true, err
-	case "ablation-dau":
-		out, err := AblationNoDAU(ctx)
-		return out, true, err
-	case "ablation-bandwidth":
-		out, err := AblationBandwidth(ctx)
-		return out, true, err
-	case "ablation-scaling":
-		out, err := AblationScaling(ctx)
-		return out, true, err
-	case "ablation-batch":
-		out, err := AblationBatch(ctx)
-		return out, true, err
-	case "ablation-memsys":
-		out, err := AblationMemsys(ctx)
-		return out, true, err
-	default:
-		return "", false, nil
-	}
-}
-
-// AblationDataflow quantifies the weight-stationary choice (Section III-B):
+// ablationDataflow quantifies the weight-stationary choice (Section III-B):
 // the output-stationary PE's accumulator feedback forces counter-flow
 // clocking and costs the whole NPU its clock.
-func AblationDataflow(ctx context.Context) (string, error) {
+func ablationDataflow(ctx context.Context) (string, error) {
 	lib := sfq.NominalLibrary(sfq.RSFQ)
 	t := report.NewTable("Ablation: PE dataflow (Section III-B design choice)",
 		"dataflow", "feedback loop", "clocking", "PE clock (GHz)", "SuperNPU peak (TMAC/s)")
@@ -76,10 +37,10 @@ func AblationDataflow(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// AblationClockSkewing quantifies the clock-skewing frequency-enhancing
+// ablationClockSkewing quantifies the clock-skewing frequency-enhancing
 // technique (Section IV-A2): without skew tuning the clock pulse must wait
 // out the full data propagation of every pair.
-func AblationClockSkewing(ctx context.Context) (string, error) {
+func ablationClockSkewing(ctx context.Context) (string, error) {
 	lib := sfq.NominalLibrary(sfq.RSFQ)
 	skewed := pe.Default8Bit(1).CriticalPairs(lib)
 	// The unskewed variant exposes each pair's full data path against a
@@ -103,10 +64,10 @@ func AblationClockSkewing(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// AblationNoDAU quantifies the data alignment unit: without it, every ifmap
+// ablationNoDAU quantifies the data alignment unit: without it, every ifmap
 // buffer row stores all pixels its PE row needs, so duplicated pixels
 // (Fig. 8) consume the buffer and collapse the batch.
-func AblationNoDAU(ctx context.Context) (string, error) {
+func ablationNoDAU(ctx context.Context) (string, error) {
 	t := report.NewTable("Ablation: removing the data alignment unit",
 		"workload", "duplicated pixels %", "batch w/ DAU", "batch w/o DAU", "throughput w/o DAU (rel.)")
 	for _, net := range workload.All() {
@@ -135,9 +96,9 @@ func AblationNoDAU(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// AblationBandwidth sweeps the off-chip bandwidth around the paper's
+// ablationBandwidth sweeps the off-chip bandwidth around the paper's
 // 300 GB/s HBM assumption, exposing where SuperNPU turns memory-bound.
-func AblationBandwidth(ctx context.Context) (string, error) {
+func ablationBandwidth(ctx context.Context) (string, error) {
 	t := report.NewTable("Ablation: off-chip memory bandwidth (SuperNPU)",
 		"bandwidth (GB/s)", "avg effective (TMAC/s)", "avg PE utilization %")
 	for _, gb := range []float64{75, 150, 300, 600, 1200} {
@@ -158,9 +119,9 @@ func AblationBandwidth(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// AblationScaling projects the SuperNPU clock under the JJ feature-size
+// ablationScaling projects the SuperNPU clock under the JJ feature-size
 // scaling rule of the paper's footnote 2 (linear down to ~200 nm).
-func AblationScaling(ctx context.Context) (string, error) {
+func ablationScaling(ctx context.Context) (string, error) {
 	t := report.NewTable("Ablation: JJ feature-size scaling (paper footnote 2)",
 		"process", "PE clock (GHz)", "SuperNPU peak (TMAC/s)")
 	for _, f := range []float64{1.0, 0.5, 0.25, 0.2} {
@@ -175,9 +136,9 @@ func AblationScaling(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// AblationBatch shows the computational-intensity mechanism: SuperNPU's
+// ablationBatch shows the computational-intensity mechanism: SuperNPU's
 // throughput vs batch size on ResNet-50.
-func AblationBatch(ctx context.Context) (string, error) {
+func ablationBatch(ctx context.Context) (string, error) {
 	net := workload.ResNet50()
 	tpu, err := core.Evaluate(ctx, core.DesignPoints()[0], net, 0)
 	if err != nil {
@@ -198,11 +159,11 @@ func AblationBatch(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// AblationMemsys validates the flat-bandwidth DRAM abstraction the
+// ablationMemsys validates the flat-bandwidth DRAM abstraction the
 // simulators use: with HBM2's request overhead and burst granularity, the
 // NPU's megabyte-scale layer transfers achieve near-peak bandwidth, while
 // fine-grained access (the regime shift-register buffers avoid) would not.
-func AblationMemsys(ctx context.Context) (string, error) {
+func ablationMemsys(ctx context.Context) (string, error) {
 	m := memsys.HBM2()
 	t := report.NewTable("Ablation: off-chip transfer granularity (HBM2 model)",
 		"transfer size", "effective bandwidth (GB/s)", "efficiency %")

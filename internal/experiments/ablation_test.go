@@ -10,6 +10,7 @@ func TestAblationIDsDispatch(t *testing.T) {
 	if len(AblationIDs()) != 7 {
 		t.Fatalf("got %d ablations, want 7", len(AblationIDs()))
 	}
+	var serial strings.Builder
 	for _, id := range AblationIDs() {
 		out, err := Run(context.Background(), id)
 		if err != nil {
@@ -18,12 +19,21 @@ func TestAblationIDsDispatch(t *testing.T) {
 		if !strings.Contains(out, "Ablation:") {
 			t.Errorf("%s output missing the Ablation marker", id)
 		}
+		serial.WriteString(out + "\n")
+	}
+	// RunAblations renders them concurrently and joins them in table order.
+	all, err := RunAblations(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all != serial.String() {
+		t.Errorf("RunAblations differs from the serial join of Run:\n%s", all)
 	}
 }
 
 // The dataflow ablation must show the ~2× counter-flow penalty.
 func TestAblationDataflowShowsFeedbackPenalty(t *testing.T) {
-	out, err := AblationDataflow(context.Background())
+	out, err := ablationDataflow(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +47,7 @@ func TestAblationDataflowShowsFeedbackPenalty(t *testing.T) {
 
 // The DAU ablation must show batch collapse for the duplication-heavy nets.
 func TestAblationNoDAUCollapsesBatch(t *testing.T) {
-	out, err := AblationNoDAU(context.Background())
+	out, err := ablationNoDAU(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +60,7 @@ func TestAblationNoDAUCollapsesBatch(t *testing.T) {
 
 // The skew ablation must report a slowdown without skew tuning.
 func TestAblationSkewSlowdown(t *testing.T) {
-	out, err := AblationClockSkewing(context.Background())
+	out, err := ablationClockSkewing(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +71,7 @@ func TestAblationSkewSlowdown(t *testing.T) {
 
 // Scaling must show the linear frequency growth and the 200 nm clamp.
 func TestAblationScalingRows(t *testing.T) {
-	out, err := AblationScaling(context.Background())
+	out, err := ablationScaling(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation from the repository's models: each function reproduces the
-// rows/series of one exhibit, and Run dispatches by the exhibit's id. The
-// benchmark harness (bench_test.go) and cmd/supernpu-repro are thin
-// wrappers over this package.
+// evaluation from the repository's models: each generator reproduces the
+// rows/series of one exhibit, and one table (exhibits) maps every id to
+// its generator. The benchmark harness (bench_test.go) and
+// cmd/supernpu-repro are thin wrappers over this package.
 package experiments
 
 import (
@@ -28,77 +28,88 @@ import (
 	"supernpu/internal/workload"
 )
 
-// IDs lists every reproducible exhibit in paper order.
-func IDs() []string {
-	return []string{
-		"fig5", "fig7", "fig8", "fig13", "fig15", "fig17",
-		"fig20", "fig21", "fig22", "fig23",
-		"table1", "table2", "table3",
-	}
+// exhibit is one reproducible exhibit: its id and the generator that
+// renders it.
+type exhibit struct {
+	id  string
+	gen func(context.Context) (string, error)
 }
 
-// Run regenerates one exhibit and returns its rendered text. Each run is
-// timed into the supernpu_exhibit_seconds histogram (labelled by exhibit
-// id) and wrapped in an "exhibit" tracing span; both are pure telemetry
-// and never influence the rendered bytes.
+// exhibits is every exhibit this package regenerates: the paper's own in
+// paper order, then the ablation studies that quantify the design choices
+// DESIGN.md calls out. IDs, AblationIDs, Run, RunAll and RunAblations all
+// read it, so a per-exhibit policy attaches here.
+var exhibits = []exhibit{
+	{"fig5", fig5}, {"fig7", fig7}, {"fig8", fig8}, {"fig13", fig13},
+	{"fig15", fig15}, {"fig17", fig17}, {"fig20", fig20}, {"fig21", fig21},
+	{"fig22", fig22}, {"fig23", fig23},
+	{"table1", table1}, {"table2", table2}, {"table3", table3},
+
+	{"ablation-dataflow", ablationDataflow}, {"ablation-skew", ablationClockSkewing},
+	{"ablation-dau", ablationNoDAU}, {"ablation-bandwidth", ablationBandwidth},
+	{"ablation-scaling", ablationScaling}, {"ablation-batch", ablationBatch},
+	{"ablation-memsys", ablationMemsys},
+}
+
+// paper and ablations split the table after its 13 paper exhibits.
+var paper, ablations = exhibits[:13], exhibits[13:]
+
+// IDs lists every reproducible paper exhibit in paper order.
+func IDs() []string { return idsOf(paper) }
+
+// AblationIDs lists the ablation studies, beyond the paper's own exhibits.
+func AblationIDs() []string { return idsOf(ablations) }
+
+func idsOf(es []exhibit) []string {
+	ids := make([]string, len(es))
+	for i, e := range es {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// Run regenerates one exhibit or ablation and returns its rendered text.
+// An unknown id is an error and leaves no telemetry behind.
 func Run(ctx context.Context, id string) (string, error) {
-	defer obs.Time(obs.Default.Histogram("supernpu_exhibit_seconds",
-		"wall time to regenerate one exhibit", obs.DurationEdges, obs.L("exhibit", id)))()
-	sp := obs.StartSpan("exhibit", obs.L("id", id))
-	defer sp.End()
-	return run(ctx, id)
-}
-
-// run dispatches an exhibit id to its generator.
-func run(ctx context.Context, id string) (string, error) {
-	switch id {
-	case "fig5":
-		return Fig5(ctx)
-	case "fig7":
-		return Fig7(ctx)
-	case "fig8":
-		return Fig8(ctx)
-	case "fig13":
-		return Fig13(ctx)
-	case "fig15":
-		return Fig15(ctx)
-	case "fig17":
-		return Fig17(ctx)
-	case "fig20":
-		return Fig20(ctx)
-	case "fig21":
-		return Fig21(ctx)
-	case "fig22":
-		return Fig22(ctx)
-	case "fig23":
-		return Fig23(ctx)
-	case "table1":
-		return Table1(ctx)
-	case "table2":
-		return Table2(ctx)
-	case "table3":
-		return Table3(ctx)
-	default:
-		if out, ok, err := runAblation(ctx, id); ok {
-			return out, err
+	for _, e := range exhibits {
+		if e.id == id {
+			return e.run(ctx)
 		}
-		return "", fmt.Errorf("experiments: unknown exhibit %q (have %s and ablations %s)",
-			id, strings.Join(IDs(), ", "), strings.Join(AblationIDs(), ", "))
 	}
+	return "", fmt.Errorf("experiments: unknown exhibit %q (have %s and ablations %s)",
+		id, strings.Join(IDs(), ", "), strings.Join(AblationIDs(), ", "))
 }
 
-// RunAll regenerates every exhibit. Exhibits render concurrently (bounded
-// by parallel.Workers()) and join in paper order, so the output is
-// byte-identical to a serial run.
+// run regenerates e, timed into the supernpu_exhibit_seconds histogram
+// (labelled by exhibit id) and wrapped in an "exhibit" tracing span; both
+// are pure telemetry and never influence the rendered bytes.
+func (e exhibit) run(ctx context.Context) (string, error) {
+	defer obs.Time(obs.Default.Histogram("supernpu_exhibit_seconds",
+		"wall time to regenerate one exhibit", obs.DurationEdges, obs.L("exhibit", e.id)))()
+	sp := obs.StartSpan("exhibit", obs.L("id", e.id))
+	defer sp.End()
+	return e.gen(ctx)
+}
+
+// RunAll regenerates every paper exhibit, inside one "report" span.
 func RunAll(ctx context.Context) (string, error) {
 	sp := obs.StartSpan("report")
 	defer sp.End()
-	ids := IDs()
-	outs := make([]string, len(ids))
-	err := parallel.ForEachContext(ctx, len(ids), func(ctx context.Context, i int) error {
-		out, err := Run(ctx, ids[i])
+	return runEach(ctx, paper)
+}
+
+// RunAblations regenerates every ablation study.
+func RunAblations(ctx context.Context) (string, error) { return runEach(ctx, ablations) }
+
+// runEach renders es concurrently (bounded by parallel.Workers()) and
+// joins them in table order, each followed by a blank line, so the output
+// is byte-identical to a serial run.
+func runEach(ctx context.Context, es []exhibit) (string, error) {
+	outs := make([]string, len(es))
+	err := parallel.ForEachContext(ctx, len(es), func(ctx context.Context, i int) error {
+		out, err := es[i].run(ctx)
 		if err != nil {
-			return fmt.Errorf("%s: %w", ids[i], err)
+			return fmt.Errorf("%s: %w", es[i].id, err)
 		}
 		outs[i] = out
 		return nil
@@ -114,9 +125,9 @@ func RunAll(ctx context.Context) (string, error) {
 	return b.String(), nil
 }
 
-// Fig5 compares the three on-chip network designs' critical-path delay and
+// fig5 compares the three on-chip network designs' critical-path delay and
 // area over PE-array widths (Fig. 5).
-func Fig5(ctx context.Context) (string, error) {
+func fig5(ctx context.Context) (string, error) {
 	lib := sfq.NominalLibrary(sfq.RSFQ)
 	t := report.NewTable("Fig. 5: network-unit critical-path delay (ps) and area (mm^2)",
 		"PE array width", "2D tree delay", "1D tree delay", "systolic delay",
@@ -136,10 +147,10 @@ func Fig5(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// Fig7 reports the feedback-loop frequency penalty for the full adder and
+// fig7 reports the feedback-loop frequency penalty for the full adder and
 // shift register under both clocking schemes (Fig. 7(c)), plus the RCSJ
 // circuit-level extraction that anchors the gate level.
-func Fig7(ctx context.Context) (string, error) {
+func fig7(ctx context.Context) (string, error) {
 	lib := sfq.NominalLibrary(sfq.RSFQ)
 	t := report.NewTable("Fig. 7(c): feedback-loop impact on clock frequency (GHz)",
 		"circuit", "without feedback (concurrent-flow)", "with feedback (counter-flow)")
@@ -164,9 +175,9 @@ func Fig7(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// Fig8 reports the duplicated-ifmap-pixel ratio for the naive buffering
+// fig8 reports the duplicated-ifmap-pixel ratio for the naive buffering
 // scheme (Fig. 8).
-func Fig8(ctx context.Context) (string, error) {
+func fig8(ctx context.Context) (string, error) {
 	s := report.NewSeries("Fig. 8: duplicated ifmap pixels under naive row buffering", "% duplicated")
 	for _, name := range []string{"AlexNet", "ResNet50", "VGG16"} {
 		net, err := workload.ByName(name)
@@ -178,9 +189,9 @@ func Fig8(ctx context.Context) (string, error) {
 	return s.String() + "paper: over 90% for all three networks\n", nil
 }
 
-// Fig13 reports the estimator validation against the die/post-layout
+// fig13 reports the estimator validation against the die/post-layout
 // references (Fig. 13).
-func Fig13(ctx context.Context) (string, error) {
+func fig13(ctx context.Context) (string, error) {
 	rep := estimator.Validate()
 	t := report.NewTable("Fig. 13: model validation vs die/post-layout references",
 		"subject", "metric", "reference", "model", "error %")
@@ -200,9 +211,9 @@ func Fig13(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// Fig15 reports the Baseline's preparation-vs-computation cycle breakdown
+// fig15 reports the Baseline's preparation-vs-computation cycle breakdown
 // per workload (Fig. 15).
-func Fig15(ctx context.Context) (string, error) {
+func fig15(ctx context.Context) (string, error) {
 	t := report.NewTable("Fig. 15: Baseline cycle breakdown (batch 1)",
 		"workload", "preparation %", "computation %")
 	for _, net := range workload.All() {
@@ -218,9 +229,9 @@ func Fig15(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// Fig17 reports the roofline analysis of the Baseline at a single batch
+// fig17 reports the roofline analysis of the Baseline at a single batch
 // (Fig. 17).
-func Fig17(ctx context.Context) (string, error) {
+func fig17(ctx context.Context) (string, error) {
 	est, err := estimator.Estimate(ctx, arch.Baseline())
 	if err != nil {
 		return "", err
@@ -246,8 +257,8 @@ func Fig17(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// Fig20 reports the buffer integration/division sweep (Fig. 20).
-func Fig20(ctx context.Context) (string, error) {
+// fig20 reports the buffer integration/division sweep (Fig. 20).
+func fig20(ctx context.Context) (string, error) {
 	points, err := core.ExploreDivision(ctx, []int{4, 16, 64, 256, 1024, 4096}, nil)
 	if err != nil {
 		return "", err
@@ -261,9 +272,9 @@ func Fig20(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// Fig21 reports the resource-balancing sweep (Fig. 21).
-func Fig21(ctx context.Context) (string, error) {
-	points, err := core.ExploreWidth(ctx, core.Fig21Points(), nil)
+// fig21 reports the resource-balancing sweep (Fig. 21).
+func fig21(ctx context.Context) (string, error) {
+	points, err := core.ExploreWidth(ctx, nil)
 	if err != nil {
 		return "", err
 	}
@@ -276,9 +287,9 @@ func Fig21(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// Fig22 reports the registers-per-PE sweep on the 64- and 128-wide designs
+// fig22 reports the registers-per-PE sweep on the 64- and 128-wide designs
 // (Fig. 22).
-func Fig22(ctx context.Context) (string, error) {
+func fig22(ctx context.Context) (string, error) {
 	regs := []int{1, 2, 4, 8, 16, 32}
 	w64, err := core.ExploreRegisters(ctx, 64, regs, nil)
 	if err != nil {
@@ -297,9 +308,9 @@ func Fig22(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// Fig23 reports the final performance evaluation: all five designs over the
+// fig23 reports the final performance evaluation: all five designs over the
 // six workloads, normalised to the TPU (Fig. 23).
-func Fig23(ctx context.Context) (string, error) {
+func fig23(ctx context.Context) (string, error) {
 	designs := core.DesignPoints()
 	t := report.NewTable("Fig. 23: speedup over the TPU core (effective throughput)",
 		append([]string{"workload"}, designNames(designs)...)...)
@@ -336,8 +347,8 @@ func Fig23(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// Table1 reports the evaluation setup of every design (Table I).
-func Table1(ctx context.Context) (string, error) {
+// table1 reports the evaluation setup of every design (Table I).
+func table1(ctx context.Context) (string, error) {
 	t := report.NewTable("Table I: evaluation setup",
 		"design", "array WxH", "regs/PE", "ifmap buf", "output buf", "psum buf", "weight buf",
 		"freq (GHz)", "peak (TMAC/s)", "area @28nm (mm^2)")
@@ -367,8 +378,8 @@ func Table1(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// Table2 reports every design's maximum batch per workload (Table II).
-func Table2(ctx context.Context) (string, error) {
+// table2 reports every design's maximum batch per workload (Table II).
+func table2(ctx context.Context) (string, error) {
 	designs := core.DesignPoints()
 	t := report.NewTable("Table II: batch size per design (on-chip, no extra DRAM traffic)",
 		append([]string{"workload"}, designNames(designs)...)...)
@@ -383,11 +394,11 @@ func Table2(ctx context.Context) (string, error) {
 	return t.String(), nil
 }
 
-// Table3 reports the power-efficiency evaluation (Table III). Following the
+// table3 reports the power-efficiency evaluation (Table III). Following the
 // paper's accounting, the normalised perf/W of a design is its mean speedup
 // over the TPU (Fig. 23's average) times the power ratio — throughput
 // ratios are averaged per workload before dividing by power.
-func Table3(ctx context.Context) (string, error) {
+func table3(ctx context.Context) (string, error) {
 	t := report.NewTable("Table III: power efficiency",
 		"design", "power (W)", "perf/W (norm. to TPU)")
 	tpuPower := scalesim.TPU().Power

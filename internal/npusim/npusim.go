@@ -240,7 +240,7 @@ func chargeLayer(cfg arch.Config, cpb float64, l workload.Layer, batch int) Laye
 	recirculate := int64(cfg.IfmapBuf().RecirculateCycles())
 	var psumMove int64
 	if !cfg.IntegratedOutput {
-		psumMove = int64(cfg.OutputBuf().InterBufferMoveCycles(cfg.PsumBuf(), cfg.PsumBufBytes))
+		psumMove = int64(cfg.OutputBuf().InterBufferMoveCycles(cfg.PsumBuf()))
 	}
 
 	for _, c := range mapper.Classes(l, cfg.ArrayHeight, cfg.ArrayWidth, cfg.Registers) {

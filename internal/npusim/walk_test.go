@@ -39,7 +39,7 @@ func walkLayer(cfg arch.Config, cpb float64, l workload.Layer, batch int) LayerS
 	if !cfg.IntegratedOutput {
 		outBuf := srmem.Config{WidthBytes: cfg.ArrayWidth, CapacityBytes: cfg.OutputBufBytes, Chunks: cfg.OutputChunks}
 		psumBuf := srmem.Config{WidthBytes: cfg.ArrayWidth, CapacityBytes: cfg.PsumBufBytes, Chunks: 1}
-		psumMove = int64(outBuf.InterBufferMoveCycles(psumBuf, cfg.PsumBufBytes))
+		psumMove = int64(outBuf.InterBufferMoveCycles(psumBuf))
 	}
 
 	for _, t := range mapper.Tiles(l, cfg.ArrayHeight, cfg.ArrayWidth, cfg.Registers) {

@@ -34,18 +34,17 @@ func techFor(ersfq bool) sfq.Technology {
 // input (VGG16: 1.38e8 weights, 1.6e10 MACs); with maxBatch that keeps
 // batch × MACs below 2^60, clear of int64 overflow in the cycle counts.
 const (
-	maxBodyBytes  = 1 << 20 // 1 MiB of JSON per request
-	maxLayers     = 512     // deepest evaluation CNN is 58 compute layers
-	maxLayerDim   = 1 << 14 // H, W, C, R, S, M per layer
-	maxWeights    = 1 << 28 // total weights of a custom network
-	maxMACs       = 1 << 44 // total MACs of a custom network per input
-	maxBatch      = 1 << 16
-	maxArrayDim   = 1 << 12 // PE array height/width (paper max: 256)
-	maxRegisters  = 1 << 8  // registers per PE (paper max: 8)
-	maxBufBytes   = 1 << 30 // any single buffer capacity (paper max: 48 MB total)
-	maxChunks     = 1 << 16 // buffer division degree (paper max: 256)
-	maxSweepPts   = 64      // sweep points per explore request
-	maxSweepWidth = 1 << 12
+	maxBodyBytes = 1 << 20 // 1 MiB of JSON per request
+	maxLayers    = 512     // deepest evaluation CNN is 58 compute layers
+	maxLayerDim  = 1 << 14 // H, W, C, R, S, M per layer
+	maxWeights   = 1 << 28 // total weights of a custom network
+	maxMACs      = 1 << 44 // total MACs of a custom network per input
+	maxBatch     = 1 << 16
+	maxArrayDim  = 1 << 12 // PE array height/width (paper max: 256)
+	maxRegisters = 1 << 8  // registers per PE (paper max: 8)
+	maxBufBytes  = 1 << 30 // any single buffer capacity (paper max: 48 MB total)
+	maxChunks    = 1 << 16 // buffer division degree (paper max: 256)
+	maxSweepPts  = 64      // sweep points per explore request
 )
 
 // apiError is the uniform JSON error envelope.
@@ -157,7 +156,8 @@ type ExploreRequest struct {
 	Sweep string `json:"sweep"`
 	// Degrees are the buffer division degrees (sweep=division).
 	Degrees []int `json:"degrees,omitempty"`
-	// Width is the PE-array width (sweep=registers).
+	// Width is the PE-array width (sweep=registers): one of Fig. 21's
+	// widths, 256, 128, 64, 32 or 16.
 	Width int `json:"width,omitempty"`
 	// Registers are the registers-per-PE counts (sweep=registers).
 	Registers []int `json:"registers,omitempty"`
@@ -422,12 +422,7 @@ func (req *ExploreRequest) validate() error {
 	case "width":
 		// no parameters: the paper's five resource-balancing points
 	case "registers":
-		switch req.Width {
-		case 64, 128:
-			// the two widths Fig. 22 sweeps
-		default:
-			return fmt.Errorf("sweep=registers requires width 64 or 128, got %d", req.Width)
-		}
+		// The width is core.ExploreRegisters' to check: any Fig. 21 width.
 		if len(req.Registers) == 0 {
 			return fmt.Errorf("sweep=registers requires registers")
 		}

@@ -153,7 +153,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	case "division":
 		pts, err = core.ExploreDivision(r.Context(), req.Degrees, s.opts.Fault)
 	case "width":
-		pts, err = core.ExploreWidth(r.Context(), core.Fig21Points(), s.opts.Fault)
+		pts, err = core.ExploreWidth(r.Context(), s.opts.Fault)
 	case "registers":
 		pts, err = core.ExploreRegisters(r.Context(), req.Width, req.Registers, s.opts.Fault)
 	}

@@ -49,7 +49,8 @@ type Options struct {
 	// slot; one more is rejected with 429. Default: 64.
 	QueueDepth int
 	// Timeout is the wall-clock budget of a work request, queue wait
-	// included. Default (any value <= 0): 30s.
+	// included, and how long Serve keeps an idle keep-alive connection
+	// open between requests. Default (any value <= 0): 30s.
 	Timeout time.Duration
 	// Logger receives one line per request. Default: log.Default().
 	Logger *log.Logger
@@ -130,6 +131,7 @@ func (s *Server) Serve(ctx context.Context, l net.Listener, grace time.Duration)
 	srv := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       s.opts.Timeout,
 		ErrorLog:          s.opts.Logger,
 	}
 	errc := make(chan error, 1)

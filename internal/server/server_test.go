@@ -220,6 +220,25 @@ func TestExplore(t *testing.T) {
 	}
 }
 
+// TestExploreRegistersTakesEveryFig21Width holds the service to the one
+// width policy of the facade and the CLI: any Fig. 21 width, at its Fig. 21
+// buffer capacity. Width 7, which is not a Fig. 21 point, stays a 400
+// (TestExplore).
+func TestExploreRegistersTakesEveryFig21Width(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	status, body, _ := post(t, ts.URL+"/v1/explore", `{"sweep":"registers","width":32,"registers":[1,2]}`)
+	if status != http.StatusOK {
+		t.Fatalf("explore = %d %s, want 200", status, body)
+	}
+	var got ExploreResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Points) != 2 || got.Points[0].Label != "width 32 / 50 MB / 1 regs" {
+		t.Fatalf("unexpected sweep: %+v", got)
+	}
+}
+
 func TestListingsAndStats(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	status, body := get(t, ts.URL+"/v1/designs")
@@ -548,6 +567,57 @@ func TestGracefulDrain(t *testing.T) {
 	// New connections are refused after shutdown.
 	if _, err := http.Get(url + "/healthz"); err == nil {
 		t.Fatal("server still accepting connections after drain")
+	}
+}
+
+// TestServeClosesIdleConnections holds an idle keep-alive connection to
+// the request budget: after one answered request, Serve closes a
+// connection that sends nothing more once Timeout has passed. httptest
+// servers bypass Serve, so the test listens itself.
+func TestServeClosesIdleConnections(t *testing.T) {
+	leaktest.Check(t)
+	s := New(Options{Timeout: 50 * time.Millisecond, Logger: quiet})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, l, time.Second) }()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("Serve returned %v, want nil", err)
+		}
+	})
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz = %d (%v), want 200", resp.StatusCode, err)
+	}
+	idle := time.Now()
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("idle connection read = %v after %s, want EOF", err, time.Since(idle))
+	}
+	if d := time.Since(idle); d >= time.Second {
+		t.Fatalf("idle connection closed after %s, want about 50ms", d)
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,6 +101,12 @@ func AppendConfigKey(b []byte, cfg arch.Config) []byte {
 	b = AppendInt(b, int64(cfg.Tech))
 	return AppendFloat(b, cfg.MemoryBandwidth)
 }
+
+// ConfigKey returns AppendConfigKey's key as a string, for callers that
+// keep keys as values; no cache builds it. Its last callers are in the
+// benchmark module (_perfbench/serve.go and gen_test.go), which tell
+// configurations apart by it.
+func ConfigKey(cfg arch.Config) string { return string(AppendConfigKey(nil, cfg)) }
 
 // AppendNetworkKey appends the key of a workload. A network equal to one
 // of the paper's six CNNs (workload.TemplateIndex) keys as a 0 tag byte
@@ -177,54 +182,10 @@ func AppendFaultKey(b []byte, fm *faultinject.Model) []byte {
 	return AppendFloat(b, fm.SimFail)
 }
 
-// --- text keys kept for the benchmark module ---
+// --- the text identity kept for the benchmark module ---
 
-// sep joins the parts of a text key.
+// sep joins the parts of a Fingerprint.
 const sep = "\x1f"
-
-// writeInt appends one integer field to a text key under construction.
-func writeInt(b *strings.Builder, v int64) {
-	b.WriteString(sep)
-	b.WriteString(strconv.FormatInt(v, 10))
-}
-
-// writeBool appends one boolean field.
-func writeBool(b *strings.Builder, v bool) {
-	if v {
-		b.WriteString(sep + "t")
-	} else {
-		b.WriteString(sep + "f")
-	}
-}
-
-// writeFloat appends one float64 field.
-func writeFloat(b *strings.Builder, v float64) {
-	b.WriteString(sep)
-	b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-}
-
-// ConfigKey renders an SFQ NPU configuration as text. It is not a memo
-// key, and nothing in this module calls it: its last callers are in the
-// benchmark module, _perfbench/serve.go and _perfbench/gen_test.go, which
-// tell configurations apart by it. Keep it in step with arch.Config.
-func ConfigKey(cfg arch.Config) string {
-	var b strings.Builder
-	b.Grow(96)
-	b.WriteString(cfg.Name)
-	writeInt(&b, int64(cfg.ArrayHeight))
-	writeInt(&b, int64(cfg.ArrayWidth))
-	writeInt(&b, int64(cfg.Registers))
-	writeInt(&b, int64(cfg.IfmapBufBytes))
-	writeInt(&b, int64(cfg.IfmapChunks))
-	writeInt(&b, int64(cfg.OutputBufBytes))
-	writeInt(&b, int64(cfg.OutputChunks))
-	writeBool(&b, cfg.IntegratedOutput)
-	writeInt(&b, int64(cfg.PsumBufBytes))
-	writeInt(&b, int64(cfg.WeightBufBytes))
-	writeInt(&b, int64(cfg.Tech))
-	writeFloat(&b, cfg.MemoryBandwidth)
-	return b.String()
-}
 
 // Fingerprint renders each part with %+v and joins them with 0x1f. No memo
 // cache keys through it: it is reflective, allocates, and lets a part

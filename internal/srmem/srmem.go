@@ -54,11 +54,12 @@ func (c Config) ChunkEntries() int { return c.Entries() / c.Chunks }
 // already-used data is needed for the next computation (Fig. 16 ②).
 func (c Config) RecirculateCycles() int { return c.ChunkEntries() }
 
-// InterBufferMoveCycles is the cost of moving n bytes from a chunk of this
-// buffer into a chunk of dst by shifting both: the data walks out of the
-// source chunk and into the destination chunk (Fig. 16 ①: ofmap → psum
-// movement costs the sum of the two buffer lengths in the Baseline).
-func (c Config) InterBufferMoveCycles(dst Config, n int) int {
+// InterBufferMoveCycles is the cost of moving a chunk of this buffer into
+// a chunk of dst by shifting both: the data walks out of the source chunk
+// and into the destination chunk, so the cost is the two chunk lengths
+// whatever the byte count (Fig. 16 ①: ofmap → psum movement costs the sum
+// of the two buffer lengths in the Baseline).
+func (c Config) InterBufferMoveCycles(dst Config) int {
 	return c.RecirculateCycles() + dst.RecirculateCycles()
 }
 

@@ -17,7 +17,7 @@ const mb = 1 << 20
 func TestFig16InterBufferMoveCost(t *testing.T) {
 	ofmap := Config{WidthBytes: 256, CapacityBytes: 8 * mb, Chunks: 1}
 	psum := Config{WidthBytes: 256, CapacityBytes: 8 * mb, Chunks: 1}
-	if got := ofmap.InterBufferMoveCycles(psum, 8*mb); got != 65536 {
+	if got := ofmap.InterBufferMoveCycles(psum); got != 65536 {
 		t.Fatalf("inter-buffer move = %d cycles, want 65536", got)
 	}
 }

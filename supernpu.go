@@ -157,7 +157,7 @@ func ExploreDivision(ctx context.Context, degrees []int, fm *FaultModel) ([]Swee
 // ExploreWidth sweeps PE-array width with rebalanced buffers (Fig. 21)
 // under the fault model fm.
 func ExploreWidth(ctx context.Context, fm *FaultModel) ([]SweepPoint, error) {
-	return core.ExploreWidth(ctx, core.Fig21Points(), fm)
+	return core.ExploreWidth(ctx, fm)
 }
 
 // ExploreRegisters sweeps registers per PE (Fig. 22) at one of Fig. 21's
@@ -201,8 +201,9 @@ func MarginSweep(ctx context.Context, o MarginSweepOptions) (string, error) {
 // ExperimentIDs lists the reproducible paper exhibits (fig5 … table3).
 func ExperimentIDs() []string { return experiments.IDs() }
 
-// RunExperiment regenerates one paper exhibit as rendered text.
-// Cancellation of ctx aborts the underlying simulations.
+// RunExperiment regenerates one paper exhibit or ablation study (an id
+// from ExperimentIDs or AblationIDs) as rendered text. An unknown id is an
+// error. Cancellation of ctx aborts the underlying simulations.
 func RunExperiment(ctx context.Context, id string) (string, error) {
 	return experiments.Run(ctx, id)
 }
@@ -291,5 +292,6 @@ func FunctionalCheck(l Layer, rows, cols, regs int, seed int64) (systolic.Stats,
 }
 
 // AblationIDs lists the repository's design-choice ablation studies
-// (dataflow, clock skewing, DAU, bandwidth, process scaling, batch).
+// (dataflow, clock skewing, DAU, bandwidth, process scaling, batch, memory
+// system).
 func AblationIDs() []string { return experiments.AblationIDs() }
