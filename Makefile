@@ -118,8 +118,9 @@ examples:
 
 # Chaos smoke: the fault-injected margin sweep under the race detector
 # with an aggressive cancellation hammer (timeouts landing at staggered
-# offsets across the sweep's lifetime). Asserts cancellations stay inside
-# the guard taxonomy, leak no goroutines, and never poison a cache.
+# offsets across the sweep's lifetime). Asserts a cancellation surfaces only
+# as context.Canceled or context.DeadlineExceeded, leaks no goroutines, and
+# never poisons a cache.
 chaos-smoke:
 	SUPERNPU_CHAOS=1 $(GO) test -race -count=1 -run TestChaosMarginSweepCancellationHammer ./internal/experiments -v
 

@@ -25,7 +25,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -105,7 +104,7 @@ func main() {
 	}
 
 	if err := run(ctx, *sweep, *width, *faultSeed, fm); err != nil {
-		if errors.Is(err, guard.ErrCanceled) || errors.Is(err, guard.ErrDeadlineExceeded) {
+		if guard.IsCancellation(err) {
 			fmt.Fprintln(os.Stderr, "supernpu-explore: sweep canceled:", err)
 			os.Exit(130)
 		}

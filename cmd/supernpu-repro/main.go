@@ -14,7 +14,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -50,7 +49,7 @@ func run() int {
 
 	// Ctrl-C (or an expired -deadline) cancels the context threaded through
 	// every simulation loop; the run stops within one poll interval and
-	// reports a guard-taxonomy error instead of dying mid-write.
+	// reports the context's error instead of dying mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *deadline > 0 {
@@ -114,7 +113,7 @@ func run() int {
 		out, err = experiments.Run(ctx, *exp)
 	}
 	if err != nil {
-		if errors.Is(err, guard.ErrCanceled) || errors.Is(err, guard.ErrDeadlineExceeded) {
+		if guard.IsCancellation(err) {
 			fmt.Fprintln(os.Stderr, "supernpu-repro: run canceled:", err)
 			return 130
 		}

@@ -145,7 +145,7 @@ type Evaluation struct {
 
 // Evaluate runs the workload at the given batch (0 = the design's max
 // batch) and returns the unified result. Cancellation of ctx aborts the
-// underlying simulation with an error matching guard.ErrCanceled.
+// underlying simulation with an error matching context.Canceled.
 func Evaluate(ctx context.Context, d Design, net workload.Network, batch int) (*Evaluation, error) {
 	return EvaluateFaulted(ctx, d, net, batch, nil)
 }

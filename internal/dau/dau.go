@@ -83,9 +83,6 @@ func New(l workload.Layer, assigns []Assignment) (*Unit, error) {
 	return &Unit{layer: l, assigns: assigns}, nil
 }
 
-// Rows returns the number of served PE rows.
-func (u *Unit) Rows() int { return len(u.assigns) }
-
 // SelectRow returns PE row `row`'s aligned input stream for one input
 // image: one value per output position in row-major (e, f) order. Pixels
 // the weight position needs are read from the deduplicated ifmap; positions

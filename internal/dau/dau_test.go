@@ -196,7 +196,7 @@ func TestSelectionSoundnessProperty(t *testing.T) {
 				}
 			}
 		}
-		for r := 0; r < u.Rows(); r++ {
+		for r := range u.assigns {
 			a := RowAssignments(l, 0, l.R*l.S*l.C)[r]
 			present := map[int8]bool{0: true}
 			for y := 0; y < h; y++ {

@@ -210,7 +210,7 @@ func EstimateFaulted(ctx context.Context, cfg arch.Config, fm *faultinject.Model
 // library (nominal or fault-perturbed). The estimation itself is a short
 // closed-form derivation, so the only cancellation point is at entry.
 func estimateWithLib(ctx context.Context, cfg arch.Config, lib *sfq.Library) (*Result, error) {
-	if err := guard.CtxErr(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	units := []UnitEstimate{

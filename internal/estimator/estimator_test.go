@@ -148,8 +148,10 @@ func TestFig13Validation(t *testing.T) {
 	check(Arch, Frequency, 4.7, 0.8)
 	check(Arch, StaticPower, 2.3, 0.8)
 	check(Arch, Area, 9.5, 1.0)
-	if rep.MaxError() > 0.12 {
-		t.Errorf("worst-case validation error %.1f%% exceeds 12%%", rep.MaxError()*100)
+	for _, it := range rep.Items {
+		if e := it.RelError(); e > 0.12 {
+			t.Errorf("%s %s validation error %.1f%% exceeds 12%%", it.Unit, it.Metric, e*100)
+		}
 	}
 }
 

@@ -6,10 +6,9 @@ import (
 	"testing"
 
 	"supernpu/internal/arch"
-	"supernpu/internal/guard"
 )
 
-// A pre-canceled context aborts the estimation with the guard taxonomy and
+// A pre-canceled context aborts the estimation with context.Canceled and
 // is not memoised: a live retry computes the estimate normally.
 func TestEstimateCanceledNotMemoised(t *testing.T) {
 	// A distinct configuration keeps this test's cache entries away from
@@ -20,8 +19,8 @@ func TestEstimateCanceledNotMemoised(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Estimate(ctx, cfg); !errors.Is(err, guard.ErrCanceled) {
-		t.Fatalf("want guard.ErrCanceled, got %v", err)
+	if _, err := Estimate(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 
 	res, err := Estimate(context.Background(), cfg)

@@ -102,17 +102,6 @@ func (r Report) MeanError(level Level, metric Metric) float64 {
 	return sum / float64(n)
 }
 
-// MaxError returns the largest relative error in the report.
-func (r Report) MaxError() float64 {
-	worst := 0.0
-	for _, it := range r.Items {
-		if e := it.RelError(); e > worst {
-			worst = e
-		}
-	}
-	return worst
-}
-
 // Validate runs the estimator on each Fig. 13 subject and compares against
 // the measurement fixtures. It panics if a reference row names a subject
 // with no model: the table and the models are compile-time-known and a

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"supernpu/internal/guard"
 	"supernpu/internal/guard/leaktest"
 	"supernpu/internal/simcache"
 )
@@ -19,8 +18,8 @@ import (
 // the npusim rows — and asserts the three resilience contracts hold under
 // every interleaving:
 //
-//  1. the only error a cancellation ever surfaces is the guard taxonomy
-//     (errors.Is ErrCanceled / ErrDeadlineExceeded), never a panic, a
+//  1. the only error a cancellation ever surfaces is the context's own
+//     (errors.Is context.Canceled / DeadlineExceeded), never a panic, a
 //     deadlock, or a mangled partial result;
 //  2. no goroutine outlives its canceled sweep (leaktest);
 //  3. the caches are not poisoned: after all that violence, a clean run is
@@ -56,10 +55,7 @@ func TestChaosMarginSweepCancellationHammer(t *testing.T) {
 			if out != want {
 				t.Fatalf("round %d: sweep that outran its %s timeout diverged from the reference", i, timeout)
 			}
-		case guard.IsCancellation(err):
-			if !errors.Is(err, guard.ErrCanceled) && !errors.Is(err, guard.ErrDeadlineExceeded) {
-				t.Fatalf("round %d: cancellation outside the taxonomy: %v", i, err)
-			}
+		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			canceled++
 		default:
 			t.Fatalf("round %d (timeout %s): non-cancellation failure: %v", i, timeout, err)

@@ -54,6 +54,18 @@ var exhibits = []exhibit{
 // paper and ablations split the table after its 13 paper exhibits.
 var paper, ablations = exhibits[:13], exhibits[13:]
 
+// exhibitSeconds holds each exhibit's supernpu_exhibit_seconds series,
+// keyed by id. They are registered at package init, so a run looks up no
+// registry entry and an unknown id adds no series.
+var exhibitSeconds = func() map[string]*obs.Histogram {
+	m := make(map[string]*obs.Histogram, len(exhibits))
+	for _, e := range exhibits {
+		m[e.id] = obs.Default.Histogram("supernpu_exhibit_seconds",
+			"wall time to regenerate one exhibit", obs.DurationEdges, obs.L("exhibit", e.id))
+	}
+	return m
+}()
+
 // IDs lists every reproducible paper exhibit in paper order.
 func IDs() []string { return idsOf(paper) }
 
@@ -84,8 +96,7 @@ func Run(ctx context.Context, id string) (string, error) {
 // (labelled by exhibit id) and wrapped in an "exhibit" tracing span; both
 // are pure telemetry and never influence the rendered bytes.
 func (e exhibit) run(ctx context.Context) (string, error) {
-	defer obs.Time(obs.Default.Histogram("supernpu_exhibit_seconds",
-		"wall time to regenerate one exhibit", obs.DurationEdges, obs.L("exhibit", e.id)))()
+	defer obs.Time(exhibitSeconds[e.id])()
 	sp := obs.StartSpan("exhibit", obs.L("id", e.id))
 	defer sp.End()
 	return e.gen(ctx)

@@ -63,7 +63,7 @@ func extractJTLParams(ctx context.Context, dt float64) (GateParams, error) {
 		energy EnergyAccumulator
 		fin    FinalState
 	)
-	s := NewSolver()
+	var s Solver
 	if err := s.RunChain(ctx, chain, 120*sfq.Picosecond, dt, &pulse, &energy, &fin); err != nil {
 		return GateParams{}, err
 	}

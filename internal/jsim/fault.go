@@ -1,6 +1,10 @@
 package jsim
 
-import "supernpu/internal/faultinject"
+import (
+	"strconv"
+
+	"supernpu/internal/faultinject"
+)
 
 // PerturbedJTL builds an n-stage JTL whose junction critical currents carry
 // the fault model's per-site Ic spread: junction i is scaled by
@@ -15,23 +19,8 @@ func PerturbedJTL(n int, fm *faultinject.Model) *Chain {
 		return ch
 	}
 	for i := range ch.Nodes {
-		ic := ch.Nodes[i].JJ.Ic * fm.IcScale("jsim/jtl/"+itoa(i))
+		ic := ch.Nodes[i].JJ.Ic * fm.IcScale("jsim/jtl/"+strconv.Itoa(i))
 		ch.Nodes[i].JJ = CriticallyDamped(ic, ch.Nodes[i].JJ.C)
 	}
 	return ch
-}
-
-// itoa is a minimal non-negative-int formatter (avoids strconv in hot sites).
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [20]byte
-	p := len(b)
-	for i > 0 {
-		p--
-		b[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[p:])
 }

@@ -5,22 +5,18 @@ import (
 	"errors"
 	"testing"
 
-	"supernpu/internal/guard"
 	"supernpu/internal/sfq"
 )
 
 // A context canceled before the run starts must abort the transient at the
-// very first poll, before any physics happens, with the guard taxonomy.
+// very first poll, before any physics happens, with context.Canceled.
 func TestRunChainCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var s Solver
 	err := s.RunChain(ctx, StandardJTL(4), 120*sfq.Picosecond, 0.02*sfq.Picosecond)
-	if !errors.Is(err, guard.ErrCanceled) {
-		t.Fatalf("want guard.ErrCanceled, got %v", err)
-	}
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("wrapped error must still match context.Canceled, got %v", err)
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 
@@ -41,15 +37,15 @@ func (c *cancelAtStep) Observe(step int, t float64, phi, v []float64) {
 }
 
 // A cancellation mid-transient must surface within one poll interval of the
-// step that triggered it: the loop checks its watch every pollSteps steps.
+// step that triggered it: the loop polls ctx.Err() every pollSteps steps.
 func TestRunChainCancelMidTransientWithinOnePollInterval(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	trigger := &cancelAtStep{at: pollSteps + 1, cancel: cancel}
 	var s Solver
 	err := s.RunChain(ctx, StandardJTL(4), 120*sfq.Picosecond, 0.02*sfq.Picosecond, trigger)
-	if !errors.Is(err, guard.ErrCanceled) {
-		t.Fatalf("want guard.ErrCanceled, got %v", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	// The observer runs at the top of each step, so the last observed step
 	// bounds how far the loop got past the trigger.
@@ -59,13 +55,13 @@ func TestRunChainCancelMidTransientWithinOnePollInterval(t *testing.T) {
 	}
 }
 
-// A deadline expiring mid-transient maps to guard.ErrDeadlineExceeded.
+// An expired deadline stops the transient with context.DeadlineExceeded.
 func TestRunChainDeadlineCarriesTaxonomy(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 0)
 	defer cancel()
 	var s Solver
 	err := s.RunChain(ctx, StandardJTL(4), 120*sfq.Picosecond, 0.02*sfq.Picosecond)
-	if !errors.Is(err, guard.ErrDeadlineExceeded) {
-		t.Fatalf("want guard.ErrDeadlineExceeded, got %v", err)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
 }

@@ -115,9 +115,6 @@ func (f *FinalState) Observe(step int, t float64, phi, v []float64) {
 	}
 }
 
-// Phase returns the node's final phase.
-func (f *FinalState) Phase(node int) float64 { return f.phi[node] }
-
 // Slips returns how many complete 2π phase slips the node underwent.
 func (f *FinalState) Slips(node int) int {
 	return int(math.Floor((f.phi[node] + math.Pi) / (2 * math.Pi)))

@@ -69,9 +69,6 @@ func (s *refSolver) derivChain(t float64, phi, v, dphi, dv []float64) {
 // the observers.
 func (s *refSolver) integrate(steps, n int, dt float64, obs []Observer) error {
 	for step := 0; step < steps; step++ {
-		if step&(pollSteps-1) == 0 && s.watch.Canceled() {
-			return s.watch.Err()
-		}
 		t := float64(step) * dt
 		for _, o := range obs {
 			o.Observe(step, t, s.phi, s.v)

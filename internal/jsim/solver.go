@@ -54,7 +54,8 @@ func stepCount(T, dt float64) int {
 // grown on demand and kept across runs, so repeated transients over chains
 // of the same (or smaller) size allocate nothing. A Solver is not safe for
 // concurrent use; give each concurrent job its own (a margin analysis
-// builds one per computed variant).
+// builds one per computed variant). The zero value is ready to use;
+// buffers are sized on first use.
 type Solver struct {
 	// Struct-of-arrays per-node constants, hoisted once per run.
 	bias  []float64 // DC bias current
@@ -81,19 +82,10 @@ type Solver struct {
 	bp, bv     []float64
 	sumP, sumV []float64
 	sn         []float64
-
-	// watch carries the run context so the RK4 loop can poll for
-	// cancellation every pollSteps steps without allocating. Arming
-	// against an uncancellable context is free, which keeps the
-	// zero-allocation steady state intact on that path.
-	watch guard.Watch
 }
 
-// NewSolver returns an empty Solver; buffers are sized on first use.
-func NewSolver() *Solver { return &Solver{} }
-
 // pollSteps is the cancellation poll interval of the RK4 loop: every
-// pollSteps steps the solver polls its watch, so a canceled transient
+// pollSteps steps the solver calls ctx.Err(), so a canceled transient
 // returns within pollSteps steps — microseconds of work — without the
 // loop ever allocating. Must be a power of two; the loop tests
 // step&(pollSteps-1).
@@ -314,13 +306,15 @@ func (s *Solver) step(t, dt float64) error {
 }
 
 // integrate runs the RK4 loop, streaming each pre-update state to the
-// observers. Every pollSteps steps the loop polls the solver's
-// cancellation watch — allocation-free on every path, so the
-// zero-allocation steady state holds whether or not a watch is armed.
-func (s *Solver) integrate(steps int, dt float64, obs []Observer) error {
+// observers. Every pollSteps steps the loop polls ctx.Err(), which
+// allocates on no path, so the zero-allocation steady state holds for
+// every context.
+func (s *Solver) integrate(ctx context.Context, steps int, dt float64, obs []Observer) error {
 	for step := 0; step < steps; step++ {
-		if step&(pollSteps-1) == 0 && s.watch.Canceled() {
-			return s.watch.Err()
+		if step&(pollSteps-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
 		t := float64(step) * dt
 		for _, o := range obs {
@@ -337,12 +331,9 @@ func (s *Solver) integrate(steps int, dt float64, obs []Observer) error {
 
 // RunChain integrates the chain over duration T with fixed step dt,
 // streaming every sample to the observers. After a warm-up run, repeated
-// calls over same-sized chains allocate nothing (observers permitting) —
-// provided ctx is uncancellable (context.Background()); a cancelable
-// context costs one watch registration per run, never per step. The loop
-// polls for cancellation every pollSteps steps and returns an error
-// satisfying errors.Is against guard.ErrCanceled (or
-// guard.ErrDeadlineExceeded) once ctx fires.
+// calls over same-sized chains allocate nothing (observers permitting).
+// The loop polls ctx.Err() every pollSteps steps and returns it once ctx
+// fires: context.Canceled or context.DeadlineExceeded.
 func (s *Solver) RunChain(ctx context.Context, c *Chain, T, dt float64, obs ...Observer) error {
 	if dt <= 0 || T <= 0 {
 		return errors.New("jsim: T and dt must be positive")
@@ -352,13 +343,11 @@ func (s *Solver) RunChain(ctx context.Context, c *Chain, T, dt float64, obs ...O
 		return errors.New("jsim: empty chain")
 	}
 	steps := stepCount(T, dt)
-	s.watch.Arm(ctx)
-	defer s.watch.Disarm()
 	s.prepNodes(c.Nodes)
 	s.indexSources(c.Sources, n)
 	info := RunInfo{Nodes: n, Steps: steps, Dt: dt, Bias: s.bias}
 	for _, o := range obs {
 		o.Init(info)
 	}
-	return s.integrate(steps, dt, obs)
+	return s.integrate(ctx, steps, dt, obs)
 }

@@ -61,8 +61,8 @@ func TestStreamingObserversBitIdenticalToDense(t *testing.T) {
 							t.Fatalf("dt %gps node %d pulse %d: stream %v, dense %v", ps, node, k, got[k], want[k])
 						}
 					}
-					if fin.Phase(node) != dense.finalPhase(node) {
-						t.Fatalf("dt %gps node %d final phase: stream %v, dense %v", ps, node, fin.Phase(node), dense.finalPhase(node))
+					if fin.phi[node] != dense.finalPhase(node) {
+						t.Fatalf("dt %gps node %d final phase: stream %v, dense %v", ps, node, fin.phi[node], dense.finalPhase(node))
 					}
 					if fin.Slips(node) != dense.slips(node) {
 						t.Fatalf("dt %gps node %d slips: stream %d, dense %d", ps, node, fin.Slips(node), dense.slips(node))
@@ -235,7 +235,7 @@ func TestSolverReuseNoStateLeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := record(NewSolver(), ch, T, dt)
+		fresh, err := record(new(Solver), ch, T, dt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +293,7 @@ func TestFusedStepBitIdenticalToReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, dt := range []float64{0.02 * sfq.Picosecond, transientDt} {
 				ps := dt / sfq.Picosecond
-				got, gotErr := record(NewSolver(), ch, T, dt)
+				got, gotErr := record(new(Solver), ch, T, dt)
 				var ref refSolver
 				var want sampleRecorder
 				wantErr := ref.run(ch, T, dt, &want)

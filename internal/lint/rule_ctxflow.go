@@ -1,7 +1,7 @@
 // The ctxflow rule: cancellation must flow through the modeling packages,
-// never originate inside them. The resilience layer (internal/guard) only
-// works if every long-running loop polls a context that the caller — the
-// CLI's signal handler, the server's request deadline — actually controls.
+// never originate inside them. Every long-running loop polls ctx.Err(),
+// which only helps if ctx is a context that the caller — the CLI's signal
+// handler, the server's request deadline — actually controls.
 // A modeling function that manufactures its own root context with
 // context.Background() or context.TODO() cuts that wire: the loop below it
 // becomes uncancellable no matter what the caller does. Likewise an

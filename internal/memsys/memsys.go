@@ -6,10 +6,7 @@
 // megabytes, far above the knee).
 package memsys
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // Model is an HBM-like memory system.
 type Model struct {
@@ -34,14 +31,6 @@ func HBM2() Model {
 		BurstBytes:      256,
 		RequestOverhead: 60e-9,
 	}
-}
-
-// Validate reports a configuration error, if any.
-func (m Model) Validate() error {
-	if m.PeakBandwidth <= 0 || m.Channels <= 0 || m.BurstBytes <= 0 || m.RequestOverhead < 0 {
-		return errors.New("memsys: all model parameters must be positive")
-	}
-	return nil
 }
 
 // TransferTime returns the time to move n bytes in one request stream:

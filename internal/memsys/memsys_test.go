@@ -6,17 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestValidate(t *testing.T) {
-	if err := HBM2().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := HBM2()
-	bad.Channels = 0
-	if bad.Validate() == nil {
-		t.Fatal("invalid models must be rejected")
-	}
-}
-
 func TestLargeTransfersApproachPeak(t *testing.T) {
 	m := HBM2()
 	// A 24 MB buffer fill must achieve >99% of peak — the regime in which

@@ -87,9 +87,6 @@ func (g *Graph) Add(kind sfq.GateKind, name string, fanins ...Conn) NodeID {
 	return id
 }
 
-// Nodes returns the number of nodes (inputs + cells).
-func (g *Graph) Nodes() int { return len(g.nodes) }
-
 // Stages returns the pipeline depth: the maximum clocked depth over all
 // cells (inputs are stage 0; each clocked cell is one stage deeper than its
 // deepest fan-in).

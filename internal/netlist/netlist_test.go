@@ -18,8 +18,8 @@ func TestGraphConstruction(t *testing.T) {
 	and := g.Add(sfq.AND, "and", From(a), From(b))
 	g.Add(sfq.DFF, "out", Via(and, sfq.JTL))
 
-	if g.Nodes() != 4 {
-		t.Fatalf("Nodes() = %d, want 4", g.Nodes())
+	if len(g.nodes) != 4 {
+		t.Fatalf("%d nodes, want 4", len(g.nodes))
 	}
 	if g.Stages() != 2 {
 		t.Fatalf("Stages() = %d, want 2 (AND then DFF)", g.Stages())

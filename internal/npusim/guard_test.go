@@ -6,11 +6,10 @@ import (
 	"testing"
 
 	"supernpu/internal/arch"
-	"supernpu/internal/guard"
 	"supernpu/internal/workload"
 )
 
-// A pre-canceled context must abort the simulation with the guard taxonomy
+// A pre-canceled context must abort the simulation with context.Canceled
 // and must not poison the cache: a later call with a live context computes
 // the report normally.
 func TestSimulateCanceledNotMemoised(t *testing.T) {
@@ -21,8 +20,8 @@ func TestSimulateCanceledNotMemoised(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Simulate(ctx, cfg, net, batch); !errors.Is(err, guard.ErrCanceled) {
-		t.Fatalf("want guard.ErrCanceled, got %v", err)
+	if _, err := Simulate(ctx, cfg, net, batch); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 
 	rep, err := Simulate(context.Background(), cfg, net, batch)

@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"supernpu/internal/guard"
 	"supernpu/internal/obs"
 )
 
@@ -120,11 +119,11 @@ func call(ctx context.Context, fn func(ctx context.Context, i int) error, i int)
 // exact — indices are claimed in increasing order, so everything below the
 // first failure has already been claimed.
 //
-// Between jobs, workers observe ctx and stop claiming new indices once it
-// is cancelled. When the run is cut short by cancellation (and no job
-// failed first), ForEachContext returns ctx's error lifted into the guard
-// taxonomy, so callers at any distance classify it with
-// errors.Is(err, guard.ErrCanceled) (or guard.ErrDeadlineExceeded).
+// Between jobs, workers poll ctx.Err() and stop claiming new indices once
+// ctx is cancelled. When the run is cut short by cancellation (and no job
+// failed first), ForEachContext returns ctx.Err() itself, so callers at any
+// distance classify it with errors.Is(err, context.Canceled) (or
+// context.DeadlineExceeded).
 func ForEachContext(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -138,13 +137,13 @@ func ForEachContext(ctx context.Context, n int, fn func(ctx context.Context, i i
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			if err := guard.CtxErr(ctx); err != nil {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
 			poolQueueWait.Observe(time.Since(submitted).Seconds())
 			poolTasks.Inc()
 			if err := call(ctx, fn, i); err != nil {
-				return guard.WrapCancellation(err)
+				return err
 			}
 		}
 		return nil
@@ -177,11 +176,11 @@ func ForEachContext(ctx context.Context, n int, fn func(ctx context.Context, i i
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return guard.WrapCancellation(err)
+			return err
 		}
 	}
-	if ctx.Err() != nil && int(next.Load()) < n {
-		return guard.CtxErr(ctx)
+	if err := ctx.Err(); err != nil && int(next.Load()) < n {
+		return err
 	}
 	return nil
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"supernpu/internal/guard"
 	"supernpu/internal/guard/leaktest"
 )
 
@@ -270,36 +269,35 @@ func TestForEachContextPropagatesCancel(t *testing.T) {
 	}
 }
 
-func TestCancellationErrorsCarryGuardTaxonomy(t *testing.T) {
+// A run cut short by cancellation returns ctx.Err() itself, at either
+// scheduling path.
+func TestCanceledRunReturnsContextCanceled(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		SetWorkers(w)
 		defer SetWorkers(0)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		err := ForEachContext(ctx, 50, func(ctx context.Context, i int) error { return nil })
-		if !errors.Is(err, guard.ErrCanceled) {
-			t.Errorf("workers=%d: errors.Is(err, guard.ErrCanceled) = false for %v", w, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: wrap lost context.Canceled: %v", w, err)
+		if err != context.Canceled {
+			t.Errorf("workers=%d: got %v, want context.Canceled", w, err)
 		}
 	}
 }
 
-func TestDeadlineErrorsCarryGuardTaxonomy(t *testing.T) {
+func TestExpiredRunReturnsDeadlineExceeded(t *testing.T) {
 	SetWorkers(2)
 	defer SetWorkers(0)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	err := ForEachContext(ctx, 50, func(ctx context.Context, i int) error { return nil })
-	if !errors.Is(err, guard.ErrDeadlineExceeded) {
-		t.Errorf("errors.Is(err, guard.ErrDeadlineExceeded) = false for %v", err)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("errors.Is(err, context.DeadlineExceeded) = false for %v", err)
 	}
 }
 
 // A job that returns the raw context error (the usual shape when fn itself
-// polls ctx) is lifted into the taxonomy on the way out of the pool.
-func TestJobReturnedCtxErrGetsWrapped(t *testing.T) {
+// polls ctx) comes out of the pool unchanged.
+func TestJobContextErrorPassesThroughUnchanged(t *testing.T) {
 	SetWorkers(1)
 	defer SetWorkers(0)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -308,8 +306,8 @@ func TestJobReturnedCtxErrGetsWrapped(t *testing.T) {
 		once.Do(cancel)
 		return ctx.Err()
 	})
-	if !errors.Is(err, guard.ErrCanceled) {
-		t.Fatalf("raw ctx.Err() from a job not lifted: %v", err)
+	if err != context.Canceled {
+		t.Fatalf("job's ctx.Err() came out as %v, want context.Canceled unchanged", err)
 	}
 }
 

@@ -176,9 +176,6 @@ func (m *MAC) LoadWeight(reg int, w int8) {
 	m.weights[reg] = w
 }
 
-// Weight returns the resident weight in register reg.
-func (m *MAC) Weight(reg int) int8 { return m.weights[reg] }
-
 // Step computes one weight-stationary MAC: psumIn + weight[reg]·x.
 // Saturation is not modelled; the 24-bit accumulator of the real datapath
 // never overflows for the layer sizes the NPU supports, which the systolic

@@ -116,7 +116,7 @@ func TestMACFunctional(t *testing.T) {
 	m.LoadWeight(0, 3)
 	m.LoadWeight(1, -5)
 	m.LoadWeight(3, 127)
-	if m.Weight(1) != -5 {
+	if m.weights[1] != -5 {
 		t.Fatal("weight readback failed")
 	}
 	if got := m.Step(0, 10, 100); got != 130 {

@@ -5,11 +5,10 @@ import (
 	"errors"
 	"testing"
 
-	"supernpu/internal/guard"
 	"supernpu/internal/workload"
 )
 
-// A pre-canceled context aborts the mapping loop with the guard taxonomy,
+// A pre-canceled context aborts the mapping loop with context.Canceled,
 // and the canceled attempt is not memoised: a live retry still computes.
 func TestSimulateCanceledNotMemoised(t *testing.T) {
 	const batch = 7
@@ -17,8 +16,8 @@ func TestSimulateCanceledNotMemoised(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Simulate(ctx, TPU(), net, batch); !errors.Is(err, guard.ErrCanceled) {
-		t.Fatalf("want guard.ErrCanceled, got %v", err)
+	if _, err := Simulate(ctx, TPU(), net, batch); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 
 	rep, err := Simulate(context.Background(), TPU(), net, batch)

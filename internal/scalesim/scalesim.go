@@ -167,13 +167,10 @@ func simulate(ctx context.Context, cfg Config, net workload.Network, batch int) 
 	rep := &Report{Config: cfg, Network: net.Name, Batch: batch}
 	cpb := cfg.Frequency / cfg.Bandwidth
 
-	var watch guard.Watch
-	watch.Arm(ctx)
-	defer watch.Disarm()
 	first := true
 	for _, l := range net.Layers {
-		if watch.Canceled() {
-			return nil, watch.Err()
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		if !l.ComputeLayer() {
 			continue

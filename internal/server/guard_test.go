@@ -1,6 +1,6 @@
 // Tests for the service's resilience surface: byte-stable answers to a
 // numerically failing /v1/evaluate, the backlog-derived Retry-After hint
-// and the cancellation taxonomy on the request path.
+// and the cancellation errors on the request path.
 package server
 
 import (
@@ -132,7 +132,7 @@ func TestRetryAfterGrowsUnderLoad(t *testing.T) {
 // TestEvaluateCanceledRequestIs503 serves an evaluate request whose context
 // is already dead — the shape a request takes when its client hangs up
 // after limit admitted it. The cancellation must surface as 503 with the
-// taxonomy's message, not as a degraded 200 (the design did nothing wrong)
+// context's message, not as a degraded 200 (the design did nothing wrong)
 // and not as a 4xx/5xx misclassification.
 func TestEvaluateCanceledRequestIs503(t *testing.T) {
 	s := New(Options{Logger: quiet})

@@ -70,7 +70,7 @@ func evaluateSafely(ctx context.Context, d core.Design, net workload.Network, ba
 // rather than a 5xx — only bad input earns a 400, and 422 is reserved for
 // requests that cannot be evaluated even analytically. A request that dies
 // because its own deadline passed or its client hung up is not "degraded":
-// it answers 503 with the cancellation taxonomy. Identical requests get
+// it answers 503 with the context's error. Identical requests get
 // identical bytes: the simulators memoise a deterministic failure like any
 // other result, so a repeat costs one cache hit and degrades the same way.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -97,8 +98,11 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// Tick the jsim counters: the serving path reaches the solver only
 	// through memoised extraction, so run one small transient directly.
-	var pd jsim.PulseDetector
-	if err := jsim.NewSolver().RunChain(context.Background(), jsim.StandardJTL(4),
+	var (
+		solver jsim.Solver
+		pd     jsim.PulseDetector
+	)
+	if err := solver.RunChain(context.Background(), jsim.StandardJTL(4),
 		40*sfq.Picosecond, 0.05*sfq.Picosecond, &pd); err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +166,27 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 		if f.samples == 0 {
 			t.Errorf("family %s has no samples", want.name)
+		}
+	}
+}
+
+// TestFirstScrapeListsEveryEndpoint holds the latency histogram to having
+// a series for each of the nine endpoint classes from start-up: a fresh
+// server's first scrape, before it has timed any request, lists them all.
+func TestFirstScrapeListsEveryEndpoint(t *testing.T) {
+	rec := httptest.NewRecorder()
+	New(Options{Logger: quiet}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics = %d", rec.Code)
+	}
+	body := rec.Body.String()
+	if f := parsePrometheus(t, body)["supernpu_http_request_seconds"]; f.kind != "histogram" {
+		t.Fatalf("first scrape has no supernpu_http_request_seconds histogram")
+	}
+	for _, endpoint := range []string{"evaluate", "estimate", "explore", "designs", "workloads",
+		"healthz", "metrics", "debug", "other"} {
+		if !strings.Contains(body, `supernpu_http_request_seconds_count{endpoint="`+endpoint+`"} `) {
+			t.Errorf("first scrape lists no supernpu_http_request_seconds series for endpoint %q", endpoint)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"supernpu/internal/guard"
 	"supernpu/internal/obs"
 )
 
@@ -40,13 +39,19 @@ var globalMetrics = &metrics{
 	degraded: obs.Default.Counter("supernpu_http_degraded_total", "evaluations served by the analytical fallback"),
 }
 
-// requestSeconds returns the request-latency histogram series for one
-// classified endpoint (bounded label set — see classifyEndpoint); the
-// outer wrapper observes into it.
-func requestSeconds(endpoint string) *obs.Histogram {
-	return obs.Default.Histogram("supernpu_http_request_seconds",
-		"request wall time by endpoint", obs.DurationEdges, obs.L("endpoint", endpoint))
-}
+// requestSeconds holds the request-latency histogram series of every
+// endpoint class classifyEndpoint returns; the outer wrapper observes into
+// them. They are registered at package init, so a fresh server's first
+// scrape lists each of them and a request looks up no registry entry.
+var requestSeconds = func() map[string]*obs.Histogram {
+	m := make(map[string]*obs.Histogram)
+	for _, endpoint := range [...]string{"evaluate", "estimate", "explore", "designs", "workloads",
+		"healthz", "metrics", "debug", "other"} {
+		m[endpoint] = obs.Default.Histogram("supernpu_http_request_seconds",
+			"request wall time by endpoint", obs.DurationEdges, obs.L("endpoint", endpoint))
+	}
+	return m
+}()
 
 // classifyEndpoint maps a request path onto a small fixed label set, so
 // arbitrary client paths can never explode the metric's cardinality.
@@ -100,7 +105,7 @@ func (s *Server) limit(next http.HandlerFunc) http.HandlerFunc {
 		}
 		// A request that won its slot after its deadline answers 503 too: a
 		// warm cache hit never polls the context.
-		if err := guard.CtxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			status, msg := modelError(err)
 			writeError(w, status, msg)
 			return
@@ -185,7 +190,7 @@ func (s *Server) Handler() http.Handler {
 				rec.status = http.StatusOK // nothing written: net/http sends 200
 			}
 			elapsed := time.Since(start)
-			requestSeconds(classifyEndpoint(r.URL.Path)).Observe(elapsed.Seconds())
+			requestSeconds[classifyEndpoint(r.URL.Path)].Observe(elapsed.Seconds())
 			s.opts.Logger.Printf("server: %s %s %s %s", r.Method, r.URL.Path,
 				strconv.Itoa(rec.status), elapsed.Round(time.Microsecond))
 		}()

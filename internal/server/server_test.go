@@ -483,7 +483,7 @@ func TestPanicIsRecoveredTimedAndLogged(t *testing.T) {
 	var logged bytes.Buffer
 	s := New(Options{Logger: log.New(&logged, "", 0)})
 	s.mux.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) { panic("boom") })
-	panics, timed := s.metrics.panics.Value(), requestSeconds("other").Count()
+	panics, timed := s.metrics.panics.Value(), requestSeconds["other"].Count()
 
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/boom", nil))
@@ -494,7 +494,7 @@ func TestPanicIsRecoveredTimedAndLogged(t *testing.T) {
 	if got := s.metrics.panics.Value() - panics; got != 1 {
 		t.Errorf("supernpu_http_panics_total moved by %d, want 1", got)
 	}
-	if got := requestSeconds("other").Count() - timed; got != 1 {
+	if got := requestSeconds["other"].Count() - timed; got != 1 {
 		t.Errorf("latency histogram observed %d requests, want 1", got)
 	}
 	for _, want := range []string{"panic serving GET /boom: boom", "server: GET /boom 500 "} {

@@ -156,16 +156,6 @@ func (l *Library) Gate(k GateKind) Gate {
 	return g
 }
 
-// Kinds returns all cell kinds in deterministic order.
-func (l *Library) Kinds() []GateKind {
-	ks := make([]GateKind, 0, len(l.gates))
-	for k := range l.gates {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
 // StaticPower returns the DC bias dissipation of one instance of gate k.
 func (l *Library) StaticPower(k GateKind) float64 {
 	return float64(l.Gate(k).JJs) * l.Proc.StaticPowerPerJJ(l.Tech)
@@ -255,13 +245,4 @@ func (inv Inventory) AccessEnergy(l *Library) float64 {
 		e += float64(inv[k]) * l.AccessEnergy(k)
 	}
 	return e
-}
-
-// Clone returns a deep copy of the inventory.
-func (inv Inventory) Clone() Inventory {
-	out := make(Inventory, len(inv))
-	for k, v := range inv {
-		out[k] = v
-	}
-	return out
 }

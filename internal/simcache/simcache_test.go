@@ -2,6 +2,7 @@ package simcache
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -313,9 +314,9 @@ func TestRegistrySnapshotAndClearAll(t *testing.T) {
 func TestTransientErrorsAreNotMemoised(t *testing.T) {
 	c := New[int]()
 	calls := 0
-	canceled := fmt.Errorf("sweep: %w", guard.ErrCanceled)
+	canceled := fmt.Errorf("sweep: %w", context.Canceled)
 	_, err := c.GetOrCompute([]byte("k"), func() (int, error) { calls++; return 0, canceled })
-	if !errors.Is(err, guard.ErrCanceled) {
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("first attempt err = %v", err)
 	}
 	if got := c.Len(); got != 0 {

@@ -105,16 +105,6 @@ func (c Config) Inventory() sfq.Inventory {
 	return inv
 }
 
-// StaticPower returns the macro's DC bias dissipation.
-func (c Config) StaticPower(lib *sfq.Library) float64 {
-	return c.Inventory().StaticPower(lib)
-}
-
-// Area returns the macro's laid-out area in m².
-func (c Config) Area(lib *sfq.Library) float64 {
-	return c.Inventory().Area(lib)
-}
-
 // ChunkShiftEnergy is the dynamic energy of shifting one chunk by one
 // position: every bit of the chunk moves. Division therefore reduces both
 // access latency and access energy — unselected chunks are clock-gated.

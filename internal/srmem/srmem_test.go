@@ -68,7 +68,7 @@ func TestDivisionAreaOverhead(t *testing.T) {
 	div4096 := mono
 	div4096.Chunks = 4096
 
-	a1, a64, a4096 := mono.Area(l), div64.Area(l), div4096.Area(l)
+	a1, a64, a4096 := mono.Inventory().Area(l), div64.Inventory().Area(l), div4096.Inventory().Area(l)
 	if !(a1 < a64 && a64 < a4096) {
 		t.Fatal("area must grow with division degree")
 	}

@@ -126,7 +126,7 @@ func WorkloadByName(name string) (Network, error) {
 // Evaluate simulates the workload on the design at the given batch size
 // (batch 0 selects the design's maximum on-chip batch, Table II).
 // Cancellation of ctx aborts the simulation with an error matching
-// guard.ErrCanceled (guard.ErrDeadlineExceeded for an expired deadline).
+// context.Canceled (context.DeadlineExceeded for an expired deadline).
 func Evaluate(ctx context.Context, d Design, net Network, batch int) (*Evaluation, error) {
 	return core.Evaluate(ctx, d, net, batch)
 }
@@ -149,7 +149,7 @@ func ValidateModels() estimator.Report { return estimator.Validate() }
 
 // ExploreDivision sweeps the buffer division degree (Fig. 20) under the
 // fault model fm (nil is nominal). Cancellation of ctx stops the sweep with
-// an error matching guard.ErrCanceled.
+// an error matching context.Canceled.
 func ExploreDivision(ctx context.Context, degrees []int, fm *FaultModel) ([]SweepPoint, error) {
 	return core.ExploreDivision(ctx, degrees, fm)
 }
