@@ -11,7 +11,7 @@ COVER_PACKAGES ?= ./internal/server:70 ./internal/obs:80 ./internal/simcache:85
 # Per-target budget for the fuzz smoke pass (make fuzz).
 FUZZTIME ?= 15s
 
-.PHONY: check build vet test race bench bench-sweep bench-smoke repro serve cover fuzz metrics-smoke fault-smoke chaos-smoke race-resilience golden-update clean lint fmt-check examples
+.PHONY: check build vet test race bench bench-sweep bench-smoke repro serve cover fuzz metrics-smoke fault-smoke margin-cert chaos-smoke race-resilience golden-update clean lint fmt-check examples
 
 check: build lint race
 
@@ -106,6 +106,14 @@ fault-smoke:
 	cmp fault-smoke-par.out testdata/golden/margin-seed42.golden
 	@echo "fault-injection smoke: parallel and serial sweeps byte-identical to the golden"
 	@rm -f fault-smoke-par.out fault-smoke-seq.out
+
+# Margin-verdict certificate: every bisection probe of 1,501 fault variants
+# (seeds 0-149 and 7919+6983k for k < 150, each at the sweep's five spreads,
+# plus the nominal line) runs through the margin probe, which stops at a
+# final verdict, and over its full window; any verdict that differs fails.
+# About a minute on two cores, so it runs without -race.
+margin-cert:
+	$(GO) test ./internal/jsim -run '^TestMarginVerdictMatchesFullWindow$$' -count=1 -v -timeout 20m -margin-cert
 
 # Example smoke: go build ./... only compiles the example programs, so run
 # each one end to end; any non-zero exit fails. examples/validation is the

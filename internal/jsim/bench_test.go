@@ -33,7 +33,8 @@ func BenchmarkRunStreaming(b *testing.B) {
 }
 
 // BenchmarkBiasMargins measures one full nominal bias-margin evaluation
-// without the cache: 26 transients (2 + 2×12) on one solver.
+// without the cache: 26 transients (2 + 2×12) on one solver, each ending
+// at the first polled sample its verdict is final at.
 func BenchmarkBiasMargins(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -46,7 +47,8 @@ func BenchmarkBiasMargins(b *testing.B) {
 // BenchmarkBiasMarginsFaulted measures one faulted margin row (seed 7, 6 %
 // spread) through biasMargins, without the cache: the unit a cold margin
 // sweep is made of. A row runs 26 transients (2 + 2×12), or 1 when the
-// spread closes the window at the design point.
+// spread closes the window at the design point; each ends at the first
+// polled sample its verdict is final at.
 func BenchmarkBiasMarginsFaulted(b *testing.B) {
 	fm := &faultinject.Model{Seed: 7, IcSpread: 0.06}
 	b.ReportAllocs()

@@ -9,7 +9,8 @@ import (
 )
 
 // A context canceled before the run starts must abort the transient at the
-// very first poll, before any physics happens, with context.Canceled.
+// very first poll, before any physics happens, with context.Canceled — also
+// when a Finisher is done at that poll.
 func TestRunChainCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -17,6 +18,10 @@ func TestRunChainCanceledBeforeStart(t *testing.T) {
 	err := s.RunChain(ctx, StandardJTL(4), 120*sfq.Picosecond, 0.02*sfq.Picosecond)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	err = s.RunChain(ctx, StandardJTL(4), 120*sfq.Picosecond, 0.02*sfq.Picosecond, &doneAt{at: 0})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("with a finished observer: want context.Canceled, got %v", err)
 	}
 }
 

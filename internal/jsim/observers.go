@@ -89,7 +89,8 @@ func (e *EnergyAccumulator) Observe(step int, t float64, phi, v []float64) {
 // Total is the energy drawn from the bias network over the run.
 func (e *EnergyAccumulator) Total() float64 { return e.energy }
 
-// FinalState captures the last sample of the run.
+// FinalState captures the last sample of the run. A run that a Finisher
+// ends early never shows it the last sample, and it then holds zeros.
 type FinalState struct {
 	lastStep int
 	phi      []float64
@@ -116,6 +117,10 @@ func (f *FinalState) Observe(step int, t float64, phi, v []float64) {
 }
 
 // Slips returns how many complete 2π phase slips the node underwent.
-func (f *FinalState) Slips(node int) int {
-	return int(math.Floor((f.phi[node] + math.Pi) / (2 * math.Pi)))
+func (f *FinalState) Slips(node int) int { return slips(f.phi[node]) }
+
+// slips counts the complete 2π phase slips of a junction at phase phi,
+// which starts in (−π, π).
+func slips(phi float64) int {
+	return int(math.Floor((phi + math.Pi) / (2 * math.Pi)))
 }

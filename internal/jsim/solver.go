@@ -31,9 +31,20 @@ type RunInfo struct {
 // that step's update (step 0 is the initial condition). The phi and v
 // slices alias solver scratch and are only valid inside the call. If the
 // run returns an error, observer state is undefined and must not be read.
+// A Finisher among a run's observers may end it before its last sample;
+// every observer of that run then sees only the samples up to that point.
 type Observer interface {
 	Init(info RunInfo)
 	Observe(step int, t float64, phi, v []float64)
+}
+
+// Finisher is an Observer that can end a run once its result is final. The
+// solver asks Done after the observers have seen every pollSteps-th sample
+// (step 0, pollSteps, 2·pollSteps, …) and ends the run there when it
+// reports true: the run returns nil and integrates no further step.
+type Finisher interface {
+	Observer
+	Done() bool
 }
 
 // stepCount returns the RK4 sample count covering [0, T] at spacing dt:
@@ -84,12 +95,14 @@ type Solver struct {
 	sn         []float64
 }
 
-// pollSteps is the cancellation poll interval of the RK4 loop: every
-// pollSteps steps the solver calls ctx.Err(), so a canceled transient
-// returns within pollSteps steps — microseconds of work — without the
-// loop ever allocating. Must be a power of two; the loop tests
-// step&(pollSteps-1).
-const pollSteps = 256
+// pollSteps is the poll interval of the RK4 loop: after the observers have
+// seen every pollSteps-th sample the solver calls ctx.Err() and asks each
+// Finisher whether it is done, so a canceled transient returns within
+// pollSteps steps without the loop ever allocating, and a finished one
+// stops within pollSteps steps of its verdict. On a cancelable context each
+// poll takes the context's mutex once. Must be a power of two; the loop
+// tests step&(pollSteps-1).
+const pollSteps = 16
 
 // divergedVoltage is the per-node voltage bound beyond which a transient
 // is declared diverged: SFQ pulse amplitudes sit in the millivolt range,
@@ -306,34 +319,54 @@ func (s *Solver) step(t, dt float64) error {
 }
 
 // integrate runs the RK4 loop, streaming each pre-update state to the
-// observers. Every pollSteps steps the loop polls ctx.Err(), which
-// allocates on no path, so the zero-allocation steady state holds for
-// every context.
+// observers, and stops after the last sample: no observer would see a
+// further step. After every pollSteps-th sample it polls ctx.Err() and the
+// Finishers among obs, neither of which allocates, so the zero-allocation
+// steady state holds for every context. A run that a Finisher ends counts
+// as one completed transient of the steps it integrated.
 func (s *Solver) integrate(ctx context.Context, steps int, dt float64, obs []Observer) error {
-	for step := 0; step < steps; step++ {
+	var step int
+	for ; ; step++ {
+		t := float64(step) * dt
+		for _, o := range obs {
+			o.Observe(step, t, s.phi, s.v)
+		}
 		if step&(pollSteps-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
+			if finished(obs) {
+				break
+			}
 		}
-		t := float64(step) * dt
-		for _, o := range obs {
-			o.Observe(step, t, s.phi, s.v)
+		if step == steps-1 {
+			break
 		}
 		if err := s.step(t, dt); err != nil {
 			return err
 		}
 	}
 	mTransients.Inc()
-	mSteps.Add(int64(steps))
+	mSteps.Add(int64(step))
 	return nil
 }
 
+// finished reports whether some Finisher among obs is done.
+func finished(obs []Observer) bool {
+	for _, o := range obs {
+		if f, ok := o.(Finisher); ok && f.Done() {
+			return true
+		}
+	}
+	return false
+}
+
 // RunChain integrates the chain over duration T with fixed step dt,
-// streaming every sample to the observers. After a warm-up run, repeated
-// calls over same-sized chains allocate nothing (observers permitting).
-// The loop polls ctx.Err() every pollSteps steps and returns it once ctx
-// fires: context.Canceled or context.DeadlineExceeded.
+// streaming every sample to the observers, or up to the sample at which a
+// Finisher among them reports done. After a warm-up run, repeated calls
+// over same-sized chains allocate nothing (observers permitting). The loop
+// polls ctx.Err() every pollSteps steps and returns it once ctx fires:
+// context.Canceled or context.DeadlineExceeded.
 func (s *Solver) RunChain(ctx context.Context, c *Chain, T, dt float64, obs ...Observer) error {
 	if dt <= 0 || T <= 0 {
 		return errors.New("jsim: T and dt must be positive")

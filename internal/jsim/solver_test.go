@@ -132,8 +132,49 @@ func TestSolverAllocsWithInstrumentationEnabled(t *testing.T) {
 	}
 }
 
-// Margin bisection probes (solver + chain + final-state observer, re-biased
-// per probe) must also be allocation-free once warm.
+// doneAt is a Finisher that is done from sample at on; last is the last
+// sample it saw.
+type doneAt struct{ at, last int }
+
+func (d *doneAt) Init(RunInfo)                                  { d.last = -1 }
+func (d *doneAt) Observe(step int, t float64, phi, v []float64) { d.last = step }
+func (d *doneAt) Done() bool                                    { return d.last >= d.at }
+
+// A Finisher ends a run at the first polled sample at which it is done:
+// every observer has seen samples 0..k and no further, the steps counter
+// moves by the k RK4 steps behind them and the transients counter by one.
+// A run no Finisher ends integrates one step fewer than its samples: none
+// past the last.
+func TestFinisherEndsRun(t *testing.T) {
+	const T = 120 * sfq.Picosecond // 1201 samples at transientDt
+	ch := StandardJTL(4)
+	var s Solver
+	for _, c := range []struct{ at, want int }{
+		{0, 0},
+		{5 * pollSteps, 5 * pollSteps},
+		{5*pollSteps + 3, 6 * pollSteps}, // Done is asked at polled samples only
+		{1 << 30, 1200},
+	} {
+		f := doneAt{at: c.at}
+		var other lastSample
+		transients0, steps0 := mTransients.Value(), mSteps.Value()
+		if err := s.RunChain(context.Background(), ch, T, transientDt, &f, &other); err != nil {
+			t.Fatal(err)
+		}
+		if f.last != c.want || other.step != c.want {
+			t.Errorf("done at %d: the observers saw samples up to %d and %d, want %d", c.at, f.last, other.step, c.want)
+		}
+		if d := mSteps.Value() - steps0; d != int64(c.want) {
+			t.Errorf("done at %d: steps counter moved by %d, want %d", c.at, d, c.want)
+		}
+		if d := mTransients.Value() - transients0; d != 1 {
+			t.Errorf("done at %d: transients counter moved by %d, want 1", c.at, d)
+		}
+	}
+}
+
+// Margin bisection probes (solver + chain + verdict observer, re-biased per
+// probe) must also be allocation-free once warm.
 func TestMarginProbeSteadyStateAllocs(t *testing.T) {
 	p := newMarginProbe(context.Background(), nil, transientDt)
 	p.works(marginNominal) // warm-up
