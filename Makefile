@@ -7,7 +7,7 @@ GO ?= go
 
 # Per-package coverage floors enforced by make cover / CI, as
 # "<import path>:<floor percent>" pairs.
-COVER_PACKAGES ?= ./internal/server:70 ./internal/obs:80 ./internal/simcache:85
+COVER_PACKAGES ?= ./internal/server:70 ./internal/obs:80 ./internal/simcache:85 ./internal/lint:85
 # Per-target budget for the fuzz smoke pass (make fuzz).
 FUZZTIME ?= 15s
 

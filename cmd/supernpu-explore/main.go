@@ -20,7 +20,8 @@
 // -ic-spread, -pulse-drop, -bit-flip or -erosion exits 2.
 // SIGINT/SIGTERM or an expired -deadline cancels the sweep cleanly (exit
 // 130). The registers sweep accepts only Fig. 21's widths (256, 128, 64,
-// 32, 16), each with its Fig. 21 buffer capacity.
+// 32, 16), each with its Fig. 21 buffer capacity; -width with any other
+// sweep exits 2.
 package main
 
 import (
@@ -56,15 +57,22 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "abort the sweep after this wall-clock budget (0 = none)")
 	flag.Parse()
 
-	if *sweep == "margin" {
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "ic-spread", "pulse-drop", "bit-flip", "erosion":
+	// Visit sees only the flags set on the command line, so the -width
+	// default does not count as a -width given to another sweep.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "width":
+			if *sweep != "registers" {
+				fmt.Fprintf(os.Stderr, "supernpu-explore: -width applies only to -sweep registers, not -sweep %s\n", *sweep)
+				os.Exit(2)
+			}
+		case "ic-spread", "pulse-drop", "bit-flip", "erosion":
+			if *sweep == "margin" {
 				fmt.Fprintf(os.Stderr, "supernpu-explore: -sweep margin takes only -fault-seed, not -%s\n", f.Name)
 				os.Exit(2)
 			}
-		})
-	}
+		}
+	})
 
 	var fm *supernpu.FaultModel
 	if *icSpread != 0 || *pulseDrop != 0 || *bitFlip != 0 || *erosion != 0 {

@@ -6,9 +6,10 @@
 //
 // Usage:
 //
-//	supernpu-lint [-C dir] [-rules r1,r2] [-json] [-list]
+//	supernpu-lint [-C dir] [-rules r1,r2] [-list]
 //
-// Output is text by default; -json emits the stable JSON report.
+// Output is one line per finding (file:line:col: message (rule)) and a
+// summary line.
 //
 // Exit codes are CI-friendly: 0 for a clean tree, 1 when findings remain
 // after suppression, 2 for usage or load failures. Findings are silenced
@@ -32,14 +33,13 @@ func run() int {
 	var (
 		dir      = flag.String("C", ".", "directory inside the module to lint (the module root is found upward from here)")
 		ruleList = flag.String("rules", "", "comma-separated rule names to run (default: all)")
-		asJSON   = flag.Bool("json", false, "emit the findings as a JSON report on stdout")
 		list     = flag.Bool("list", false, "list the registered rules and exit")
 	)
 	flag.Parse()
 
 	if *list {
 		for _, r := range lint.Rules() {
-			fmt.Printf("%-16s %-8s %s\n", r.Name(), r.Severity(), r.Doc())
+			fmt.Printf("%-16s %s\n", r.Name, r.Doc)
 		}
 		return 0
 	}
@@ -49,8 +49,8 @@ func run() int {
 		rules = rules[:0]
 		for _, name := range strings.Split(*ruleList, ",") {
 			name = strings.TrimSpace(name)
-			r := lint.RuleByName(name)
-			if r == nil {
+			r, ok := lint.RuleByName(name)
+			if !ok {
 				fmt.Fprintf(os.Stderr, "supernpu-lint: unknown rule %q (use -list)\n", name)
 				return 2
 			}
@@ -70,14 +70,7 @@ func run() int {
 	}
 
 	res := lint.Run(pkgs, rules)
-	if *asJSON {
-		if err := lint.WriteJSON(os.Stdout, res); err != nil {
-			fmt.Fprintln(os.Stderr, "supernpu-lint:", err)
-			return 2
-		}
-	} else {
-		lint.WriteText(os.Stdout, res)
-	}
+	lint.WriteText(os.Stdout, res)
 	if len(res.Diags) > 0 {
 		return 1
 	}

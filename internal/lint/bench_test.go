@@ -18,9 +18,8 @@ func BenchmarkLintModule(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := Run(pkgs, Rules())
-		if res.Errors() > 0 {
-			b.Fatalf("tree not clean: %d errors", res.Errors())
+		if res := Run(pkgs, Rules()); len(res.Diags) > 0 {
+			b.Fatalf("tree not clean: %d finding(s); first: %s", len(res.Diags), res.Diags[0])
 		}
 	}
 }

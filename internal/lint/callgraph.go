@@ -19,7 +19,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 )
@@ -39,16 +38,14 @@ const (
 	edgeCallback
 )
 
-// edge is one caller→callee arc with the source position it was derived
-// from (the call expression, or the argument that names the callback).
+// edge is one caller→callee arc.
 type edge struct {
 	kind   edgeKind
 	callee *funcNode
-	pos    token.Pos
 }
 
 // funcNode is one declared function or method plus its base and transitive
-// facts (the fact fields are populated by computeFacts in facts.go).
+// facts (populated by computeFacts in facts.go).
 type funcNode struct {
 	fn   *types.Func
 	pkg  *Package
@@ -58,40 +55,25 @@ type funcNode struct {
 	// deterministic.
 	edges []edge
 
-	// ---- base facts (one body walk, computeFacts) ----
+	// ---- base facts (one body walk) ----
 
-	ndSink       string    // "" or the nondeterminism sink reached directly ("time.Now", "math/rand.Float64", ...)
-	ndPos        token.Pos // position of the sink call
-	panics       bool      // body contains a call to the predeclared panic
-	panicPos     token.Pos
-	panicDoc     bool   // doc comment contains the word "panic"
-	hasRecover   bool   // body calls recover(); callee panics are absorbed here
-	loops        bool   // body contains a for or range statement
-	acceptsCtx   bool   // signature has a context.Context parameter
-	ctxAwareCall string // "" or name of a directly-called context-aware callee
-	ctxAwarePos  token.Pos
-	writesShared bool      // assigns to a package-level variable
-	sharedDesc   string    // description of the shared write ("package-level hits")
-	sharedPos    token.Pos // position of the write
-	selfSynced   bool      // calls a Lock/RLock method; treated as internally synchronized
+	panicDoc   bool // doc comment contains the word "panic"
+	hasRecover bool // body calls recover(); callee panics are absorbed here
+	loops      bool // body contains a for or range statement
+	acceptsCtx bool // signature has a context.Context parameter
+	selfSynced bool // calls a Lock/RLock method; treated as internally synchronized
 
-	// ---- transitive facts (fixed point, computeFacts) ----
-
-	reachND    *chainLink // reaches a nondeterminism sink through module-local calls
-	escPanic   *chainLink // an undocumented panic can escape this function's frame
-	loopyHot   *chainLink // loops (here or below) toward a context-aware callee without accepting ctx
-	mutates    *chainLink // reaches an unsynchronized package-level write
-	hotCtx     bool       // reaches a context-aware callee through ctx-less locals
-	hotCtxLink *chainLink
+	// facts holds the derivation of each fact the function has, nil where
+	// it has not; the body walk seeds them, the fixed point extends them.
+	facts [numFacts]*chainLink
 }
 
-// chainLink records how a transitive fact was derived: either via an edge
-// to a callee that already had the fact, or directly at a sink in this
-// body (via == nil, desc/pos name the sink).
+// chainLink records how a fact was derived: either via an edge to a callee
+// that already had the fact, or directly at a sink in this body (via ==
+// nil, desc names the sink).
 type chainLink struct {
 	via  *funcNode // next hop, nil at the sink
 	desc string    // sink description when via == nil
-	pos  token.Pos
 }
 
 // callGraph is the node set in deterministic order (package path, then
@@ -146,7 +128,7 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 	g := &callGraph{nodes: map[*types.Func]*funcNode{}}
 	for _, pkg := range pkgs {
 		p := pkg
-		eachFuncDecl(p, func(_ *ast.File, fd *ast.FuncDecl) {
+		eachFuncDecl(p, func(fd *ast.FuncDecl) {
 			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
 			if !ok || fd.Body == nil {
 				return
@@ -182,13 +164,13 @@ func collectEdges(g *callGraph, n *funcNode) []edge {
 		callee := calleeFunc(info, call)
 		if callee != nil {
 			if target, ok := g.nodes[callee]; ok {
-				edges = append(edges, edge{kind: edgeCall, callee: target, pos: call.Pos()})
+				edges = append(edges, edge{kind: edgeCall, callee: target})
 			}
 			if isPoolEntry(callee) {
 				for _, arg := range call.Args {
 					if f := funcValueOf(info, arg); f != nil {
 						if target, ok := g.nodes[f]; ok {
-							edges = append(edges, edge{kind: edgeCallback, callee: target, pos: arg.Pos()})
+							edges = append(edges, edge{kind: edgeCallback, callee: target})
 						}
 					}
 				}

@@ -43,30 +43,27 @@ var trustedNDPkgs = map[string]bool{
 	"supernpu/internal/parallel": true,
 }
 
-// Facts carries the call graph and its computed fact fields; Run attaches
-// one to every Pass so rules can consult transitive reachability.
-type Facts struct {
-	g *callGraph
-}
+// fact names one transitive fact; it indexes funcNode.facts.
+type fact int
 
-// nodeOf returns the graph node for fn, or nil when fn was not declared
-// (with a body) in the analyzed package set.
-func (f *Facts) nodeOf(fn *types.Func) *funcNode {
-	if f == nil || fn == nil {
-		return nil
-	}
-	return f.g.nodes[fn]
-}
+const (
+	reachND fact = iota
+	escPanic
+	hotCtx
+	loopyHot
+	mutates
+	numFacts
+)
 
 // computeFacts builds the call graph, extracts base facts from every body,
 // and runs the fixed point.
-func computeFacts(pkgs []*Package) *Facts {
+func computeFacts(pkgs []*Package) *callGraph {
 	g := buildCallGraph(pkgs)
 	for _, n := range g.order {
 		collectBaseFacts(n)
 	}
 	propagate(g)
-	return &Facts{g: g}
+	return g
 }
 
 // isRandPkg reports whether path is a math/rand flavour.
@@ -120,34 +117,36 @@ func isSyncLock(f *types.Func) bool {
 		(f.Name() == "Lock" || f.Name() == "RLock")
 }
 
-// collectBaseFacts fills n's base fact fields with one walk of the body.
+// collectBaseFacts fills n's base facts and seeds its transitive ones with
+// one walk of the body: the first sink of each kind becomes the base link
+// of its fact.
 func collectBaseFacts(n *funcNode) {
 	info := n.pkg.Info
 	n.acceptsCtx = signatureAcceptsContext(n.fn.Type().(*types.Signature))
-	n.panicDoc = n.decl.Doc != nil && strings.Contains(strings.ToLower(n.decl.Doc.Text()), "panic")
+	n.panicDoc = documentsPanic(n.decl)
+	seed := func(f fact, desc string) {
+		if n.facts[f] == nil {
+			n.facts[f] = &chainLink{desc: desc}
+		}
+	}
 	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
 		switch node := node.(type) {
 		case *ast.ForStmt, *ast.RangeStmt:
 			n.loops = true
 		case *ast.AssignStmt:
 			for _, lhs := range node.Lhs {
-				if v := rootVar(info, lhs); isPkgLevelVar(v) && !n.writesShared {
-					n.writesShared = true
-					n.sharedDesc = "write to package-level " + v.Name()
-					n.sharedPos = lhs.Pos()
+				if v := rootVar(info, lhs); isPkgLevelVar(v) {
+					seed(mutates, "write to package-level "+v.Name())
 				}
 			}
 		case *ast.IncDecStmt:
-			if v := rootVar(info, node.X); isPkgLevelVar(v) && !n.writesShared {
-				n.writesShared = true
-				n.sharedDesc = "write to package-level " + v.Name()
-				n.sharedPos = node.X.Pos()
+			if v := rootVar(info, node.X); isPkgLevelVar(v) {
+				seed(mutates, "write to package-level "+v.Name())
 			}
 		case *ast.CallExpr:
 			if isUniverseCall(info, node, "panic") {
-				if !n.panics {
-					n.panics = true
-					n.panicPos = node.Pos()
+				if !n.panicDoc {
+					seed(escPanic, "panic")
 				}
 				return true
 			}
@@ -163,33 +162,29 @@ func collectBaseFacts(n *funcNode) {
 				n.selfSynced = true
 			}
 			full := callee.FullName()
-			if n.ndSink == "" {
-				switch {
-				case full == "time.Now" || full == "time.Since" || full == "time.Until":
-					n.ndSink = full
-					n.ndPos = node.Pos()
-				case callee.Pkg() != nil && isRandPkg(callee.Pkg().Path()):
-					n.ndSink = "math/rand." + callee.Name()
-					n.ndPos = node.Pos()
-				case fmtPrinters[full]:
-					for _, arg := range node.Args {
-						if tv, ok := info.Types[arg]; ok && isMap(tv.Type) {
-							n.ndSink = full + " over a map"
-							n.ndPos = node.Pos()
-							break
-						}
+			switch {
+			case clockReads[full]:
+				seed(reachND, full)
+			case callee.Pkg() != nil && isRandPkg(callee.Pkg().Path()):
+				seed(reachND, "math/rand."+callee.Name())
+			case fmtPrinters[full]:
+				for _, arg := range node.Args {
+					if tv, ok := info.Types[arg]; ok && isMap(tv.Type) {
+						seed(reachND, full+" over a map")
+						break
 					}
 				}
 			}
-			if n.ctxAwareCall == "" {
-				if sig, ok := callee.Type().(*types.Signature); ok && signatureAcceptsContext(sig) {
-					n.ctxAwareCall = callee.Name()
-					n.ctxAwarePos = node.Pos()
-				}
+			if sig, ok := callee.Type().(*types.Signature); ok && signatureAcceptsContext(sig) {
+				seed(hotCtx, callee.Name())
 			}
 		}
 		return true
 	})
+	// A function that locks is trusted to synchronize its own writes.
+	if n.selfSynced {
+		n.facts[mutates] = nil
+	}
 }
 
 // propagate runs the fixed point over all transitive facts at once. Facts
@@ -197,130 +192,61 @@ func collectBaseFacts(n *funcNode) {
 // source order) that justifies the flip, so derivations are acyclic and
 // deterministic.
 func propagate(g *callGraph) {
-	// Seed base cases.
-	for _, n := range g.order {
-		if n.ndSink != "" {
-			n.reachND = &chainLink{desc: n.ndSink, pos: n.ndPos}
-		}
-		if n.panics && !n.panicDoc {
-			n.escPanic = &chainLink{desc: "panic", pos: n.panicPos}
-		}
-		if n.ctxAwareCall != "" {
-			n.hotCtx = true
-			n.hotCtxLink = &chainLink{desc: n.ctxAwareCall, pos: n.ctxAwarePos}
-		}
-		if n.writesShared && !n.selfSynced {
-			n.mutates = &chainLink{desc: n.sharedDesc, pos: n.sharedPos}
+	changed := true
+	// inherit gives n fact f via c when the edge may carry it and n lacks it.
+	inherit := func(n, c *funcNode, f fact, carries bool) {
+		if carries && n.facts[f] == nil && c.facts[f] != nil {
+			n.facts[f] = &chainLink{via: c}
+			changed = true
 		}
 	}
-	for changed := true; changed; {
+	for changed {
 		changed = false
 		for _, n := range g.order {
-			for i := range n.edges {
-				e := &n.edges[i]
+			for _, e := range n.edges {
 				c := e.callee
 				if c == n {
 					continue
 				}
-				if n.reachND == nil && c.reachND != nil && !trustedNDPkgs[c.pkg.Path] {
-					n.reachND = &chainLink{via: c, pos: e.pos}
-					changed = true
-				}
-				if e.kind == edgeCall {
-					if n.escPanic == nil && !n.panicDoc && !n.hasRecover && c.escPanic != nil {
-						n.escPanic = &chainLink{via: c, pos: e.pos}
-						changed = true
-					}
-					if !n.hotCtx && !c.acceptsCtx && c.hotCtx {
-						n.hotCtx = true
-						n.hotCtxLink = &chainLink{via: c, pos: e.pos}
-						changed = true
-					}
-					if n.loopyHot == nil && !n.acceptsCtx && !c.acceptsCtx && c.loopyHot != nil {
-						n.loopyHot = &chainLink{via: c, pos: e.pos}
-						changed = true
-					}
-				}
-				if n.mutates == nil && !n.selfSynced && c.mutates != nil {
-					n.mutates = &chainLink{via: c, pos: e.pos}
-					changed = true
-				}
+				call := e.kind == edgeCall
+				inherit(n, c, reachND, !trustedNDPkgs[c.pkg.Path])
+				inherit(n, c, escPanic, call && !n.panicDoc && !n.hasRecover)
+				inherit(n, c, hotCtx, call && !c.acceptsCtx)
+				inherit(n, c, loopyHot, call && !n.acceptsCtx && !c.acceptsCtx)
+				inherit(n, c, mutates, !n.selfSynced)
 			}
 			// The loopyHot base case depends on hotCtx, which other edges of
 			// this same pass may have just derived — evaluate it last.
-			if n.loopyHot == nil && !n.acceptsCtx && n.loops && n.hotCtx {
-				n.loopyHot = &chainLink{pos: n.ctxAwarePos}
+			if n.facts[loopyHot] == nil && !n.acceptsCtx && n.loops && n.facts[hotCtx] != nil {
+				n.facts[loopyHot] = &chainLink{}
 				changed = true
 			}
 		}
 	}
 }
 
-// ndChain renders the derivation of n's reachND fact, starting with n's
-// own label and ending at the sink: ["estimator.Cold", "report.stamp",
-// "time.Now"].
-func (f *Facts) ndChain(n *funcNode) []string {
+// chain renders the derivation of n's fact f, which n must have, starting
+// with n's own label and ending at the sink: ["estimator.Cold",
+// "report.stamp", "time.Now"].
+func (n *funcNode) chain(f fact) []string {
 	out := []string{n.label()}
-	for l := n.reachND; l != nil; l = l.via.reachND {
-		if l.via == nil {
-			return append(out, l.desc)
-		}
+	l := n.facts[f]
+	for ; l.via != nil; l = l.via.facts[f] {
 		out = append(out, l.via.label())
 	}
-	return out
-}
-
-// panicChain renders the derivation of n's escPanic fact, ending at
-// "panic".
-func (f *Facts) panicChain(n *funcNode) []string {
-	out := []string{n.label()}
-	for l := n.escPanic; l != nil; l = l.via.escPanic {
-		if l.via == nil {
-			return append(out, l.desc)
-		}
-		out = append(out, l.via.label())
-	}
-	return out
+	return append(out, l.desc)
 }
 
 // ctxChain renders the derivation of n's loopyHot fact: the ctx-less call
-// path down to the looping frame, then that frame's route to the
+// path down to the looping frame, then that frame's hotCtx route to the
 // context-aware callee.
-func (f *Facts) ctxChain(n *funcNode) []string {
-	out := []string{n.label()}
-	cur := n
-	for {
-		l := cur.loopyHot
-		if l == nil {
-			return out
-		}
-		if l.via != nil {
-			cur = l.via
-			out = append(out, cur.label())
-			continue
-		}
-		// Loop-with-hot-body case: splice in the hotCtx derivation.
-		for hl := cur.hotCtxLink; hl != nil; hl = hl.via.hotCtxLink {
-			if hl.via == nil {
-				return append(out, hl.desc)
-			}
-			out = append(out, hl.via.label())
-		}
-		return out
+func ctxChain(n *funcNode) []string {
+	var out []string
+	for n.facts[loopyHot].via != nil {
+		out = append(out, n.label())
+		n = n.facts[loopyHot].via
 	}
-}
-
-// mutChain renders the derivation of n's mutates fact, ending at the
-// description of the package-level write.
-func (f *Facts) mutChain(n *funcNode) []string {
-	out := []string{n.label()}
-	for l := n.mutates; l != nil; l = l.via.mutates {
-		if l.via == nil {
-			return append(out, l.desc)
-		}
-		out = append(out, l.via.label())
-	}
-	return out
+	return append(out, n.chain(hotCtx)...)
 }
 
 // chainString joins a chain for diagnostic messages.

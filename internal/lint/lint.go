@@ -14,8 +14,8 @@
 //
 //	maporder        float accumulation, unsorted appends, or output writes
 //	                under range-over-map iteration
-//	nondeterminism  time.Now, math/rand, and map-argument fmt printing in
-//	                the modeling packages
+//	nondeterminism  wall-clock reads, math/rand, and map-argument fmt
+//	                printing in the modeling packages
 //	nakedgo         raw go statements outside the panic-recovering pool
 //	                and the server
 //	panicboundary   panics in internal packages outside documented
@@ -41,81 +41,79 @@
 package lint
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"go/ast"
 	"io"
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// Severity ranks a diagnostic. Both severities fail a lint run; the split
-// exists so output consumers can distinguish contract violations (error)
-// from strong-suspicion heuristics (warning).
-type Severity int
-
-const (
-	// Warning marks heuristic findings: almost always a bug, but with
-	// known legitimate shapes that a reviewed //lint:allow can bless.
-	Warning Severity = iota
-	// Error marks contract violations with no legitimate in-tree shape.
-	Error
-)
-
-// String returns the lowercase name used in text and JSON output.
-func (s Severity) String() string {
-	if s == Error {
-		return "error"
-	}
-	return "warning"
-}
-
-// MarshalJSON encodes the severity as its string name.
-func (s Severity) MarshalJSON() ([]byte, error) {
-	return json.Marshal(s.String())
-}
-
 // Diagnostic is one finding at one source position.
 type Diagnostic struct {
-	Rule     string   `json:"rule"`
-	Severity Severity `json:"severity"`
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Col      int      `json:"col"`
-	Message  string   `json:"message"`
+	Rule    string
+	File    string
+	Line    int
+	Col     int
+	Message string
 	// Chain is the interprocedural derivation for transitive findings,
 	// from the reported function down to the sink
 	// (["estimator.Cold", "report.stamp", "time.Now"]); empty for
 	// intraprocedural findings.
-	Chain []string `json:"chain,omitempty"`
+	Chain []string
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s: %s (%s)", d.File, d.Line, d.Col, d.Severity, d.Message, d.Rule)
+	return fmt.Sprintf("%s:%d:%d: %s (%s)", d.File, d.Line, d.Col, d.Message, d.Rule)
 }
 
 // Rule is one named check over a type-checked package.
-type Rule interface {
+type Rule struct {
 	// Name is the identifier used in output and //lint:allow comments.
-	Name() string
+	Name string
 	// Doc is a one-line statement of the contract the rule protects.
-	Doc() string
-	// Severity classifies every diagnostic the rule emits.
-	Severity() Severity
+	Doc string
 	// Check inspects one package and reports findings through the pass.
-	Check(p *Pass)
+	Check func(p *Pass)
+}
+
+// Rules returns the full registry in its canonical order. The slice is
+// freshly allocated; callers may filter it.
+func Rules() []Rule {
+	return []Rule{
+		{"maporder", "map iteration must not accumulate floats, write output, or collect results without a sort", checkMapOrder},
+		{"nondeterminism", "modeling packages must be pure: no wall-clock reads (time.Now, time.Since, time.Until), no math/rand, no fmt printing of maps", checkNondeterminism},
+		{"nakedgo", "goroutines outside internal/parallel and internal/server must use the panic-recovering pool", checkNakedGo},
+		{"panicboundary", "panics in internal packages are allowed only in functions whose doc comment documents them", checkPanicBoundary},
+		{"floateq", "computed floating-point values must not be compared with == or !=", checkFloatEq},
+		{"cachekey", "simcache key builders must reference every exported field of the structs they fingerprint", checkCacheKey},
+		{"obsflow", "modeling packages may write obs instruments but never read them", checkObsFlow},
+		{"ctxflow", "modeling packages must thread the caller's context: no context.Background/TODO, and exported looping entry points accept a ctx", checkCtxFlow},
+		{"sharedmut", "pool callbacks must not write captured or package-level state without synchronization", checkSharedMut},
+	}
+}
+
+// RuleByName returns the registered rule with the given name.
+func RuleByName(name string) (Rule, bool) {
+	for _, r := range Rules() {
+		if r.Name == name {
+			return r, true
+		}
+	}
+	return Rule{}, false
 }
 
 // Pass hands one package to one rule and collects its findings.
 type Pass struct {
 	Pkg *Package
-	// Facts carries the module-wide call graph and transitive facts;
-	// rules consult it for interprocedural findings.
-	Facts  *Facts
-	rule   Rule
-	report func(Diagnostic)
+	// g is the module-wide call graph with its transitive facts; rules
+	// consult it for interprocedural findings.
+	g    *callGraph
+	rule string
+	sup  suppressions
+	res  *Result
 }
 
 // Reportf records a finding at node's position.
@@ -124,64 +122,32 @@ func (p *Pass) Reportf(node ast.Node, format string, args ...any) {
 }
 
 // ReportChainf records a transitive finding at node's position, attaching
-// the interprocedural derivation chain.
+// the interprocedural derivation chain. A finding that a //lint:allow
+// comment for the rule covers is counted as suppressed instead.
 func (p *Pass) ReportChainf(node ast.Node, chain []string, format string, args ...any) {
 	pos := p.Pkg.Fset.Position(node.Pos())
-	p.report(Diagnostic{
-		Rule:     p.rule.Name(),
-		Severity: p.rule.Severity(),
-		File:     pos.Filename,
-		Line:     pos.Line,
-		Col:      pos.Column,
-		Message:  fmt.Sprintf(format, args...),
-		Chain:    chain,
-	})
-}
-
-// Rules returns the full registry in its canonical order. The slice is
-// freshly allocated; callers may filter it.
-func Rules() []Rule {
-	return []Rule{
-		&mapOrderRule{},
-		&nondeterminismRule{},
-		&nakedGoRule{},
-		&panicBoundaryRule{},
-		&floatEqRule{},
-		&cacheKeyRule{},
-		&obsFlowRule{},
-		&ctxFlowRule{},
-		&sharedMutRule{},
+	d := Diagnostic{
+		Rule:    p.rule,
+		File:    pos.Filename,
+		Line:    pos.Line,
+		Col:     pos.Column,
+		Message: fmt.Sprintf(format, args...),
+		Chain:   chain,
 	}
-}
-
-// RuleByName returns the registered rule with the given name, or nil.
-func RuleByName(name string) Rule {
-	for _, r := range Rules() {
-		if r.Name() == name {
-			return r
-		}
+	if p.sup.allows(d) {
+		p.res.Suppressed++
+		return
 	}
-	return nil
+	p.res.Diags = append(p.res.Diags, d)
 }
 
 // Result is the outcome of running a rule set over a package set.
 type Result struct {
 	// Diags holds every unsuppressed finding, sorted by file, line,
-	// column, then rule.
+	// column, rule, then message.
 	Diags []Diagnostic
 	// Suppressed counts findings silenced by //lint:allow comments.
 	Suppressed int
-}
-
-// Errors reports how many diagnostics carry Error severity.
-func (r Result) Errors() int {
-	n := 0
-	for _, d := range r.Diags {
-		if d.Severity == Error {
-			n++
-		}
-	}
-	return n
 }
 
 // allowRe matches one //lint:allow(rule1,rule2) comment; everything after
@@ -235,73 +201,29 @@ func (s suppressions) allows(d Diagnostic) bool {
 // suppression-filtered result. Before the rules fire, the module-wide call
 // graph and its transitive facts are computed over the whole package set,
 // so interprocedural findings see edges that cross package boundaries.
-// Afterwards the diagnostics are sorted into the canonical emission order
-// and de-duplicated.
+// Each finding has exactly one producer, so nothing is de-duplicated.
 func Run(pkgs []*Package, rules []Rule) Result {
-	facts := computeFacts(pkgs)
+	g := computeFacts(pkgs)
 	var res Result
 	for _, pkg := range pkgs {
 		sup := collectSuppressions(pkg)
 		for _, rule := range rules {
-			pass := &Pass{Pkg: pkg, Facts: facts, rule: rule}
-			pass.report = func(d Diagnostic) {
-				if sup.allows(d) {
-					res.Suppressed++
-					return
-				}
-				res.Diags = append(res.Diags, d)
-			}
-			rule.Check(pass)
+			rule.Check(&Pass{Pkg: pkg, g: g, rule: rule.Name, sup: sup, res: &res})
 		}
 	}
-	sortDiagnostics(res.Diags)
-	res.Diags = dedupe(res.Diags)
-	return res
-}
-
-// sortDiagnostics orders findings by (file, line, col, rule, message):
-// the canonical emission order both writers (text and JSON) inherit, so
-// analyzer output is itself a pure function of the source tree. The
-// message tie-break makes the order total even when one rule reports
-// twice at one position.
-func sortDiagnostics(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Message < b.Message
+	// The canonical emission order makes the report itself a pure function
+	// of the source tree; the message tie-break keeps it total when one
+	// rule reports twice at one position.
+	slices.SortFunc(res.Diags, func(a, b Diagnostic) int {
+		return cmp.Or(
+			cmp.Compare(a.File, b.File),
+			cmp.Compare(a.Line, b.Line),
+			cmp.Compare(a.Col, b.Col),
+			cmp.Compare(a.Rule, b.Rule),
+			cmp.Compare(a.Message, b.Message),
+		)
 	})
-}
-
-// dedupe collapses findings that share (file, line, col, rule): when an
-// interprocedural rule and its intraprocedural ancestor both fire at one
-// position, the chain-carrying diagnostic wins, so the reader gets the
-// full derivation exactly once. The input must already be sorted.
-func dedupe(diags []Diagnostic) []Diagnostic {
-	out := diags[:0]
-	for _, d := range diags {
-		if len(out) > 0 {
-			last := &out[len(out)-1]
-			if last.File == d.File && last.Line == d.Line && last.Col == d.Col && last.Rule == d.Rule {
-				if len(last.Chain) == 0 && len(d.Chain) > 0 {
-					*last = d
-				}
-				continue
-			}
-		}
-		out = append(out, d)
-	}
-	return out
+	return res
 }
 
 // WriteText renders the result one finding per line, with a trailing
@@ -310,32 +232,5 @@ func WriteText(w io.Writer, res Result) {
 	for _, d := range res.Diags {
 		fmt.Fprintln(w, d)
 	}
-	fmt.Fprintf(w, "lint: %d finding(s) (%d error, %d warning), %d suppressed\n",
-		len(res.Diags), res.Errors(), len(res.Diags)-res.Errors(), res.Suppressed)
-}
-
-// jsonReport is the stable JSON output schema; TestJSONOutputSchema pins
-// its shape.
-type jsonReport struct {
-	Diagnostics []Diagnostic   `json:"diagnostics"`
-	Counts      map[string]int `json:"counts"`
-	Suppressed  int            `json:"suppressed"`
-}
-
-// WriteJSON renders the result as a single JSON object.
-func WriteJSON(w io.Writer, res Result) error {
-	rep := jsonReport{
-		Diagnostics: res.Diags,
-		Counts: map[string]int{
-			"error":   res.Errors(),
-			"warning": len(res.Diags) - res.Errors(),
-		},
-		Suppressed: res.Suppressed,
-	}
-	if rep.Diagnostics == nil {
-		rep.Diagnostics = []Diagnostic{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	fmt.Fprintf(w, "lint: %d finding(s), %d suppressed\n", len(res.Diags), res.Suppressed)
 }

@@ -2,10 +2,11 @@ package lint
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -27,6 +28,30 @@ func loadFixture(t *testing.T, name string) *Package {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
 	return pkg
+}
+
+// rule returns the registered rule with the given name.
+func rule(t *testing.T, name string) Rule {
+	t.Helper()
+	r, ok := RuleByName(name)
+	if !ok {
+		t.Fatalf("rule %s not registered", name)
+	}
+	return r
+}
+
+// fixtureNames lists the fixture packages under testdata/src.
+func fixtureNames(t *testing.T) []string {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // wantRe pulls the expectation pattern out of a // want "..." comment.
@@ -97,10 +122,7 @@ func checkFixtureClosure(t *testing.T, ruleName, fixture string) {
 
 func checkFixturePkgs(t *testing.T, ruleName, fixture string, pkgs []*Package) {
 	t.Helper()
-	rule := RuleByName(ruleName)
-	if rule == nil {
-		t.Fatalf("rule %s not registered", ruleName)
-	}
+	r := rule(t, ruleName)
 	var wants []*expectation
 	for _, pkg := range pkgs {
 		if !strings.Contains(pkg.Dir, "testdata") {
@@ -111,7 +133,7 @@ func checkFixturePkgs(t *testing.T, ruleName, fixture string, pkgs []*Package) {
 	if len(wants) == 0 {
 		t.Fatalf("fixture %s has no want comments", fixture)
 	}
-	res := Run(pkgs, []Rule{rule})
+	res := Run(pkgs, []Rule{r})
 	for _, d := range res.Diags {
 		matched := false
 		for _, w := range wants {
@@ -153,54 +175,52 @@ func TestPanicBoundaryCrossPackage(t *testing.T) {
 }
 func TestSharedMutFixture(t *testing.T) { checkFixtureClosure(t, "sharedmut", "sharedmut") }
 
-// TestTransitiveChainContents pins the exact derivation chain attached to
-// a cross-package finding, sink included.
+// TestTransitiveChainContents pins the exact derivation chain of one
+// finding per transitive rule, sink included, and its rendering into the
+// message. The nondeterminism pair covers a chain through plain functions
+// and one through a pointer-receiver method; the ctxflow chain ends in
+// the looping frame's route to its context-aware callee.
 func TestTransitiveChainContents(t *testing.T) {
-	pkgs := loadFixtureClosure(t, "ndcross")
-	res := Run(pkgs, []Rule{RuleByName("nondeterminism")})
-	want := []string{"estimator.Cold", "ndhelper.Jitter", "ndhelper.stamp", "time.Now"}
-	for _, d := range res.Diags {
-		if len(d.Chain) == len(want) {
-			ok := true
-			for i := range want {
-				if d.Chain[i] != want[i] {
-					ok = false
-				}
-			}
-			if ok {
-				if !strings.Contains(d.Message, "estimator.Cold → ndhelper.Jitter → ndhelper.stamp → time.Now") {
-					t.Errorf("chain not rendered into the message: %s", d.Message)
-				}
-				return
-			}
+	for _, tc := range []struct {
+		fixture, rule string
+		chain         []string
+	}{
+		{"ndcross", "nondeterminism", []string{"estimator.Cold", "ndhelper.Jitter", "ndhelper.stamp", "time.Now"}},
+		{"ndcross", "nondeterminism", []string{"estimator.Stamped", "ndhelper.(*Clock).Read", "ndhelper.stamp", "time.Now"}},
+		{"ctxcross", "ctxflow", []string{"scalesim.Sweep", "ctxhelper.Drive", "Step"}},
+		{"paniccross", "panicboundary", []string{"pcross.Checked", "panichelper.Validate", "panichelper.explode", "panic"}},
+		{"sharedmut", "sharedmut", []string{"callback", "smhelper.Record", "smhelper.note", "write to package-level hits"}},
+	} {
+		res := Run(loadFixtureClosure(t, tc.fixture), []Rule{rule(t, tc.rule)})
+		i := slices.IndexFunc(res.Diags, func(d Diagnostic) bool { return slices.Equal(d.Chain, tc.chain) })
+		if i < 0 {
+			t.Errorf("%s: no %s diagnostic carries the chain %q; got %+v", tc.fixture, tc.rule, tc.chain, res.Diags)
+			continue
+		}
+		if rendered := strings.Join(tc.chain, " → "); !strings.Contains(res.Diags[i].Message, rendered) {
+			t.Errorf("%s: chain %s not rendered into the message: %s", tc.fixture, rendered, res.Diags[i].Message)
 		}
 	}
-	t.Fatalf("no diagnostic carries the chain %v; got %+v", want, res.Diags)
 }
 
-// TestTransitiveDedup pins the (position, rule) de-duplication: when the
-// intraprocedural ctxflow check and its interprocedural upgrade both fire
-// on one declaration, exactly one diagnostic survives and it carries the
-// chain.
+// TestTransitiveDedup pins one producer per finding: over every fixture
+// closure with every rule, no (file, line, col, rule) repeats. Run keeps
+// every report, so a second rule path reaching one position — an
+// intraprocedural check beside its transitive upgrade, or a pool callback
+// walked both from its own pool call and from an enclosing one — shows up
+// here, where the one-to-one want matching of the fixture tests cannot
+// see it (both copies match one want).
 func TestTransitiveDedup(t *testing.T) {
-	pkg := loadFixture(t, "ctxflow")
-	res := Run([]*Package{pkg}, []Rule{RuleByName("ctxflow")})
-	seen := map[string]int{}
-	for _, d := range res.Diags {
-		key := fmt.Sprintf("%s:%d:%d:%s", d.File, d.Line, d.Col, d.Rule)
-		seen[key]++
-		if seen[key] > 1 {
-			t.Errorf("duplicate diagnostics at %s", key)
+	for _, name := range fixtureNames(t) {
+		res := Run(loadFixtureClosure(t, name), Rules())
+		seen := map[string]bool{}
+		for _, d := range res.Diags {
+			key := fmt.Sprintf("%s:%d:%d:%s", d.File, d.Line, d.Col, d.Rule)
+			if seen[key] {
+				t.Errorf("%s closure: duplicate diagnostics at %s", name, key)
+			}
+			seen[key] = true
 		}
-	}
-	withChain := 0
-	for _, d := range res.Diags {
-		if len(d.Chain) > 0 && strings.Contains(d.Message, "does not accept a context.Context") {
-			withChain++
-		}
-	}
-	if withChain == 0 {
-		t.Error("dedupe kept the chain-less diagnostic; the interprocedural derivation was lost")
 	}
 }
 
@@ -209,7 +229,7 @@ func TestTransitiveDedup(t *testing.T) {
 // another.
 func TestSuppression(t *testing.T) {
 	pkg := loadFixture(t, "suppress")
-	res := Run([]*Package{pkg}, []Rule{RuleByName("nakedgo"), RuleByName("floateq")})
+	res := Run([]*Package{pkg}, []Rule{rule(t, "nakedgo"), rule(t, "floateq")})
 	if res.Suppressed != 3 {
 		t.Errorf("suppressed = %d, want 3", res.Suppressed)
 	}
@@ -236,65 +256,11 @@ func TestRulesExemptPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := Run([]*Package{exempt}, []Rule{RuleByName("nakedgo")}); len(res.Diags) != 0 {
+	if res := Run([]*Package{exempt}, []Rule{rule(t, "nakedgo")}); len(res.Diags) != 0 {
 		t.Errorf("nakedgo fired %d finding(s) inside internal/parallel, want 0", len(res.Diags))
 	}
-	if res := Run([]*Package{pkg}, []Rule{RuleByName("nakedgo")}); len(res.Diags) == 0 {
+	if res := Run([]*Package{pkg}, []Rule{rule(t, "nakedgo")}); len(res.Diags) == 0 {
 		t.Error("nakedgo silent outside the exempt packages")
-	}
-}
-
-// TestJSONOutputSchema locks the shape of the -json report.
-func TestJSONOutputSchema(t *testing.T) {
-	pkg := loadFixture(t, "nakedgo")
-	res := Run([]*Package{pkg}, []Rule{RuleByName("nakedgo")})
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Diagnostics []struct {
-			Rule     string   `json:"rule"`
-			Severity string   `json:"severity"`
-			File     string   `json:"file"`
-			Line     int      `json:"line"`
-			Col      int      `json:"col"`
-			Message  string   `json:"message"`
-			Chain    []string `json:"chain"`
-		} `json:"diagnostics"`
-		Counts     map[string]int `json:"counts"`
-		Suppressed int            `json:"suppressed"`
-	}
-	dec := json.NewDecoder(&buf)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rep); err != nil {
-		t.Fatalf("JSON report does not match the documented schema: %v", err)
-	}
-	if len(rep.Diagnostics) == 0 {
-		t.Fatal("JSON report lost the findings")
-	}
-	for _, d := range rep.Diagnostics {
-		if d.Rule == "" || d.File == "" || d.Line <= 0 || d.Col <= 0 || d.Message == "" {
-			t.Errorf("incomplete diagnostic in JSON report: %+v", d)
-		}
-		if d.Severity != "error" && d.Severity != "warning" {
-			t.Errorf("severity %q, want error or warning", d.Severity)
-		}
-	}
-	if _, ok := rep.Counts["error"]; !ok {
-		t.Error("counts missing the error bucket")
-	}
-	if _, ok := rep.Counts["warning"]; !ok {
-		t.Error("counts missing the warning bucket")
-	}
-	// An empty result must still serialise with a [] diagnostics array,
-	// not null, so jq pipelines never see a type change.
-	buf.Reset()
-	if err := WriteJSON(&buf, Result{}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"diagnostics": []`) {
-		t.Errorf("empty report serialises diagnostics as %s, want []", buf.String())
 	}
 }
 
@@ -302,25 +268,29 @@ func TestJSONOutputSchema(t *testing.T) {
 // trailing summary.
 func TestTextOutput(t *testing.T) {
 	pkg := loadFixture(t, "nakedgo")
-	res := Run([]*Package{pkg}, []Rule{RuleByName("nakedgo")})
+	res := Run([]*Package{pkg}, []Rule{rule(t, "nakedgo")})
 	var buf bytes.Buffer
 	WriteText(&buf, res)
-	out := buf.String()
-	if !strings.Contains(out, "nakedgo") || !strings.Contains(out, "error") {
-		t.Errorf("text output missing rule or severity:\n%s", out)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != len(res.Diags)+1 {
+		t.Fatalf("text output has %d lines for %d findings:\n%s", len(lines), len(res.Diags), buf.String())
 	}
-	want := fmt.Sprintf("lint: %d finding(s)", len(res.Diags))
-	if !strings.Contains(out, want) {
-		t.Errorf("text output missing summary %q:\n%s", want, out)
+	d := res.Diags[0]
+	want := fmt.Sprintf("%s:%d:%d: %s (nakedgo)", d.File, d.Line, d.Col, d.Message)
+	if lines[0] != want {
+		t.Errorf("finding line = %q, want %q", lines[0], want)
+	}
+	if summary := fmt.Sprintf("lint: %d finding(s), 0 suppressed", len(res.Diags)); lines[len(lines)-1] != summary {
+		t.Errorf("summary = %q, want %q", lines[len(lines)-1], summary)
 	}
 }
 
 // TestRunByteIdentity performs two fully independent load+run passes and
-// demands byte-identical text and JSON renderings — the analyzer's own
-// output must honour the determinism contract it enforces, including
-// across map-heavy structures like the call graph.
+// demands byte-identical text reports — the analyzer's own output must
+// honour the determinism contract it enforces, including across map-heavy
+// structures like the call graph.
 func TestRunByteIdentity(t *testing.T) {
-	render := func() (text, jsonOut []byte) {
+	render := func() []byte {
 		t.Helper()
 		pkgs := loadFixtureClosure(t, "sharedmut")
 		pkgs = append(pkgs, loadFixtureClosure(t, "ndcross")...)
@@ -328,20 +298,12 @@ func TestRunByteIdentity(t *testing.T) {
 		if len(res.Diags) == 0 {
 			t.Fatal("fixture run produced no findings; identity check would be vacuous")
 		}
-		var tb, jb bytes.Buffer
-		WriteText(&tb, res)
-		if err := WriteJSON(&jb, res); err != nil {
-			t.Fatal(err)
-		}
-		return tb.Bytes(), jb.Bytes()
+		var buf bytes.Buffer
+		WriteText(&buf, res)
+		return buf.Bytes()
 	}
-	t1, j1 := render()
-	t2, j2 := render()
-	if !bytes.Equal(t1, t2) {
+	if !bytes.Equal(render(), render()) {
 		t.Error("text output differs between two identical runs")
-	}
-	if !bytes.Equal(j1, j2) {
-		t.Error("JSON output differs between two identical runs")
 	}
 }
 

@@ -22,14 +22,6 @@ import (
 	"strings"
 )
 
-type cacheKeyRule struct{}
-
-func (cacheKeyRule) Name() string { return "cachekey" }
-func (cacheKeyRule) Doc() string {
-	return "simcache key builders must reference every exported field of the structs they fingerprint"
-}
-func (cacheKeyRule) Severity() Severity { return Error }
-
 // fieldSet tracks which exported fields a builder reads; all=true means
 // the whole struct escaped into code the rule cannot see (another package,
 // a %+v formatter), which counts as full coverage.
@@ -52,7 +44,9 @@ func (fs *fieldSet) union(other fieldSet) {
 	}
 }
 
-func (r cacheKeyRule) Check(p *Pass) {
+// checkCacheKey checks every key builder's coverage of the exported
+// fields of its module-local struct parameters.
+func checkCacheKey(p *Pass) {
 	inSimcache := p.Pkg.Name == "simcache"
 	c := &cacheKeyChecker{
 		p:        p,
@@ -62,14 +56,14 @@ func (r cacheKeyRule) Check(p *Pass) {
 		memoRes:  map[coverKey]fieldSet{},
 		reported: map[string]bool{},
 	}
-	eachFuncDecl(p.Pkg, func(_ *ast.File, fd *ast.FuncDecl) {
+	eachFuncDecl(p.Pkg, func(fd *ast.FuncDecl) {
 		if fd.Name != nil {
 			if f, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
 				c.decls[f] = fd
 			}
 		}
 	})
-	eachFuncDecl(p.Pkg, func(_ *ast.File, fd *ast.FuncDecl) {
+	eachFuncDecl(p.Pkg, func(fd *ast.FuncDecl) {
 		if fd.Body == nil || !strings.Contains(fd.Name.Name, "Key") {
 			return
 		}
@@ -301,7 +295,7 @@ func paramAt(fd *ast.FuncDecl, i int) *ast.Ident {
 // enclosingFuncDecl finds the function declaration whose body contains n.
 func enclosingFuncDecl(pkg *Package, n ast.Node) *ast.FuncDecl {
 	var found *ast.FuncDecl
-	eachFuncDecl(pkg, func(_ *ast.File, fd *ast.FuncDecl) {
+	eachFuncDecl(pkg, func(fd *ast.FuncDecl) {
 		if fd.Body != nil && fd.Pos() <= n.Pos() && n.End() <= fd.End() {
 			found = fd
 		}

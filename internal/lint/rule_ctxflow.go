@@ -16,18 +16,6 @@ import (
 	"go/types"
 )
 
-// ctxFlowRule enforces the two wiring contracts in the modeling packages:
-// no context.Background()/context.TODO() calls, and exported functions that
-// loop while invoking context-aware callees must accept a context.Context
-// themselves.
-type ctxFlowRule struct{}
-
-func (ctxFlowRule) Name() string { return "ctxflow" }
-func (ctxFlowRule) Doc() string {
-	return "modeling packages must thread the caller's context: no context.Background/TODO, and exported looping entry points accept a ctx"
-}
-func (ctxFlowRule) Severity() Severity { return Error }
-
 // isContextType reports whether t is the context.Context interface type.
 func isContextType(t types.Type) bool {
 	named, ok := t.(*types.Named)
@@ -49,7 +37,11 @@ func signatureAcceptsContext(sig *types.Signature) bool {
 	return false
 }
 
-func (r ctxFlowRule) Check(p *Pass) {
+// checkCtxFlow enforces the two wiring contracts in the modeling
+// packages: no context.Background()/context.TODO() calls, and exported
+// functions that loop while invoking context-aware callees must accept a
+// context.Context themselves.
+func checkCtxFlow(p *Pass) {
 	if !modelingPackages[p.Pkg.Name] {
 		return
 	}
@@ -61,60 +53,28 @@ func (r ctxFlowRule) Check(p *Pass) {
 			if !ok {
 				return true
 			}
-			switch calleeFullName(p.Pkg.Info, call) {
-			case "context.Background":
-				p.Reportf(call, "modeling package %s calls context.Background(); accept the caller's context so the loop below stays cancellable", p.Pkg.Name)
-			case "context.TODO":
-				p.Reportf(call, "modeling package %s calls context.TODO(); accept the caller's context so the loop below stays cancellable", p.Pkg.Name)
+			if name := calleeFullName(p.Pkg.Info, call); name == "context.Background" || name == "context.TODO" {
+				p.Reportf(call, "modeling package %s calls %s(); accept the caller's context so the loop below stays cancellable", p.Pkg.Name, name)
 			}
 			return true
 		})
 	}
 	// Contract 2: an exported function that loops and calls context-aware
 	// callees is a long-running entry point; it must accept a ctx itself or
-	// its callers can never cancel it.
-	eachFuncDecl(p.Pkg, func(_ *ast.File, fd *ast.FuncDecl) {
-		if fd.Body == nil || !fd.Name.IsExported() {
+	// its callers can never cancel it. The loop and the context-aware
+	// callee may sit in its own body (the loopyHot base case) or any number
+	// of ctx-less helper calls below it; the finding lands on the
+	// declaration with the derivation.
+	eachFuncDecl(p.Pkg, func(fd *ast.FuncDecl) {
+		if !fd.Name.IsExported() {
 			return
 		}
-		fn, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func)
-		if !ok {
+		fn, _ := p.Pkg.Info.Defs[fd.Name].(*types.Func)
+		n := p.g.nodes[fn]
+		if n == nil || n.facts[loopyHot] == nil {
 			return
 		}
-		if signatureAcceptsContext(fn.Type().(*types.Signature)) {
-			return
-		}
-		loops, ctxCallee := false, ""
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ForStmt, *ast.RangeStmt:
-				loops = true
-			case *ast.CallExpr:
-				if ctxCallee != "" {
-					return true
-				}
-				if callee := calleeFunc(p.Pkg.Info, n); callee != nil {
-					if sig, ok := callee.Type().(*types.Signature); ok && signatureAcceptsContext(sig) {
-						ctxCallee = callee.Name()
-					}
-				}
-			}
-			return true
-		})
-		if loops && ctxCallee != "" {
-			p.Reportf(fd, "exported %s loops while calling the context-aware %s but does not accept a context.Context; thread the caller's ctx through so the sweep stays cancellable", fd.Name.Name, ctxCallee)
-		}
-		// Transitive contract: the loop and the context-aware callee may
-		// sit any number of ctx-less helper calls below the exported
-		// entry point — the loopyHot fact follows the whole chain, and
-		// the finding lands on the declaration with the derivation. When
-		// the intraprocedural check above also fired, dedupe keeps the
-		// chain-carrying diagnostic.
-		n := p.Facts.nodeOf(fn)
-		if n == nil || n.loopyHot == nil {
-			return
-		}
-		chain := p.Facts.ctxChain(n)
+		chain := ctxChain(n)
 		p.ReportChainf(fd, chain, "exported %s drives a context-aware callee from a loop but does not accept a context.Context (%s); thread the caller's ctx through so the sweep stays cancellable", fd.Name.Name, chainString(chain))
 	})
 }

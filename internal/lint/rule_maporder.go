@@ -14,14 +14,6 @@ import (
 	"strings"
 )
 
-type mapOrderRule struct{}
-
-func (mapOrderRule) Name() string { return "maporder" }
-func (mapOrderRule) Doc() string {
-	return "map iteration must not accumulate floats, write output, or collect results without a sort"
-}
-func (mapOrderRule) Severity() Severity { return Error }
-
 // sortCallees are the stdlib entry points that establish a deterministic
 // order over a just-collected slice.
 var sortCallees = map[string]bool{
@@ -30,7 +22,9 @@ var sortCallees = map[string]bool{
 	"slices.Sort": true, "slices.SortFunc": true, "slices.SortStableFunc": true,
 }
 
-func (r mapOrderRule) Check(p *Pass) {
+// checkMapOrder flags order-sensitive work under range-over-map
+// iteration.
+func checkMapOrder(p *Pass) {
 	info := p.Pkg.Info
 	for _, f := range p.Pkg.Files {
 		// Track the statement list enclosing each range so the
@@ -58,7 +52,7 @@ func (r mapOrderRule) Check(p *Pass) {
 				rs, ok := s.(*ast.RangeStmt)
 				if ok {
 					if tv, ok := info.Types[rs.X]; ok && isMap(tv.Type) {
-						r.checkMapRange(p, rs, stmts[i+1:])
+						checkMapRange(p, rs, stmts[i+1:])
 					}
 				}
 				inspectNode(s)
@@ -74,7 +68,7 @@ func (r mapOrderRule) Check(p *Pass) {
 
 // checkMapRange inspects one range-over-map body; rest holds the sibling
 // statements following the loop, where a redeeming sort may appear.
-func (r mapOrderRule) checkMapRange(p *Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
+func checkMapRange(p *Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
 	info := p.Pkg.Info
 	lo, hi := rs.Pos(), rs.End()
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
@@ -88,9 +82,9 @@ func (r mapOrderRule) checkMapRange(p *Pass, rs *ast.RangeStmt, rest []ast.Stmt)
 				}
 			}
 		case *ast.AssignStmt:
-			r.checkAssign(p, n, lo, hi, rest)
+			checkAssign(p, n, lo, hi, rest)
 		case *ast.CallExpr:
-			r.checkOutputCall(p, n, lo, hi)
+			checkOutputCall(p, n, lo, hi)
 		}
 		return true
 	})
@@ -99,7 +93,7 @@ func (r mapOrderRule) checkMapRange(p *Pass, rs *ast.RangeStmt, rest []ast.Stmt)
 // checkAssign flags order-sensitive updates of variables that outlive the
 // loop: float accumulation (compound or x = x op y) and appends without a
 // following sort.
-func (r mapOrderRule) checkAssign(p *Pass, as *ast.AssignStmt, lo, hi token.Pos, rest []ast.Stmt) {
+func checkAssign(p *Pass, as *ast.AssignStmt, lo, hi token.Pos, rest []ast.Stmt) {
 	info := p.Pkg.Info
 	for i, lhs := range as.Lhs {
 		obj := identObj(info, lhs)
@@ -140,7 +134,7 @@ func (r mapOrderRule) checkAssign(p *Pass, as *ast.AssignStmt, lo, hi token.Pos,
 // printing and Write-family methods on destinations declared outside the
 // loop. Exhibits are byte-compared, so emission order is part of the
 // contract.
-func (r mapOrderRule) checkOutputCall(p *Pass, call *ast.CallExpr, lo, hi token.Pos) {
+func checkOutputCall(p *Pass, call *ast.CallExpr, lo, hi token.Pos) {
 	info := p.Pkg.Info
 	name := calleeFullName(info, call)
 	if name == "" {

@@ -27,17 +27,9 @@ var obsReadNames = map[string]bool{
 	"Tracing":         true,
 }
 
-// obsFlowRule forbids calls to the obs read surface inside the modeling
+// checkObsFlow forbids calls to the obs read surface inside the modeling
 // packages.
-type obsFlowRule struct{}
-
-func (obsFlowRule) Name() string { return "obsflow" }
-func (obsFlowRule) Doc() string {
-	return "modeling packages may write obs instruments but never read them"
-}
-func (obsFlowRule) Severity() Severity { return Error }
-
-func (r obsFlowRule) Check(p *Pass) {
+func checkObsFlow(p *Pass) {
 	if !modelingPackages[p.Pkg.Name] {
 		return
 	}

@@ -19,17 +19,9 @@ import (
 	"go/types"
 )
 
-// sharedMutRule flags unsynchronized writes to captured or package-level
+// checkSharedMut flags unsynchronized writes to captured or package-level
 // state inside callbacks handed to internal/parallel.
-type sharedMutRule struct{}
-
-func (sharedMutRule) Name() string { return "sharedmut" }
-func (sharedMutRule) Doc() string {
-	return "pool callbacks must not write captured or package-level state without synchronization"
-}
-func (sharedMutRule) Severity() Severity { return Error }
-
-func (r sharedMutRule) Check(p *Pass) {
+func checkSharedMut(p *Pass) {
 	// The pool and the server own their synchronization primitives.
 	if goExemptPackages[p.Pkg.Path] {
 		return
@@ -48,11 +40,11 @@ func (r sharedMutRule) Check(p *Pass) {
 			for _, arg := range call.Args {
 				switch arg := ast.Unparen(arg).(type) {
 				case *ast.FuncLit:
-					r.checkCallback(p, callee.Name(), arg)
+					checkCallback(p, callee.Name(), arg)
 				default:
 					if fv := funcValueOf(info, arg); fv != nil {
-						if n := p.Facts.nodeOf(fv); n != nil && n.mutates != nil {
-							chain := p.Facts.mutChain(n)
+						if n := p.g.nodes[fv]; n != nil && n.facts[mutates] != nil {
+							chain := n.chain(mutates)
 							p.ReportChainf(arg, chain, "callback %s passed to parallel.%s mutates shared state without synchronization (%s); aggregate per index or guard the write with a mutex", fv.Name(), callee.Name(), chainString(chain))
 						}
 					}
@@ -64,8 +56,10 @@ func (r sharedMutRule) Check(p *Pass) {
 }
 
 // checkCallback inspects one function-literal callback for unsynchronized
-// writes to captured state, directly or through its callees.
-func (r sharedMutRule) checkCallback(p *Pass, poolName string, lit *ast.FuncLit) {
+// writes to captured state, directly or through its callees. The literal
+// callbacks of a pool call nested inside it are left to the file walk,
+// which checks them on their own, so each write has one report.
+func checkCallback(p *Pass, poolName string, lit *ast.FuncLit) {
 	info := p.Pkg.Info
 	// A callback that takes a lock is synchronized by design; trust it
 	// wholesale rather than attempting lock-region analysis.
@@ -82,20 +76,29 @@ func (r sharedMutRule) checkCallback(p *Pass, poolName string, lit *ast.FuncLit)
 	captured := func(v *types.Var) bool {
 		return v != nil && !v.IsField() && (v.Pos() < lit.Pos() || v.Pos() > lit.End())
 	}
+	nested := map[*ast.FuncLit]bool{}
 	ast.Inspect(lit.Body, func(node ast.Node) bool {
 		switch node := node.(type) {
+		case *ast.FuncLit:
+			return !nested[node]
 		case *ast.AssignStmt:
 			for _, lhs := range node.Lhs {
-				r.checkWrite(p, lit, poolName, captured, lhs)
+				checkWrite(p, poolName, captured, lhs)
 			}
 		case *ast.IncDecStmt:
-			r.checkWrite(p, lit, poolName, captured, node.X)
+			checkWrite(p, poolName, captured, node.X)
 		case *ast.CallExpr:
-			if c := calleeFunc(info, node); c != nil {
-				if n := p.Facts.nodeOf(c); n != nil && n.mutates != nil {
-					chain := append([]string{"callback"}, p.Facts.mutChain(n)...)
-					p.ReportChainf(node, chain, "callback passed to parallel.%s calls %s, which mutates shared state without synchronization (%s); aggregate per index or guard the write with a mutex", poolName, c.Name(), chainString(chain))
+			c := calleeFunc(info, node)
+			if isPoolEntry(c) {
+				for _, arg := range node.Args {
+					if fl, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+						nested[fl] = true
+					}
 				}
+			}
+			if n := p.g.nodes[c]; n != nil && n.facts[mutates] != nil {
+				chain := append([]string{"callback"}, n.chain(mutates)...)
+				p.ReportChainf(node, chain, "callback passed to parallel.%s calls %s, which mutates shared state without synchronization (%s); aggregate per index or guard the write with a mutex", poolName, c.Name(), chainString(chain))
 			}
 		}
 		return true
@@ -106,7 +109,7 @@ func (r sharedMutRule) checkCallback(p *Pass, poolName string, lit *ast.FuncLit)
 // that land on captured state. Indexed writes into captured slices are
 // the pool's order-preserving per-index idiom and pass; indexed writes
 // into captured maps race on the map header and fail.
-func (r sharedMutRule) checkWrite(p *Pass, lit *ast.FuncLit, poolName string, captured func(*types.Var) bool, lhs ast.Expr) {
+func checkWrite(p *Pass, poolName string, captured func(*types.Var) bool, lhs ast.Expr) {
 	info := p.Pkg.Info
 	report := func(at ast.Expr, form string, v *types.Var) {
 		p.Reportf(at, "callback passed to parallel.%s writes %s %s captured from the enclosing scope without synchronization; aggregate per index, keep the state local to the callback, or guard with a mutex", poolName, form, v.Name())

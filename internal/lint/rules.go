@@ -82,11 +82,11 @@ func declaredOutside(obj types.Object, lo, hi token.Pos) bool {
 }
 
 // eachFuncDecl invokes fn for every function declaration in the package.
-func eachFuncDecl(pkg *Package, fn func(file *ast.File, decl *ast.FuncDecl)) {
+func eachFuncDecl(pkg *Package, fn func(decl *ast.FuncDecl)) {
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok {
-				fn(f, fd)
+				fn(fd)
 			}
 		}
 	}
@@ -115,10 +115,16 @@ var fmtPrinters = map[string]bool{
 	"fmt.Errorf": true, "fmt.Append": true, "fmt.Appendf": true, "fmt.Appendln": true,
 }
 
-// nondeterminismRule forbids wall-clock reads, math/rand, and map-argument
-// fmt printing inside the modeling packages. Simulator and estimator
-// outputs must be pure functions of their configs; randomness comes only
-// from the seeded fault model and timing only from the simulated clock.
+// clockReads are the wall-clock sinks: time.Now and the two functions that
+// read the clock on the caller's behalf. The direct nondeterminism check
+// and the reachND base fact both read this one definition.
+var clockReads = map[string]bool{"time.Now": true, "time.Since": true, "time.Until": true}
+
+// checkNondeterminism forbids wall-clock reads, math/rand, and
+// map-argument fmt printing inside the modeling packages. Simulator and
+// estimator outputs must be pure functions of their configs; randomness
+// comes only from the seeded fault model and timing only from the
+// simulated clock.
 //
 // The rule is interprocedural: beyond the direct sinks, it flags calls
 // from modeling code into module-local helpers — in packages the
@@ -126,22 +132,13 @@ var fmtPrinters = map[string]bool{
 // reaches a sink, and reports the full derivation chain. Propagation
 // stops at the trusted boundary packages (trustedNDPkgs): their clock
 // reads feed telemetry and scheduling only, never modeled numbers.
-type nondeterminismRule struct{}
-
-func (nondeterminismRule) Name() string { return "nondeterminism" }
-func (nondeterminismRule) Doc() string {
-	return "modeling packages must be pure: no time.Now, no math/rand, no fmt printing of maps"
-}
-func (nondeterminismRule) Severity() Severity { return Error }
-
-func (r nondeterminismRule) Check(p *Pass) {
+func checkNondeterminism(p *Pass) {
 	if !modelingPackages[p.Pkg.Name] {
 		return
 	}
 	for _, f := range p.Pkg.Files {
 		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			if path == "math/rand" || path == "math/rand/v2" {
+			if path := strings.Trim(imp.Path.Value, `"`); isRandPkg(path) {
 				p.Reportf(imp, "modeling package %s imports %s; all randomness must flow through the seeded fault model", p.Pkg.Name, path)
 			}
 		}
@@ -152,7 +149,7 @@ func (r nondeterminismRule) Check(p *Pass) {
 			}
 			name := calleeFullName(p.Pkg.Info, call)
 			switch {
-			case name == "time.Now":
+			case clockReads[name]:
 				p.Reportf(call, "modeling package %s reads the wall clock; outputs must be pure functions of the configuration", p.Pkg.Name)
 			case fmtPrinters[name]:
 				for _, arg := range call.Args {
@@ -169,12 +166,9 @@ func (r nondeterminismRule) Check(p *Pass) {
 	// in a package outside the modeling gate. The finding lands on the
 	// call site inside the modeling package — the deepest point still
 	// under this rule's jurisdiction — with the full derivation chain.
-	eachFuncDecl(p.Pkg, func(_ *ast.File, fd *ast.FuncDecl) {
-		if fd.Body == nil {
-			return
-		}
+	eachFuncDecl(p.Pkg, func(fd *ast.FuncDecl) {
 		caller, _ := p.Pkg.Info.Defs[fd.Name].(*types.Func)
-		callerNode := p.Facts.nodeOf(caller)
+		callerNode := p.g.nodes[caller]
 		if callerNode == nil {
 			return
 		}
@@ -184,8 +178,8 @@ func (r nondeterminismRule) Check(p *Pass) {
 				return true
 			}
 			callee := calleeFunc(p.Pkg.Info, call)
-			n := p.Facts.nodeOf(callee)
-			if n == nil || n.reachND == nil {
+			n := p.g.nodes[callee]
+			if n == nil || n.facts[reachND] == nil {
 				return true
 			}
 			// Callees inside modeling packages are flagged at their own
@@ -193,7 +187,7 @@ func (r nondeterminismRule) Check(p *Pass) {
 			if modelingPackages[n.pkg.Name] || trustedNDPkgs[n.pkg.Path] {
 				return true
 			}
-			chain := append([]string{callerNode.label()}, p.Facts.ndChain(n)...)
+			chain := append([]string{callerNode.label()}, n.chain(reachND)...)
 			p.ReportChainf(call, chain, "call to %s reaches %s (%s); modeling outputs must be pure functions of the configuration", callee.Name(), chain[len(chain)-1], chainString(chain))
 			return true
 		})
@@ -208,18 +202,11 @@ var goExemptPackages = map[string]bool{
 	"supernpu/internal/server":   true,
 }
 
-// nakedGoRule forbids go statements everywhere else: a bare goroutine that
-// panics takes the whole sweep process down instead of failing one work
-// item, and escapes the pool's context cancellation and bounded fan-out.
-type nakedGoRule struct{}
-
-func (nakedGoRule) Name() string { return "nakedgo" }
-func (nakedGoRule) Doc() string {
-	return "goroutines outside internal/parallel and internal/server must use the panic-recovering pool"
-}
-func (nakedGoRule) Severity() Severity { return Error }
-
-func (r nakedGoRule) Check(p *Pass) {
+// checkNakedGo forbids go statements outside goExemptPackages: a bare
+// goroutine that panics takes the whole sweep process down instead of
+// failing one work item, and escapes the pool's context cancellation and
+// bounded fan-out.
+func checkNakedGo(p *Pass) {
 	if goExemptPackages[p.Pkg.Path] {
 		return
 	}
@@ -233,7 +220,13 @@ func (r nakedGoRule) Check(p *Pass) {
 	}
 }
 
-// panicBoundaryRule forbids panics in internal packages unless the
+// documentsPanic reports whether fd's doc comment mentions "panic", which
+// makes a panic below it part of the reviewed contract.
+func documentsPanic(fd *ast.FuncDecl) bool {
+	return fd.Doc != nil && strings.Contains(strings.ToLower(fd.Doc.Text()), "panic")
+}
+
+// checkPanicBoundary forbids panics in internal packages unless the
 // enclosing function documents them. With typed sentinels available for
 // every boundary, a panic is only legitimate as a programmer-error trap on
 // an invariant — and then the function's doc comment must say so (contain
@@ -246,35 +239,21 @@ func (r nakedGoRule) Check(p *Pass) {
 // absorbs the fact (the contract is then visible to callers), as does an
 // in-body recover(); callbacks handed to the worker pool never forward
 // it, since the pool recovers them into *PanicError.
-type panicBoundaryRule struct{}
-
-func (panicBoundaryRule) Name() string { return "panicboundary" }
-func (panicBoundaryRule) Doc() string {
-	return "panics in internal packages are allowed only in functions whose doc comment documents them"
-}
-func (panicBoundaryRule) Severity() Severity { return Error }
-
-func (r panicBoundaryRule) Check(p *Pass) {
+func checkPanicBoundary(p *Pass) {
 	if !strings.Contains(p.Pkg.Path+"/", "/internal/") {
 		return
 	}
-	eachFuncDecl(p.Pkg, func(_ *ast.File, fd *ast.FuncDecl) {
+	eachFuncDecl(p.Pkg, func(fd *ast.FuncDecl) {
 		if fd.Body == nil {
 			return
 		}
-		documented := fd.Doc != nil && strings.Contains(strings.ToLower(fd.Doc.Text()), "panic")
+		documented := documentsPanic(fd)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			// Panics inside function literals (e.g. a re-panic in a
 			// recover wrapper) are judged against the same enclosing
 			// declaration's doc.
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" && p.Pkg.Info.Uses[id] == types.Universe.Lookup("panic") {
-				if !documented {
-					p.Reportf(call, "%s panics but its doc comment does not say so; return a typed sentinel or document the invariant", fd.Name.Name)
-				}
+			if call, ok := n.(*ast.CallExpr); ok && !documented && isUniverseCall(p.Pkg.Info, call, "panic") {
+				p.Reportf(call, "%s panics but its doc comment does not say so; return a typed sentinel or document the invariant", fd.Name.Name)
 			}
 			return true
 		})
@@ -286,35 +265,26 @@ func (r panicBoundaryRule) Check(p *Pass) {
 			return
 		}
 		fn, _ := p.Pkg.Info.Defs[fd.Name].(*types.Func)
-		n := p.Facts.nodeOf(fn)
+		n := p.g.nodes[fn]
 		if n == nil || n.hasRecover {
 			return
 		}
-		for i := range n.edges {
-			e := &n.edges[i]
-			if e.kind != edgeCall || e.callee == n || e.callee.escPanic == nil {
+		for _, e := range n.edges {
+			if e.kind != edgeCall || e.callee == n || e.callee.facts[escPanic] == nil {
 				continue
 			}
-			chain := append([]string{n.label()}, p.Facts.panicChain(e.callee)...)
+			chain := append([]string{n.label()}, e.callee.chain(escPanic)...)
 			p.ReportChainf(fd, chain, "exported %s can panic via %s (%s) but its doc comment does not say so; document the invariant or recover at the boundary", fd.Name.Name, e.callee.fn.Name(), chainString(chain))
 			break
 		}
 	})
 }
 
-// floatEqRule flags == and != between floating-point operands. Exact
+// checkFloatEq flags == and != between floating-point operands. Exact
 // equality of two computed floats is almost always a latent 1-ULP bug;
 // comparisons against a constant (zero-value sentinels, flag defaults) are
 // exempt, as is the x != x NaN probe.
-type floatEqRule struct{}
-
-func (floatEqRule) Name() string { return "floateq" }
-func (floatEqRule) Doc() string {
-	return "computed floating-point values must not be compared with == or !="
-}
-func (floatEqRule) Severity() Severity { return Warning }
-
-func (r floatEqRule) Check(p *Pass) {
+func checkFloatEq(p *Pass) {
 	info := p.Pkg.Info
 	isConst := func(e ast.Expr) bool {
 		tv, ok := info.Types[e]

@@ -12,6 +12,12 @@ func Cold(n int) float64 {
 	return ndhelper.Jitter(float64(n)) // want "reaches time.Now"
 }
 
+// Stamped models an estimate tagged with a reading from the helper's
+// clock; the call reaches time.Now through a method.
+func Stamped(c *ndhelper.Clock) float64 {
+	return c.Read() // want "reaches time.Now"
+}
+
 // Sample models a draw but the helper's call graph bottoms out in
 // math/rand.
 func Sample(n int) float64 {

@@ -20,6 +20,16 @@ func stamp() float64 {
 	return float64(time.Now().UnixNano())
 }
 
+// Clock hands out wall-clock readings through a pointer-receiver method,
+// so a chain through it renders as ndhelper.(*Clock).Read.
+type Clock struct{}
+
+// Read returns a reading — the hidden sink is two hops from any modeling
+// caller (Read → stamp → time.Now).
+func (c *Clock) Read() float64 {
+	return stamp()
+}
+
 // Roll draws a pseudo-random sample — the hidden sink is two hops from
 // any modeling caller (Roll → draw → math/rand).
 func Roll(n int) float64 {

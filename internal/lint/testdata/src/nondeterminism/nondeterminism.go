@@ -12,6 +12,14 @@ func seed() int64 {
 	return time.Now().UnixNano() // want "wall clock"
 }
 
+func elapsed(t0 time.Time) time.Duration {
+	return time.Since(t0) // want "wall clock"
+}
+
+func left(deadline time.Time) time.Duration {
+	return time.Until(deadline) // want "wall clock"
+}
+
 func draw(r *rand.Rand) float64 {
 	return r.Float64()
 }

@@ -1,7 +1,7 @@
 // Fixture for the sharedmut rule: callbacks handed to the worker pool
 // writing state captured from the enclosing scope. The violations cover
 // the direct shapes (captured scalar, captured map entry, captured-slice
-// append) and the interprocedural ones (a callback calling a helper whose
+// append, a captured scalar written from a nested pool callback) and the interprocedural ones (a callback calling a helper whose
 // call graph writes a package-level variable two hops down, and a named
 // function handed to the pool with the same fact). The compliant shapes —
 // per-index writes into a captured slice, mutex-guarded aggregation,
@@ -44,6 +44,20 @@ func CaptureAppend(n int) ([]int, error) {
 		return nil
 	})
 	return out, err
+}
+
+// NestedCapture races the inner workers on a counter captured from the
+// outermost scope. The write sits inside a callback nested in another
+// callback, and only the inner callback's check reports it.
+func NestedCapture(n int) (int, error) {
+	hits := 0
+	err := parallel.ForEachContext(context.Background(), n, func(ctx context.Context, _ int) error {
+		return parallel.ForEachContext(ctx, n, func(_ context.Context, _ int) error {
+			hits++ // want "writes the variable hits"
+			return nil
+		})
+	})
+	return hits, err
 }
 
 // ChainMut hides the shared write two calls down in another package.
