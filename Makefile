@@ -132,9 +132,12 @@ examples:
 chaos-smoke:
 	SUPERNPU_CHAOS=1 $(GO) test -race -count=1 -run TestChaosMarginSweepCancellationHammer ./internal/experiments -v
 
-# Race-detector pass focused on the resilience subsystems.
+# Race-detector pass focused on the resilience subsystems. The pool's
+# process-wide helper budget depends on timing, so its package runs ten
+# times over.
 race-resilience:
-	$(GO) test -race -count=1 ./internal/faultinject ./internal/parallel ./internal/server
+	$(GO) test -race -count=1 ./internal/faultinject ./internal/server
+	$(GO) test -race -count=10 ./internal/parallel
 
 # Re-snapshot the golden exhibit files after an intentional model change.
 golden-update:

@@ -45,6 +45,7 @@ func BenchmarkExhibit(b *testing.B) {
 // given worker count.
 func benchRunAll(b *testing.B, workers int) {
 	b.Helper()
+	b.ReportAllocs()
 	parallel.SetWorkers(workers)
 	defer parallel.SetWorkers(0)
 	for i := 0; i < b.N; i++ {
@@ -66,6 +67,7 @@ func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, runtime.NumCPU()) }
 // BenchmarkRunAllWarm measures a fully memoised regeneration: every
 // simulation, estimate and RCSJ extraction served from the caches.
 func BenchmarkRunAllWarm(b *testing.B) {
+	b.ReportAllocs()
 	parallel.SetWorkers(runtime.NumCPU())
 	defer parallel.SetWorkers(0)
 	simcache.ClearAll()

@@ -18,6 +18,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"math"
 	"sort"
 	"strings"
 )
@@ -49,12 +50,11 @@ func (fs *fieldSet) union(other fieldSet) {
 func checkCacheKey(p *Pass) {
 	inSimcache := p.Pkg.Name == "simcache"
 	c := &cacheKeyChecker{
-		p:        p,
-		decls:    map[*types.Func]*ast.FuncDecl{},
-		module:   modulePrefix(p.Pkg.Path),
-		inProg:   map[coverKey]bool{},
-		memoRes:  map[coverKey]fieldSet{},
-		reported: map[string]bool{},
+		p:       p,
+		decls:   map[*types.Func]*ast.FuncDecl{},
+		module:  modulePrefix(p.Pkg.Path),
+		inProg:  map[coverKey]int{},
+		memoRes: map[coverKey]coverMemo{},
 	}
 	eachFuncDecl(p.Pkg, func(fd *ast.FuncDecl) {
 		if fd.Name != nil {
@@ -70,17 +70,15 @@ func checkCacheKey(p *Pass) {
 		if !inSimcache && !appendsKey(p.Pkg.Info, fd) {
 			return
 		}
-		for _, field := range fd.Type.Params.List {
-			for _, pname := range field.Names {
-				obj := p.Pkg.Info.Defs[pname]
-				if obj == nil {
-					continue
-				}
-				st := c.moduleStruct(obj.Type())
-				if st == nil {
-					continue
-				}
-				c.checkCoverage(fd, fd.Body, obj, st, fd.Name.Name, obj.Name())
+		f, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func)
+		if !ok {
+			return
+		}
+		params := f.Type().(*types.Signature).Params()
+		for i := 0; i < params.Len(); i++ {
+			obj := params.At(i)
+			if st := c.moduleStruct(obj.Type()); st != nil && obj.Name() != "" {
+				c.reportMissing(fd.Name, c.paramCover(f, fd, obj, i), st, fd.Name.Name, obj.Name())
 			}
 		}
 	})
@@ -123,15 +121,26 @@ type coverKey struct {
 	param int
 }
 
+// coverMemo is one pair's memoised coverage. A pair on a call cycle whose
+// entry pair is still being walked holds a partial coverage, with low the
+// depth of that entry pair; a final one has low = math.MaxInt.
+type coverMemo struct {
+	cov fieldSet
+	low int
+}
+
 type cacheKeyChecker struct {
-	p       *Pass
-	decls   map[*types.Func]*ast.FuncDecl
-	module  string
-	inProg  map[coverKey]bool
-	memoRes map[coverKey]fieldSet
-	// reported deduplicates findings: a helper's element check can be
-	// reached both directly and through delegation from several builders.
-	reported map[string]bool
+	p      *Pass
+	decls  map[*types.Func]*ast.FuncDecl
+	module string
+	// inProg maps each pair being walked to its depth in the walk, and low
+	// is the shallowest depth the current pair's walk has reached back to.
+	inProg map[coverKey]int
+	low    int
+	// memoRes holds every walked pair's coverage; open lists, in walk
+	// order, the pairs whose coverage is still partial.
+	memoRes map[coverKey]coverMemo
+	open    []coverKey
 }
 
 // moduleStruct returns the underlying struct of a module-local named type
@@ -160,11 +169,9 @@ func (c *cacheKeyChecker) moduleStruct(t types.Type) *types.Struct {
 	return nil
 }
 
-// checkCoverage computes which exported fields of obj (a struct-typed
-// variable in scope of body) are read, and reports the missing ones
-// against the named builder.
-func (c *cacheKeyChecker) checkCoverage(fd *ast.FuncDecl, body ast.Node, obj types.Object, st *types.Struct, fnName, varName string) {
-	cov := c.cover(body, obj)
+// reportMissing reports, at pos, the exported fields of st that cov does
+// not read, against the named builder and variable.
+func (c *cacheKeyChecker) reportMissing(pos ast.Node, cov fieldSet, st *types.Struct, fnName, varName string) {
 	if cov.all {
 		return
 	}
@@ -179,13 +186,48 @@ func (c *cacheKeyChecker) checkCoverage(fd *ast.FuncDecl, body ast.Node, obj typ
 		return
 	}
 	sort.Strings(missing)
-	key := fnName + "\x00" + varName + "\x00" + strings.Join(missing, ",")
-	if c.reported[key] {
-		return
-	}
-	c.reported[key] = true
-	c.p.Reportf(fd.Name, "key builder %s never reads %s.%s; two inputs differing only there would share a cache entry",
+	c.p.Reportf(pos, "key builder %s never reads %s.%s; two inputs differing only there would share a cache entry",
 		fnName, varName, strings.Join(missing, ", "+varName+"."))
+}
+
+// paramCover is fn's coverage of its i'th parameter obj, memoised per
+// (function, parameter), so each body is walked, and each of its ranged
+// elements checked, once per parameter however many builders reach it.
+//
+// Pairs that hand the struct around a call cycle all read the same
+// fields: the cycle's union. A cycle member reached while the pair the
+// walk entered the cycle by is still being walked sees the recursion
+// contribute nothing, so its coverage stays partial, read only by the
+// rest of that walk, until the entry pair finishes and hands every member
+// its own, complete coverage.
+func (c *cacheKeyChecker) paramCover(fn *types.Func, fd *ast.FuncDecl, obj types.Object, i int) fieldSet {
+	key := coverKey{fn, i}
+	if depth, ok := c.inProg[key]; ok {
+		c.low = min(c.low, depth)
+		return fieldSet{} // recursion: contributes nothing new
+	}
+	if memo, ok := c.memoRes[key]; ok {
+		c.low = min(c.low, memo.low)
+		return memo.cov
+	}
+	depth, outer, open := len(c.inProg), c.low, len(c.open)
+	c.inProg[key], c.low = depth, depth
+	cov := c.cover(fd.Body, obj)
+	delete(c.inProg, key)
+	low := c.low
+	c.low = min(outer, low)
+	if low < depth {
+		c.memoRes[key] = coverMemo{cov, low}
+		c.open = append(c.open, key)
+		return cov
+	}
+	// Every pair left open since this walk began is on a cycle through key.
+	c.memoRes[key] = coverMemo{cov, math.MaxInt}
+	for _, k := range c.open[open:] {
+		c.memoRes[k] = coverMemo{cov, math.MaxInt}
+	}
+	c.open = c.open[:open]
+	return cov
 }
 
 // cover walks body collecting the exported fields of obj that are read.
@@ -193,7 +235,7 @@ func (c *cacheKeyChecker) checkCoverage(fd *ast.FuncDecl, body ast.Node, obj typ
 // coverage of the corresponding parameter; passing it anywhere the rule
 // cannot see counts as full coverage. Ranging over a slice-typed field
 // whose element is a module-local struct triggers a nested completeness
-// check on the element variable.
+// check on the element variable, reported at the range statement.
 func (c *cacheKeyChecker) cover(body ast.Node, obj types.Object) fieldSet {
 	var cov fieldSet
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -223,7 +265,7 @@ func (c *cacheKeyChecker) cover(body ast.Node, obj types.Object) fieldSet {
 			}
 			if est := c.moduleStruct(elemObj.Type()); est != nil {
 				if fd := enclosingFuncDecl(c.p.Pkg, n); fd != nil {
-					c.checkCoverage(fd, n.Body, elemObj, est, fd.Name.Name, valID.Name)
+					c.reportMissing(n, c.cover(n.Body, elemObj), est, fd.Name.Name, valID.Name)
 				}
 			}
 		case *ast.CallExpr:
@@ -256,19 +298,7 @@ func (c *cacheKeyChecker) coverCall(call *ast.CallExpr, obj types.Object, cov *f
 			cov.all = true
 			return
 		}
-		key := coverKey{callee, i}
-		if c.inProg[key] {
-			continue // recursion: contributes nothing new
-		}
-		if memo, ok := c.memoRes[key]; ok {
-			cov.union(memo)
-			continue
-		}
-		c.inProg[key] = true
-		sub := c.cover(fd.Body, c.p.Pkg.Info.Defs[param])
-		delete(c.inProg, key)
-		c.memoRes[key] = sub
-		cov.union(sub)
+		cov.union(c.paramCover(callee, fd, c.p.Pkg.Info.Defs[param], i))
 	}
 }
 

@@ -62,14 +62,47 @@ func appendNetwork(b *strings.Builder, n Network) {
 	}
 }
 
-func LayersKey(n Network) string { // want "never reads l.W"
+func LayersKey(n Network) string {
 	var b strings.Builder
 	b.WriteString(n.Name)
-	for _, l := range n.Layers {
+	for _, l := range n.Layers { // want "never reads l.W"
 		b.WriteString(l.Name)
 		b.WriteString(strconv.Itoa(l.H))
 	}
 	return b.String()
+}
+
+// WrappedKey delegates to LayersKey: LayersKey's missing l.W is reported
+// once, at its range, not again for each builder that reaches it.
+func WrappedKey(n Network) string { return LayersKey(n) }
+
+// TwoPassKey ranges over the layers twice, and each pass misses a
+// different field: each is reported at its own range statement.
+func TwoPassKey(n Network) string {
+	var b strings.Builder
+	b.WriteString(n.Name)
+	for _, l := range n.Layers { // want "never reads l.W"
+		b.WriteString(l.Name)
+		b.WriteString(strconv.Itoa(l.H))
+	}
+	for _, l := range n.Layers { // want "never reads l.H"
+		b.WriteString(l.Name)
+		b.WriteString(strconv.Itoa(l.W))
+	}
+	return b.String()
+}
+
+// HeadKey and TailKey hand a config to each other: between them they read
+// every field, so neither is reported, whichever the rule checks first.
+func HeadKey(c Config, rounds int) string {
+	if rounds == 0 {
+		return c.Name
+	}
+	return c.Name + TailKey(c, rounds-1)
+}
+
+func TailKey(c Config, rounds int) string {
+	return strconv.Itoa(c.Height) + strconv.FormatFloat(c.Bandwidth, 'g', -1, 64) + HeadKey(c, rounds)
 }
 
 // Proj and Dims model a projection key: a reduced config

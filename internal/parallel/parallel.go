@@ -10,15 +10,23 @@
 // always the one of the lowest failing index, so output is byte-identical
 // regardless of the worker count.
 //
+// The pool keeps no goroutines and no queue. The goroutine that calls
+// ForEachContext runs jobs of its own batch, and helper goroutines join it
+// only while one of the process's Workers()-1 helper slots is free. So
+// fan-outs nested inside jobs (report → sweep point → workload → layer)
+// share one budget: one caller's whole tree runs at most Workers() jobs at
+// once, and a job that fans out again, once the slots are taken, runs its
+// inner batch on its own goroutine.
+//
 // The pool is hardened for long-running and served workloads:
 //
-//   - a panicking job is recovered inside its worker goroutine and surfaces
-//     as a *PanicError carrying the panic value and stack, instead of
-//     killing the process (an http recovery middleware cannot reach a panic
-//     on a different goroutine);
-//   - scheduling fails fast: after the first error or panic, workers stop
-//     claiming new indices, so a failed 10 000-point sweep does not run its
-//     remaining points to completion first; and
+//   - a panicking job is recovered on the goroutine that ran it, the
+//     caller's or a helper's, and surfaces as a *PanicError carrying the
+//     panic value and stack, instead of killing the process (an http
+//     recovery middleware cannot reach a panic on a different goroutine);
+//   - scheduling fails fast: after the first error or panic in a batch,
+//     no goroutine claims another of its indices, so a failed 10 000-point
+//     sweep does not run its remaining points to completion first; and
 //   - it observes context cancellation between jobs, which lets a sweep
 //     stop cleanly on SIGINT/SIGTERM or an expired deadline.
 package parallel
@@ -37,8 +45,9 @@ import (
 
 // Pool instruments: batch and task counts are counters; the queue-wait
 // histogram records the delay between a batch being submitted and each of
-// its tasks being claimed by a worker. None of it feeds back into
-// scheduling, so results stay byte-identical with tracing on or off.
+// its tasks being claimed, by the caller or a helper. None of it feeds
+// back into scheduling, so results stay byte-identical with tracing on or
+// off.
 var (
 	poolRuns      = obs.Default.Counter("supernpu_pool_runs_total", "ForEachContext batches submitted to the worker pool")
 	poolTasks     = obs.Default.Counter("supernpu_pool_tasks_total", "tasks executed by the worker pool")
@@ -56,9 +65,10 @@ func init() {
 // workers holds the configured worker count; 0 means runtime.NumCPU().
 var workers atomic.Int64
 
-// SetWorkers sets the maximum number of concurrent workers used by
-// ForEachContext. n <= 0 resets to runtime.NumCPU(). n == 1 forces
-// fully serial, in-order execution.
+// SetWorkers sets the pool's worker budget: the caller of a fan-out plus
+// at most n-1 helper goroutines in the whole process. n <= 0 resets to
+// runtime.NumCPU(). n == 1 forces fully serial, in-order execution on
+// each caller.
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -80,7 +90,8 @@ func Workers() int {
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
-	// Stack is the worker goroutine's stack at recovery time.
+	// Stack is the stack of the goroutine that ran the job, at recovery
+	// time.
 	Stack []byte
 }
 
@@ -107,10 +118,88 @@ func call(ctx context.Context, fn func(ctx context.Context, i int) error, i int)
 	return fn(ctx, i)
 }
 
-// ForEachContext runs fn for every index in [0, n) using at most Workers()
-// goroutines. Jobs return no value: a caller that needs results writes
-// them into a slice it presized to n, each job at its own index, so the
-// results come out in index order at any worker count.
+// helpers counts the helper goroutines running in the whole process. A
+// batch starts a helper only while the count is below Workers()-1, so k
+// goroutines that call ForEachContext from outside any job run at most
+// k+Workers()-1 jobs at once between them, however deeply their fan-outs
+// nest.
+var helpers atomic.Int64
+
+// reserveHelper takes one of the process's Workers()-1 helper slots, if one
+// is free.
+func reserveHelper() bool {
+	limit := int64(Workers()) - 1
+	for {
+		cur := helpers.Load()
+		if cur >= limit {
+			return false
+		}
+		if helpers.CompareAndSwap(cur, cur+1) {
+			return true
+		}
+	}
+}
+
+// batch is one ForEachContext call: its caller and the helpers it started
+// claim indices from next until none is left, a job has failed or ctx is
+// done.
+type batch struct {
+	ctx       context.Context
+	fn        func(ctx context.Context, i int) error
+	n         int
+	submitted time.Time
+	next      atomic.Int64
+	failed    atomic.Bool
+	wg        sync.WaitGroup // the helpers this batch started
+
+	mu    sync.Mutex
+	errAt int // lowest failing index, valid when err != nil
+	err   error
+}
+
+// step claims and runs one index, and reports false when there was none
+// to claim.
+func (b *batch) step() bool {
+	if b.failed.Load() || b.ctx.Err() != nil {
+		return false
+	}
+	i := int(b.next.Add(1)) - 1
+	if i >= b.n {
+		return false
+	}
+	poolQueueWait.Observe(time.Since(b.submitted).Seconds())
+	poolTasks.Inc()
+	if err := call(b.ctx, b.fn, i); err != nil {
+		b.mu.Lock()
+		if b.err == nil || i < b.errAt {
+			b.errAt, b.err = i, err
+		}
+		b.mu.Unlock()
+		b.failed.Store(true)
+	}
+	return true
+}
+
+// help drains b on a helper goroutine, then frees its slot.
+func (b *batch) help() {
+	defer b.wg.Done()
+	defer helpers.Add(-1)
+	for b.step() {
+	}
+}
+
+// ForEachContext runs fn for every index in [0, n). The calling goroutine
+// claims and runs indices itself and starts at most min(Workers(), n)-1
+// helper goroutines, each only while a process-wide helper slot is free
+// (there are Workers()-1), so nested and concurrent fan-outs share one
+// budget instead of multiplying it. A helper runs only this call's jobs
+// and exits when none is left to claim; ForEachContext returns only after
+// its helpers have, so no goroutine outlives the call. At Workers() == 1
+// the jobs run in index order on the caller.
+//
+// Jobs return no value: a caller that needs results writes them into a
+// slice it presized to n, each job at its own index, so the results come
+// out in index order at any worker count.
 //
 // If any call fails, ForEachContext returns the error of the lowest failing
 // index. Scheduling is fail-fast: indices not yet claimed when the first
@@ -119,67 +208,38 @@ func call(ctx context.Context, fn func(ctx context.Context, i int) error, i int)
 // exact — indices are claimed in increasing order, so everything below the
 // first failure has already been claimed.
 //
-// Between jobs, workers poll ctx.Err() and stop claiming new indices once
-// ctx is cancelled. When the run is cut short by cancellation (and no job
-// failed first), ForEachContext returns ctx.Err() itself, so callers at any
-// distance classify it with errors.Is(err, context.Canceled) (or
-// context.DeadlineExceeded).
+// Before each claim, the caller and the helpers poll ctx.Err() and stop
+// claiming new indices once ctx is cancelled. When the run is cut short by
+// cancellation (and no job failed first), ForEachContext returns ctx.Err()
+// itself, so callers at any distance classify it with
+// errors.Is(err, context.Canceled) (or context.DeadlineExceeded).
 func ForEachContext(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	poolRuns.Inc()
 	poolBatch.Observe(float64(n))
-	submitted := time.Now()
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			poolQueueWait.Observe(time.Since(submitted).Seconds())
-			poolTasks.Inc()
-			if err := call(ctx, fn, i); err != nil {
-				return err
-			}
+	b := &batch{ctx: ctx, fn: fn, n: n, submitted: time.Now()}
+	// Before each of its claims the caller starts every helper it may and
+	// the batch can use (no more than the indices its own claim leaves), so
+	// a batch with free slots runs Workers() jobs from its first claim, and
+	// a slot freed mid-batch is taken up at the caller's next claim.
+	limit, started := min(Workers(), n)-1, 0
+	for {
+		for started < limit && started < n-1-int(b.next.Load()) && reserveHelper() {
+			started++
+			b.wg.Add(1)
+			go b.help()
 		}
-		return nil
-	}
-
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if failed.Load() || ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				poolQueueWait.Observe(time.Since(submitted).Seconds())
-				poolTasks.Inc()
-				if errs[i] = call(ctx, fn, i); errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+		if !b.step() {
+			break
 		}
 	}
-	if err := ctx.Err(); err != nil && int(next.Load()) < n {
+	b.wg.Wait()
+	if b.err != nil {
+		return b.err
+	}
+	if err := ctx.Err(); err != nil && int(b.next.Load()) < n {
 		return err
 	}
 	return nil

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -334,4 +335,207 @@ func TestPoolShutdownLeavesNoGoroutines(t *testing.T) {
 	if _, err := squares(ctx, 64); err == nil {
 		t.Fatal("expected cancellation error")
 	}
+}
+
+// peakJobs counts how many of its jobs are in flight at once.
+type peakJobs struct {
+	inFlight, peak atomic.Int64
+	mu             sync.Mutex
+}
+
+// job is one briefly sleeping job that records the peak.
+func (p *peakJobs) job(context.Context, int) error {
+	n := p.inFlight.Add(1)
+	p.mu.Lock()
+	if n > p.peak.Load() {
+		p.peak.Store(n)
+	}
+	p.mu.Unlock()
+	time.Sleep(200 * time.Microsecond)
+	p.inFlight.Add(-1)
+	return nil
+}
+
+// A fan-out nested inside a fan-out shares the outer one's budget: an 8×8
+// nest at three workers runs at most three jobs at once. Pools that give
+// each batch its own workers run nine (three outer workers, each with
+// three inner ones).
+func TestNestedFanOutSharesOneBudget(t *testing.T) {
+	const workers = 3
+	SetWorkers(workers)
+	defer SetWorkers(0)
+	var p peakJobs
+	err := ForEachContext(context.Background(), 8, func(ctx context.Context, _ int) error {
+		return ForEachContext(ctx, 8, p.job)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := p.peak.Load(); n > workers {
+		t.Errorf("a nested fan-out ran %d jobs at once, worker bound is %d", n, workers)
+	}
+}
+
+// Outside callers each run their own batch, and their helpers share the
+// process's Workers()-1 slots: two concurrent callers run at most
+// Workers()+1 jobs at once.
+func TestConcurrentCallersShareOneBudget(t *testing.T) {
+	const workers = 3
+	SetWorkers(workers)
+	defer SetWorkers(0)
+	var p peakJobs
+	start := make(chan struct{})
+	errs := make(chan error, 2)
+	for range 2 {
+		go func() {
+			<-start
+			errs <- ForEachContext(context.Background(), 4, func(ctx context.Context, _ int) error {
+				return ForEachContext(ctx, 8, p.job)
+			})
+		}()
+	}
+	close(start)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := p.peak.Load(); n > workers+1 {
+		t.Errorf("two callers ran %d jobs at once, want at most Workers()+1 = %d", n, workers+1)
+	}
+}
+
+// onHelper reports whether the calling job runs on a helper goroutine
+// rather than on the goroutine that called ForEachContext.
+func onHelper() bool {
+	buf := make([]byte, 8<<10)
+	return bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("(*batch).help"))
+}
+
+// A job the caller runs itself panics on the caller's own goroutine; the
+// panic still comes back as a *PanicError, at the index that panicked.
+func TestCallerJobPanicIsPanicError(t *testing.T) {
+	SetWorkers(4)
+	defer SetWorkers(0)
+	var mu sync.Mutex
+	panicked := -1
+	err := ForEachContext(context.Background(), 32, func(_ context.Context, i int) error {
+		if onHelper() {
+			time.Sleep(time.Millisecond)
+			return nil
+		}
+		mu.Lock()
+		panicked = i
+		mu.Unlock()
+		panic(i)
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("got %T %v, want *PanicError", err, err)
+	}
+	if pe.Value != panicked {
+		t.Fatalf("panic value %v, want the caller's index %d", pe.Value, panicked)
+	}
+	if bytes.Contains(pe.Stack, []byte("(*batch).help")) {
+		t.Fatalf("the caller's panic carries a helper's stack:\n%s", pe.Stack)
+	}
+}
+
+// At one worker the jobs run in index order on the caller: no helper is
+// started, here or anywhere in the process.
+func TestSerialRunStartsNoHelper(t *testing.T) {
+	SetWorkers(1)
+	defer SetWorkers(0)
+	next := 0
+	err := ForEachContext(context.Background(), 16, func(ctx context.Context, i int) error {
+		if onHelper() || helpers.Load() != 0 || i != next {
+			return fmt.Errorf("job %d: on a helper %v, %d helpers running, want index %d on the caller",
+				i, onHelper(), helpers.Load(), next)
+		}
+		next++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A flat batch with free slots runs Workers() jobs at once from its first
+// claim: four jobs at four workers meet at a barrier that only a batch
+// running all four together passes. A caller that started one helper per
+// claim would run two here until the barrier timed out.
+func TestFlatBatchRunsWorkersJobsAtOnce(t *testing.T) {
+	const workers = 4
+	SetWorkers(workers)
+	defer SetWorkers(0)
+	var arrived atomic.Int64
+	all := make(chan struct{})
+	err := ForEachContext(context.Background(), workers, func(_ context.Context, i int) error {
+		if arrived.Add(1) == workers {
+			close(all)
+		}
+		select {
+		case <-all:
+			return nil
+		case <-time.After(5 * time.Second):
+			return fmt.Errorf("job %d: %d of %d jobs running after 5 s", i, arrived.Load(), workers)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Nesting keeps the lowest-failing-index contract at both levels: the
+// outer batch returns the error of its lowest failing job, which is the
+// error of that job's lowest failing inner index.
+func TestNestedFanOutReturnsLowestIndexError(t *testing.T) {
+	fails := map[[2]int]bool{{2, 5}: true, {2, 3}: true, {5, 1}: true, {6, 0}: true}
+	for _, w := range []int{1, 2, 3, 8} {
+		SetWorkers(w)
+		err := ForEachContext(context.Background(), 8, func(ctx context.Context, o int) error {
+			return ForEachContext(ctx, 8, func(_ context.Context, i int) error {
+				if fails[[2]int{o, i}] {
+					return fmt.Errorf("job %d/%d", o, i)
+				}
+				time.Sleep(50 * time.Microsecond)
+				return nil
+			})
+		})
+		if err == nil || err.Error() != "job 2/3" {
+			t.Errorf("workers=%d: got %v, want job 2/3", w, err)
+		}
+	}
+	SetWorkers(0)
+}
+
+// BenchmarkForEachContext times the pool on jobs too small to amortise a
+// goroutine: one flat batch of 64, and an 8×8 nest.
+func BenchmarkForEachContext(b *testing.B) {
+	out := make([]int, 64)
+	tiny := func(_ context.Context, i int) error {
+		out[i%len(out)] += i
+		return nil
+	}
+	b.Run("flat", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := ForEachContext(context.Background(), 64, tiny); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("nested", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			err := ForEachContext(context.Background(), 8, func(ctx context.Context, o int) error {
+				return ForEachContext(ctx, 8, func(ctx context.Context, i int) error {
+					return tiny(ctx, o*8+i)
+				})
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
