@@ -63,6 +63,9 @@ func (c Config) Validate() error {
 	if c.MemoryBandwidth <= 0 {
 		return fmt.Errorf("arch: %s: memory bandwidth must be positive", c.Name)
 	}
+	if c.Tech != sfq.RSFQ && c.Tech != sfq.ERSFQ {
+		return fmt.Errorf("arch: %s: technology %v is neither RSFQ nor ERSFQ", c.Name, c.Tech)
+	}
 	if !c.IntegratedOutput && c.PsumBufBytes <= 0 {
 		return fmt.Errorf("arch: %s: non-integrated design needs a psum buffer", c.Name)
 	}

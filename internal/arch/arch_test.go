@@ -59,6 +59,7 @@ func TestValidateRejections(t *testing.T) {
 		"missing psum":        func(c *Config) { c.PsumBufBytes = 0 },
 		"tiny chunked buffer": func(c *Config) { c.IfmapBufBytes = 16; c.IfmapChunks = 64 },
 		"psum on integrated":  func(c *Config) { c.IntegratedOutput = true },
+		"unknown technology":  func(c *Config) { c.Tech = 7 },
 	}
 	for name, mutate := range cases {
 		cfg := Baseline()

@@ -12,16 +12,11 @@
 package clocking
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"supernpu/internal/sfq"
 )
-
-// ErrUnknownScheme marks a clocking scheme outside the defined set.
-// Boundary code matches it with errors.Is to reject the input.
-var ErrUnknownScheme = errors.New("clocking: unknown scheme")
 
 // Scheme selects how the clock pulse is distributed relative to the data.
 type Scheme int
@@ -98,8 +93,8 @@ func (p Pair) ClockDelay() float64 {
 func (p Pair) Mismatch() float64 { return wireDelay(p.MismatchWire) }
 
 // CCT returns the minimum clock cycle time of the pair under scheme s.
-// It panics with ErrUnknownScheme on an out-of-range scheme — a programmer
-// error, since Scheme is a closed compile-time-known set.
+// It panics on an out-of-range scheme — a programmer error, since Scheme
+// is a closed compile-time-known set.
 func (p Pair) CCT(s Scheme) float64 {
 	switch s {
 	case ConcurrentFlowSkewed:
@@ -110,9 +105,7 @@ func (p Pair) CCT(s Scheme) float64 {
 	case CounterFlow:
 		return p.Dst.Setup + p.Dst.Hold + p.DataDelay() + p.ClockDelay()
 	default:
-		// The sentinel survives the parallel pool's panic recovery, so
-		// errors.Is(err, ErrUnknownScheme) works at the service boundary.
-		panic(fmt.Errorf("%w %d", ErrUnknownScheme, int(s)))
+		panic(fmt.Sprintf("clocking: unknown scheme %d", int(s)))
 	}
 }
 

@@ -18,8 +18,10 @@ import (
 // The model is the classic two-ceiling roofline: batch latency is the larger
 // of the compute time at the estimator's peak MAC rate and the DRAM time to
 // move the weights once plus every layer's input and output activations per
-// image. It is deterministic (the estimator memoises by configuration),
-// so repeated degraded responses are byte-identical.
+// image. A batch of 0 selects the design's maximum batch, as Evaluate
+// does; a negative batch is an error. It is deterministic (the estimator
+// memoises by configuration), so repeated degraded responses are
+// byte-identical.
 func EvaluateAnalytical(ctx context.Context, d Design, net workload.Network, batch int) (*Evaluation, error) {
 	if d.Platform != SFQ {
 		return nil, fmt.Errorf("core: no analytical fallback for %q (SFQ designs only)", d.Name())
@@ -27,12 +29,16 @@ func EvaluateAnalytical(ctx context.Context, d Design, net workload.Network, bat
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	if batch <= 0 {
-		batch = d.MaxBatch(net)
+	if batch < 0 {
+		return nil, fmt.Errorf("core: batch %d must be non-negative (0 selects the maximum batch)", batch)
 	}
+	// The estimator validates the configuration, which MaxBatch assumes.
 	est, err := estimator.Estimate(ctx, d.SFQ)
 	if err != nil {
 		return nil, err
+	}
+	if batch == 0 {
+		batch = d.MaxBatch(net)
 	}
 	macs := net.TotalMACs() * int64(batch)
 	var acts int64

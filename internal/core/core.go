@@ -13,32 +13,18 @@ import (
 	"strings"
 
 	"supernpu/internal/arch"
-	"supernpu/internal/clocking"
 	"supernpu/internal/faultinject"
-	"supernpu/internal/netunit"
 	"supernpu/internal/npusim"
 	"supernpu/internal/scalesim"
 	"supernpu/internal/sfq"
 	"supernpu/internal/workload"
 )
 
-// ErrUnknownDesign marks a design name outside the evaluated set (or an
-// ERSFQ- prefix applied to a non-SFQ design).
+// ErrUnknownDesign marks a design the caller names or parameterises that
+// the model cannot build: a name outside the evaluated set, an ERSFQ-
+// prefix on a non-SFQ design, or a sweep point whose configuration does
+// not validate.
 var ErrUnknownDesign = errors.New("core: unknown design")
-
-// IsBadInput reports whether err stems from invalid caller input anywhere in
-// the modeling stack — an unknown design, workload kind, clocking scheme,
-// network-unit design or cell-library gate. The evaluation service maps such
-// errors to 400s; anything else on the simulation path degrades or fails.
-// It sees through the parallel pool's PanicError wrapping, so a boundary
-// panic recovered deep inside a worker still classifies correctly.
-func IsBadInput(err error) bool {
-	return errors.Is(err, ErrUnknownDesign) ||
-		errors.Is(err, workload.ErrUnknownKind) ||
-		errors.Is(err, clocking.ErrUnknownScheme) ||
-		errors.Is(err, netunit.ErrUnknownDesign) ||
-		errors.Is(err, sfq.ErrUnknownGate)
-}
 
 // Platform distinguishes the two simulated machine families.
 type Platform int

@@ -99,10 +99,16 @@ func sweep(ctx context.Context, cfg arch.Config, nets []workload.Network, base m
 }
 
 // sweepAll evaluates every configuration as one parallel batch of sweep
-// points, preserving input order. The fault model fm perturbs every
-// simulation, the Baseline references included, so speedups compare like
-// with like.
+// points, preserving input order. A configuration that does not validate
+// is an ErrUnknownDesign, reported before any simulation. The fault model
+// fm perturbs every simulation, the Baseline references included, so
+// speedups compare like with like.
 func sweepAll(ctx context.Context, cfgs []arch.Config, fm *faultinject.Model) ([]SweepPoint, error) {
+	for _, c := range cfgs {
+		if err := c.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrUnknownDesign, err)
+		}
+	}
 	nets := workload.All()
 	base, err := baselineThroughputs(ctx, nets, fm)
 	if err != nil {

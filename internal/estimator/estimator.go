@@ -193,14 +193,16 @@ func Estimate(ctx context.Context, cfg arch.Config) (*Result, error) {
 // and energy exactly as a nominal shift would. Results are memoised by
 // (configuration, fault key); a nil or disabled model keys to the empty
 // string and gets the nominal library, which makes it Estimate.
+// Validation happens inside the memoised computation, so a cache hit costs
+// only the key construction and lookup.
 func EstimateFaulted(ctx context.Context, cfg arch.Config, fm *faultinject.Model) (*Result, error) {
 	mEstimates.Inc()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	var kb [128]byte
 	key := simcache.AppendFaultKey(simcache.AppendConfigKey(kb[:0], cfg), fm)
 	return cache.GetOrCompute(key, func() (*Result, error) {
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
 		defer obs.Time(mColdSeconds)()
 		return estimateWithLib(ctx, cfg, sfq.NewLibraryFaulted(sfq.AIST10(), cfg.Tech, fm))
 	})

@@ -78,9 +78,17 @@ type marginRow struct {
 // chip frequency at the eroded operating point, throughput relative to the
 // nominal design, the datapath accuracy proxy and the pulse-drop recovery
 // cost. Every draw is seed- and site-keyed, so the table is byte-identical
-// across runs and worker counts.
+// across runs and worker counts. Options that make any row's fault model
+// invalid (faultinject.Model.Validate) are an error, before any work.
 func MarginSweep(ctx context.Context, o MarginSweepOptions) (string, error) {
 	o.defaults()
+	models := make([]*faultinject.Model, len(o.IcSpreads))
+	for i, spread := range o.IcSpreads {
+		models[i] = o.model(spread)
+		if err := models[i].Validate(); err != nil {
+			return "", err
+		}
+	}
 	resnet, err := workload.ByName("ResNet50")
 	if err != nil {
 		return "", err
@@ -95,10 +103,6 @@ func MarginSweep(ctx context.Context, o MarginSweepOptions) (string, error) {
 	// point's bias margins first — one fan-out, each variant bisecting on
 	// its own solver — then assemble the rows (cycle simulation) in a
 	// second fan-out.
-	models := make([]*faultinject.Model, len(o.IcSpreads))
-	for i, spread := range o.IcSpreads {
-		models[i] = o.model(spread)
-	}
 	margins, err := jsim.BiasMarginsFaultedBatch(ctx, models)
 	if err != nil {
 		return "", err

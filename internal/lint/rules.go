@@ -227,10 +227,11 @@ func documentsPanic(fd *ast.FuncDecl) bool {
 }
 
 // checkPanicBoundary forbids panics in internal packages unless the
-// enclosing function documents them. With typed sentinels available for
-// every boundary, a panic is only legitimate as a programmer-error trap on
-// an invariant — and then the function's doc comment must say so (contain
-// the word "panic"), making the trap part of the reviewed contract.
+// enclosing function documents them. Outside input is validated where it
+// enters and rejected with an error, so a panic is only legitimate as a
+// programmer-error trap on an invariant — and then the function's doc
+// comment must say so (contain the word "panic"), making the trap part of
+// the reviewed contract.
 //
 // The rule is interprocedural: an exported function whose callees
 // transitively reach an undocumented panic is flagged at its declaration
@@ -253,7 +254,7 @@ func checkPanicBoundary(p *Pass) {
 			// recover wrapper) are judged against the same enclosing
 			// declaration's doc.
 			if call, ok := n.(*ast.CallExpr); ok && !documented && isUniverseCall(p.Pkg.Info, call, "panic") {
-				p.Reportf(call, "%s panics but its doc comment does not say so; return a typed sentinel or document the invariant", fd.Name.Name)
+				p.Reportf(call, "%s panics but its doc comment does not say so; return an error for outside input or document the panic", fd.Name.Name)
 			}
 			return true
 		})

@@ -7,18 +7,12 @@
 package netunit
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"supernpu/internal/clocking"
 	"supernpu/internal/sfq"
 )
-
-// ErrUnknownDesign marks a network-unit design outside the defined
-// SplitterTree2D/SplitterTree1D/Systolic2D set. Boundary code matches it
-// with errors.Is to reject the input.
-var ErrUnknownDesign = errors.New("netunit: unknown design")
 
 // Design identifies one of the three candidate network structures.
 type Design int
@@ -71,9 +65,8 @@ type Config struct {
 const jtlPerPEPitch = 5
 
 // CriticalPathDelay returns the network's minimum clock cycle time (the
-// inverse of its maximum frequency), reproducing Fig. 5(a). It panics with
-// ErrUnknownDesign on an out-of-range design (programmer error; the
-// sentinel survives the parallel pool's panic recovery).
+// inverse of its maximum frequency), reproducing Fig. 5(a). It panics on
+// an out-of-range design (programmer error).
 func CriticalPathDelay(d Design, cfg Config, lib *sfq.Library) float64 {
 	dff := lib.Gate(sfq.DFF)
 	spl := lib.Gate(sfq.Splitter)
@@ -115,7 +108,7 @@ func CriticalPathDelay(d Design, cfg Config, lib *sfq.Library) float64 {
 		return p.CCT(clocking.ConcurrentFlowSkewed)
 
 	default:
-		panic(fmt.Errorf("%w %d", ErrUnknownDesign, int(d)))
+		panic(fmt.Sprintf("netunit: unknown design %d", int(d)))
 	}
 }
 
@@ -125,9 +118,8 @@ func MaxFrequency(d Design, cfg Config, lib *sfq.Library) float64 {
 }
 
 // CellInventory returns the wire/latch cells of the network, the basis of
-// the area comparison in Fig. 5(b). It panics with ErrUnknownDesign on an
-// out-of-range design (programmer error; the sentinel survives the
-// parallel pool's panic recovery).
+// the area comparison in Fig. 5(b). It panics on an out-of-range design
+// (programmer error).
 func CellInventory(d Design, cfg Config) sfq.Inventory {
 	inv := sfq.Inventory{}
 	w := cfg.Width
@@ -150,7 +142,7 @@ func CellInventory(d Design, cfg Config) sfq.Inventory {
 		// PE-to-PE forwarding latches live inside the PEs themselves.
 		inv.Add(SystolicPerPE(cfg.Bits), 2*w)
 	default:
-		panic(fmt.Errorf("%w %d", ErrUnknownDesign, int(d)))
+		panic(fmt.Sprintf("netunit: unknown design %d", int(d)))
 	}
 	return inv
 }

@@ -1,6 +1,7 @@
-// Fuzz coverage for the Prometheus text-format escaping path: arbitrary
-// metric/label names and label values must always render to output that
-// parses under the exposition grammar, and label-value escaping must be
+// Fuzz coverage for the Prometheus text-format naming and escaping paths:
+// a metric name or label key registers iff it matches the exposition
+// grammar, arbitrary label values on legal names must always render to
+// output that parses under it, and label-value escaping must be
 // reversible so no two values collide.
 package obs_test
 
@@ -59,13 +60,13 @@ func FuzzPromEscape(f *testing.F) {
 		f.Add(s.name, s.value)
 	}
 	f.Fuzz(func(t *testing.T, name, value string) {
-		mname := obs.SanitizeMetricName(name)
-		if !metricNameRe.MatchString(mname) {
-			t.Fatalf("SanitizeMetricName(%q) = %q, not a legal metric name", name, mname)
+		if got, want := registers(func(r *obs.Registry) { r.Counter(name, "fuzz counter") }),
+			metricNameRe.MatchString(name); got != want {
+			t.Fatalf("metric name %q registered = %v, want %v", name, got, want)
 		}
-		lname := obs.SanitizeLabelName(name)
-		if !labelNameRe.MatchString(lname) {
-			t.Fatalf("SanitizeLabelName(%q) = %q, not a legal label name", name, lname)
+		if got, want := registers(func(r *obs.Registry) { r.Counter("fuzz_total", "fuzz counter", obs.L(name, value)) }),
+			labelNameRe.MatchString(name); got != want {
+			t.Fatalf("label key %q registered = %v, want %v", name, got, want)
 		}
 
 		escaped := obs.EscapeLabelValue(value)
@@ -76,11 +77,12 @@ func FuzzPromEscape(f *testing.F) {
 			t.Fatalf("escape round-trip lost data: %q -> %q -> %q", value, escaped, got)
 		}
 
-		// Render a full registry through the same paths /metrics uses and
-		// check every line against the exposition grammar.
+		// Render a full registry on fixed legal names through the same
+		// paths /metrics uses and check every line against the exposition
+		// grammar.
 		r := obs.NewRegistry()
-		r.Counter(name, "fuzz counter", obs.L(name, value)).Inc()
-		r.Histogram("fuzz_seconds", "fuzz histogram", []float64{1}, obs.L(name, value)).Observe(0.5)
+		r.Counter("fuzz_total", "fuzz counter", obs.L("key", value)).Inc()
+		r.Histogram("fuzz_seconds", "fuzz histogram", []float64{1}, obs.L("key", value)).Observe(0.5)
 		var b strings.Builder
 		if err := r.WritePrometheus(&b); err != nil {
 			t.Fatal(err)
@@ -94,4 +96,12 @@ func FuzzPromEscape(f *testing.F) {
 			}
 		}
 	})
+}
+
+// registers reports whether register runs on a fresh registry without
+// panicking.
+func registers(register func(*obs.Registry)) (ok bool) {
+	defer func() { ok = recover() == nil }()
+	register(obs.NewRegistry())
+	return true
 }

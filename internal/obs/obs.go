@@ -37,8 +37,9 @@ import (
 )
 
 // Label is one key=value pair attached to an instrument at registration.
-// Keys are sanitised to the Prometheus label-name charset and values are
-// escaped at exposition time, so any strings are safe.
+// A key must be a Prometheus label name ([a-zA-Z_][a-zA-Z0-9_]*; the
+// registry panics on any other); a value may be any string, escaped at
+// exposition time.
 type Label struct {
 	Key   string
 	Value string

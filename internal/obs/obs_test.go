@@ -195,23 +195,37 @@ func TestCounterFuncReplacesAndSurvivesCounter(t *testing.T) {
 	c.Inc()
 }
 
-func TestSanitizeNames(t *testing.T) {
-	tests := []struct{ in, metric, label string }{
-		{"good_name", "good_name", "good_name"},
-		{"name:with:colons", "name:with:colons", "name_with_colons"},
-		{"has-dash.dot", "has_dash_dot", "has_dash_dot"},
-		{"9leading", "_9leading", "_9leading"},
-		{"", "_", "_"},
-		{"sp ace\n", "sp_ace_", "sp_ace_"},
-		{"héllo", "h__llo", "h__llo"},
+// TestRegistrationRejectsMalformedNames pins the registry's naming
+// contract: a legal metric name, label key and help text register, and an
+// illegal one panics, as a kind conflict does.
+func TestRegistrationRejectsMalformedNames(t *testing.T) {
+	tests := []struct {
+		name, key, help string
+		legal           bool
+	}{
+		{"good_name", "good_key", `quotes are "fine"`, true},
+		{"name:with:colons", "_k9", "", true},
+		{"_9", "K", "help", true},
+		{"", "k", "help", false},
+		{"has-dash.dot", "k", "help", false},
+		{"9leading", "k", "help", false},
+		{"héllo", "k", "help", false},
+		{"x_total", "with:colon", "help", false},
+		{"x_total", "9leading", "help", false},
+		{"x_total", "", "help", false},
+		{"x_total", "k", `back\slash`, false},
+		{"x_total", "k", "new\nline", false},
 	}
 	for _, tt := range tests {
-		if got := SanitizeMetricName(tt.in); got != tt.metric {
-			t.Errorf("SanitizeMetricName(%q) = %q, want %q", tt.in, got, tt.metric)
-		}
-		if got := SanitizeLabelName(tt.in); got != tt.label {
-			t.Errorf("SanitizeLabelName(%q) = %q, want %q", tt.in, got, tt.label)
-		}
+		func() {
+			defer func() {
+				if panicked := recover() != nil; panicked == tt.legal {
+					t.Errorf("Counter(%q, %q, L(%q, _)): panicked = %v, want %v",
+						tt.name, tt.help, tt.key, panicked, !tt.legal)
+				}
+			}()
+			NewRegistry().Counter(tt.name, tt.help, L(tt.key, "v"))
+		}()
 	}
 }
 
@@ -227,9 +241,6 @@ func TestEscapeLabelValue(t *testing.T) {
 		if got := EscapeLabelValue(tt.in); got != tt.want {
 			t.Errorf("EscapeLabelValue(%q) = %q, want %q", tt.in, got, tt.want)
 		}
-	}
-	if got := EscapeHelp("a\\b\nc\"d"); got != `a\\b\nc"d` {
-		t.Errorf("EscapeHelp = %q, want backslash and newline escaped, quote kept", got)
 	}
 }
 

@@ -70,7 +70,7 @@ func labelSignature(labels []Label) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(SanitizeLabelName(l.Key))
+		b.WriteString(l.Key)
 		b.WriteString(`="`)
 		b.WriteString(EscapeLabelValue(l.Value))
 		b.WriteByte('"')
@@ -79,11 +79,24 @@ func labelSignature(labels []Label) string {
 }
 
 // getSeries finds or creates the (name, labels) series inside the family
-// of the given kind, panicking if the name is already registered under a
-// different kind or help text — conflicting registrations are programmer
-// errors caught at package init, not runtime conditions.
+// of the given kind. It panics on a metric name or label key outside the
+// exposition charset, on help text holding a backslash or newline, and on
+// a name already registered under a different kind: every registration
+// passes program constants, so a malformed or conflicting one is a
+// programmer error caught at package init, not a runtime condition. Help
+// text is not compared; the family keeps its first registration's.
 func (r *Registry) getSeries(name, help, kind string, labels []Label) *series {
-	name = SanitizeMetricName(name)
+	if !validName(name, true) {
+		panic(fmt.Sprintf("obs: metric name %q is not [a-zA-Z_:][a-zA-Z0-9_:]*", name))
+	}
+	if strings.ContainsAny(help, "\\\n") {
+		panic(fmt.Sprintf("obs: help text of %s holds a backslash or newline", name))
+	}
+	for _, l := range labels {
+		if !validName(l.Key, false) {
+			panic(fmt.Sprintf("obs: label key %q of %s is not [a-zA-Z_][a-zA-Z0-9_]*", l.Key, name))
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
@@ -104,7 +117,8 @@ func (r *Registry) getSeries(name, help, kind string, labels []Label) *series {
 
 // Counter finds or creates the counter series (name, labels). Repeat calls
 // with the same name and labels return the same counter. It panics on a
-// kind conflict with an existing family (see getSeries).
+// malformed name, label key or help text, or a kind conflict with an
+// existing family (see getSeries).
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	s := r.getSeries(name, help, kindCounter, labels)
 	if s.counter == nil {
@@ -114,7 +128,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 }
 
 // Gauge finds or creates the gauge series (name, labels). It panics on a
-// kind conflict (see getSeries).
+// malformed or conflicting registration (see getSeries).
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	s := r.getSeries(name, help, kindGauge, labels)
 	if s.gauge == nil {
@@ -125,8 +139,9 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 
 // Histogram finds or creates the histogram series (name, labels) with the
 // given fixed bucket edges. Edges are set on first creation; repeat calls
-// return the existing histogram unchanged. It panics on a kind conflict or
-// invalid edges (see getSeries and NewHistogram).
+// return the existing histogram unchanged. It panics on a malformed or
+// conflicting registration or invalid edges (see getSeries and
+// NewHistogram).
 func (r *Registry) Histogram(name, help string, edges []float64, labels ...Label) *Histogram {
 	s := r.getSeries(name, help, kindHist, labels)
 	if s.hist == nil {
@@ -137,15 +152,15 @@ func (r *Registry) Histogram(name, help string, edges []float64, labels ...Label
 
 // CounterFunc registers a callback-backed counter series, replacing any
 // previous series at (name, labels): the value is read at scrape time.
-// It panics on a kind conflict (see getSeries).
+// It panics on a malformed or conflicting registration (see getSeries).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
 	s := r.getSeries(name, help, kindCounter, labels)
 	s.fn, s.counter = fn, nil
 }
 
 // GaugeFunc registers a callback-backed gauge series, replacing any
-// previous series at (name, labels). It panics on a kind conflict (see
-// getSeries).
+// previous series at (name, labels). It panics on a malformed or
+// conflicting registration (see getSeries).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	s := r.getSeries(name, help, kindGauge, labels)
 	s.fn, s.gauge = fn, nil
@@ -230,7 +245,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 	for _, f := range snaps {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
-			f.name, EscapeHelp(f.help), f.name, f.kind); err != nil {
+			f.name, f.help, f.name, f.kind); err != nil {
 			return err
 		}
 		for _, s := range f.series {
@@ -273,49 +288,19 @@ func writeHistogram(w io.Writer, name, labels string, h *Histogram) error {
 // WritePrometheus renders the Default registry (see Registry.WritePrometheus).
 func WritePrometheus(w io.Writer) error { return Default.WritePrometheus(w) }
 
-// SanitizeMetricName maps s onto the Prometheus metric-name charset
-// [a-zA-Z_:][a-zA-Z0-9_:]*: every invalid byte becomes '_', a leading
-// digit is prefixed with '_', and an empty name becomes "_". Sanitising
-// rather than rejecting keeps registration infallible at package init.
-func SanitizeMetricName(s string) string {
-	return sanitize(s, true)
-}
-
-// SanitizeLabelName maps s onto the Prometheus label-name charset
-// [a-zA-Z_][a-zA-Z0-9_]* (no colons), with the same rules as
-// SanitizeMetricName.
-func SanitizeLabelName(s string) string {
-	return sanitize(s, false)
-}
-
-func sanitize(s string, allowColon bool) string {
-	if s == "" {
-		return "_"
-	}
-	var b []byte
+// validName reports whether s is a Prometheus metric name,
+// [a-zA-Z_:][a-zA-Z0-9_:]*, or, with colon false, a label name,
+// [a-zA-Z_][a-zA-Z0-9_]*.
+func validName(s string, colon bool) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		ok := c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(allowColon && c == ':') || (c >= '0' && c <= '9' && i > 0)
-		if ok {
-			if b != nil {
-				b = append(b, c)
-			}
-			continue
-		}
-		if b == nil {
-			b = append(make([]byte, 0, len(s)+1), s[:i]...)
-		}
-		if c >= '0' && c <= '9' { // leading digit: keep it, but prefix
-			b = append(b, '_', c)
-		} else {
-			b = append(b, '_')
+			(colon && c == ':') || (c >= '0' && c <= '9' && i > 0)
+		if !ok {
+			return false
 		}
 	}
-	if b == nil {
-		return s
-	}
-	return string(b)
+	return s != ""
 }
 
 // EscapeLabelValue escapes a label value for the text exposition format:
@@ -332,27 +317,6 @@ func EscapeLabelValue(s string) string {
 			b.WriteString(`\\`)
 		case '"':
 			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteByte(s[i])
-		}
-	}
-	return b.String()
-}
-
-// EscapeHelp escapes HELP text: backslash and newline (quotes are legal in
-// help lines).
-func EscapeHelp(s string) string {
-	if !strings.ContainsAny(s, "\\\n") {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			b.WriteString(`\\`)
 		case '\n':
 			b.WriteString(`\n`)
 		default:

@@ -35,12 +35,14 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, apiError{Error: msg})
 }
 
-// modelError maps a failed model call onto its HTTP answer: 400 for bad
-// input, 503 for a cancellation ("request timed out: …" once the deadline
-// has passed), and 422 for anything else, which /v1/evaluate degrades.
+// modelError maps a failed model call onto its HTTP answer: 400 for a
+// design the model cannot build (core.ErrUnknownDesign, the one model
+// error a decoded request can carry), 503 for a cancellation ("request
+// timed out: …" once the deadline has passed), and 422 for anything else,
+// which /v1/evaluate degrades.
 func modelError(err error) (int, string) {
 	switch {
-	case core.IsBadInput(err):
+	case errors.Is(err, core.ErrUnknownDesign):
 		return http.StatusBadRequest, err.Error()
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable, "request timed out: " + err.Error()

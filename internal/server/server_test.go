@@ -220,6 +220,25 @@ func TestExplore(t *testing.T) {
 	}
 }
 
+// TestUnbuildableDesignIs400 pins the one model error a request earns a
+// 400 for, core.ErrUnknownDesign: a design the request names or
+// parameterises that the model cannot build. A division degree inside the
+// request bound that the Buffer-opt. buffers cannot divide is one, like a
+// width Fig. 21 has no point for and a design name outside the set.
+func TestUnbuildableDesignIs400(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/explore", `{"sweep":"division","degrees":[60000]}`},
+		{"/v1/explore", `{"sweep":"registers","width":7,"registers":[1]}`},
+		{"/v1/evaluate", `{"design":"nope","workload":"AlexNet"}`},
+	} {
+		status, body, _ := post(t, ts.URL+tc.path, tc.body)
+		if status != http.StatusBadRequest || !strings.Contains(string(body), "unknown design") {
+			t.Errorf("%s %s = %d %s, want 400 naming an unknown design", tc.path, tc.body, status, body)
+		}
+	}
+}
+
 // TestExploreRegistersTakesEveryFig21Width holds the service to the one
 // width policy of the facade and the CLI: any Fig. 21 width, at its Fig. 21
 // buffer capacity. Width 7, which is not a Fig. 21 point, stays a 400

@@ -1,7 +1,6 @@
 package sfq
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 )
@@ -120,38 +119,17 @@ var nominalLibs = [...]*Library{
 // NominalLibrary returns the nominal AIST 1.0 µm cell library of tech, the
 // library NewLibrary(AIST10(), tech) builds. It is built once per
 // technology and shared by every caller, so treat it as immutable, like
-// every cached result; an unknown technology gets a fresh library.
-// NewLibrary keeps returning a fresh library, the one NewLibraryFaulted
-// perturbs in place.
-func NominalLibrary(tech Technology) *Library {
-	if tech >= 0 && int(tech) < len(nominalLibs) {
-		return nominalLibs[tech]
-	}
-	return NewLibrary(AIST10(), tech)
-}
-
-// ErrUnknownGate marks a gate kind absent from the cell library. Boundary
-// code matches it with errors.Is to reject the input.
-var ErrUnknownGate = errors.New("sfq: unknown gate kind")
-
-// Lookup returns the named cell, or an ErrUnknownGate-wrapped error for a
-// kind the library does not hold.
-func (l *Library) Lookup(k GateKind) (Gate, error) {
-	g, ok := l.gates[k]
-	if !ok {
-		return Gate{}, fmt.Errorf("%w %q", ErrUnknownGate, k)
-	}
-	return g, nil
-}
+// every cached result. It panics on a technology other than RSFQ and
+// ERSFQ, which arch.Config.Validate rejects. NewLibrary keeps returning a
+// fresh library, the one NewLibraryFaulted perturbs in place.
+func NominalLibrary(tech Technology) *Library { return nominalLibs[tech] }
 
 // Gate returns the named cell. It panics on an unknown kind: the library is
-// a closed, compile-time-known set and a miss is a programming error. The
-// panic value wraps ErrUnknownGate, so errors.Is still identifies it after
-// the parallel pool's panic recovery.
+// a closed, compile-time-known set and a miss is a programming error.
 func (l *Library) Gate(k GateKind) Gate {
-	g, err := l.Lookup(k)
-	if err != nil {
-		panic(err)
+	g, ok := l.gates[k]
+	if !ok {
+		panic(fmt.Sprintf("sfq: unknown gate kind %q", k))
 	}
 	return g
 }

@@ -10,16 +10,7 @@
 // 8-bit, matching the NPU datapath.
 package workload
 
-import (
-	"errors"
-	"fmt"
-)
-
-// ErrUnknownKind marks a layer kind outside the defined Conv/DepthwiseConv/
-// FullyConnected/Pool set. Boundary code (the evaluation service, CLI flag
-// parsing) matches it with errors.Is to reject the input instead of
-// crashing.
-var ErrUnknownKind = errors.New("workload: unknown kind")
+import "fmt"
 
 // Kind classifies a layer for the mapper.
 type Kind int
@@ -70,7 +61,7 @@ type Layer struct {
 // Validate reports a shape error, if any.
 func (l Layer) Validate() error {
 	if l.Kind < Conv || l.Kind > Pool {
-		return fmt.Errorf("%w %q in layer %q", ErrUnknownKind, l.Kind, l.Name)
+		return fmt.Errorf("workload: unknown kind %q in layer %q", l.Kind, l.Name)
 	}
 	if l.H <= 0 || l.W <= 0 || l.C <= 0 || l.R <= 0 || l.S <= 0 || l.M <= 0 || l.Stride <= 0 || l.Pad < 0 {
 		return fmt.Errorf("workload: layer %q has non-positive dimensions: %+v", l.Name, l)
@@ -91,8 +82,8 @@ func (l Layer) OutH() int { return (l.H+2*l.Pad-l.R)/l.Stride + 1 }
 func (l Layer) OutW() int { return (l.W+2*l.Pad-l.S)/l.Stride + 1 }
 
 // MACs returns the multiply-accumulate count of the layer for one input.
-// It panics with ErrUnknownKind on an unvalidated layer kind (call
-// Validate first; the sentinel survives the pool's panic recovery).
+// It panics on a kind outside the four defined ones, which Validate
+// rejects.
 func (l Layer) MACs() int64 {
 	e, f := int64(l.OutH()), int64(l.OutW())
 	switch l.Kind {
@@ -103,9 +94,7 @@ func (l Layer) MACs() int64 {
 	case Pool:
 		return 0
 	default:
-		// Panicking with the sentinel keeps errors.Is working across the
-		// parallel pool's panic-recovery boundary.
-		panic(fmt.Errorf("%w %q in layer %q", ErrUnknownKind, l.Kind, l.Name))
+		panic(fmt.Sprintf("workload: unknown kind %q in layer %q", l.Kind, l.Name))
 	}
 }
 
@@ -133,7 +122,7 @@ func (l Layer) WeightBytes() int64 {
 // input plus output must be resident to avoid extra off-chip traffic.
 func (l Layer) WorkingSetBytes() int64 { return l.IfmapBytes() + l.OfmapBytes() }
 
-// ComputeLayers reports whether the layer performs MACs on the NPU.
+// ComputeLayer reports whether the layer performs MACs on the NPU.
 func (l Layer) ComputeLayer() bool { return l.Kind != Pool }
 
 // Shape is a Layer stripped of its display name: exactly the fields the

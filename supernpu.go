@@ -151,12 +151,18 @@ func ValidateModels() estimator.Report { return estimator.Validate() }
 // fault model fm (nil is nominal). Cancellation of ctx stops the sweep with
 // an error matching context.Canceled.
 func ExploreDivision(ctx context.Context, degrees []int, fm *FaultModel) ([]SweepPoint, error) {
+	if err := fm.Validate(); err != nil {
+		return nil, err
+	}
 	return core.ExploreDivision(ctx, degrees, fm)
 }
 
 // ExploreWidth sweeps PE-array width with rebalanced buffers (Fig. 21)
 // under the fault model fm.
 func ExploreWidth(ctx context.Context, fm *FaultModel) ([]SweepPoint, error) {
+	if err := fm.Validate(); err != nil {
+		return nil, err
+	}
 	return core.ExploreWidth(ctx, fm)
 }
 
@@ -164,19 +170,26 @@ func ExploreWidth(ctx context.Context, fm *FaultModel) ([]SweepPoint, error) {
 // array widths, with that point's buffer capacity, under the fault model
 // fm. Any other width is an error.
 func ExploreRegisters(ctx context.Context, width int, regs []int, fm *FaultModel) ([]SweepPoint, error) {
+	if err := fm.Validate(); err != nil {
+		return nil, err
+	}
 	return core.ExploreRegisters(ctx, width, regs, fm)
 }
 
 // FaultModel is the deterministic, seed-keyed SFQ fault model: critical-
 // current spread, thermal pulse drops, datapath bit flips, timing-margin
 // erosion and whole-simulation aborts, every draw a pure function of
-// (seed, site). A nil or zero-rate model is exactly the nominal path.
+// (seed, site). A nil or zero-rate model is exactly the nominal path; one
+// that fails its Validate is an error wherever the facade takes it.
 type FaultModel = faultinject.Model
 
 // EvaluateWithFaults is Evaluate under a fault model: junction spread
 // perturbs the operating point, pulse drops charge recirculation cycles,
 // bit flips degrade the accuracy proxy. CMOS designs always run nominally.
 func EvaluateWithFaults(ctx context.Context, d Design, net Network, batch int, fm *FaultModel) (*Evaluation, error) {
+	if err := fm.Validate(); err != nil {
+		return nil, err
+	}
 	return core.EvaluateFaulted(ctx, d, net, batch, fm)
 }
 

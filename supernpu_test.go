@@ -2,6 +2,7 @@ package supernpu
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -111,6 +112,51 @@ func TestFacadeExploration(t *testing.T) {
 	r, err := ExploreRegisters(ctx, 64, []int{1, 8}, nil)
 	if err != nil || len(r) != 2 {
 		t.Fatalf("ExploreRegisters: %v", err)
+	}
+}
+
+// TestFacadeRejectsInvalidInput holds the facade to validating outside
+// input where it enters: each call names a model the paper does not
+// define (a fault rate outside its range, a technology other than RSFQ and
+// ERSFQ, a negative batch, an array without rows) and must fail instead of
+// returning a result or panicking.
+func TestFacadeRejectsInvalidInput(t *testing.T) {
+	ctx := context.Background()
+	net, err := WorkloadByName("AlexNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := func(fm *FaultModel) func() error {
+		return func() error { _, err := EvaluateWithFaults(ctx, SuperNPU(), net, 1, fm); return err }
+	}
+	bad := &FaultModel{Seed: 1, BitFlip: 5}
+	tech7 := SuperNPU()
+	tech7.SFQ.Tech = 7
+	noRows := Baseline()
+	noRows.SFQ.ArrayHeight = 0
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"EvaluateWithFaults, probability above 1", faulted(&FaultModel{Seed: 1, BitFlip: 5})},
+		{"EvaluateWithFaults, negative rate", faulted(&FaultModel{Seed: 1, IcSpread: -0.5})},
+		{"EvaluateWithFaults, NaN rate", faulted(&FaultModel{Seed: 1, SimFail: math.NaN()})},
+		{"ExploreDivision", func() error { _, err := ExploreDivision(ctx, []int{4}, bad); return err }},
+		{"ExploreWidth", func() error { _, err := ExploreWidth(ctx, bad); return err }},
+		{"ExploreRegisters", func() error { _, err := ExploreRegisters(ctx, 64, []int{1}, bad); return err }},
+		{"MarginSweep", func() error {
+			_, err := MarginSweep(ctx, MarginSweepOptions{Seed: 1, BitFlipPerSpread: 100})
+			return err
+		}},
+		{"Evaluate, technology 7", func() error { _, err := Evaluate(ctx, tech7, net, 1); return err }},
+		{"EstimateDesign, technology 7", func() error { _, err := EstimateDesign(ctx, tech7); return err }},
+		{"EvaluateAnalytical, batch -1", func() error { _, err := EvaluateAnalytical(ctx, SuperNPU(), net, -1); return err }},
+		{"EvaluateAnalytical, no PE rows", func() error { _, err := EvaluateAnalytical(ctx, noRows, net, 0); return err }},
+	}
+	for _, tc := range cases {
+		if err := tc.call(); err == nil {
+			t.Errorf("%s: returned a result, want an error", tc.name)
+		}
 	}
 }
 
