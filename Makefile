@@ -133,11 +133,11 @@ chaos-smoke:
 	SUPERNPU_CHAOS=1 $(GO) test -race -count=1 -run TestChaosMarginSweepCancellationHammer ./internal/experiments -v
 
 # Race-detector pass focused on the resilience subsystems. The pool's
-# process-wide helper budget depends on timing, so its package runs ten
-# times over.
+# process-wide helper budget and the registry's concurrent first
+# registrations depend on timing, so their packages run ten times over.
 race-resilience:
 	$(GO) test -race -count=1 ./internal/faultinject ./internal/server
-	$(GO) test -race -count=10 ./internal/parallel
+	$(GO) test -race -count=10 ./internal/parallel ./internal/obs
 
 # Re-snapshot the golden exhibit files after an intentional model change.
 golden-update:

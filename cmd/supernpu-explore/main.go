@@ -74,12 +74,11 @@ func main() {
 		}
 	})
 
-	var fm *supernpu.FaultModel
-	if *icSpread != 0 || *pulseDrop != 0 || *bitFlip != 0 || *erosion != 0 {
-		fm = &supernpu.FaultModel{
-			Seed: *faultSeed, IcSpread: *icSpread, PulseDrop: *pulseDrop,
-			BitFlip: *bitFlip, MarginErosion: *erosion,
-		}
+	// A model with every rate zero is disabled (Model.Enabled), so the
+	// sweep runs nominal.
+	fm := &supernpu.FaultModel{
+		Seed: *faultSeed, IcSpread: *icSpread, PulseDrop: *pulseDrop,
+		BitFlip: *bitFlip, MarginErosion: *erosion,
 	}
 	if err := fm.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "supernpu-explore:", err)
@@ -123,14 +122,13 @@ func main() {
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "workers: %d\n", parallel.Workers())
 		for _, s := range simcache.Snapshot() {
-			fmt.Fprintf(os.Stderr, "cache %-10s %5d entries, %6d hits, %5d misses (%.0f%% hit rate)\n",
-				s.Name, s.Entries, s.Hits, s.Misses, s.HitRate()*100)
+			fmt.Fprintln(os.Stderr, s)
 		}
 	}
 }
 
 // run prints one sweep: the margin sweep under the given seed, any other
-// under the fault model fm (nil is nominal).
+// under the fault model fm (a disabled one is nominal).
 func run(ctx context.Context, sweep string, width int, seed int64, fm *supernpu.FaultModel) error {
 	sp := obs.StartSpan("sweep", obs.L("kind", sweep))
 	defer sp.End()

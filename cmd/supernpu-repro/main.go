@@ -148,7 +148,6 @@ func writeHeapProfile(path string) {
 func printCacheStats() {
 	fmt.Fprintf(os.Stderr, "workers: %d\n", parallel.Workers())
 	for _, s := range simcache.Snapshot() {
-		fmt.Fprintf(os.Stderr, "cache %-10s %5d entries, %6d hits, %5d misses (%.0f%% hit rate)\n",
-			s.Name, s.Entries, s.Hits, s.Misses, s.HitRate()*100)
+		fmt.Fprintln(os.Stderr, s)
 	}
 }

@@ -65,14 +65,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Any non-zero rate arms the fault model; /v1/evaluate degrades to the
-	// analytical roofline (200 + "degraded": true) when a simulation aborts.
-	var fm *faultinject.Model
-	if *icSpread != 0 || *pulseDrop != 0 || *bitFlip != 0 || *erosion != 0 || *simFail != 0 {
-		fm = &faultinject.Model{
-			Seed: *faultSeed, IcSpread: *icSpread, PulseDrop: *pulseDrop,
-			BitFlip: *bitFlip, MarginErosion: *erosion, SimFail: *simFail,
-		}
+	// Any non-zero rate arms the fault model (Model.Enabled); /v1/evaluate
+	// degrades to the analytical roofline (200 + "degraded": true) when a
+	// simulation aborts.
+	fm := &faultinject.Model{
+		Seed: *faultSeed, IcSpread: *icSpread, PulseDrop: *pulseDrop,
+		BitFlip: *bitFlip, MarginErosion: *erosion, SimFail: *simFail,
 	}
 	if err := fm.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "supernpu-serve:", err)

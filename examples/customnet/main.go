@@ -35,7 +35,11 @@ func main() {
 	// How large a batch does each design hold on-chip?
 	fmt.Println("max on-chip batch per design:")
 	for _, d := range supernpu.Designs() {
-		fmt.Printf("  %-14s %d\n", d.Name(), d.MaxBatch(net))
+		b, err := d.MaxBatch(net)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  %-14s %d\n", d.Name(), b)
 	}
 	fmt.Println()
 

@@ -32,13 +32,14 @@ func EvaluateAnalytical(ctx context.Context, d Design, net workload.Network, bat
 	if batch < 0 {
 		return nil, fmt.Errorf("core: batch %d must be non-negative (0 selects the maximum batch)", batch)
 	}
-	// The estimator validates the configuration, which MaxBatch assumes.
 	est, err := estimator.Estimate(ctx, d.SFQ)
 	if err != nil {
 		return nil, err
 	}
 	if batch == 0 {
-		batch = d.MaxBatch(net)
+		if batch, err = d.MaxBatch(net); err != nil {
+			return nil, err
+		}
 	}
 	macs := net.TotalMACs() * int64(batch)
 	var acts int64

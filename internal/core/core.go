@@ -176,12 +176,21 @@ func EvaluateFaulted(ctx context.Context, d Design, net workload.Network, batch 
 	}
 }
 
-// MaxBatch returns the design's Table II batch for the network.
-func (d Design) MaxBatch(net workload.Network) int {
-	if d.Platform == CMOS {
-		return d.CMOS.MaxBatch(net)
+// MaxBatch returns the design's Table II batch for the network. Both are
+// outside input, so it first returns the error of validating the network
+// or an SFQ design's configuration: the buffer arithmetic divides by their
+// dimensions.
+func (d Design) MaxBatch(net workload.Network) (int, error) {
+	if err := net.Validate(); err != nil {
+		return 0, err
 	}
-	return npusim.MaxBatch(d.SFQ, net)
+	if d.Platform == CMOS {
+		return d.CMOS.MaxBatch(net), nil
+	}
+	if err := d.SFQ.Validate(); err != nil {
+		return 0, err
+	}
+	return npusim.MaxBatch(d.SFQ, net), nil
 }
 
 // Speedup evaluates a design against the TPU reference on one workload and

@@ -105,11 +105,11 @@ func TestOptimisationLadder(t *testing.T) {
 
 func TestMaxBatchDispatch(t *testing.T) {
 	net := workload.VGG16()
-	if got := CMOSDesign(scalesim.TPU()).MaxBatch(net); got != 3 {
-		t.Errorf("TPU VGG16 batch = %d, want 3", got)
+	if got, err := CMOSDesign(scalesim.TPU()).MaxBatch(net); got != 3 || err != nil {
+		t.Errorf("TPU VGG16 batch = %d, %v; want 3", got, err)
 	}
-	if got := SFQDesign(arch.SuperNPU()).MaxBatch(net); got != 7 {
-		t.Errorf("SuperNPU VGG16 batch = %d, want 7", got)
+	if got, err := SFQDesign(arch.SuperNPU()).MaxBatch(net); got != 7 || err != nil {
+		t.Errorf("SuperNPU VGG16 batch = %d, %v; want 7", got, err)
 	}
 }
 

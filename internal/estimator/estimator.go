@@ -26,9 +26,7 @@ import (
 // cache memoises Estimate by (configuration, fault model): the simulator calls
 // the estimator once per simulation and the sweeps revisit the same handful
 // of designs constantly. Results are shared and must be treated read-only.
-var cache = simcache.New[*Result]()
-
-func init() { simcache.Register("estimator", cache) }
+var cache = simcache.New[*Result]("estimator")
 
 // Estimation instruments: calls counts every Estimate/EstimateFaulted entry
 // (cached or not); the histogram times only cold computes. Write-only from

@@ -408,7 +408,11 @@ func table2() (string, error) {
 	for _, net := range workload.All() {
 		row := []string{net.Name}
 		for _, d := range designs {
-			row = append(row, fmt.Sprintf("%d", d.MaxBatch(net)))
+			b, err := d.MaxBatch(net)
+			if err != nil {
+				return "", err
+			}
+			row = append(row, fmt.Sprintf("%d", b))
 		}
 		t.AddRow(row...)
 	}

@@ -13,9 +13,7 @@ import (
 // cache memoises the RCSJ extractions (gate parameters, bias margins): each
 // is a deterministic transient over a fixed netlist, yet Fig. 7 re-runs the
 // JTL extraction on every exhibit regeneration.
-var cache = simcache.New[any]()
-
-func init() { simcache.Register("jsim", cache) }
+var cache = simcache.New[any]("jsim")
 
 // appendExtractionKey appends the cache key of one extraction: its name
 // and the fault model its netlist runs under (nil for the nominal one).

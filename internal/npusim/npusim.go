@@ -38,9 +38,7 @@ import (
 // Baseline/TPU references at every point; with the cache each distinct
 // simulation runs once per process. Reports returned from Simulate are
 // shared between callers and must be treated as read-only.
-var cache = simcache.New[*Report]()
-
-func init() { simcache.Register("npusim", cache) }
+var cache = simcache.New[*Report]("npusim")
 
 // layerSites counts the compute-layer sites npusim simulations charge,
 // nominal and faulted alike: one per compute layer of every simulated

@@ -48,16 +48,11 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Counter is a monotonically increasing count. The zero value is ready to
-// use; Register a counter (or create it through a Registry) to expose it.
+// Counter is a monotonically increasing count. A Registry creates one per
+// series (Registry.Counter); there is no standalone constructor.
 type Counter struct {
 	v atomic.Int64
 }
-
-// NewCounter returns a standalone counter, not attached to any registry.
-// Producers that own their counting (the memo caches) create counters raw
-// and adopt them into a registry when they learn their name.
-func NewCounter() *Counter { return &Counter{} }
 
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
@@ -70,16 +65,14 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Reset zeroes the counter. Prometheus consumers treat a shrinking counter
 // as a process restart, which is exactly the semantic of the one in-tree
-// caller (cache Clear before a cold-start benchmark).
+// caller: a memo cache built or cleared (a cold-start benchmark's Clear).
 func (c *Counter) Reset() { c.v.Store(0) }
 
-// Gauge is a value that moves in both directions.
+// Gauge is a value that moves in both directions. A Registry creates one
+// per series (Registry.Gauge).
 type Gauge struct {
 	v atomic.Int64
 }
-
-// NewGauge returns a standalone gauge (see NewCounter).
-func NewGauge() *Gauge { return &Gauge{} }
 
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
@@ -116,11 +109,11 @@ type Histogram struct {
 	sumBits atomic.Uint64 // float64 bits of the running sum, CAS-updated
 }
 
-// NewHistogram returns a standalone histogram over the given ascending
-// bucket edges. It panics if edges is empty or not strictly ascending —
-// bucket layout is a compile-time decision, so a bad layout is a
-// programmer error, not a runtime condition.
-func NewHistogram(edges []float64) *Histogram {
+// newHistogram returns the histogram of a new series (Registry.Histogram)
+// over the given ascending bucket edges. It panics if edges is empty or
+// not strictly ascending — bucket layout is a compile-time decision, so a
+// bad layout is a programmer error, not a runtime condition.
+func newHistogram(edges []float64) *Histogram {
 	if len(edges) == 0 {
 		panic("obs: histogram needs at least one bucket edge")
 	}

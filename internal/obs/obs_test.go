@@ -6,7 +6,8 @@ import (
 )
 
 func TestCounterGauge(t *testing.T) {
-	c := NewCounter()
+	r := NewRegistry()
+	c := r.Counter("c_total", "help")
 	c.Inc()
 	c.Add(41)
 	if c.Value() != 42 {
@@ -17,7 +18,7 @@ func TestCounterGauge(t *testing.T) {
 		t.Errorf("counter after Reset = %d, want 0", c.Value())
 	}
 
-	g := NewGauge()
+	g := r.Gauge("g", "help")
 	g.Set(10)
 	g.Inc()
 	g.Dec()
@@ -28,7 +29,7 @@ func TestCounterGauge(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram([]float64{1, 10, 100})
+	h := newHistogram([]float64{1, 10, 100})
 	for _, x := range []float64{0.5, 1, 5, 10, 99, 100, 101, 1e6} {
 		h.Observe(x)
 	}
@@ -63,10 +64,10 @@ func TestHistogramPanicsOnBadEdges(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewHistogram(%v) did not panic", edges)
+					t.Errorf("newHistogram(%v) did not panic", edges)
 				}
 			}()
-			NewHistogram(edges)
+			newHistogram(edges)
 		}()
 	}
 }
@@ -75,8 +76,8 @@ func TestHistogramPanicsOnBadEdges(t *testing.T) {
 // and spans with no trace writer installed — must not allocate: the JSIM
 // hot loop and every cache lookup run them.
 func TestDisabledPathsDoNotAllocate(t *testing.T) {
-	h := NewHistogram([]float64{1})
-	c := NewCounter()
+	h := newHistogram([]float64{1})
+	c := NewRegistry().Counter("c_total", "help")
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		h.Observe(1)
@@ -117,7 +118,6 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "counts b").Add(3)
 	r.Gauge("a_gauge", "gauges a", L("k", "v")).Set(-2)
-	r.GaugeFunc("c_fn", "callback gauge", func() float64 { return 1.5 })
 	h := r.Histogram("d_seconds", "times d", []float64{1, 10})
 	h.Observe(0.5)
 	h.Observe(5)
@@ -132,7 +132,6 @@ func TestWritePrometheus(t *testing.T) {
 	for _, want := range []string{
 		"# HELP a_gauge gauges a\n# TYPE a_gauge gauge\na_gauge{k=\"v\"} -2\n",
 		"# HELP b_total counts b\n# TYPE b_total counter\nb_total 3\n",
-		"c_fn 1.5\n",
 		"# TYPE d_seconds histogram\n",
 		"d_seconds_bucket{le=\"1\"} 1\n",
 		"d_seconds_bucket{le=\"10\"} 2\n",
@@ -147,7 +146,7 @@ func TestWritePrometheus(t *testing.T) {
 
 	// Families render in sorted name order.
 	if !(strings.Index(out, "a_gauge") < strings.Index(out, "b_total") &&
-		strings.Index(out, "b_total") < strings.Index(out, "c_fn")) {
+		strings.Index(out, "b_total") < strings.Index(out, "d_seconds")) {
 		t.Errorf("families not sorted:\n%s", out)
 	}
 
@@ -173,26 +172,6 @@ func TestWritePrometheusSeriesSorted(t *testing.T) {
 	if strings.Index(out, `x="a"`) > strings.Index(out, `x="b"`) {
 		t.Errorf("series not sorted by label signature:\n%s", out)
 	}
-}
-
-func TestCounterFuncReplacesAndSurvivesCounter(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x_total", "help").Add(5)
-	r.CounterFunc("x_total", "help", func() float64 { return 9 })
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "x_total 9\n") {
-		t.Errorf("CounterFunc did not replace the stored counter:\n%s", b.String())
-	}
-	// A later Counter() at the same series must still hand out a usable
-	// instrument (the callback keeps priority for rendering).
-	c := r.Counter("x_total", "help")
-	if c == nil {
-		t.Fatal("Counter returned nil after CounterFunc registration")
-	}
-	c.Inc()
 }
 
 // TestRegistrationRejectsMalformedNames pins the registry's naming

@@ -1,14 +1,18 @@
 // Race/concurrency coverage for the registry: instruments hammered from
 // parallel.ForEachContext workers (the exact pool the evaluation pipeline
-// fans out through) with concurrent scrapes in flight, then exact final
-// counts asserted. Run under -race this proves the atomic instrument paths and
-// the snapshot-under-lock scrape are data-race free; the external test
-// package avoids an import cycle with internal/parallel.
+// fans out through) with concurrent first registrations and scrapes in
+// flight, then exact final counts asserted, and simultaneous first
+// registrations of one series. Run under -race this proves the atomic
+// instrument paths, registration and the snapshot-under-lock scrape are
+// data-race free. The external test package avoids an import cycle with
+// internal/parallel.
 package obs_test
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"sync"
 	"testing"
 
 	"supernpu/internal/obs"
@@ -35,8 +39,7 @@ func TestInstrumentsUnderParallelHammer(t *testing.T) {
 				t.Error("concurrent GetOrCreate returned a different counter")
 			}
 			if j == 0 {
-				r.Counter("hammer_task_total", "per-task series",
-					obs.L("task", string(rune('a'+i%26)))).Inc()
+				r.Counter("hammer_task_total", "per-task series", taskLabel(i)).Inc()
 			}
 		}
 		// A scrape concurrent with the writers must not race or deadlock.
@@ -65,5 +68,51 @@ func TestInstrumentsUnderParallelHammer(t *testing.T) {
 	}
 	if buckets != want {
 		t.Errorf("bucket total = %d, want exactly %d", buckets, want)
+	}
+	// Each letter's series counts the tasks that share it, 64 in total: an
+	// increment into an instrument the series does not hold goes missing.
+	shared := map[obs.Label]int64{}
+	for i := 0; i < tasks; i++ {
+		shared[taskLabel(i)]++
+	}
+	for l, n := range shared {
+		if got := r.Counter("hammer_task_total", "per-task series", l).Value(); got != n {
+			t.Errorf("hammer_task_total{task=%q} = %d, want exactly %d", l.Value, got, n)
+		}
+	}
+}
+
+// taskLabel is the hammer's per-task series label: tasks i and i+26 share
+// a letter.
+func taskLabel(i int) obs.Label { return obs.L("task", string(rune('a'+i%26))) }
+
+// TestConcurrentFirstRegistrationSharesOneInstrument releases callers
+// together onto each new series: every caller must get the one counter the
+// series holds. A registry that sets the instrument after unlocking hands
+// out a second counter now and then, and -race reports its write on every
+// run.
+func TestConcurrentFirstRegistrationSharesOneInstrument(t *testing.T) {
+	r := obs.NewRegistry()
+	const series, callers = 50, 4
+	for i := 0; i < series; i++ {
+		name := fmt.Sprintf("first_%d_total", i)
+		got := make([]*obs.Counter, callers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[g] = r.Counter(name, "first registrations")
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for _, c := range got[1:] {
+			if c != got[0] {
+				t.Fatalf("%s: concurrent first registrations returned different counters", name)
+			}
+		}
 	}
 }

@@ -23,14 +23,14 @@ const (
 	kindHist    = "histogram"
 )
 
-// series is one (family, label set) time series and its backing state.
-// Exactly one of counter/gauge/hist/fn is set.
+// series is one (family, label set) time series and its one instrument:
+// exactly one of counter/gauge/hist is set, by getSeries under the
+// registry lock before the series is published, and never replaced.
 type series struct {
 	labels  string // pre-rendered `key="value",...` signature, sorted by key
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	fn      func() float64
 }
 
 // family is every series sharing one metric name.
@@ -79,13 +79,18 @@ func labelSignature(labels []Label) string {
 }
 
 // getSeries finds or creates the (name, labels) series inside the family
-// of the given kind. It panics on a metric name or label key outside the
-// exposition charset, on help text holding a backslash or newline, and on
-// a name already registered under a different kind: every registration
-// passes program constants, so a malformed or conflicting one is a
-// programmer error caught at package init, not a runtime condition. Help
-// text is not compared; the family keeps its first registration's.
-func (r *Registry) getSeries(name, help, kind string, labels []Label) *series {
+// of the given kind. A new series gets its one instrument — a counter, a
+// gauge, or a histogram over edges — inside the locked section, so every
+// caller of one series shares one instrument and nothing writes it after
+// the series is published. It panics on a metric name or label key outside
+// the exposition charset, on help text holding a backslash or newline, on
+// a name already registered under a different kind, and on invalid
+// histogram edges (newHistogram): every registration passes program
+// constants, so a malformed or conflicting one is a programmer error
+// caught at package init, not a runtime condition. Help text and edges are
+// not compared; the family keeps its first registration's help and a
+// series its first edges.
+func (r *Registry) getSeries(name, help, kind string, edges []float64, labels []Label) *series {
 	if !validName(name, true) {
 		panic(fmt.Sprintf("obs: metric name %q is not [a-zA-Z_:][a-zA-Z0-9_:]*", name))
 	}
@@ -97,21 +102,32 @@ func (r *Registry) getSeries(name, help, kind string, labels []Label) *series {
 			panic(fmt.Sprintf("obs: label key %q of %s is not [a-zA-Z_][a-zA-Z0-9_]*", l.Key, name))
 		}
 	}
+	sig := labelSignature(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
+	if ok {
+		if f.kind != kind {
+			panic(fmt.Sprintf("obs: metric %s re-registered as %s (was %s)", name, kind, f.kind))
+		}
+		if s, ok := f.series[sig]; ok {
+			return s
+		}
+	}
+	s := &series{labels: sig}
+	switch kind {
+	case kindCounter:
+		s.counter = &Counter{}
+	case kindGauge:
+		s.gauge = &Gauge{}
+	default:
+		s.hist = newHistogram(edges) // may panic: nothing is published yet
+	}
 	if !ok {
 		f = &family{name: name, help: help, kind: kind, series: map[string]*series{}}
 		r.families[name] = f
-	} else if f.kind != kind {
-		panic(fmt.Sprintf("obs: metric %s re-registered as %s (was %s)", name, kind, f.kind))
 	}
-	sig := labelSignature(labels)
-	s, ok := f.series[sig]
-	if !ok {
-		s = &series{labels: sig}
-		f.series[sig] = s
-	}
+	f.series[sig] = s
 	return s
 }
 
@@ -120,71 +136,27 @@ func (r *Registry) getSeries(name, help, kind string, labels []Label) *series {
 // malformed name, label key or help text, or a kind conflict with an
 // existing family (see getSeries).
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.getSeries(name, help, kindCounter, labels)
-	if s.counter == nil {
-		s.counter = NewCounter()
-	}
-	return s.counter
+	return r.getSeries(name, help, kindCounter, nil, labels).counter
 }
 
 // Gauge finds or creates the gauge series (name, labels). It panics on a
 // malformed or conflicting registration (see getSeries).
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.getSeries(name, help, kindGauge, labels)
-	if s.gauge == nil {
-		s.gauge = NewGauge()
-	}
-	return s.gauge
+	return r.getSeries(name, help, kindGauge, nil, labels).gauge
 }
 
 // Histogram finds or creates the histogram series (name, labels) with the
 // given fixed bucket edges. Edges are set on first creation; repeat calls
 // return the existing histogram unchanged. It panics on a malformed or
 // conflicting registration or invalid edges (see getSeries and
-// NewHistogram).
+// newHistogram).
 func (r *Registry) Histogram(name, help string, edges []float64, labels ...Label) *Histogram {
-	s := r.getSeries(name, help, kindHist, labels)
-	if s.hist == nil {
-		s.hist = NewHistogram(edges)
-	}
-	return s.hist
-}
-
-// CounterFunc registers a callback-backed counter series, replacing any
-// previous series at (name, labels): the value is read at scrape time.
-// It panics on a malformed or conflicting registration (see getSeries).
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.getSeries(name, help, kindCounter, labels)
-	s.fn, s.counter = fn, nil
-}
-
-// GaugeFunc registers a callback-backed gauge series, replacing any
-// previous series at (name, labels). It panics on a malformed or
-// conflicting registration (see getSeries).
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.getSeries(name, help, kindGauge, labels)
-	s.fn, s.gauge = fn, nil
+	return r.getSeries(name, help, kindHist, edges, labels).hist
 }
 
 // formatFloat renders a sample value in the shortest round-tripping form.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// valueFunc returns a reader for the series' current sample, bound to the
-// backing instrument at snapshot time (call with the registry lock held).
-func (s *series) valueFunc() func() float64 {
-	switch {
-	case s.fn != nil:
-		return s.fn
-	case s.counter != nil:
-		c := s.counter
-		return func() float64 { return float64(c.Value()) }
-	case s.gauge != nil:
-		g := s.gauge
-		return func() float64 { return float64(g.Value()) }
-	}
-	return func() float64 { return 0 }
 }
 
 // writeSample emits one exposition line: name{labels} value.
@@ -206,56 +178,44 @@ func writeSample(w io.Writer, name, labels, extra string, v float64) error {
 // WritePrometheus renders every family in Prometheus text exposition
 // format (version 0.0.4), families sorted by name and series by label
 // signature. Histograms emit cumulative _bucket samples, _sum and _count.
+// It copies the family and series lists under the registry lock and reads
+// values after unlocking: a series' instrument never changes once
+// published, so the copied pointers stay the live instruments.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	// Snapshot the whole structure under the lock — family order, series
-	// order and instrument references — then render and read values outside
-	// it, so a scrape never holds the registry lock while calling a
-	// callback (which could otherwise deadlock by touching the registry).
-	type seriesSnap struct {
-		labels string
-		hist   *Histogram
-		value  func() float64
-	}
 	type famSnap struct {
-		name, help, kind string
-		series           []seriesSnap
+		f  *family
+		ss []*series
 	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	snaps := make([]famSnap, 0, len(names))
-	for _, name := range names {
-		f := r.families[name]
-		sigs := make([]string, 0, len(f.series))
-		for sig := range f.series {
-			sigs = append(sigs, sig)
+	snaps := make([]famSnap, 0, len(r.families))
+	for _, f := range r.families {
+		ss := make([]*series, 0, len(f.series))
+		for _, s := range f.series {
+			ss = append(ss, s)
 		}
-		sort.Strings(sigs)
-		fs := famSnap{name: f.name, help: f.help, kind: f.kind}
-		for _, sig := range sigs {
-			s := f.series[sig]
-			fs.series = append(fs.series, seriesSnap{labels: s.labels, hist: s.hist, value: s.valueFunc()})
-		}
-		snaps = append(snaps, fs)
+		sort.Slice(ss, func(i, j int) bool { return ss[i].labels < ss[j].labels })
+		snaps = append(snaps, famSnap{f, ss})
 	}
 	r.mu.Unlock()
 
-	for _, f := range snaps {
+	sort.Slice(snaps, func(i, j int) bool { return snaps[i].f.name < snaps[j].f.name })
+	for _, snap := range snaps {
+		f, ss := snap.f, snap.ss
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
 			f.name, f.help, f.name, f.kind); err != nil {
 			return err
 		}
-		for _, s := range f.series {
-			if s.hist != nil {
-				if err := writeHistogram(w, f.name, s.labels, s.hist); err != nil {
-					return err
-				}
-				continue
+		for _, s := range ss {
+			var err error
+			switch {
+			case s.hist != nil:
+				err = writeHistogram(w, f.name, s.labels, s.hist)
+			case s.counter != nil:
+				err = writeSample(w, f.name, s.labels, "", float64(s.counter.Value()))
+			default:
+				err = writeSample(w, f.name, s.labels, "", float64(s.gauge.Value()))
 			}
-			if err := writeSample(w, f.name, s.labels, "", s.value()); err != nil {
+			if err != nil {
 				return err
 			}
 		}

@@ -45,22 +45,19 @@ import (
 
 // Pool instruments: batch and task counts are counters; the queue-wait
 // histogram records the delay between a batch being submitted and each of
-// its tasks being claimed, by the caller or a helper. None of it feeds
-// back into scheduling, so results stay byte-identical with tracing on or
-// off.
+// its tasks being claimed, by the caller or a helper; the workers gauge
+// holds Workers(), set at init and by SetWorkers. None of it feeds back
+// into scheduling, so results stay byte-identical with tracing on or off.
 var (
 	poolRuns      = obs.Default.Counter("supernpu_pool_runs_total", "ForEachContext batches submitted to the worker pool")
 	poolTasks     = obs.Default.Counter("supernpu_pool_tasks_total", "tasks executed by the worker pool")
 	poolPanics    = obs.Default.Counter("supernpu_pool_panics_total", "task panics recovered into *PanicError")
 	poolQueueWait = obs.Default.Histogram("supernpu_pool_queue_wait_seconds", "delay between batch submission and task claim", obs.DurationEdges)
 	poolBatch     = obs.Default.Histogram("supernpu_pool_batch_tasks", "tasks per submitted batch", obs.SizeEdges)
+	poolWorkers   = obs.Default.Gauge("supernpu_pool_workers", "effective worker count of the pool")
 )
 
-func init() {
-	obs.Default.GaugeFunc("supernpu_pool_workers", "effective worker count of the pool", func() float64 {
-		return float64(Workers())
-	})
-}
+func init() { poolWorkers.Set(int64(Workers())) }
 
 // workers holds the configured worker count; 0 means runtime.NumCPU().
 var workers atomic.Int64
@@ -74,6 +71,7 @@ func SetWorkers(n int) {
 		n = 0
 	}
 	workers.Store(int64(n))
+	poolWorkers.Set(int64(Workers()))
 }
 
 // Workers returns the effective worker count.

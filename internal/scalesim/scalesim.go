@@ -25,9 +25,7 @@ import (
 // reference evaluation repeats for every design row of Fig. 23 and
 // Table III. Reports are shared between callers and must be treated as
 // read-only.
-var cache = simcache.New[*Report]()
-
-func init() { simcache.Register("scalesim", cache) }
+var cache = simcache.New[*Report]("scalesim")
 
 // Config describes the CMOS accelerator.
 type Config struct {

@@ -32,7 +32,7 @@ func mild() *faultinject.Model {
 
 func TestEvaluateDegradesToAnalyticalFallback(t *testing.T) {
 	_, ts := newTestServer(t, Options{Fault: failAll()})
-	before := globalMetrics.degraded.Value()
+	before := httpDegraded.Value()
 	status, body, _ := post(t, ts.URL+"/v1/evaluate",
 		`{"design":"SuperNPU","workload":"AlexNet","batch":1}`)
 	if status != http.StatusOK {
@@ -51,7 +51,7 @@ func TestEvaluateDegradesToAnalyticalFallback(t *testing.T) {
 	if got.Throughput <= 0 || got.TimeS <= 0 || got.FrequencyHz <= 0 {
 		t.Fatalf("analytical fallback degenerate: %+v", got)
 	}
-	if globalMetrics.degraded.Value() <= before {
+	if httpDegraded.Value() <= before {
 		t.Fatal("degraded counter did not move")
 	}
 
@@ -185,7 +185,7 @@ func TestGracefulDrainWithFaultInjectedSweep(t *testing.T) {
 	}()
 
 	base := time.Now()
-	for s.metrics.running.Value() == 0 {
+	for httpRunning.Value() == 0 {
 		if time.Since(base) > 5*time.Second {
 			t.Fatal("sweep never started running")
 		}

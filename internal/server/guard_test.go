@@ -136,7 +136,7 @@ func TestRetryAfterGrowsUnderLoad(t *testing.T) {
 // and not as a 4xx/5xx misclassification.
 func TestEvaluateCanceledRequestIs503(t *testing.T) {
 	s := New(Options{Logger: quiet})
-	before := s.metrics.degraded.Value()
+	before := httpDegraded.Value()
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/evaluate",
 		strings.NewReader(`{"design":"SuperNPU","workload":"GoogLeNet","batch":3}`))
@@ -152,7 +152,7 @@ func TestEvaluateCanceledRequestIs503(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "cancel") {
 		t.Fatalf("503 body does not name the cancellation: %s", rec.Body)
 	}
-	if after := s.metrics.degraded.Value(); after != before {
+	if after := httpDegraded.Value(); after != before {
 		t.Fatalf("cancellation counted as degraded (%d -> %d)", before, after)
 	}
 }

@@ -107,7 +107,7 @@ func (s *Server) degrade(w http.ResponseWriter, r *http.Request, d core.Design, 
 		writeError(w, http.StatusUnprocessableEntity, reason)
 		return
 	}
-	s.metrics.degraded.Inc()
+	httpDegraded.Inc()
 	s.opts.Logger.Printf("server: degraded evaluation of %s on %s: %s", d.Name(), net.Name, reason)
 	resp := evaluationResponse(fb)
 	resp.Degraded = true

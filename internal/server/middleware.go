@@ -15,29 +15,18 @@ import (
 	"supernpu/internal/obs"
 )
 
-// metrics is the service's instrument surface, backed by the obs registry
-// (GET /metrics serves it in Prometheus text format). Gauges (running,
-// queued) move in both directions; the rest are monotonic counters. The
-// instruments are registered once per process — test servers share them,
-// which only ever adds counts.
-type metrics struct {
-	requests *obs.Counter // every request seen
-	running  *obs.Gauge   // requests holding a work slot
-	queued   *obs.Gauge   // requests waiting for a work slot
-	rejected *obs.Counter // 429 responses from the limiter
-	panics   *obs.Counter // handler panics recovered to 500
-	degraded *obs.Counter // evaluations served by the analytical fallback
-}
-
-// globalMetrics is built at package init; metric names are process-global.
-var globalMetrics = &metrics{
-	requests: obs.Default.Counter("supernpu_http_requests_total", "requests seen by the service"),
-	running:  obs.Default.Gauge("supernpu_http_inflight", "requests holding a work slot"),
-	queued:   obs.Default.Gauge("supernpu_http_queued", "requests waiting for a work slot"),
-	rejected: obs.Default.Counter("supernpu_http_shed_total", "requests shed with 429 by the backpressure limiter"),
-	panics:   obs.Default.Counter("supernpu_http_panics_total", "handler panics recovered to 500"),
-	degraded: obs.Default.Counter("supernpu_http_degraded_total", "evaluations served by the analytical fallback"),
-}
+// Service instruments, served on GET /metrics with the rest of the obs
+// registry. The gauges (httpRunning, httpQueued) move in both directions;
+// the rest are monotonic counters. Test servers in one process share
+// them, which only ever adds counts.
+var (
+	httpRequests = obs.Default.Counter("supernpu_http_requests_total", "requests seen by the service")
+	httpRunning  = obs.Default.Gauge("supernpu_http_inflight", "requests holding a work slot")
+	httpQueued   = obs.Default.Gauge("supernpu_http_queued", "requests waiting for a work slot")
+	httpShed     = obs.Default.Counter("supernpu_http_shed_total", "requests shed with 429 by the backpressure limiter")
+	httpPanics   = obs.Default.Counter("supernpu_http_panics_total", "handler panics recovered to 500")
+	httpDegraded = obs.Default.Counter("supernpu_http_degraded_total", "evaluations served by the analytical fallback")
+)
 
 // requestSeconds holds the request-latency histogram series of every
 // endpoint class classifyEndpoint returns; the outer wrapper observes into
@@ -85,20 +74,20 @@ func (s *Server) limit(next http.HandlerFunc) http.HandlerFunc {
 			// exact under concurrent arrivals), then wait for a work slot.
 			if q := s.queued.Add(1); q > int64(s.opts.QueueDepth) {
 				s.queued.Add(-1)
-				s.metrics.rejected.Inc()
+				httpShed.Inc()
 				w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter(q-1)))
 				writeError(w, http.StatusTooManyRequests,
 					fmt.Sprintf("queue full (%d running, %d queued); retry later", s.opts.MaxConcurrent, q-1))
 				return
 			}
-			s.metrics.queued.Add(1)
+			httpQueued.Inc()
 			select {
 			case s.sem <- struct{}{}:
 			case <-ctx.Done():
 				admitted = false
 			}
 			s.queued.Add(-1)
-			s.metrics.queued.Add(-1)
+			httpQueued.Dec()
 		}
 		if admitted {
 			defer func() { <-s.sem }()
@@ -118,8 +107,8 @@ func (s *Server) limit(next http.HandlerFunc) http.HandlerFunc {
 			dl, _ := ctx.Deadline()
 			_ = http.NewResponseController(w).SetReadDeadline(dl)
 		}
-		s.metrics.running.Inc()
-		defer s.metrics.running.Dec()
+		httpRunning.Inc()
+		defer httpRunning.Dec()
 		next(w, r.WithContext(ctx))
 	}
 }
@@ -177,12 +166,12 @@ func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWrite
 // (method, path, status, duration).
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.requests.Inc()
+		httpRequests.Inc()
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w}
 		defer func() {
 			if v := recover(); v != nil {
-				s.metrics.panics.Inc()
+				httpPanics.Inc()
 				s.opts.Logger.Printf("server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
 				writeError(rec, http.StatusInternalServerError, "internal error")
 			}

@@ -87,16 +87,14 @@ type Server struct {
 	// tracks requests waiting for a token (see limit in middleware.go).
 	// queued is per-server so the backpressure bound is exact even with
 	// several servers in one process; the obs gauges are global.
-	sem     chan struct{}
-	queued  atomic.Int64
-	metrics *metrics
+	sem    chan struct{}
+	queued atomic.Int64
 }
 
 // New returns a Server with the given options.
 func New(opts Options) *Server {
 	s := &Server{opts: opts.withDefaults()}
 	s.sem = make(chan struct{}, s.opts.MaxConcurrent)
-	s.metrics = globalMetrics
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s

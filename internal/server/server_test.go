@@ -502,7 +502,7 @@ func TestPanicIsRecoveredTimedAndLogged(t *testing.T) {
 	var logged bytes.Buffer
 	s := New(Options{Logger: log.New(&logged, "", 0)})
 	s.mux.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) { panic("boom") })
-	panics, timed := s.metrics.panics.Value(), requestSeconds["other"].Count()
+	panics, timed := httpPanics.Value(), requestSeconds["other"].Count()
 
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/boom", nil))
@@ -510,7 +510,7 @@ func TestPanicIsRecoveredTimedAndLogged(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "internal error") {
 		t.Fatalf("panicking handler = %d %s, want 500 internal error", rec.Code, rec.Body)
 	}
-	if got := s.metrics.panics.Value() - panics; got != 1 {
+	if got := httpPanics.Value() - panics; got != 1 {
 		t.Errorf("supernpu_http_panics_total moved by %d, want 1", got)
 	}
 	if got := requestSeconds["other"].Count() - timed; got != 1 {
@@ -560,7 +560,7 @@ func TestGracefulDrain(t *testing.T) {
 
 	// Wait for the request to hold a work slot, then pull the plug.
 	base := time.Now()
-	for s.metrics.running.Value() == 0 {
+	for httpRunning.Value() == 0 {
 		if time.Since(base) > 5*time.Second {
 			t.Fatal("request never started running")
 		}

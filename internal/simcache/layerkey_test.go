@@ -58,24 +58,3 @@ func TestTilesKeySeparatesShapeAndGeometry(t *testing.T) {
 		t.Error("TilesKey differs from AppendTilesKey")
 	}
 }
-
-// TestClearByName pins the single-family clear used by warm benchmarks.
-func TestClearByName(t *testing.T) {
-	c := New[int]()
-	Register("layerkey-test", c)
-	if _, err := c.GetOrCompute([]byte("k"), func() (int, error) { return 1, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("cache has %d entries, want 1", c.Len())
-	}
-	if !Clear("layerkey-test") {
-		t.Fatal("Clear did not find the registered cache")
-	}
-	if c.Len() != 0 {
-		t.Error("Clear left entries behind")
-	}
-	if Clear("no-such-cache") {
-		t.Error("Clear invented an unregistered cache")
-	}
-}

@@ -7,8 +7,8 @@
 // constantly — every sweep point of Figs. 20–22 re-simulates the Baseline
 // reference, every Table III row re-evaluates the TPU, and the RCSJ gate
 // extraction behind Fig. 7 is a fixed transient. Each such producer —
-// npusim, scalesim, estimator and jsim — keeps a package-level Cache here
-// and registers it under its name so callers can inspect hit/miss counters
+// npusim, scalesim, estimator and jsim — keeps a package-level Cache here,
+// built by New under its name, so callers can inspect hit/miss counters
 // or clear everything for cold-start benchmarks. Nothing finer is cached:
 // the cycle models charge a layer in closed form from its tile classes
 // (mapper.Classes), in O(1), so a per-layer cache would have nothing to
@@ -39,12 +39,12 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"supernpu/internal/arch"
 	"supernpu/internal/faultinject"
 	"supernpu/internal/guard"
 	"supernpu/internal/obs"
+	"supernpu/internal/parallel"
 	"supernpu/internal/workload"
 )
 
@@ -247,25 +247,41 @@ type entry[V any] struct {
 	err  error
 }
 
-// Cache is a thread-safe memo map from binary keys to values.
-// The zero value is not usable; construct with New.
+// Cache is a thread-safe memo map from binary keys to values, filed under
+// a name. The zero value is not usable; construct with New.
 type Cache[V any] struct {
 	mu       sync.Mutex
 	m        map[string]*entry[V]
 	hits     *obs.Counter
 	miss     *obs.Counter
-	inflight atomic.Int64
+	entries  *obs.Gauge // len(m), moved only under mu
+	inflight *obs.Gauge
 }
 
-// New returns an empty cache. Its hit/miss counters are obs instruments
-// from birth; Register later exposes them on the metrics registry under
-// the cache's name.
-func New[V any]() *Cache[V] {
-	return &Cache[V]{
-		m:    make(map[string]*entry[V]),
-		hits: obs.NewCounter(),
-		miss: obs.NewCounter(),
+// New returns an empty cache filed under name, replacing any previous
+// cache of that name in Snapshot, Clear and ClearAll. Its four series are
+// the supernpu_cache_* families of obs.Default with a cache=name label:
+// hit and miss counters, and entries and in-flight gauges. A name's series
+// outlive the cache, so New starts them from zero: a cache built twice
+// under one name (a test rerun) does not inherit the first one's counts.
+// Producers build their cache in a package-level var.
+func New[V any](name string) *Cache[V] {
+	lbl := obs.L("cache", name)
+	c := &Cache[V]{
+		m:        make(map[string]*entry[V]),
+		hits:     obs.Default.Counter("supernpu_cache_hits_total", "memo cache lookups served from a completed entry", lbl),
+		miss:     obs.Default.Counter("supernpu_cache_misses_total", "memo cache lookups that started a computation", lbl),
+		entries:  obs.Default.Gauge("supernpu_cache_entries", "memoised entries resident in the cache", lbl),
+		inflight: obs.Default.Gauge("supernpu_cache_inflight", "distinct computations currently running", lbl),
 	}
+	c.hits.Reset()
+	c.miss.Reset()
+	c.entries.Set(0)
+	c.inflight.Set(0)
+	regMu.Lock()
+	registry[name] = c
+	regMu.Unlock()
+	return c
 }
 
 // errPanicked is what callers coalesced onto a panicking computation
@@ -280,9 +296,12 @@ var errPanicked = errors.New("simcache: computation panicked")
 // a canceled request must not poison the key for every later caller.
 // Callers coalesced onto an evicted computation still receive its transient
 // error for this attempt; their retry starts a fresh computation. A panic in
-// compute is treated the same way: it reaches the caller that ran it, the
-// entry is evicted, and coalesced callers receive errPanicked, which in
-// turn is not memoised by any cache whose computation returns it.
+// compute is treated the same way, wherever it ran. A panic on the caller's
+// goroutine reaches the caller that ran compute, and coalesced callers
+// receive errPanicked, which in turn is not memoised by any cache whose
+// computation returns it. A panic in a pool job reaches compute as a
+// *parallel.PanicError, which is evicted alike: one policy for a panicking
+// computation.
 //
 // key is read, never retained: a hit looks it up without copying it, so
 // it allocates nothing, and only a miss copies it into the map.
@@ -294,6 +313,7 @@ func (c *Cache[V]) GetOrCompute(key []byte, compute func() (V, error)) (V, error
 	} else {
 		e = &entry[V]{key: string(key)}
 		c.m[e.key] = e
+		c.entries.Inc()
 		c.miss.Inc()
 	}
 	c.mu.Unlock()
@@ -301,17 +321,19 @@ func (c *Cache[V]) GetOrCompute(key []byte, compute func() (V, error)) (V, error
 	return e.val, e.err
 }
 
-// fill runs compute into e, evicting e if compute panics or returns a
-// transient error.
+// fill runs compute into e, evicting e if compute panics, on this goroutine
+// or in a pool job, or returns a transient error.
 func (c *Cache[V]) fill(e *entry[V], compute func() (V, error)) {
-	c.inflight.Add(1)
-	defer c.inflight.Add(-1)
+	c.inflight.Inc()
+	defer c.inflight.Dec()
 	e.err = errPanicked // kept only if compute panics
 	defer func() {
-		if errors.Is(e.err, errPanicked) || guard.IsCancellation(e.err) {
+		var pe *parallel.PanicError
+		if errors.Is(e.err, errPanicked) || errors.As(e.err, &pe) || guard.IsCancellation(e.err) {
 			c.mu.Lock()
 			if c.m[e.key] == e {
 				delete(c.m, e.key)
+				c.entries.Dec()
 			}
 			c.mu.Unlock()
 		}
@@ -323,7 +345,7 @@ func (c *Cache[V]) fill(e *entry[V], compute func() (V, error)) {
 // cache: first-access misses whose compute function has not returned yet.
 // Duplicate concurrent requests coalesce onto one in-flight computation, so
 // this gauge counts distinct work, not waiting callers.
-func (c *Cache[V]) InFlight() int64 { return c.inflight.Load() }
+func (c *Cache[V]) InFlight() int64 { return c.inflight.Value() }
 
 // Len returns the number of entries.
 func (c *Cache[V]) Len() int {
@@ -336,6 +358,7 @@ func (c *Cache[V]) Len() int {
 func (c *Cache[V]) Clear() {
 	c.mu.Lock()
 	c.m = make(map[string]*entry[V])
+	c.entries.Set(0)
 	c.mu.Unlock()
 	c.hits.Reset()
 	c.miss.Reset()
@@ -364,6 +387,13 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
+// String renders the stats as the one line the CLIs print per cache
+// under -v.
+func (s Stats) String() string {
+	return fmt.Sprintf("cache %-10s %5d entries, %6d hits, %5d misses (%.0f%% hit rate)",
+		s.Name, s.Entries, s.Hits, s.Misses, s.HitRate()*100)
+}
+
 // metered is the registry's view of a cache, independent of its value type.
 type metered interface {
 	Counters() (hits, misses int64)
@@ -372,40 +402,11 @@ type metered interface {
 	InFlight() int64
 }
 
+// registry holds every cache New has built, by name.
 var (
 	regMu    sync.Mutex
 	registry = map[string]metered{}
 )
-
-// Register adds a named cache to the global registry, replacing any
-// previous cache of the same name, and publishes its counters on the
-// metrics registry as the supernpu_cache_* family with a cache=name
-// label. Producers call it from package init.
-func Register(name string, c interface {
-	Counters() (hits, misses int64)
-	Len() int
-	Clear()
-	InFlight() int64
-}) {
-	regMu.Lock()
-	registry[name] = c
-	regMu.Unlock()
-	lbl := obs.L("cache", name)
-	obs.Default.CounterFunc("supernpu_cache_hits_total", "memo cache lookups served from a completed entry", func() float64 {
-		h, _ := c.Counters()
-		return float64(h)
-	}, lbl)
-	obs.Default.CounterFunc("supernpu_cache_misses_total", "memo cache lookups that started a computation", func() float64 {
-		_, m := c.Counters()
-		return float64(m)
-	}, lbl)
-	obs.Default.GaugeFunc("supernpu_cache_entries", "memoised entries resident in the cache", func() float64 {
-		return float64(c.Len())
-	}, lbl)
-	obs.Default.GaugeFunc("supernpu_cache_inflight", "distinct computations currently running", func() float64 {
-		return float64(c.InFlight())
-	}, lbl)
-}
 
 // Snapshot returns every registered cache's counters, sorted by name.
 func Snapshot() []Stats {

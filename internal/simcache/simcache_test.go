@@ -14,6 +14,8 @@ import (
 	"supernpu/internal/arch"
 	"supernpu/internal/faultinject"
 	"supernpu/internal/guard"
+	"supernpu/internal/obs"
+	"supernpu/internal/parallel"
 	"supernpu/internal/workload"
 )
 
@@ -153,7 +155,7 @@ func TestKeyBufHoldsEveryCNN(t *testing.T) {
 // TestHitAllocatesNothing pins the lookup contract: a hit indexes the map
 // with the caller's bytes and neither copies them nor builds anything.
 func TestHitAllocatesNothing(t *testing.T) {
-	c := New[int]()
+	c := New[int](t.Name())
 	var kb KeyBuf
 	key := AppendSimKey(kb[:0], arch.SuperNPU(), workload.ResNet50(), 1)
 	if _, err := c.GetOrCompute(key, func() (int, error) { return 1, nil }); err != nil {
@@ -170,7 +172,7 @@ func TestHitAllocatesNothing(t *testing.T) {
 }
 
 func TestGetOrComputeMemoises(t *testing.T) {
-	c := New[int]()
+	c := New[int](t.Name())
 	calls := 0
 	for i := 0; i < 5; i++ {
 		v, err := c.GetOrCompute([]byte("k"), func() (int, error) { calls++; return 42, nil })
@@ -191,7 +193,7 @@ func TestGetOrComputeMemoises(t *testing.T) {
 }
 
 func TestGetOrComputeMemoisesErrors(t *testing.T) {
-	c := New[int]()
+	c := New[int](t.Name())
 	want := errors.New("deterministic failure")
 	calls := 0
 	for i := 0; i < 3; i++ {
@@ -208,7 +210,7 @@ func TestGetOrComputeMemoisesErrors(t *testing.T) {
 }
 
 func TestConcurrentGetOrComputeRunsOnce(t *testing.T) {
-	c := New[int]()
+	c := New[int](t.Name())
 	var calls atomic.Int64
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -238,7 +240,7 @@ func TestConcurrentGetOrComputeRunsOnce(t *testing.T) {
 }
 
 func TestConcurrentDistinctKeys(t *testing.T) {
-	c := New[int]()
+	c := New[int](t.Name())
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -260,7 +262,7 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 }
 
 func TestClearResetsEntriesAndCounters(t *testing.T) {
-	c := New[string]()
+	c := New[string](t.Name())
 	c.GetOrCompute([]byte("a"), func() (string, error) { return "x", nil })
 	c.GetOrCompute([]byte("a"), func() (string, error) { return "x", nil })
 	c.Clear()
@@ -279,20 +281,19 @@ func TestClearResetsEntriesAndCounters(t *testing.T) {
 }
 
 func TestRegistrySnapshotAndClearAll(t *testing.T) {
-	c := New[int]()
-	Register("test-cache", c)
+	c := New[int](t.Name())
 	c.GetOrCompute([]byte("k"), func() (int, error) { return 1, nil })
 	c.GetOrCompute([]byte("k"), func() (int, error) { return 1, nil })
 
 	var found *Stats
 	for _, s := range Snapshot() {
-		if s.Name == "test-cache" {
+		if s.Name == t.Name() {
 			found = &s
 			break
 		}
 	}
 	if found == nil {
-		t.Fatal("registered cache missing from snapshot")
+		t.Fatal("cache missing from snapshot")
 	}
 	if found.Hits != 1 || found.Misses != 1 || found.Entries != 1 {
 		t.Fatalf("snapshot = %+v, want 1 hit, 1 miss, 1 entry", found)
@@ -303,7 +304,111 @@ func TestRegistrySnapshotAndClearAll(t *testing.T) {
 
 	ClearAll()
 	if c.Len() != 0 {
-		t.Fatal("ClearAll did not clear the registered cache")
+		t.Fatal("ClearAll did not clear the cache")
+	}
+}
+
+// TestStatsString pins the -v line of supernpu-repro and supernpu-explore.
+func TestStatsString(t *testing.T) {
+	s := Stats{Name: "npusim", Hits: 94, Misses: 440, Entries: 440}
+	want := "cache npusim       440 entries,     94 hits,   440 misses (18% hit rate)"
+	if got := s.String(); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestClearByName pins the single-family clear used by warm benchmarks.
+func TestClearByName(t *testing.T) {
+	c := New[int](t.Name())
+	if _, err := c.GetOrCompute([]byte("k"), func() (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("cache has %d entries, want 1", c.Len())
+	}
+	if !Clear(t.Name()) {
+		t.Fatal("Clear did not find the cache")
+	}
+	if c.Len() != 0 {
+		t.Error("Clear left entries behind")
+	}
+	if Clear("no-such-cache") {
+		t.Error("Clear invented an unregistered cache")
+	}
+}
+
+// TestNewStartsFromZero: a cache built under a name an earlier cache used
+// replaces it and does not inherit its counts, which share the name's
+// series.
+func TestNewStartsFromZero(t *testing.T) {
+	old := New[int](t.Name())
+	old.GetOrCompute([]byte("k"), func() (int, error) { return 1, nil })
+	old.GetOrCompute([]byte("k"), func() (int, error) { return 1, nil })
+	c := New[int](t.Name())
+	if h, m := c.Counters(); h != 0 || m != 0 || entriesGauge(t) != 0 {
+		t.Fatalf("new cache starts at (%d hits, %d misses, %d entries), want zeros", h, m, entriesGauge(t))
+	}
+	c.Clear()
+	if old.Len() != 1 {
+		t.Error("Clear by name reached the replaced cache")
+	}
+}
+
+// entriesGauge reads the supernpu_cache_entries series of the cache the
+// test named after itself.
+func entriesGauge(t *testing.T) int64 {
+	return obs.Default.Gauge("supernpu_cache_entries", "", obs.L("cache", t.Name())).Value()
+}
+
+// TestEntriesGaugeTracksLen: the entries series moves with the map under
+// the cache's lock, so it equals Len() after misses, an evicted canceled
+// or panicking computation, and Clear.
+func TestEntriesGaugeTracksLen(t *testing.T) {
+	c := New[int](t.Name())
+	check := func(when string, want int) {
+		t.Helper()
+		if c.Len() != want || entriesGauge(t) != int64(want) {
+			t.Errorf("after %s: Len() = %d, entries gauge = %d, want %d", when, c.Len(), entriesGauge(t), want)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		c.GetOrCompute(AppendInt(nil, int64(i)), func() (int, error) { return i, nil })
+	}
+	check("three misses", 3)
+	c.GetOrCompute([]byte("canceled"), func() (int, error) { return 0, context.Canceled })
+	check("a canceled compute", 3)
+	func() {
+		defer func() { _ = recover() }()
+		c.GetOrCompute([]byte("panicked"), func() (int, error) { panic("meltdown") })
+	}()
+	check("a panicked compute", 3)
+	c.Clear()
+	check("Clear", 0)
+}
+
+// TestPoolPanicIsNotMemoised: a panic in a pool job reaches compute as a
+// *parallel.PanicError value, not as a panic, and is evicted like one on
+// the caller's goroutine: a retry recomputes.
+func TestPoolPanicIsNotMemoised(t *testing.T) {
+	c := New[int](t.Name())
+	calls := 0
+	compute := func() (int, error) {
+		calls++
+		return 0, parallel.ForEachContext(context.Background(), 1, func(context.Context, int) error {
+			panic("meltdown")
+		})
+	}
+	for i := 1; i <= 2; i++ {
+		var pe *parallel.PanicError
+		if _, err := c.GetOrCompute([]byte("k"), compute); !errors.As(err, &pe) {
+			t.Fatalf("call %d: err = %v, want a *parallel.PanicError", i, err)
+		}
+		if n := c.Len(); n != 0 {
+			t.Fatalf("call %d: pool panic left %d entries in the cache", i, n)
+		}
+		if calls != i {
+			t.Fatalf("call %d: compute ran %d times, want %d", i, calls, i)
+		}
 	}
 }
 
@@ -312,7 +417,7 @@ func TestRegistrySnapshotAndClearAll(t *testing.T) {
 // the key for every later caller. The entry is evicted instead, so a retry
 // recomputes and can cache the real result.
 func TestTransientErrorsAreNotMemoised(t *testing.T) {
-	c := New[int]()
+	c := New[int](t.Name())
 	calls := 0
 	canceled := fmt.Errorf("sweep: %w", context.Canceled)
 	_, err := c.GetOrCompute([]byte("k"), func() (int, error) { calls++; return 0, canceled })
@@ -340,7 +445,7 @@ func TestTransientErrorsAreNotMemoised(t *testing.T) {
 // caller that ran it, the entry is evicted, callers coalesced onto it get
 // an error rather than a zero value, and a retry recomputes.
 func TestPanickingComputeIsNotMemoised(t *testing.T) {
-	c := New[*int]()
+	c := New[*int](t.Name())
 	waiter := make(chan error, 1)
 	func() {
 		defer func() {
@@ -383,7 +488,7 @@ func TestPanickingComputeIsNotMemoised(t *testing.T) {
 
 	// A cache whose computation passes a coalesced caller's error on does
 	// not memoise it either.
-	outer := New[int]()
+	outer := New[int](t.Name() + "/outer")
 	if _, err := outer.GetOrCompute([]byte("k"), func() (int, error) {
 		return 0, fmt.Errorf("layer: %w", errPanicked)
 	}); !errors.Is(err, errPanicked) {
@@ -397,7 +502,7 @@ func TestPanickingComputeIsNotMemoised(t *testing.T) {
 // Deterministic errors keep being memoised: divergence is a property of the
 // inputs and recomputing it would burn the same steps for the same answer.
 func TestNumericErrorsStayMemoised(t *testing.T) {
-	c := New[int]()
+	c := New[int](t.Name())
 	calls := 0
 	diverged := fmt.Errorf("transient: %w", guard.ErrDiverged)
 	for i := 0; i < 3; i++ {

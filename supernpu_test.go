@@ -160,6 +160,35 @@ func TestFacadeRejectsInvalidInput(t *testing.T) {
 	}
 }
 
+// TestMaxBatchRejectsInvalidInput: Design.MaxBatch validates the design
+// and the network it is handed before its buffer arithmetic divides by
+// their dimensions. Each case panicked with an integer divide by zero
+// before MaxBatch returned an error.
+func TestMaxBatchRejectsInvalidInput(t *testing.T) {
+	alex, err := WorkloadByName("AlexNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	noRows := Baseline()
+	noRows.SFQ.ArrayHeight = 0
+	noColumns := SuperNPU()
+	noColumns.SFQ.ArrayWidth = 0
+	emptyConv := NewNetwork("empty", NewConvLayer("c", 0, 0, 3, 3, 3, 8, 1, 1))
+	for _, tc := range []struct {
+		name string
+		d    Design
+		net  Network
+	}{
+		{"Baseline with no PE rows", noRows, alex},
+		{"SuperNPU with no PE columns", noColumns, alex},
+		{"conv layer with H = W = 0", SuperNPU(), emptyConv},
+	} {
+		if b, err := tc.d.MaxBatch(tc.net); err == nil {
+			t.Errorf("%s: MaxBatch = %d, want an error", tc.name, b)
+		}
+	}
+}
+
 // TestReturnedNetworksAreCopies pins the facade's ownership contract:
 // inside the module the six CNNs are shared read-only templates, so a
 // caller mutating a network from Workloads or WorkloadByName must change
