@@ -11,7 +11,7 @@ COVER_PACKAGES ?= ./internal/server:70 ./internal/obs:80 ./internal/simcache:85 
 # Per-target budget for the fuzz smoke pass (make fuzz).
 FUZZTIME ?= 15s
 
-.PHONY: check build vet test race bench bench-sweep bench-smoke repro serve cover fuzz metrics-smoke fault-smoke margin-cert chaos-smoke race-resilience golden-update clean lint fmt-check examples
+.PHONY: check build vet test race bench bench-sweep bench-smoke repro serve cover fuzz metrics-smoke fault-smoke margin-cert chaos-smoke race-resilience golden-update clean lint fmt-check examples cli-smoke
 
 check: build lint race
 
@@ -123,6 +123,21 @@ examples:
 		echo "== go run ./$$d"; \
 		$(GO) run ./$$d || exit 1; \
 	done
+
+# CLI smoke: build supernpu-repro and supernpu-explore once and require
+# each command's exit code. A 1 ns -deadline has passed by the pool's first
+# ctx.Err() poll, so the run is canceled (130); an unknown exhibit is a run
+# error (1); a fault flag the margin sweep does not take is a usage error (2).
+cli-smoke:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/" ./cmd/supernpu-repro ./cmd/supernpu-explore && \
+	check() { want=$$1; shift; "$$dir/$$@" >/dev/null 2>&1; got=$$?; \
+		if [ "$$got" -ne "$$want" ]; then echo "FAIL: $$* exited $$got, want $$want"; return 1; fi; \
+		echo "ok: $$* exited $$want"; } && \
+	check 130 supernpu-repro -deadline 1ns && \
+	check 130 supernpu-explore -sweep margin -deadline 1ns && \
+	check 1 supernpu-repro -exp no-such-exhibit && \
+	check 2 supernpu-explore -sweep margin -ic-spread 0.1
 
 # Chaos smoke: the fault-injected margin sweep under the race detector
 # with an aggressive cancellation hammer (timeouts landing at staggered

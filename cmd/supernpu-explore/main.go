@@ -26,6 +26,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -34,7 +35,6 @@ import (
 	"syscall"
 
 	"supernpu"
-	"supernpu/internal/guard"
 	"supernpu/internal/obs"
 	"supernpu/internal/parallel"
 	"supernpu/internal/report"
@@ -111,7 +111,9 @@ func main() {
 	}
 
 	if err := run(ctx, *sweep, *width, *faultSeed, fm); err != nil {
-		if guard.IsCancellation(err) {
+		// The sweep ended because its own context did: SIGINT, SIGTERM or
+		// the -deadline.
+		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 			fmt.Fprintln(os.Stderr, "supernpu-explore: sweep canceled:", err)
 			os.Exit(130)
 		}

@@ -14,6 +14,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -24,7 +25,6 @@ import (
 	"syscall"
 
 	"supernpu/internal/experiments"
-	"supernpu/internal/guard"
 	"supernpu/internal/obs"
 	"supernpu/internal/parallel"
 	"supernpu/internal/simcache"
@@ -113,7 +113,9 @@ func run() int {
 		out, err = experiments.Run(ctx, *exp)
 	}
 	if err != nil {
-		if guard.IsCancellation(err) {
+		// The run ended because its own context did: Ctrl-C, SIGTERM or
+		// the -deadline.
+		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 			fmt.Fprintln(os.Stderr, "supernpu-repro: run canceled:", err)
 			return 130
 		}

@@ -39,11 +39,6 @@ import (
 	"supernpu/internal/faultinject"
 	"supernpu/internal/parallel"
 	"supernpu/internal/server"
-
-	// The JSIM solver registers its instrument family (transients, steps,
-	// pulses) at init; linking it here keeps those series on /metrics even
-	// though the serving path reaches jsim only through the facade.
-	_ "supernpu/internal/jsim"
 )
 
 func main() {

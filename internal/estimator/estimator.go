@@ -14,7 +14,6 @@ import (
 	"supernpu/internal/clocking"
 	"supernpu/internal/dau"
 	"supernpu/internal/faultinject"
-	"supernpu/internal/guard"
 	"supernpu/internal/netunit"
 	"supernpu/internal/obs"
 	"supernpu/internal/pe"
@@ -244,10 +243,9 @@ func estimateWithLib(ctx context.Context, cfg arch.Config, lib *sfq.Library) (*R
 	res.PeakMACs = float64(cfg.PEs()) * res.Frequency
 	// Frequency starts at +Inf and only unit estimates pull it down; if no
 	// unit produced a positive frequency the headline numbers are not
-	// finite and the result must fail typed, not leak infinities.
+	// finite and the result must fail, not leak infinities.
 	if math.IsInf(res.Frequency, 0) || math.IsNaN(res.Frequency) {
-		return nil, fmt.Errorf("estimator: %s produced a non-finite frequency: %w",
-			cfg.Name, guard.ErrNonFinite)
+		return nil, fmt.Errorf("estimator: %s produced a non-finite frequency", cfg.Name)
 	}
 	return res, nil
 }

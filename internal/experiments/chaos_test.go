@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"supernpu/internal/guard/leaktest"
+	"supernpu/internal/leaktest"
 	"supernpu/internal/simcache"
 )
 

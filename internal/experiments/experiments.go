@@ -65,18 +65,6 @@ func once(gen func() (string, error)) func(context.Context) (string, error) {
 // paper and ablations split the table after its 13 paper exhibits.
 var paper, ablations = exhibits[:13], exhibits[13:]
 
-// exhibitSeconds holds each exhibit's supernpu_exhibit_seconds series,
-// keyed by id. They are registered at package init, so a run looks up no
-// registry entry and an unknown id adds no series.
-var exhibitSeconds = func() map[string]*obs.Histogram {
-	m := make(map[string]*obs.Histogram, len(exhibits))
-	for _, e := range exhibits {
-		m[e.id] = obs.Default.Histogram("supernpu_exhibit_seconds",
-			"wall time to regenerate one exhibit", obs.DurationEdges, obs.L("exhibit", e.id))
-	}
-	return m
-}()
-
 // IDs lists every reproducible paper exhibit in paper order.
 func IDs() []string { return idsOf(paper) }
 
@@ -92,7 +80,7 @@ func idsOf(es []exhibit) []string {
 }
 
 // Run regenerates one exhibit or ablation and returns its rendered text.
-// An unknown id is an error and leaves no telemetry behind.
+// An unknown id is an error and writes no span.
 func Run(ctx context.Context, id string) (string, error) {
 	for _, e := range exhibits {
 		if e.id == id {
@@ -103,11 +91,9 @@ func Run(ctx context.Context, id string) (string, error) {
 		id, strings.Join(IDs(), ", "), strings.Join(AblationIDs(), ", "))
 }
 
-// run regenerates e, timed into the supernpu_exhibit_seconds histogram
-// (labelled by exhibit id) and wrapped in an "exhibit" tracing span; both
-// are pure telemetry and never influence the rendered bytes.
+// run regenerates e inside an "exhibit" tracing span labelled by its id;
+// the span is pure telemetry and never influences the rendered bytes.
 func (e exhibit) run(ctx context.Context) (string, error) {
-	defer obs.Time(exhibitSeconds[e.id])()
 	sp := obs.StartSpan("exhibit", obs.L("id", e.id))
 	defer sp.End()
 	return e.gen(ctx)

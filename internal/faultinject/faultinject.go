@@ -56,9 +56,10 @@ type Model struct {
 	// (e.g. 0.05 stretches every timing arc by 5%).
 	MarginErosion float64
 
-	// SimFail is the probability that a whole simulation aborts with a
-	// *FaultError — the model of an unrecoverable margin violation. The
-	// serving pipeline degrades such requests instead of failing them.
+	// SimFail is the probability that a whole simulation aborts with
+	// FailSimulation's error — the model of an unrecoverable margin
+	// violation. The serving pipeline degrades such requests, like any
+	// other model failure, instead of failing them.
 	SimFail float64
 }
 
@@ -202,25 +203,13 @@ func (m *Model) Count(p float64, n int64, site string) int64 {
 	return c
 }
 
-// FailsSimulation reports whether the site's whole simulation aborts under
-// the SimFail rate.
-func (m *Model) FailsSimulation(site string) bool {
-	if m == nil || m.SimFail <= 0 {
-		return false
+// FailSimulation returns the error that aborts the site's whole simulation
+// under the SimFail rate, or nil when the draw spares it. The text names
+// the site and nothing else (no addresses, no stacks), so degraded
+// responses that embed it stay byte-stable.
+func (m *Model) FailSimulation(site string) error {
+	if m != nil && m.SimFail > 0 && m.Uniform("simfail\x00"+site) < m.SimFail {
+		return fmt.Errorf("faultinject: simulation %q aborted by injected margin violation", site)
 	}
-	return m.Uniform("simfail\x00"+site) < m.SimFail
-}
-
-// FaultError marks a simulation aborted by an injected unrecoverable fault.
-// The evaluation service maps it onto the degraded (analytical-fallback)
-// path rather than a 5xx.
-type FaultError struct {
-	// Site names the simulation that aborted.
-	Site string
-}
-
-// Error implements error. The text is deterministic (no addresses, no
-// stacks) so degraded responses that embed it stay byte-stable.
-func (e *FaultError) Error() string {
-	return fmt.Sprintf("faultinject: simulation %q aborted by injected margin violation", e.Site)
+	return nil
 }

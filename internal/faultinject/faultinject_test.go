@@ -23,8 +23,8 @@ func TestNilAndZeroModelsAreDisabled(t *testing.T) {
 	if got := nilModel.Count(0.5, 100, "x"); got != 0 {
 		t.Fatalf("nil Count = %d, want 0", got)
 	}
-	if nilModel.FailsSimulation("x") {
-		t.Fatal("nil model fails simulations")
+	if err := nilModel.FailSimulation("x"); err != nil {
+		t.Fatalf("nil model fails simulations: %v", err)
 	}
 }
 
@@ -108,19 +108,22 @@ func TestCountMatchesExpectation(t *testing.T) {
 
 func TestFailsSimulationRespectsRate(t *testing.T) {
 	always := &Model{Seed: 9, SimFail: 1}
-	if !always.FailsSimulation("any") {
+	if always.FailSimulation("any") == nil {
 		t.Fatal("SimFail=1 did not fail")
 	}
 	never := &Model{Seed: 9, SimFail: 0, IcSpread: 0.1}
-	if never.FailsSimulation("any") {
-		t.Fatal("SimFail=0 failed")
+	if err := never.FailSimulation("any"); err != nil {
+		t.Fatalf("SimFail=0 failed: %v", err)
 	}
 }
 
+// The injected failure names its site and nothing else, so a degraded
+// response that embeds it is byte-stable across calls and processes.
 func TestFaultErrorTextIsStable(t *testing.T) {
-	e := &FaultError{Site: "npusim/SuperNPU/ResNet50/30"}
-	if e.Error() != (&FaultError{Site: "npusim/SuperNPU/ResNet50/30"}).Error() {
-		t.Fatal("FaultError text not stable")
+	const site = "npusim/SuperNPU/ResNet50/30"
+	want := `faultinject: simulation "npusim/SuperNPU/ResNet50/30" aborted by injected margin violation`
+	if err := (&Model{Seed: 9, SimFail: 1}).FailSimulation(site); err == nil || err.Error() != want {
+		t.Fatalf("FailSimulation(%q) = %v, want %s", site, err, want)
 	}
 }
 

@@ -47,10 +47,10 @@ func TestBiasMarginsFaultedNarrowsWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if faulted[0].Width() >= nominal.Width() {
+	if w := faulted[0].High - faulted[0].Low; w >= nominal.High-nominal.Low {
 		t.Fatalf("8%% Ic spread did not narrow the bias window: %+v vs nominal %+v", faulted[0], nominal)
 	}
-	if faulted[0].Width() < 0 {
+	if faulted[0].High < faulted[0].Low {
 		t.Fatalf("negative margin window: %+v", faulted[0])
 	}
 	// Disabled model shares the nominal extraction.

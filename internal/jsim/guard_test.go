@@ -70,3 +70,57 @@ func TestRunChainDeadlineCarriesTaxonomy(t *testing.T) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
 }
+
+// TestMarginProbeClassifiesFailures pins how the margin probe sorts a failed
+// transient. A numeric failure is evidence about the operating point, so the
+// probe reads it as "does not work" and carries on; a cancellation describes
+// the attempt, so the probe latches it and the analysis returns it, and the
+// jsim cache evicts it instead of memoising a bisection run on garbage.
+func TestMarginProbeClassifiesFailures(t *testing.T) {
+	// At a 5 ps step the line leaves the voltage bound, as in
+	// TestDivergenceDetection.
+	p := newMarginProbe(context.Background(), nil, 5*sfq.Picosecond)
+	for i := range p.ch.Nodes {
+		p.ch.Nodes[i].Bias = marginNominal * marginIc
+	}
+	err := p.s.RunChain(p.ctx, p.ch, marginProbeT, p.dt)
+	if !errors.Is(err, errDiverged) && !errors.Is(err, errNonFinite) {
+		t.Fatalf("the probe's line at a 5 ps step: got %v, want a numeric failure", err)
+	}
+	if p.works(marginNominal) {
+		t.Fatal("a diverging probe works")
+	}
+	if p.err != nil {
+		t.Fatalf("a diverging probe latched %v, want no error", p.err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p = newMarginProbe(ctx, nil, transientDt)
+	if p.works(marginNominal) {
+		t.Fatal("a canceled probe works")
+	}
+	if !errors.Is(p.err, context.Canceled) {
+		t.Fatalf("a canceled probe latched %v, want context.Canceled", p.err)
+	}
+
+	cache.Clear()
+	before := cache.Len()
+	if _, err := biasMarginsCached(ctx, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled analysis: got %v, want context.Canceled", err)
+	}
+	if n := cache.Len(); n != before {
+		t.Fatalf("canceled analysis left the jsim cache at %d entries, want %d", n, before)
+	}
+	got, err := biasMarginsCached(context.Background(), nil)
+	if err != nil {
+		t.Fatalf("retry with a live context: %v", err)
+	}
+	want, err := biasMargins(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("retry after a cancellation = %+v, want %+v", got, want)
+	}
+}

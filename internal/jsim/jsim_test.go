@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"supernpu/internal/guard"
 	"supernpu/internal/sfq"
 )
 
@@ -151,14 +150,14 @@ func TestBiasDelayTradeoff(t *testing.T) {
 
 // An absurdly large step must be caught, not silently produce NaNs: at a
 // 5 ps step the 4-stage JTL deterministically leaves the voltage envelope.
-// The failure must carry guard.ErrDiverged — the class the margin probes
-// key on — and count once on the divergence metric.
+// The failure must carry errDiverged — the class the margin probes read
+// as "does not work" — and count once on the divergence metric.
 func TestDivergenceDetection(t *testing.T) {
 	var s Solver
 	before := mDiverged.Value()
 	err := s.RunChain(context.Background(), StandardJTL(4), 100*sfq.Picosecond, 5*sfq.Picosecond)
-	if !errors.Is(err, guard.ErrDiverged) {
-		t.Fatalf("want guard.ErrDiverged at a 5 ps step, got %v", err)
+	if !errors.Is(err, errDiverged) {
+		t.Fatalf("want errDiverged at a 5 ps step, got %v", err)
 	}
 	if d := mDiverged.Value() - before; d != 1 {
 		t.Fatalf("diverged counter moved by %d, want 1", d)

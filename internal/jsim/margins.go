@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"supernpu/internal/faultinject"
-	"supernpu/internal/guard"
 	"supernpu/internal/parallel"
 	"supernpu/internal/sfq"
 )
@@ -17,9 +16,6 @@ import (
 type Margins struct {
 	Low, High float64 // working bias limits as multiples of Ic
 }
-
-// Width is the relative margin width around the nominal 0.7·Ic point.
-func (m Margins) Width() float64 { return m.High - m.Low }
 
 // BiasMargins measures the JTL's operating bias margins by bisection: the
 // lowest and highest global bias (in multiples of Ic) at which a 10-stage
@@ -94,9 +90,9 @@ func overbias(fm *faultinject.Model) float64 {
 	return nominalOverbias
 }
 
-// ErrUnbracketedOverbias reports that a JTL still single-pulses at the top
+// errUnbracketedOverbias reports that a JTL still single-pulses at the top
 // of the overbias bracket, so the overbias bound cannot be bracketed.
-var ErrUnbracketedOverbias = errors.New("jsim: JTL still single-pulses at the top of the overbias bracket; overbias bound not bracketed")
+var errUnbracketedOverbias = errors.New("jsim: JTL still single-pulses at the top of the overbias bracket; overbias bound not bracketed")
 
 // biasMargins is the margin bisection driver. It runs serially on one
 // probe: the design point must work and the top of the overbias bracket
@@ -113,7 +109,7 @@ func biasMargins(ctx context.Context, fm *faultinject.Model) (Margins, error) {
 	}
 	top := overbias(fm)
 	if p.works(top) {
-		return Margins{}, ErrUnbracketedOverbias
+		return Margins{}, errUnbracketedOverbias
 	}
 	m := Margins{
 		Low:  p.bisect(0.0, marginNominal, marginBisections),
@@ -142,7 +138,8 @@ type marginProbe struct {
 	// deadline): those describe the attempt, not the operating point, so
 	// "works == false" must not stand in for them — a canceled bisection
 	// otherwise converges on garbage and memoises it. Numeric failures
-	// are evidence the point is outside the margin.
+	// (errDiverged, errNonFinite) are evidence the point is outside the
+	// margin.
 	err error
 }
 
@@ -167,7 +164,7 @@ func (p *marginProbe) works(bias float64) bool {
 		p.ch.Nodes[i].Bias = bias * marginIc
 	}
 	if err := p.s.RunChain(p.ctx, p.ch, marginProbeT, p.dt, p.obs...); err != nil {
-		if !guard.IsNumeric(err) {
+		if !errors.Is(err, errDiverged) && !errors.Is(err, errNonFinite) {
 			p.err = err
 		}
 		return false

@@ -15,8 +15,8 @@ func TestBiasMargins(t *testing.T) {
 	if m.Low >= 0.7 || m.High <= 0.7 {
 		t.Fatalf("margins [%.2f, %.2f] must bracket the nominal 0.7·Ic", m.Low, m.High)
 	}
-	if m.Width() < 0.2 {
-		t.Errorf("margin width = %.2f·Ic, want at least ±10%% around nominal", m.Width())
+	if w := m.High - m.Low; w < 0.2 {
+		t.Errorf("margin width = %.2f·Ic, want at least ±10%% around nominal", w)
 	}
 	if m.High > 1.2 || m.Low < 0.0 {
 		t.Errorf("margins [%.2f, %.2f] outside physical range", m.Low, m.High)

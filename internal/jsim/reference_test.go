@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"supernpu/internal/guard"
 	"supernpu/internal/sfq"
 )
 
@@ -95,10 +94,10 @@ func (s *refSolver) integrate(steps, n int, dt float64, obs []Observer) error {
 			s.phi[i] += dt / 6 * (s.k1p[i] + 2*s.k2p[i] + 2*s.k3p[i] + s.k4p[i])
 			s.v[i] += dt / 6 * (s.k1v[i] + 2*s.k2v[i] + 2*s.k3v[i] + s.k4v[i])
 			if math.IsNaN(s.phi[i]) || math.IsInf(s.phi[i], 0) {
-				return fmt.Errorf(divergedFmt, t/sfq.Picosecond, i, guard.ErrNonFinite)
+				return fmt.Errorf(divergedFmt, t/sfq.Picosecond, i, errNonFinite)
 			}
 			if v := s.v[i]; v > divergedPhiDot || v < -divergedPhiDot {
-				return fmt.Errorf(divergedFmt, t/sfq.Picosecond, i, guard.ErrDiverged)
+				return fmt.Errorf(divergedFmt, t/sfq.Picosecond, i, errDiverged)
 			}
 		}
 	}

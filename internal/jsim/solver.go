@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 
-	"supernpu/internal/guard"
 	"supernpu/internal/sfq"
 )
 
@@ -111,11 +110,18 @@ const pollSteps = 16
 // (V = Φ0/2π·φ̇), so the comparison happens against divergedPhiDot, the
 // same bound in state units. The check is a read-only comparison and
 // cannot perturb the trajectory of a healthy run. divergedFmt formats the
-// failure, with a trailing %w for the guard sentinel.
+// failure, with a trailing %w for errDiverged or errNonFinite: the margin
+// probe reads either as "this bias does not work" and latches any other
+// error (a cancellation).
 const (
 	divergedVoltage = 1.0
 	divergedPhiDot  = divergedVoltage / phi0over2pi
 	divergedFmt     = "jsim: solution diverged at t=%.3gps node %d: %w"
+)
+
+var (
+	errDiverged  = errors.New("voltage out of bounds")
+	errNonFinite = errors.New("non-finite phase")
 )
 
 // growF resizes a float scratch slice to n, reusing capacity when it can.
@@ -313,9 +319,9 @@ func (s *Solver) step(t, dt float64) error {
 	}
 	mDiverged.Inc()
 	if p := s.phi[i]; math.IsNaN(p) || math.IsInf(p, 0) {
-		return fmt.Errorf(divergedFmt, t/sfq.Picosecond, i, guard.ErrNonFinite)
+		return fmt.Errorf(divergedFmt, t/sfq.Picosecond, i, errNonFinite)
 	}
-	return fmt.Errorf(divergedFmt, t/sfq.Picosecond, i, guard.ErrDiverged)
+	return fmt.Errorf(divergedFmt, t/sfq.Picosecond, i, errDiverged)
 }
 
 // integrate runs the RK4 loop, streaming each pre-update state to the

@@ -19,15 +19,20 @@ const fixturePath = "supernpu/internal/lintfixtures/"
 // loadFixture type-checks one testdata/src package.
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
+	return loadFixtureAs(t, name, fixturePath+name)
+}
+
+// loadFixtureAs type-checks the testdata/src package name under importPath
+// and returns it, taken from its closure by that path.
+func loadFixtureAs(t *testing.T, name, importPath string) *Package {
+	t.Helper()
+	for _, pkg := range loadClosureAs(t, name, importPath) {
+		if pkg.Path == importPath {
+			return pkg
+		}
 	}
-	pkg, err := LoadDir(filepath.Join("testdata", "src", name), root, fixturePath+name)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", name, err)
-	}
-	return pkg
+	t.Fatalf("loading fixture %s: no package %s in its closure", name, importPath)
+	return nil
 }
 
 // rule returns the registered rule with the given name.
@@ -91,11 +96,17 @@ func collectWants(t *testing.T, pkg *Package) []*expectation {
 // call-graph edges resolve to shared function objects.
 func loadFixtureClosure(t *testing.T, name string) []*Package {
 	t.Helper()
+	return loadClosureAs(t, name, fixturePath+name)
+}
+
+// loadClosureAs is loadFixtureClosure with the fixture under importPath.
+func loadClosureAs(t *testing.T, name, importPath string) []*Package {
+	t.Helper()
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := LoadClosure(filepath.Join("testdata", "src", name), root, fixturePath+name)
+	pkgs, err := LoadClosure(filepath.Join("testdata", "src", name), root, importPath)
 	if err != nil {
 		t.Fatalf("loading fixture closure %s: %v", name, err)
 	}
@@ -248,14 +259,7 @@ func TestRulesExemptPackages(t *testing.T) {
 	pkg := loadFixture(t, "nakedgo")
 	// Re-run the same fixture under the exempt import path; the rule must
 	// stay silent.
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exempt, err := LoadDir(filepath.Join("testdata", "src", "nakedgo"), root, "supernpu/internal/parallel")
-	if err != nil {
-		t.Fatal(err)
-	}
+	exempt := loadFixtureAs(t, "nakedgo", "supernpu/internal/parallel")
 	if res := Run([]*Package{exempt}, []Rule{rule(t, "nakedgo")}); len(res.Diags) != 0 {
 		t.Errorf("nakedgo fired %d finding(s) inside internal/parallel, want 0", len(res.Diags))
 	}

@@ -41,9 +41,9 @@ type Package struct {
 
 // The standard-library resolver is shared process-wide: the source
 // importer memoises each GOROOT package it type-checks, so sharing one
-// instance across every LoadModule/LoadDir call means fmt, context, sync
-// and friends are checked from source exactly once per process instead of
-// once per load (the difference between the cold and warm numbers of
+// instance across every LoadModule/LoadClosure call means fmt, context,
+// sync and friends are checked from source exactly once per process instead
+// of once per load (the difference between the cold and warm numbers of
 // BenchmarkLintModule). The importer is bound to its FileSet, so the
 // FileSet must be shared too — every load parses module files into it,
 // which keeps all positions, std and module alike, resolvable. Neither
@@ -281,26 +281,13 @@ func LoadModule(root string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir loads a single directory as a package under an explicit import
-// path; the rule fixtures under testdata use it to present themselves as
-// internal packages so path-gated rules apply.
-func LoadDir(dir, modRoot, importPath string) (*Package, error) {
-	loadMu.Lock()
-	defer loadMu.Unlock()
-	modPath, err := ModulePath(modRoot)
-	if err != nil {
-		return nil, err
-	}
-	l := newLoader(modRoot, modPath)
-	return l.load(dir, importPath)
-}
-
-// LoadClosure loads dir like LoadDir but returns every module-local
-// package the load pulled in — the root package plus its in-module
-// dependency closure, sorted by import path. The interprocedural fixture
-// tests use it: cross-package call chains only resolve when caller and
-// callee were type-checked by the same loader, so their function objects
-// are identical.
+// LoadClosure loads a single directory as a package under an explicit
+// import path and returns every module-local package the load pulled in —
+// the root package plus its in-module dependency closure, sorted by import
+// path. The rule fixtures under testdata use it to present themselves as
+// internal packages so path-gated rules apply; cross-package call chains
+// only resolve when caller and callee were type-checked by the same loader,
+// so their function objects are identical.
 func LoadClosure(dir, modRoot, importPath string) ([]*Package, error) {
 	loadMu.Lock()
 	defer loadMu.Unlock()

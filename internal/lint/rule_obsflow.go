@@ -14,17 +14,14 @@ import "go/ast"
 // guards.
 const obsPkgPath = "supernpu/internal/obs"
 
-// obsReadNames is the read surface of internal/obs. Tracing is a read
-// too: gating a modeled computation on observability state is exactly the
-// feedback the determinism contract forbids.
+// obsReadNames is the read surface of internal/obs: every method that
+// returns instrument state, and the exposition that renders it.
 var obsReadNames = map[string]bool{
 	"Value":           true,
 	"Count":           true,
 	"Sum":             true,
 	"BucketCounts":    true,
-	"Edges":           true,
 	"WritePrometheus": true,
-	"Tracing":         true,
 }
 
 // checkObsFlow forbids calls to the obs read surface inside the modeling

@@ -1,6 +1,6 @@
 // Fixture for the obsflow rule. The package clause says jsim, so the rule
 // treats this as a modeling package: writes to obs instruments must pass,
-// reads of instrument or gate state must be flagged.
+// reads of instrument state must be flagged.
 package jsim
 
 import "supernpu/internal/obs"
@@ -24,13 +24,9 @@ func writesAreFine(steps int) {
 // readsAreNot pulls instrument state back into the computation — every
 // call here must be flagged.
 func readsAreNot() float64 {
-	n := transients.Value() // want "obs.Value"
-	if obs.Tracing() {      // want "obs.Tracing"
-		n--
-	}
+	n := transients.Value()      // want "obs.Value"
 	_ = solveTime.Count()        // want "obs.Count"
 	_ = solveTime.Sum()          // want "obs.Sum"
 	_ = solveTime.BucketCounts() // want "obs.BucketCounts"
-	_ = solveTime.Edges()        // want "obs.Edges"
 	return float64(n)
 }

@@ -2,7 +2,6 @@ package npusim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -95,9 +94,9 @@ func TestSimulateFaultedSimFailReturnsFaultError(t *testing.T) {
 	net := testNet(t)
 	fm := &faultinject.Model{Seed: 1, SimFail: 1}
 	_, err := SimulateFaulted(context.Background(), arch.SuperNPU(), net, 1, fm)
-	var fe *faultinject.FaultError
-	if !errors.As(err, &fe) {
-		t.Fatalf("got %v, want *faultinject.FaultError", err)
+	want := fm.FailSimulation(simSite(arch.SuperNPU(), net, 1))
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("got %v, want the injected fault %v", err, want)
 	}
 	// The error is deterministic: a second call renders identically.
 	_, err2 := SimulateFaulted(context.Background(), arch.SuperNPU(), net, 1, fm)

@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"math"
 
-	"supernpu/internal/guard"
-
 	"supernpu/internal/arch"
 	"supernpu/internal/estimator"
 	"supernpu/internal/faultinject"
@@ -110,9 +108,6 @@ type LayerStats struct {
 func (s LayerStats) PrepCycles() int64 {
 	return s.WeightCycles + s.IfmapMoveCycles + s.PsumMoveCycles + s.StallCycles
 }
-
-// TotalCycles is the layer's total time.
-func (s LayerStats) TotalCycles() int64 { return s.ComputeCycles + s.PrepCycles() }
 
 // resolveStalls computes the exposed DRAM stall after overlapping the raw
 // transfer cycles with every on-chip cycle of the layer.
@@ -296,10 +291,10 @@ func Simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch 
 // the perturbed operating point (margin erosion lowers the frequency),
 // thermal pulse drops charge chunk-recirculation retry cycles, datapath bit
 // flips feed the accuracy proxy, and with probability SimFail the whole
-// simulation aborts with a *faultinject.FaultError — the hook the serving
-// pipeline's degraded path exercises. Results are memoised by (config,
-// network, batch, fault key); a nil or disabled model keys to the empty
-// string, which makes it Simulate. Every fault draw is site-keyed, so the
+// simulation aborts with faultinject's FailSimulation error — the hook the
+// serving pipeline's degraded path exercises. Results are memoised by
+// (config, network, batch, fault key); a nil or disabled model keys to the
+// empty string, which makes it Simulate. Every fault draw is site-keyed, so the
 // report is byte-identical across runs and worker counts.
 func SimulateFaulted(ctx context.Context, cfg arch.Config, net workload.Network, batch int, fm *faultinject.Model) (*Report, error) {
 	if batch < 0 {
@@ -348,8 +343,8 @@ func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch 
 	var site string
 	if fm.Enabled() {
 		site = simSite(cfg, net, batch)
-		if fm.FailsSimulation(site) {
-			return nil, &faultinject.FaultError{Site: site}
+		if err := fm.FailSimulation(site); err != nil {
+			return nil, err
 		}
 	}
 	est, err := estimator.EstimateFaulted(ctx, cfg, fm)
@@ -458,12 +453,12 @@ func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch 
 	rep.Power = dynamicPower(cfg, est, rep)
 	rep.DynamicPower = rep.Power.Total()
 	// A report with a non-finite headline number means the model itself
-	// blew up (zero frequency, empty network); fail typed instead of
-	// letting NaNs leak into exhibits and serving responses.
+	// blew up (zero frequency, empty network); fail instead of letting
+	// NaNs leak into exhibits and serving responses.
 	for _, v := range [...]float64{rep.Time, rep.Throughput, rep.PEUtilization, rep.DynamicPower} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("npusim: %s/%s/b%d produced a non-finite report: %w",
-				cfg.Name, net.Name, batch, guard.ErrNonFinite)
+			return nil, fmt.Errorf("npusim: %s/%s/b%d produced a non-finite report",
+				cfg.Name, net.Name, batch)
 		}
 	}
 	return rep, nil

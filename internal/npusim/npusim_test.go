@@ -289,7 +289,7 @@ func TestReportInvariantsProperty(t *testing.T) {
 		}
 		var layerTotal int64
 		for _, l := range r.Layers {
-			layerTotal += l.TotalCycles()
+			layerTotal += l.ComputeCycles + l.PrepCycles()
 		}
 		// Layer totals plus the final drain equal the report total.
 		return layerTotal <= r.TotalCycles && r.Time > 0 && r.Throughput > 0

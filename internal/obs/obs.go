@@ -77,9 +77,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add moves the gauge by n (n may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc moves the gauge up by one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -161,9 +158,6 @@ func (h *Histogram) BucketCounts() []int64 {
 	}
 	return out
 }
-
-// Edges returns the histogram's bucket upper bounds (a fresh copy).
-func (h *Histogram) Edges() []float64 { return append([]float64(nil), h.edges...) }
 
 // Time starts a wall-clock measurement against h and returns the function
 // that stops it, recording the elapsed seconds:

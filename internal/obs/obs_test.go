@@ -21,10 +21,10 @@ func TestCounterGauge(t *testing.T) {
 	g := r.Gauge("g", "help")
 	g.Set(10)
 	g.Inc()
+	g.Inc()
 	g.Dec()
-	g.Add(-3)
-	if g.Value() != 7 {
-		t.Errorf("gauge = %d, want 7", g.Value())
+	if g.Value() != 11 {
+		t.Errorf("gauge = %d, want 11", g.Value())
 	}
 }
 
@@ -50,7 +50,7 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.Sum() <= 1e6 {
 		t.Errorf("sum = %g, want > 1e6", h.Sum())
 	}
-	if e := h.Edges(); len(e) != 3 || e[2] != 100 {
+	if e := h.edges; len(e) != 3 || e[2] != 100 {
 		t.Errorf("edges = %v, want [1 10 100]", e)
 	}
 	Time(h)()

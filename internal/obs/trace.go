@@ -31,9 +31,6 @@ func SetTraceWriter(w io.Writer) {
 	tracing.Store(w != nil)
 }
 
-// Tracing reports whether a span sink is installed.
-func Tracing() bool { return tracing.Load() }
-
 // Span is one in-flight timed phase. The zero Span is inert: End does
 // nothing, which is what StartSpan hands out while tracing is disabled.
 type Span struct {

@@ -53,9 +53,6 @@ func TestSpanJSONL(t *testing.T) {
 }
 
 func TestSpansInertWithoutWriter(t *testing.T) {
-	if Tracing() {
-		t.Fatal("Tracing() = true with no writer installed")
-	}
 	sp := StartSpan("ghost")
 	if sp.live {
 		t.Error("StartSpan returned a live span with no writer")
@@ -69,9 +66,6 @@ func TestSetTraceWriterNilStops(t *testing.T) {
 	buf := withTrace(t)
 	StartSpan("one").End()
 	SetTraceWriter(nil)
-	if Tracing() {
-		t.Error("Tracing() = true after SetTraceWriter(nil)")
-	}
 	StartSpan("two").End()
 	if n := strings.Count(buf.String(), "\n"); n != 1 {
 		t.Errorf("got %d trace lines, want only the pre-removal span", n)

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"supernpu/internal/guard/leaktest"
+	"supernpu/internal/leaktest"
 )
 
 // squares fills a presized slice by index, the pool's result idiom.

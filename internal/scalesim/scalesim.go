@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 
-	"supernpu/internal/guard"
 	"supernpu/internal/mapper"
 	"supernpu/internal/simcache"
 	"supernpu/internal/workload"
@@ -194,8 +193,8 @@ func simulate(ctx context.Context, cfg Config, net workload.Network, batch int) 
 	rep.PEUtilization = rep.Throughput / cfg.PeakMACs()
 	for _, v := range [...]float64{rep.Time, rep.Throughput, rep.PEUtilization} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("scalesim: %s/%s/b%d produced a non-finite report: %w",
-				cfg.Name, net.Name, batch, guard.ErrNonFinite)
+			return nil, fmt.Errorf("scalesim: %s/%s/b%d produced a non-finite report",
+				cfg.Name, net.Name, batch)
 		}
 	}
 	return rep, nil

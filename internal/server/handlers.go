@@ -15,7 +15,6 @@ import (
 	"supernpu/internal/core"
 	"supernpu/internal/estimator"
 	"supernpu/internal/faultinject"
-	"supernpu/internal/guard"
 	"supernpu/internal/obs"
 	"supernpu/internal/parallel"
 	"supernpu/internal/workload"
@@ -46,7 +45,7 @@ func modelError(err error) (int, string) {
 		return http.StatusBadRequest, err.Error()
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable, "request timed out: " + err.Error()
-	case guard.IsCancellation(err):
+	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable, err.Error()
 	}
 	return http.StatusUnprocessableEntity, err.Error()

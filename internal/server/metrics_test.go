@@ -92,12 +92,13 @@ func parsePrometheus(t *testing.T, body string) map[string]promFamily {
 // TestMetricsEndpoint scrapes GET /metrics after touching every
 // instrumented layer (HTTP, pool, caches via an evaluation; jsim via a
 // direct transient) and asserts the scrape parses strictly and covers the
-// server, cache, pool and jsim instrument families.
+// server, cache, pool and jsim instrument families. The service never
+// links jsim; this test binary does, so the scrape shows its families.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 
-	// Tick the jsim counters: the serving path reaches the solver only
-	// through memoised extraction, so run one small transient directly.
+	// Tick the jsim counters: no endpoint reaches the solver, so run one
+	// small transient directly.
 	var (
 		solver jsim.Solver
 		pd     jsim.PulseDetector

@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"supernpu/internal/core"
-	"supernpu/internal/guard/leaktest"
+	"supernpu/internal/leaktest"
 	"supernpu/internal/simcache"
 	"supernpu/internal/workload"
 )

@@ -32,6 +32,7 @@
 package simcache
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -42,7 +43,6 @@ import (
 
 	"supernpu/internal/arch"
 	"supernpu/internal/faultinject"
-	"supernpu/internal/guard"
 	"supernpu/internal/obs"
 	"supernpu/internal/parallel"
 	"supernpu/internal/workload"
@@ -269,7 +269,7 @@ func New[V any](name string) *Cache[V] {
 	lbl := obs.L("cache", name)
 	c := &Cache[V]{
 		m:        make(map[string]*entry[V]),
-		hits:     obs.Default.Counter("supernpu_cache_hits_total", "memo cache lookups served from a completed entry", lbl),
+		hits:     obs.Default.Counter("supernpu_cache_hits_total", "memo cache lookups that found their key, completed or still computing", lbl),
 		miss:     obs.Default.Counter("supernpu_cache_misses_total", "memo cache lookups that started a computation", lbl),
 		entries:  obs.Default.Gauge("supernpu_cache_entries", "memoised entries resident in the cache", lbl),
 		inflight: obs.Default.Gauge("supernpu_cache_inflight", "distinct computations currently running", lbl),
@@ -291,8 +291,8 @@ var errPanicked = errors.New("simcache: computation panicked")
 // GetOrCompute returns the cached value for key, computing and storing it on
 // first access. Concurrent callers of the same key share one computation;
 // deterministic errors are memoised like values. Transient errors
-// (guard.IsCancellation: cancellations and deadline expiries) describe
-// the attempt, not the inputs, so the entry is evicted instead —
+// (context.Canceled and context.DeadlineExceeded) describe the attempt,
+// not the inputs, so the entry is evicted instead —
 // a canceled request must not poison the key for every later caller.
 // Callers coalesced onto an evicted computation still receive its transient
 // error for this attempt; their retry starts a fresh computation. A panic in
@@ -329,7 +329,8 @@ func (c *Cache[V]) fill(e *entry[V], compute func() (V, error)) {
 	e.err = errPanicked // kept only if compute panics
 	defer func() {
 		var pe *parallel.PanicError
-		if errors.Is(e.err, errPanicked) || errors.As(e.err, &pe) || guard.IsCancellation(e.err) {
+		if errors.Is(e.err, errPanicked) || errors.As(e.err, &pe) ||
+			errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
 			c.mu.Lock()
 			if c.m[e.key] == e {
 				delete(c.m, e.key)

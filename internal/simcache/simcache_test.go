@@ -13,7 +13,6 @@ import (
 
 	"supernpu/internal/arch"
 	"supernpu/internal/faultinject"
-	"supernpu/internal/guard"
 	"supernpu/internal/obs"
 	"supernpu/internal/parallel"
 	"supernpu/internal/workload"
@@ -499,15 +498,16 @@ func TestPanickingComputeIsNotMemoised(t *testing.T) {
 	}
 }
 
-// Deterministic errors keep being memoised: divergence is a property of the
-// inputs and recomputing it would burn the same steps for the same answer.
+// Deterministic errors keep being memoised: a non-finite report is a
+// property of the inputs and recomputing it would burn the same steps for
+// the same answer.
 func TestNumericErrorsStayMemoised(t *testing.T) {
 	c := New[int](t.Name())
 	calls := 0
-	diverged := fmt.Errorf("transient: %w", guard.ErrDiverged)
+	nonFinite := errors.New("npusim: x/y/b1 produced a non-finite report")
 	for i := 0; i < 3; i++ {
-		_, err := c.GetOrCompute([]byte("k"), func() (int, error) { calls++; return 0, diverged })
-		if !errors.Is(err, guard.ErrDiverged) {
+		_, err := c.GetOrCompute([]byte("k"), func() (int, error) { calls++; return 0, nonFinite })
+		if !errors.Is(err, nonFinite) {
 			t.Fatalf("attempt %d err = %v", i, err)
 		}
 	}
